@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
-from .catalog import Catalog
+from .catalog import Catalog, _name_sort_key
 from .degeneration import Witness, eval_t_expression
 from .invariants import orbit_dimension
-from .verify import FAMILY_SAMPLES
 
 
 class UnverifiedWitness(ValueError):
@@ -74,15 +73,8 @@ def build_graph(
     unverified witness in the input is an error (filter first if that is
     intended)."""
     names = cat.names(mn)
-    orbit: Dict[str, int] = {}
-    family_nodes = set()
-    for name in names:
-        entry = cat.entry(name)
-        if entry.is_family:
-            family_nodes.add(name)
-            orbit[name] = orbit_dimension(cat.lookup(name, FAMILY_SAMPLES[0]))
-        else:
-            orbit[name] = orbit_dimension(entry.algebra)
+    orbit = {name: orbit_dimension(cat.instances(name)[0]) for name in names}
+    family_nodes = {name for name in names if cat.entry(name).is_family}
     comp = cat.components.get(_type_dirname(mn), {})
     rigid = set(comp.get("rigid", [])) | set(comp.get("families", []))
     edges = []
@@ -190,7 +182,7 @@ def export_dot(g: DegenGraph) -> str:
     for name in g.nodes:
         by_orbit.setdefault(g.orbit[name], []).append(name)
     for orbit in sorted(by_orbit, reverse=True):
-        names = sorted(by_orbit[orbit], key=_node_sort_key)
+        names = sorted(by_orbit[orbit], key=_name_sort_key)
         members = []
         for name in names:
             attrs = [f'label="{name} ({orbit})"']
@@ -202,14 +194,8 @@ def export_dot(g: DegenGraph) -> str:
             lines.append(f'  "{name}" [{", ".join(attrs)}];')
             members.append(f'"{name}"')
         lines.append(f'  {{ rank=same; {"; ".join(members)}; }}')
-    for e in sorted(g.edges, key=lambda e: (_node_sort_key(e.source), _node_sort_key(e.target))):
+    for e in sorted(g.edges, key=lambda e: (_name_sort_key(e.source), _name_sort_key(e.target))):
         style = ' [style=dashed]' if e.mode == "ungraded" else ""
         lines.append(f'  "{e.source}" -> "{e.target}"{style};')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _node_sort_key(name: str):
-    head = name.rstrip("0123456789")
-    tail = name[len(head) :]
-    return (head, int(tail) if tail else 0)

@@ -17,9 +17,12 @@ from .algebra import SuperAlgebra, direct_sum
 from .certificates import ClosedSet, parse_closed_set_file
 from .degeneration import Witness, parse_witness_file
 from .ratfun import RatFun, ratfun_compose
-from .tablefmt import AlgebraFile, parse_algebra_file
+from .tablefmt import AlgebraFile, ParseError, parse_algebra_file
 
 DATA_ENV = "SUPERJORDAN_DATA"
+
+# parameter values at which the one-parameter family is checked numerically
+FAMILY_SAMPLES = (2, 3, 5)
 
 
 class UnknownName(KeyError):
@@ -122,7 +125,7 @@ class Catalog:
             for path in sorted(dirpath.glob("*.alg")):
                 af = parse_algebra_file(path)
                 if af.mn != mn:
-                    raise ValueError(f"{path}: type {af.mn} does not match {dirname}")
+                    raise ParseError(f"{path}: type {af.mn} does not match {dirname}")
                 entry = CatalogEntry(
                     name=af.name,
                     mn=af.mn,
@@ -134,7 +137,7 @@ class Catalog:
                     source_file=str(path),
                 )
                 if af.name in self.entries:
-                    raise ValueError(f"duplicate catalog name {af.name}")
+                    raise ParseError(f"duplicate catalog name {af.name}")
                 self.entries[af.name] = entry
                 names.append(af.name)
             self.by_type[mn] = sorted(names, key=_name_sort_key)
@@ -178,6 +181,14 @@ class Catalog:
         if param is None:
             raise MissingParameter(f"{name} is a one-parameter family")
         return instantiate(entry.algebra, param, name=_family_instance_name(name, param))
+
+    def instances(self, name: str) -> List[SuperAlgebra]:
+        """The algebras checked for an entry: a family at each of
+        ``FAMILY_SAMPLES``, any other entry as itself."""
+        entry = self.entry(name)
+        if entry.is_family:
+            return [self.lookup(name, p) for p in FAMILY_SAMPLES]
+        return [entry.algebra]
 
     def reachable(self, graph: str, a: str, b: str) -> bool:
         if graph not in self.graphs:
@@ -279,7 +290,7 @@ def _parse_edges(path: Path) -> ReferenceGraph:
         src, _, dst = line.partition("->")
         src, dst = src.strip(), dst.strip()
         if not src or not dst:
-            raise ValueError(f"{path}: bad edge line {raw!r}")
+            raise ParseError(f"{path}: bad edge line {raw!r}")
         edges.append((src, dst))
         nodes.add(src)
         nodes.add(dst)

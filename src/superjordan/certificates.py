@@ -22,16 +22,18 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .linalg import int_matrix_det_adjugate
+from .tablefmt import ParseError
 
 
 class BasisMismatch(ValueError):
     pass
 
 
-class CertificateParseError(ValueError):
+class CertificateParseError(ParseError):
     pass
 
 
@@ -127,7 +129,8 @@ _POLY_TOKEN = re.compile(r"\s*(c\[[^\]]*\]|\d+/\d+|\d+|[()+\-*])")
 
 
 class _PolyParser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, d: int):
+        self.d = d
         self.toks: List[str] = []
         pos = 0
         while pos < len(text):
@@ -188,13 +191,16 @@ class _PolyParser:
                 raise CertificateParseError("unbalanced parentheses")
             return node
         if tok.startswith("c["):
-            inner = tok[2:-1]
-            parts = [p.strip() for p in inner.split(",")]
-            if len(parts) != 3:
+            parts = [p.strip() for p in tok[2:-1].split(",")]
+            if len(parts) != 3 or not all(
+                p == "*" or p.isdecimal() and 1 <= int(p) <= self.d for p in parts
+            ):
                 raise CertificateParseError(f"bad atom {tok!r}")
-            idx = tuple(0 if p == "*" else int(p) for p in parts)
-            return ("atom",) + idx
-        return ("const", Fraction(tok))
+            return ("atom",) + tuple(0 if p == "*" else int(p) for p in parts)
+        try:
+            return ("const", Fraction(tok))
+        except ZeroDivisionError:
+            raise CertificateParseError(f"zero denominator in {tok!r}") from None
 
 
 def _eval_poly(node, table, wild: Dict[int, int], counter: List[int]):
@@ -323,8 +329,8 @@ def parse_condition(text: str, d: int) -> Condition:
         lhs_text, _, rhs_text = text.partition("=")
         if not rhs_text:
             raise CertificateParseError(f"polynomial condition needs '=': {text!r}")
-        lhs = _PolyParser(lhs_text).parse()
-        rhs = _PolyParser(rhs_text).parse()
+        lhs = _PolyParser(lhs_text, d).parse()
+        rhs = _PolyParser(rhs_text, d).parse()
         return PolyEq(lhs, rhs, text)
     mobj = re.fullmatch(
         r"(?:span\(\s*)?([AJ]\d*)\s*\*\s*([AJ]\d*)\s*\)?\s*(<=|=)\s*(.+)", text
@@ -347,7 +353,7 @@ def parse_closed_set(text: str, source_name: str = "<string>") -> ClosedSet:
     targets: List[str] = []
     basis: List[str] = []
     label = ""
-    cond_lines: List[str] = []
+    cond_lines: List[Tuple[int, str]] = []
     saw_header = False
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -357,7 +363,7 @@ def parse_closed_set(text: str, source_name: str = "<string>") -> ClosedSet:
             saw_header = True
             continue
         if line.startswith("condition:"):
-            cond_lines.append(line[len("condition:") :].strip())
+            cond_lines.append((lineno, line[len("condition:") :].strip()))
             continue
         if line == "conditions:":
             continue
@@ -373,13 +379,18 @@ def parse_closed_set(text: str, source_name: str = "<string>") -> ClosedSet:
             label = val
         else:
             # bare condition lines under a "conditions:" block
-            cond_lines.append(line)
+            cond_lines.append((lineno, line))
     if not saw_header:
         raise CertificateParseError(f"{source_name}: missing [closedset] header")
     if source is None or not basis:
         raise CertificateParseError(f"{source_name}: source and basis are required")
     d = len(basis)
-    conditions = [parse_condition(c, d) for c in cond_lines]
+    conditions = []
+    for lineno, text in cond_lines:
+        try:
+            conditions.append(parse_condition(text, d))
+        except CertificateParseError as exc:
+            raise CertificateParseError(f"{source_name}:{lineno}: {exc}") from None
     return ClosedSet(source, targets, basis, conditions, label=label)
 
 
@@ -403,16 +414,10 @@ def _int_table(table) -> List[List[List[int]]]:
         for row in plane:
             for x in row:
                 den = Fraction(x).denominator
-                lcm = lcm * den // _gcd(lcm, den)
+                lcm = lcm * den // gcd(lcm, den)
     return [
         [[int(Fraction(x) * lcm) for x in row] for row in plane] for plane in table
     ]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def transform_int_table(table_int, g: List[List[int]]):

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from . import verify as V
-from .algebra import check_super_jordan
-from .catalog import Catalog, MissingParameter, UnknownName
-from .certificates import closed_set_eval, parse_closed_set_file, separation_test, stability_test
-from .degeneration import parse_witness_file, verify_degeneration
-from .envelope import EnvelopeConfig, envelope_jordan_check
-from .invariants import derivation_dims, orbit_dimension
-from .tablefmt import parse_algebra_file
+from .atlas import build_graph, edge_monotonicity_violations, export_dot
+from .catalog import Catalog, MissingParameter, UnknownName, instantiate
+from .certificates import parse_closed_set_file
+from .degeneration import parse_witness_file
+from .envelope import envelope_jordan_check
+from .invariants import derivation_dims
+from .tablefmt import ParseError, parse_algebra_file
 
 TYPE_ALIASES = {
     "1,3": (1, 3), "13": (1, 3), "type13": (1, 3),
@@ -39,6 +40,10 @@ class Reporter:
         if not row.acceptable:
             self.fails += 1
 
+    def rows(self, rows):
+        for row in rows:
+            self.row(row)
+
     def line(self, text: str):
         if self.fmt == "tsv":
             parts = text.split(" ", 2)
@@ -55,29 +60,17 @@ def _load_catalog(args) -> Catalog:
     return Catalog(Path(args.catalog) if args.catalog else None)
 
 
-def _entry_algebra(cat: Catalog, name: str, param=None):
-    entry = cat.entry(name)
-    if entry.is_family and param is None:
-        return cat.lookup(name, V.FAMILY_SAMPLES[0])
-    return cat.lookup(name, param)
-
-
 def cmd_verify_catalog(args, rep: Reporter) -> int:
     cat = _load_catalog(args)
     id_rows, elapsed = V.verify_identities(cat)
-    for row in id_rows:
-        rep.row(row)
+    rep.rows(id_rows)
     ok = sum(1 for r in id_rows if r.ok)
     rep.line(f"# {ok}/{len(id_rows)} algebras verified in {elapsed:.1f}s")
-    for row in V.verify_orbits(cat):
-        rep.row(row)
-    for row in V.verify_type_remark():
-        rep.row(row)
+    rep.rows(V.verify_orbits(cat))
+    rep.rows(V.verify_type_remark())
     if args.full:
-        for row in V.verify_decompositions(cat):
-            rep.row(row)
-        for row in V.verify_even_parts(cat):
-            rep.row(row)
+        rep.rows(V.verify_decompositions(cat))
+        rep.rows(V.verify_even_parts(cat))
     return rep.status
 
 
@@ -85,64 +78,27 @@ def cmd_check(args, rep: Reporter) -> int:
     af = parse_algebra_file(args.file)
     J = af.build()
     if af.family:
-        from .catalog import instantiate
-
         J = instantiate(J, V.FAMILY_SAMPLES[0])
-    result = check_super_jordan(J)
-    rep.row(
-        V.CheckRow(
-            f"identity:{af.name or args.file}", result.ok, False,
-            result.detail if not result.ok else "",
-        )
-    )
+    rep.row(V.identity_row(af.name or args.file, J))
     return rep.status
 
 
 def cmd_derive(args, rep: Reporter) -> int:
     cat = _load_catalog(args)
-    J = _entry_algebra(cat, args.name)
-    d = derivation_dims(J)
+    d = derivation_dims(cat.instances(args.name)[0])
     rep.line(f"PASS derive:{args.name} even={d.even_dim} odd={d.odd_dim} total={d.total}")
     return 0
 
 
 def cmd_orbit(args, rep: Reporter) -> int:
-    cat = _load_catalog(args)
-    entry = cat.entry(args.name)
-    J = _entry_algebra(cat, args.name)
-    od = orbit_dimension(J)
-    declared = entry.orbit
-    ok = declared is None or od == declared
-    logged = f"orbit:{args.name}" in cat.errata_keys()
-    rep.row(
-        V.CheckRow(
-            f"orbit:{args.name}", ok, (not ok) and logged,
-            f"computed {od}" + (f", declared {declared}" if declared is not None else ""),
-        )
-    )
+    rep.rows(V.orbit_rows(_load_catalog(args), args.name))
     return rep.status
 
 
 def cmd_degenerate(args, rep: Reporter) -> int:
     cat = _load_catalog(args)
-    if args.all:
-        paths = sorted(Path(args.all).glob("*.wit"))
-    else:
-        paths = [Path(args.file)]
-    logged = cat.errata_keys()
-    for path in paths:
-        wit = parse_witness_file(path)
-        src, tgt = V.resolve_witness_algebras(cat, wit)
-        verdict = verify_degeneration(wit, src, tgt)
-        key = f"witness:{wit.label}" if wit.label else f"witness:{path.name}"
-        rep.row(
-            V.CheckRow(
-                key, verdict.verified, (not verdict.verified) and key in logged,
-                f"{verdict.status}"
-                + (f" ({verdict.mode_used})" if verdict.mode_used else "")
-                + (f": {verdict.detail}" if verdict.detail else ""),
-            )
-        )
+    paths = sorted(Path(args.all).glob("*.wit")) if args.all else [Path(args.file)]
+    rep.rows(V.witness_row(cat, parse_witness_file(path))[1] for path in paths)
     return rep.status
 
 
@@ -157,50 +113,13 @@ def cmd_screen(args, rep: Reporter) -> int:
 def cmd_closedset(args, rep: Reporter) -> int:
     cat = _load_catalog(args)
     cs = parse_closed_set_file(args.file)
-    from .algebra import flatten
-
-    entry = cat.entry(cs.source)
-    logged = cat.errata_keys()
-    sources = (
-        [cat.lookup(cs.source, p) for p in V.FAMILY_SAMPLES]
-        if entry.is_family
-        else [cat.lookup(cs.source)]
-    )
-    for J in sources:
-        table = flatten(J, cs.basis)
-        sat = closed_set_eval(table, cs)
-        key = f"certificate:{cs.label}:source"
-        rep.row(V.CheckRow(key, sat, (not sat) and key in logged, J.name))
-        if sat:
-            st = stability_test(cs, table, trials=args.trials, seed=args.seed)
-            key = f"certificate:{cs.label}:stability"
-            rep.row(
-                V.CheckRow(key, st.hits == args.trials, False, f"{st.hits}/{args.trials}")
-            )
-    need = int(args.trials * 0.99)
-    for tname in cs.targets:
-        tentry = cat.entry(tname)
-        targets = (
-            [cat.lookup(tname, p) for p in V.FAMILY_SAMPLES]
-            if tentry.is_family
-            else [cat.lookup(tname)]
-        )
-        for T in targets:
-            sep = separation_test(cs, flatten(T, cs.basis), trials=args.trials, seed=args.seed)
-            key = f"certificate:{cs.label}:separation:{tname}"
-            rep.row(
-                V.CheckRow(
-                    key, sep.hits >= need, (sep.hits < need) and key in logged,
-                    f"{sep.hits}/{args.trials}",
-                )
-            )
+    rep.rows(V.certificate_rows(cat, cs, trials=args.trials, seed=args.seed))
     return rep.status
 
 
 def cmd_envelope(args, rep: Reporter) -> int:
     cat = _load_catalog(args)
-    J = _entry_algebra(cat, args.name)
-    result = envelope_jordan_check(J, EnvelopeConfig(k=args.k))
+    result = envelope_jordan_check(cat.instances(args.name)[0], k=args.k)
     rep.row(
         V.CheckRow(
             f"envelope:{args.name}:k={args.k}", result.ok, False,
@@ -210,20 +129,14 @@ def cmd_envelope(args, rep: Reporter) -> int:
     return rep.status
 
 
-def _build_graph(cat: Catalog, mn):
-    from .atlas import build_graph
-
-    wrows = V.verify_witnesses(cat)
-    verified = [(w, v) for w, v, _ in wrows if v.verified]
-    return build_graph(mn, cat, verified)
+def _verified(wrows):
+    return [(w, v) for w, v, _ in wrows if v.verified]
 
 
 def cmd_graph(args, rep: Reporter) -> int:
     cat = _load_catalog(args)
     mn = TYPE_ALIASES[args.type]
-    from .atlas import edge_monotonicity_violations, export_dot
-
-    g = _build_graph(cat, mn)
+    g = build_graph(mn, cat, _verified(V.verify_witnesses(cat)))
     viol = edge_monotonicity_violations(g)
     rep.row(
         V.CheckRow(
@@ -244,22 +157,36 @@ def cmd_graph(args, rep: Reporter) -> int:
 
 def cmd_components(args, rep: Reporter) -> int:
     cat = _load_catalog(args)
-    mn = TYPE_ALIASES[args.type]
-    from .atlas import component_report
+    verified = _verified(V.verify_witnesses(cat))
+    components = V.verify_components(cat, verified, types=[TYPE_ALIASES[args.type]])
+    rep.rows(row for _graph, row in components)
+    return rep.status
 
-    g = _build_graph(cat, mn)
-    report = component_report(mn, cat, g)
-    expected = {(1, 3): (11, 12), (2, 2): (25, 13), (3, 1): (21, 15)}[mn]
-    ok = report.ok(*expected)
-    rep.row(
-        V.CheckRow(
-            f"components:type{mn[0]}{mn[1]}", ok, False,
-            f"{report.component_count} components ({report.rigid_count} rigid"
-            f" + {report.family_count} family), dimension {report.computed_dimension}"
-            + (f"; rigidity violations {report.rigidity_violations}" if report.rigidity_violations else "")
-            + (f"; unreachable {report.unreachable}" if report.unreachable else ""),
-        )
-    )
+
+def cmd_verify_all(args, rep: Reporter) -> int:
+    cat = _load_catalog(args)
+    t0 = time.time()
+    id_rows, elapsed = V.verify_identities(cat)
+    rep.rows(id_rows)
+    rep.line(f"# identity suite: {sum(r.ok for r in id_rows)}/{len(id_rows)} in {elapsed:.1f}s")
+    rep.rows(V.verify_orbits(cat))
+    rep.rows(V.verify_type_remark())
+    rep.rows(V.verify_decompositions(cat))
+    rep.rows(V.verify_even_parts(cat))
+    wrows = V.verify_witnesses(cat)
+    rep.rows(row for _, _, row in wrows)
+    verified, pub_total, pub_ok = V.witness_summary(wrows)
+    rep.line(f"# witnesses: {pub_ok}/{pub_total} published rows verified, {verified} total")
+    rep.rows(V.verify_certificates(cat, trials=args.trials, seed=args.seed))
+    rep.rows(V.verify_lemma_screens(cat))
+    if args.dot:
+        Path(args.dot).mkdir(parents=True, exist_ok=True)
+    for graph, row in V.verify_components(cat, _verified(wrows)):
+        rep.row(row)
+        if args.dot:
+            mn = graph.mn
+            Path(args.dot, f"type{mn[0]}{mn[1]}.dot").write_text(export_dot(graph), encoding="utf-8")
+    rep.line(f"# total time {time.time() - t0:.0f}s; hard failures: {rep.fails}")
     return rep.status
 
 
@@ -276,6 +203,12 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify-catalog", help="identity + orbit suite over all 149 entries")
     p.add_argument("--full", action="store_true", help="also check decompositions and even parts")
     p.set_defaults(func=cmd_verify_catalog)
+
+    p = sub.add_parser("verify-all", help="every sweep, one row per check")
+    p.add_argument("--trials", type=int, default=1000, help="certificate trials (default 1000)")
+    p.add_argument("--seed", type=int, default=0, help="certificate seed (default 0)")
+    p.add_argument("--dot", help="also write type13.dot, type22.dot and type31.dot into this directory")
+    p.set_defaults(func=cmd_verify_all)
 
     p = sub.add_parser("check", help="check one .alg file")
     p.add_argument("file")
@@ -328,7 +261,7 @@ def main(argv=None) -> int:
         if args.command == "degenerate" and not args.file and not args.all:
             parser.error("degenerate needs a file or --all DIR")
         code = args.func(args, rep)
-    except (UnknownName, MissingParameter, FileNotFoundError, KeyError) as exc:
+    except (UnknownName, MissingParameter, ParseError, OSError, UnicodeDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

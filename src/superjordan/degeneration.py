@@ -17,16 +17,17 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import SuperAlgebra, default_basis_order, flatten
-from .linalg import SingularMatrix, invert_field_matrix
+from .algebra import SuperAlgebra, _sc_is_zero, default_basis_order, flatten
+from .linalg import SingularMatrix, _as_rf, invert_field_matrix
 from .ratfun import RatFun
+from .tablefmt import ParseError
 
 
 class NonGradedWitness(ValueError):
     """Graded mode demands block-diagonal parametric bases."""
 
 
-class WitnessError(ValueError):
+class WitnessError(ParseError):
     pass
 
 
@@ -57,12 +58,16 @@ def _tokenize(text: str) -> List[str]:
 
 
 class _ExprParser:
-    """Recursive-descent evaluator for t-expressions after t = s^N."""
+    """Recursive-descent parser for t-expressions.
 
-    def __init__(self, tokens: List[str], ram: int):
-        self.toks = tokens
+    Builds a tree of tuples: ``("num", k)``, ``("t^", p, q)`` for t^(p/q)
+    (plain ``t`` is t^(1/1)), ``("^", base, k)`` for an integer power of any
+    other atom, ``("neg", x)`` and ``(op, x, y)`` for op in ``+ - * /``.
+    """
+
+    def __init__(self, text: str):
+        self.toks = _tokenize(text)
         self.pos = 0
-        self.ram = ram
 
     def peek(self) -> Optional[str]:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -79,103 +84,116 @@ class _ExprParser:
         if got != tok:
             raise WitnessError(f"expected {tok!r}, got {got!r}")
 
-    def parse(self) -> RatFun:
-        val = self.expr()
+    def parse(self) -> tuple:
+        node = self.expr()
         if self.peek() is not None:
             raise WitnessError(f"trailing tokens {self.toks[self.pos:]}")
-        return val
+        return node
 
-    def expr(self) -> RatFun:
-        val = self.term()
+    def expr(self) -> tuple:
+        node = self.term()
         while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            val = val + rhs if op == "+" else val - rhs
-        return val
+            node = (self.take(), node, self.term())
+        return node
 
-    def term(self) -> RatFun:
-        val = self.unary()
+    def term(self) -> tuple:
+        node = self.unary()
         while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.unary()
-            val = val * rhs if op == "*" else val / rhs
-        return val
+            node = (self.take(), node, self.unary())
+        return node
 
-    def unary(self) -> RatFun:
+    def unary(self) -> tuple:
         if self.peek() == "-":
             self.take()
-            return -self.unary()
+            return ("neg", self.unary())
         if self.peek() == "+":
             self.take()
             return self.unary()
         return self.power()
 
-    def power(self) -> RatFun:
+    def power(self) -> tuple:
         is_t = self.peek() == "t"
         base = self.atom()
         if self.peek() != "^":
             return base
         self.take()
         num, den = self.exponent()
-        if den == 1:
-            exp = num
-        else:
-            if not is_t:
-                raise WitnessError("fractional exponents only allowed on t")
-            if (self.ram * num) % den:
-                raise WitnessError(
-                    f"ramification {self.ram} does not clear exponent {num}/{den}"
-                )
-            return RatFun.monomial(self.ram * num // den)
         if is_t:
-            return RatFun.monomial(self.ram * exp)
-        if exp >= 0:
-            out = RatFun.const(1)
-            for _ in range(exp):
-                out = out * base
-            return out
-        out = RatFun.const(1)
-        for _ in range(-exp):
-            out = out * base
-        return out.inverse()
+            return ("t^", num, den)
+        if den != 1:
+            raise WitnessError("fractional exponents only allowed on t")
+        return ("^", base, num)
 
     def exponent(self) -> Tuple[int, int]:
-        if self.peek() == "(":
+        parens = self.peek() == "("
+        if parens:
             self.take()
-            sign = 1
-            if self.peek() == "-":
-                self.take()
-                sign = -1
-            num = int(self.take())
-            if self.peek() == "/":
-                self.take()
-                den = int(self.take())
-            else:
-                den = 1
-            self.expect(")")
-            return sign * num, den
         sign = 1
         if self.peek() == "-":
             self.take()
             sign = -1
-        return sign * int(self.take()), 1
+        num, den = self.integer(), 1
+        if parens:
+            if self.peek() == "/":
+                self.take()
+                den = self.integer()
+                if den == 0:
+                    raise WitnessError("exponent denominator 0")
+            self.expect(")")
+        return sign * num, den
 
-    def atom(self) -> RatFun:
+    def integer(self) -> int:
+        tok = self.take()
+        if not tok.isdecimal():
+            raise WitnessError(f"expected an integer, got {tok!r}")
+        return int(tok)
+
+    def atom(self) -> tuple:
         tok = self.take()
         if tok == "t":
-            return RatFun.monomial(self.ram)
+            return ("t^", 1, 1)
         if tok == "(":
-            val = self.expr()
+            node = self.expr()
             self.expect(")")
-            return val
-        if tok.isdigit():
-            return RatFun.const(int(tok))
+            return node
+        if tok.isdecimal():
+            return ("num", int(tok))
         raise WitnessError(f"unexpected token {tok!r}")
+
+
+def _evaluate(node: tuple, ram: int) -> RatFun:
+    kind = node[0]
+    if kind == "num":
+        return RatFun.const(node[1])
+    if kind == "t^":
+        num, den = node[1], node[2]
+        if (ram * num) % den:
+            raise WitnessError(f"ramification {ram} does not clear exponent {num}/{den}")
+        return RatFun.monomial(ram * num // den)
+    if kind == "neg":
+        return -_evaluate(node[1], ram)
+    if kind == "^":
+        base, exp = _evaluate(node[1], ram), node[2]
+        out = RatFun.const(1)
+        for _ in range(abs(exp)):
+            out = out * base
+        return out if exp >= 0 else out.inverse()
+    left, right = _evaluate(node[1], ram), _evaluate(node[2], ram)
+    if kind == "+":
+        return left + right
+    if kind == "-":
+        return left - right
+    if kind == "*":
+        return left * right
+    return left / right
 
 
 def eval_t_expression(text: str, ram: int) -> RatFun:
     """Evaluate a coefficient expression in t with t = s^ram."""
-    return _ExprParser(_tokenize(text), ram).parse()
+    try:
+        return _evaluate(_ExprParser(text).parse(), ram)
+    except ZeroDivisionError as exc:
+        raise WitnessError(f"{text!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +266,15 @@ def _split_combination(rhs: str) -> List[Tuple[str, str]]:
     return terms
 
 
+def _checked(expr: str, source_name: str, lineno: int) -> str:
+    """``expr`` itself, once it parses as a t-expression."""
+    try:
+        _ExprParser(expr).parse()
+    except WitnessError as exc:
+        raise WitnessError(f"{source_name}:{lineno}: {exc}") from None
+    return expr
+
+
 def parse_witness(text: str, source_name: str = "<string>") -> Witness:
     src = tgt = None
     mode = "auto"
@@ -267,7 +294,11 @@ def parse_witness(text: str, source_name: str = "<string>") -> Witness:
         if line.startswith("basis:"):
             body = line[len("basis:") :].strip()
             slot, _, rhs = body.partition("=")
-            basis.append((slot.strip(), _split_combination(rhs.strip())))
+            terms = [
+                (_checked(coeff, source_name, lineno), label)
+                for coeff, label in _split_combination(rhs.strip())
+            ]
+            basis.append((slot.strip(), terms))
             continue
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
@@ -278,6 +309,7 @@ def parse_witness(text: str, source_name: str = "<string>") -> Witness:
                 param = param.strip()
                 if param.startswith("(") and param.endswith(")"):
                     param = param[1:-1]
+                param = _checked(param, source_name, lineno)
             else:
                 src = val
         elif key == "target":
@@ -324,7 +356,7 @@ def apply_basis_change_table(table, P: Sequence[Sequence], Pinv=None):
     """
     d = len(table)
     if Pinv is None:
-        rf = [[_to_rf(P[i][j]) for j in range(d)] for i in range(d)]
+        rf = [[_as_rf(P[i][j]) for j in range(d)] for i in range(d)]
         Pinv = invert_field_matrix(rf)
         P = rf
     nonzero = [
@@ -332,7 +364,7 @@ def apply_basis_change_table(table, P: Sequence[Sequence], Pinv=None):
         for c in range(d)
         for dd in range(d)
         for k in range(d)
-        if not _is_zero(table[c][dd][k])
+        if not _sc_is_zero(table[c][dd][k])
     ]
     out = [[[None] * d for _ in range(d)] for _ in range(d)]
     zero = _zero_like(P[0][0])
@@ -341,31 +373,19 @@ def apply_basis_change_table(table, P: Sequence[Sequence], Pinv=None):
             v = [zero] * d
             for c, dd, k, val in nonzero:
                 pac = P[a][c]
-                if _is_zero(pac):
+                if _sc_is_zero(pac):
                     continue
                 pbd = P[b][dd]
-                if _is_zero(pbd):
+                if _sc_is_zero(pbd):
                     continue
                 v[k] = v[k] + pac * pbd * val
             for l in range(d):
                 acc = zero
                 for k in range(d):
-                    if not _is_zero(v[k]) and not _is_zero(Pinv[k][l]):
+                    if not _sc_is_zero(v[k]) and not _sc_is_zero(Pinv[k][l]):
                         acc = acc + v[k] * Pinv[k][l]
                 out[a][b][l] = acc
     return tuple(tuple(tuple(r) for r in plane) for plane in out)
-
-
-def _to_rf(x) -> RatFun:
-    if isinstance(x, RatFun):
-        return x
-    return RatFun.const(x)
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, RatFun):
-        return x.is_zero()
-    return x == 0
 
 
 def _zero_like(x):
@@ -441,7 +461,7 @@ def parametric_constants(wit: Witness, source: SuperAlgebra):
     P, order = witness_matrix(wit, source, ram)
     table = flatten(source, order)
     rf_table = tuple(
-        tuple(tuple(_to_rf(x) for x in row) for row in plane) for plane in table
+        tuple(tuple(_as_rf(x) for x in row) for row in plane) for plane in table
     )
     Pinv = invert_field_matrix(P)
     return apply_basis_change_table(rf_table, P, Pinv), order, ram
@@ -473,7 +493,7 @@ def verify_degeneration(
 
     table = flatten(source, order)
     rf_table = tuple(
-        tuple(tuple(_to_rf(x) for x in row) for row in plane) for plane in table
+        tuple(tuple(_as_rf(x) for x in row) for row in plane) for plane in table
     )
     try:
         Pinv = invert_field_matrix(P)

@@ -41,11 +41,6 @@ def grassmann_sign(s: int, t: int) -> int:
 
 
 @dataclass(frozen=True)
-class EnvelopeConfig:
-    k: int = 4
-
-
-@dataclass(frozen=True)
 class EnvelopeReport:
     ok: bool
     pairs_checked: int
@@ -124,14 +119,14 @@ def _support_plan(parities: List[int], k: int) -> Optional[List[int]]:
 
 
 def envelope_jordan_check(
-    J: SuperAlgebra, cfg: EnvelopeConfig = EnvelopeConfig(), random_trials: int = 20, seed: int = 0
+    J: SuperAlgebra, k: int = 4, random_trials: int = 20, seed: int = 0
 ) -> EnvelopeReport:
     """Check (x^2 y)x = x^2 (yx) in the truncated envelope.
 
     x runs over sums of up to three Grassmann-monomial tensors with disjoint
     supports, y over monomials; a few seeded random elements are added on top.
     """
-    env = _Envelope(J, cfg.k)
+    env = _Envelope(J, k)
     labels = J.labels()
     parities = {lab: J.label_index(lab)[0] for lab in labels}
     indices = {lab: J.label_index(lab) for lab in labels}
@@ -150,14 +145,14 @@ def envelope_jordan_check(
 
     for r in (1, 2, 3):
         for combo in iproduct(labels, repeat=r):
-            plan = _support_plan([parities[lab] for lab in combo], cfg.k)
+            plan = _support_plan([parities[lab] for lab in combo], k)
             if plan is None:
                 continue
             used = 0
             for msk in plan:
                 used |= msk
             x = merge([monomial(msk, lab) for msk, lab in zip(plan, combo)])
-            free = [g for g in range(cfg.k) if not (used >> g) & 1]
+            free = [g for g in range(k) if not (used >> g) & 1]
             for ylab in labels:
                 if parities[ylab] == 1:
                     if not free:
@@ -173,8 +168,8 @@ def envelope_jordan_check(
                     )
 
     rng = random.Random(seed)
-    even_masks = [msk for msk in range(1 << cfg.k) if bin(msk).count("1") % 2 == 0]
-    odd_masks = [msk for msk in range(1 << cfg.k) if bin(msk).count("1") % 2 == 1]
+    even_masks = [msk for msk in range(1 << k) if bin(msk).count("1") % 2 == 0]
+    odd_masks = [msk for msk in range(1 << k) if bin(msk).count("1") % 2 == 1]
 
     def random_element() -> GElement:
         parts = []

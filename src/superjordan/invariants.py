@@ -208,23 +208,7 @@ def associated_algebra(J: SuperAlgebra) -> SuperAlgebra:
 
 
 def is_associative(J: SuperAlgebra) -> bool:
-    table = flatten(J)
-    d = len(table)
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                for l in range(d):
-                    lhs = sum(
-                        (table[a][b][k] * table[k][c][l] for k in range(d)),
-                        Fraction(0),
-                    )
-                    rhs = sum(
-                        (table[b][c][k] * table[a][k][l] for k in range(d)),
-                        Fraction(0),
-                    )
-                    if lhs != rhs:
-                        return False
-    return True
+    return table_is_associative(flatten(J))
 
 
 def table_is_associative(table) -> bool:
@@ -447,39 +431,38 @@ class ScreenReport:
 BURDE_PAIRS = ((1, 1), (1, 2), (2, 2))
 
 
-def _screen_core(
-    A: SuperAlgebra,
-    B: SuperAlgebra,
-    *,
-    burde_pairs=BURDE_PAIRS,
-    trials: int = 16,
-    seed: int = 0,
-) -> List[ScreenViolation]:
-    """Lemma items (1), (4), (5): power dims, Burde, associativity."""
+def _power_dim_violations(A: SuperAlgebra, B: SuperAlgebra) -> List[ScreenViolation]:
+    """Lemma item (1): dim (J^r) may not grow along a degeneration."""
     out = []
-    da = power_filtration(A)
-    db = power_filtration(B)
-    for r, (pa, pb) in enumerate(zip(da, db), start=1):
+    for r, (pa, pb) in enumerate(zip(power_filtration(A), power_filtration(B)), start=1):
         for idx, part in ((0, "even"), (1, "odd")):
             if pa[idx] < pb[idx]:
                 out.append(
-                    ScreenViolation(
-                        "power-dims",
-                        f"dim (J^{r})_{part} {pa[idx]} < {pb[idx]}",
-                    )
+                    ScreenViolation("power-dims", f"dim (J^{r})_{part} {pa[idx]} < {pb[idx]}")
                 )
+    return out
+
+
+def _burde_violations(
+    A: SuperAlgebra, B: SuperAlgebra, burde_pairs, trials: int, seed: int, first_only: bool = False
+) -> List[ScreenViolation]:
+    """Lemma item (4): defined Burde invariants must agree."""
+    out = []
     for i, j in burde_pairs:
         ba = burde_invariant(A, i, j, trials=trials, seed=seed)
         bb = burde_invariant(B, i, j, trials=trials, seed=seed)
         if ba.defined and bb.defined and ba.value != bb.value:
-            out.append(
-                ScreenViolation(
-                    "burde", f"c_{{{i},{j}}}: {ba.value} vs {bb.value}"
-                )
-            )
-    if is_associative(A) and not is_associative(B):
-        out.append(ScreenViolation("associativity", "source associative, target not"))
+            out.append(ScreenViolation("burde", f"c_{{{i},{j}}}: {ba.value} vs {bb.value}"))
+            if first_only:
+                break
     return out
+
+
+def _associativity_violations(A: SuperAlgebra, B: SuperAlgebra) -> List[ScreenViolation]:
+    """Lemma item (5): associativity is preserved by degenerations."""
+    if is_associative(A) and not is_associative(B):
+        return [ScreenViolation("associativity", "source associative, target not")]
+    return []
 
 
 def nondegeneration_screen(
@@ -504,19 +487,10 @@ def nondegeneration_screen(
     """
     if (A.m, A.n) != (B.m, B.n):
         raise TypeMismatch(f"({A.m},{A.n}) vs ({B.m},{B.n})")
-    violations: List[ScreenViolation] = []
+    violations = _power_dim_violations(A, B)
 
     def done() -> bool:
         return quick and bool(violations)
-
-    da = power_filtration(A)
-    db = power_filtration(B)
-    for r, (pa, pb) in enumerate(zip(da, db), start=1):
-        for idx, part in ((0, "even"), (1, "odd")):
-            if pa[idx] < pb[idx]:
-                violations.append(
-                    ScreenViolation("power-dims", f"dim (J^{r})_{part} {pa[idx]} < {pb[idx]}")
-                )
 
     if not done() and even_label_a and even_label_b and even_reachable is not None:
         if not even_reachable(even_label_a, even_label_b):
@@ -534,33 +508,22 @@ def nondegeneration_screen(
                 ScreenViolation("orbit-dimension", f"{oa} <= {ob} with distinct tables")
             )
 
-    if not done() and is_associative(A) and not is_associative(B):
-        violations.append(
-            ScreenViolation("associativity", "source associative, target not")
-        )
+    if not done():
+        violations += _associativity_violations(A, B)
 
     if not done():
         # associated algebras must themselves satisfy items (1), (4), (5)
-        for v in _screen_core(
-            associated_algebra(A),
-            associated_algebra(B),
-            burde_pairs=burde_pairs,
-            trials=trials,
-            seed=seed,
+        aA, aB = associated_algebra(A), associated_algebra(B)
+        for v in (
+            _power_dim_violations(aA, aB)
+            + _burde_violations(aA, aB, burde_pairs, trials, seed)
+            + _associativity_violations(aA, aB)
         ):
             violations.append(
                 ScreenViolation("associated-algebra", f"a(J): {v.item}: {v.detail}")
             )
 
     if not done():
-        for i, j in burde_pairs:
-            ba = burde_invariant(A, i, j, trials=trials, seed=seed)
-            bb = burde_invariant(B, i, j, trials=trials, seed=seed)
-            if ba.defined and bb.defined and ba.value != bb.value:
-                violations.append(
-                    ScreenViolation("burde", f"c_{{{i},{j}}}: {ba.value} vs {bb.value}")
-                )
-                if quick:
-                    break
+        violations += _burde_violations(A, B, burde_pairs, trials, seed, first_only=quick)
 
     return ScreenReport(A.name or "A", B.name or "B", tuple(violations))

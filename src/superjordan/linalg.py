@@ -8,36 +8,13 @@ never involve polynomials that vanish identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import List, Sequence, Union
 
 from .ratfun import RatFun
 
 Entry = Union[Fraction, RatFun]
-
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    rows: int
-    cols: int
-    entries: tuple  # tuple of row tuples
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[Entry]]) -> "ExactMatrix":
-        if not rows:
-            return ExactMatrix(0, 0, ())
-        width = len(rows[0])
-        for r in rows:
-            if len(r) != width:
-                raise ValueError("ragged matrix")
-        return ExactMatrix(len(rows), width, tuple(tuple(r) for r in rows))
-
-    def rank(self) -> int:
-        return rank(list(map(list, self.entries)))
-
-    def nullspace_dim(self) -> int:
-        return self.cols - self.rank()
 
 
 def _is_ratfun_matrix(rows: List[List[Entry]]) -> bool:
@@ -71,7 +48,7 @@ def _rank_bareiss(m: List[List[Entry]]) -> int:
         den = 1
         fr = [Fraction(x) for x in row]
         for x in fr:
-            den = den * x.denominator // _gcd(den, x.denominator)
+            den = den * x.denominator // gcd(den, x.denominator)
         rows.append([int(x * den) for x in fr])
     n, w = len(rows), len(rows[0])
     r = 0
@@ -95,12 +72,6 @@ def _rank_bareiss(m: List[List[Entry]]) -> int:
         if r == n:
             break
     return r
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a >= 0 else -a
 
 
 def _pivot_weight(x: Entry):

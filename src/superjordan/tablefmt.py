@@ -30,7 +30,8 @@ from .ratfun import RatFun
 
 
 class ParseError(ValueError):
-    pass
+    """Malformed input text; the algebra, witness and certificate parsers
+    raise this or a subclass of it."""
 
 
 @dataclass
@@ -46,7 +47,10 @@ class AlgebraFile:
     extras: Dict[str, str] = field(default_factory=dict)
 
     def build(self) -> SuperAlgebra:
-        return load(self.products, self.mn, name=self.name, basis_order=self.basis_order)
+        try:
+            return load(self.products, self.mn, name=self.name, basis_order=self.basis_order)
+        except (KeyError, ValueError) as exc:
+            raise ParseError(f"{self.name or 'algebra'}: {exc}") from None
 
 
 _TERM_SPLIT = re.compile(r"(?=[+-])")
@@ -79,6 +83,12 @@ def _parse_terms(rhs: str, family: Optional[str]):
                 coeff = coeff * Fraction(tok)
         terms.append((coeff, label))
     return terms
+
+
+def _count(text: str, source: str, lineno: int) -> int:
+    if not text.isdecimal():
+        raise ParseError(f"{source}:{lineno}: expected a count, got {text!r}")
+    return int(text)
 
 
 def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
@@ -114,11 +124,11 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
             parts = [p.strip() for p in val.split(",")]
             if len(parts) != 2:
                 raise ParseError(f"{source}:{lineno}: bad type {val!r}")
-            mn = (int(parts[0]), int(parts[1]))
+            mn = (_count(parts[0], source, lineno), _count(parts[1], source, lineno))
         elif key == "basis_order":
             basis_order = val.split()
         elif key == "orbit":
-            orbit = int(val)
+            orbit = _count(val, source, lineno)
         elif key == "decomposition":
             decomposition = val
         elif key == "even_part":
@@ -143,7 +153,11 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
         if "*" not in lhs:
             raise ParseError(f"{source}: product left side needs a*b, got {lhs!r}")
         left, _, right = lhs.partition("*")
-        products.append((left.strip(), right.strip(), _parse_terms(rhs, family)))
+        try:
+            terms = _parse_terms(rhs, family)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"{source}: bad product line {spec!r}: {exc}") from None
+        products.append((left.strip(), right.strip(), terms))
 
     return AlgebraFile(
         name=name,

@@ -1,21 +1,30 @@
 """Catalog-wide verification sweeps: identities, orbit columns, decomposition
-labels, even-part labels, witness replays, certificates, and lemma screens.
+labels, even-part labels, witness replays, certificates, lemma screens and
+component accounting.
 
-Every check returns structured rows; failures that correspond to recorded
-errata are reported as logged exceptions rather than silent passes or hard
-failures.
+This module is the one place that builds report rows: every sweep is a loop
+over a per-item row builder, and the command line filters the same builders.
+Failures that correspond to recorded errata are reported as logged
+exceptions rather than silent passes or hard failures.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .algebra import SuperAlgebra, check_super_jordan, flatten
-from .catalog import Catalog, CatalogEntry
-from .certificates import closed_set_eval, failing_condition, separation_test, stability_test
-from .degeneration import Verdict, eval_t_expression, verify_degeneration
+from .atlas import DegenGraph, build_graph, component_report, edge_monotonicity_violations
+from .catalog import FAMILY_SAMPLES, Catalog
+from .certificates import (
+    ClosedSet,
+    closed_set_eval,
+    failing_condition,
+    separation_test,
+    stability_test,
+)
+from .degeneration import Verdict, Witness, eval_t_expression, verify_degeneration
 from .invariants import (
     even_part,
     identify_algebra,
@@ -23,7 +32,8 @@ from .invariants import (
     orbit_dimension,
 )
 
-FAMILY_SAMPLES = (2, 3, 5)
+# expected (component count, variety dimension) per type
+COMPONENTS = {(1, 3): (11, 12), (2, 2): (25, 13), (3, 1): (21, 15)}
 
 
 @dataclass(frozen=True)
@@ -46,15 +56,14 @@ class CheckRow:
         return self.ok or self.logged
 
 
-def _instances(cat: Catalog, entry: CatalogEntry) -> List[SuperAlgebra]:
-    if entry.is_family:
-        return [cat.lookup(entry.name, p) for p in FAMILY_SAMPLES]
-    return [entry.algebra]
-
-
 # ---------------------------------------------------------------------------
 # identity and orbit sweeps
 # ---------------------------------------------------------------------------
+
+
+def identity_row(name: str, J: SuperAlgebra) -> CheckRow:
+    rep = check_super_jordan(J)
+    return CheckRow(f"identity:{name}", rep.ok, False, rep.detail if not rep.ok else "")
 
 
 def verify_identities(cat: Catalog) -> Tuple[List[CheckRow], float]:
@@ -62,46 +71,34 @@ def verify_identities(cat: Catalog) -> Tuple[List[CheckRow], float]:
 
     Family entries are checked symbolically over the rational-function field,
     which covers every parameter value at once."""
-    rows = []
     t0 = time.time()
-    for name in cat.names():
-        J = cat.entry(name).algebra
-        rep = check_super_jordan(J)
-        rows.append(
-            CheckRow(f"identity:{name}", rep.ok, False, rep.detail if not rep.ok else "")
-        )
+    rows = [identity_row(name, cat.entry(name).algebra) for name in cat.names()]
     return rows, time.time() - t0
 
 
-def verify_orbits(cat: Catalog) -> List[CheckRow]:
-    logged = cat.errata_keys()
+def orbit_rows(cat: Catalog, name: str) -> List[CheckRow]:
+    """Computed against declared orbit dimension; a family gets one row per
+    sample parameter, ``orbit:NAME@p``."""
+    entry = cat.entry(name)
+    logged = f"orbit:{name}" in cat.errata_keys()
+    suffixes = [f"@{p}" for p in FAMILY_SAMPLES] if entry.is_family else [""]
     rows = []
-    for name in cat.names():
-        entry = cat.entry(name)
-        if entry.is_family:
-            for p in FAMILY_SAMPLES:
-                od = orbit_dimension(cat.lookup(name, p))
-                ok = od == entry.orbit
-                rows.append(
-                    CheckRow(
-                        f"orbit:{name}@{p}",
-                        ok,
-                        (not ok) and f"orbit:{name}" in logged,
-                        f"computed {od}, declared {entry.orbit}",
-                    )
-                )
-        else:
-            od = orbit_dimension(entry.algebra)
-            ok = od == entry.orbit
-            rows.append(
-                CheckRow(
-                    f"orbit:{name}",
-                    ok,
-                    (not ok) and f"orbit:{name}" in logged,
-                    f"computed {od}, declared {entry.orbit}",
-                )
+    for suffix, J in zip(suffixes, cat.instances(name)):
+        od = orbit_dimension(J)
+        ok = od == entry.orbit
+        rows.append(
+            CheckRow(
+                f"orbit:{name}{suffix}",
+                ok,
+                (not ok) and logged,
+                f"computed {od}, declared {entry.orbit}",
             )
+        )
     return rows
+
+
+def verify_orbits(cat: Catalog) -> List[CheckRow]:
+    return [row for name in cat.names() for row in orbit_rows(cat, name)]
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +192,7 @@ def verify_decompositions(cat: Catalog) -> List[CheckRow]:
     unresolved = {"S9_3", "S10_3"}  # printed tables coincide; excluded from matching
     for name in cat.names():
         entry = cat.entry(name)
-        J = cat.lookup(name, 2) if entry.is_family else entry.algebra
-        blocks = computed_decomposition(cat, J)
+        blocks = computed_decomposition(cat, cat.instances(name)[0])
         declared = entry.decomposition or ""
         key = f"decomposition:{name}"
         if declared.strip().lower() == "indecomposable":
@@ -238,7 +234,7 @@ def verify_even_parts(cat: Catalog) -> List[CheckRow]:
     rows = []
     for name in cat.names():
         entry = cat.entry(name)
-        J = cat.lookup(name, 2) if entry.is_family else entry.algebra
+        J = cat.instances(name)[0]
         graph = cat.even_graph_for(J.m)
         cands = [(label, cat.node_algebra(label)) for label in graph.nodes]
         got = identify_algebra(even_part(J), cands)
@@ -272,29 +268,22 @@ def resolve_witness_algebras(cat: Catalog, wit) -> Tuple[SuperAlgebra, SuperAlge
     return src, tgt
 
 
-def verify_witnesses(cat: Catalog) -> List[Tuple[object, Verdict, CheckRow]]:
-    logged = cat.errata_keys()
-    out = []
-    for wit in cat.witnesses():
-        src, tgt = resolve_witness_algebras(cat, wit)
-        verdict = verify_degeneration(wit, src, tgt)
-        key = f"witness:{wit.label}" if wit.label else f"witness:{wit.source}->{wit.target}"
-        ok = verdict.verified
-        out.append(
-            (
-                wit,
-                verdict,
-                CheckRow(
-                    key,
-                    ok,
-                    (not ok) and key in logged,
-                    f"{verdict.status}"
-                    + (f" ({verdict.mode_used})" if verdict.mode_used else "")
-                    + (f": {verdict.detail}" if verdict.detail else ""),
-                ),
-            )
-        )
-    return out
+def witness_row(cat: Catalog, wit: Witness) -> Tuple[Verdict, CheckRow]:
+    """Replay one witness against its catalog source and target."""
+    src, tgt = resolve_witness_algebras(cat, wit)
+    verdict = verify_degeneration(wit, src, tgt)
+    key = f"witness:{wit.label}" if wit.label else f"witness:{wit.source}->{wit.target}"
+    ok = verdict.verified
+    detail = (
+        f"{verdict.status}"
+        + (f" ({verdict.mode_used})" if verdict.mode_used else "")
+        + (f": {verdict.detail}" if verdict.detail else "")
+    )
+    return verdict, CheckRow(key, ok, (not ok) and key in cat.errata_keys(), detail)
+
+
+def verify_witnesses(cat: Catalog) -> List[Tuple[Witness, Verdict, CheckRow]]:
+    return [(wit, *witness_row(cat, wit)) for wit in cat.witnesses()]
 
 
 def witness_summary(rows) -> Tuple[int, int, int]:
@@ -307,40 +296,47 @@ def witness_summary(rows) -> Tuple[int, int, int]:
     )
 
 
+def certificate_rows(
+    cat: Catalog,
+    cs: ClosedSet,
+    trials: int = 1000,
+    seed: int = 0,
+    separation_threshold: float = 0.99,
+) -> List[CheckRow]:
+    """Source, stability and separation rows of one certificate, for every
+    instance of its source and of each target."""
+    logged = cat.errata_keys()
+    rows = []
+    for J in cat.instances(cs.source):
+        table = flatten(J, cs.basis)
+        sat = closed_set_eval(table, cs)
+        key = f"certificate:{cs.label}:source"
+        detail = "" if sat else f"{J.name} fails {failing_condition(table, cs).text}"
+        rows.append(CheckRow(key, sat, (not sat) and key in logged, detail))
+        if not sat:
+            continue
+        st = stability_test(cs, table, trials=trials, seed=seed)
+        key = f"certificate:{cs.label}:stability"
+        ok = st.hits == trials
+        rows.append(CheckRow(key, ok, (not ok) and key in logged, f"{st.hits}/{trials}"))
+    need = int(trials * separation_threshold)
+    for tname in cs.targets:
+        for T in cat.instances(tname):
+            sep = separation_test(cs, flatten(T, cs.basis), trials=trials, seed=seed)
+            key = f"certificate:{cs.label}:separation:{tname}"
+            ok = sep.hits >= need
+            rows.append(CheckRow(key, ok, (not ok) and key in logged, f"{sep.hits}/{trials}"))
+    return rows
+
+
 def verify_certificates(
     cat: Catalog, trials: int = 1000, seed: int = 0, separation_threshold: float = 0.99
 ) -> List[CheckRow]:
-    logged = cat.errata_keys()
-    rows = []
-    need = int(trials * separation_threshold)
-    for cs in cat.closed_sets():
-        entry = cat.entry(cs.source)
-        for J in _instances(cat, entry):
-            table = flatten(J, cs.basis)
-            sat = closed_set_eval(table, cs)
-            key = f"certificate:{cs.label}:source"
-            detail = "" if sat else f"{J.name} fails {failing_condition(table, cs).text}"
-            rows.append(CheckRow(key, sat, (not sat) and key in logged, detail))
-            if not sat:
-                continue
-            st = stability_test(cs, table, trials=trials, seed=seed)
-            key = f"certificate:{cs.label}:stability"
-            ok = st.hits == trials
-            rows.append(
-                CheckRow(key, ok, (not ok) and key in logged, f"{st.hits}/{trials}")
-            )
-        for tname in cs.targets:
-            tentry = cat.entry(tname)
-            for T in _instances(cat, tentry):
-                sep = separation_test(cs, flatten(T, cs.basis), trials=trials, seed=seed)
-                key = f"certificate:{cs.label}:separation:{tname}"
-                ok = sep.hits >= need
-                rows.append(
-                    CheckRow(
-                        key, ok, (not ok) and key in logged, f"{sep.hits}/{trials}"
-                    )
-                )
-    return rows
+    return [
+        row
+        for cs in cat.closed_sets()
+        for row in certificate_rows(cat, cs, trials, seed, separation_threshold)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +348,11 @@ def verify_lemma_screens(cat: Catalog, quick: bool = True) -> List[CheckRow]:
     rows = []
     for grp in cat.lemma_pairs:
         e = cat.entry(grp.source)
-        A = cat.lookup(grp.source, FAMILY_SAMPLES[0]) if e.is_family else cat.lookup(grp.source)
+        A = cat.instances(grp.source)[0]
         graph = cat.even_graph_for(A.m)
         for tgt in grp.targets:
             te = cat.entry(tgt)
-            B = cat.lookup(tgt, FAMILY_SAMPLES[0]) if te.is_family else cat.lookup(tgt)
+            B = cat.instances(tgt)[0]
             rep = nondegeneration_screen(
                 A,
                 B,
@@ -374,8 +370,7 @@ def verify_lemma_screens(cat: Catalog, quick: bool = True) -> List[CheckRow]:
 
 def screen_pair(cat: Catalog, a: str, b: str, quick: bool = False):
     ea, eb = cat.entry(a), cat.entry(b)
-    A = cat.lookup(a, FAMILY_SAMPLES[0]) if ea.is_family else cat.lookup(a)
-    B = cat.lookup(b, FAMILY_SAMPLES[0]) if eb.is_family else cat.lookup(b)
+    A, B = cat.instances(a)[0], cat.instances(b)[0]
     graph = cat.even_graph_for(A.m) if A.m == B.m else None
     return nondegeneration_screen(
         A,
@@ -385,6 +380,32 @@ def screen_pair(cat: Catalog, a: str, b: str, quick: bool = False):
         even_reachable=graph.reachable if graph else None,
         quick=quick,
     )
+
+
+# ---------------------------------------------------------------------------
+# irreducible components
+# ---------------------------------------------------------------------------
+
+
+def verify_components(
+    cat: Catalog,
+    verified: Sequence[Tuple[Witness, Verdict]],
+    types: Iterable[Tuple[int, int]] = tuple(COMPONENTS),
+) -> Iterator[Tuple[DegenGraph, CheckRow]]:
+    """Graph of the verified witnesses and the ``components:typeXY`` row of
+    each type against ``COMPONENTS``; orbit dimensions must also drop along
+    every edge."""
+    for mn in types:
+        graph = build_graph(mn, cat, verified)
+        rep = component_report(mn, cat, graph)
+        ok = rep.ok(*COMPONENTS[mn]) and not edge_monotonicity_violations(graph)
+        detail = (
+            f"{rep.component_count} components ({rep.rigid_count} rigid"
+            f" + {rep.family_count} family), dimension {rep.computed_dimension}"
+            + (f"; rigidity violations {rep.rigidity_violations}" if rep.rigidity_violations else "")
+            + (f"; unreachable {rep.unreachable}" if rep.unreachable else "")
+        )
+        yield graph, CheckRow(f"components:type{mn[0]}{mn[1]}", ok, False, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ from superjordan.atlas import (
     edge_monotonicity_violations,
     export_dot,
 )
+from superjordan.verify import COMPONENTS
 
 
 @pytest.fixture(scope="module")
 def graphs(catalog, verified_witnesses):
     verified = [(w, v) for w, v, _ in verified_witnesses if v.verified]
-    return {mn: build_graph(mn, catalog, verified) for mn in ((1, 3), (2, 2), (3, 1))}
+    return {mn: build_graph(mn, catalog, verified) for mn in COMPONENTS}
 
 
 def test_graph_edges_present(graphs):
@@ -47,8 +48,7 @@ def test_graph_is_dag(graphs):
 
 
 def test_component_reports(catalog, graphs):
-    expected = {(1, 3): (11, 12), (2, 2): (25, 13), (3, 1): (21, 15)}
-    for mn, (count, dim) in expected.items():
+    for mn, (count, dim) in COMPONENTS.items():
         rep = component_report(mn, catalog, graphs[mn])
         assert rep.component_count == count
         assert rep.computed_dimension == dim

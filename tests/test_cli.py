@@ -2,6 +2,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from superjordan import verify as V
 from superjordan.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "superjordan" / "data"
@@ -118,3 +119,22 @@ def test_entry_point_installed():
     )
     assert result.returncode == 0
     assert "computed 4" in result.stdout
+
+
+def test_closedset_matches_certificate_sweep(catalog, capsys):
+    cs = DATA / "closedsets" / "geo2_Jc10.cs"
+    assert main(["closedset", str(cs), "--trials", "50"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    swept = [
+        row.display
+        for row in V.verify_certificates(catalog, trials=50)
+        if row.check_id.startswith("certificate:geo2_Jc10:")
+    ]
+    assert any(":source" in line for line in swept)
+    assert printed == swept
+
+
+def test_degenerate_all_matches_witness_sweep(verified_witnesses, capsys):
+    assert main(["degenerate", "--all", str(DATA / "witnesses")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [row.display for _, _, row in verified_witnesses]

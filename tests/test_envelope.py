@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from superjordan.algebra import check_super_jordan, load
-from superjordan.envelope import EnvelopeConfig, envelope_jordan_check, grassmann_sign
+from superjordan.envelope import envelope_jordan_check, grassmann_sign
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -40,10 +40,10 @@ def test_envelope_detects_bad_scalar():
 
 def test_envelope_k0_even_only():
     b2 = load([("e1", "e1", [(ONE, "e1")]), ("e1", "e2", [(HALF, "e2")])], (2, 0))
-    assert envelope_jordan_check(b2, EnvelopeConfig(k=0)).ok
+    assert envelope_jordan_check(b2, k=0).ok
     # a non-Jordan commutative even algebra must fail already at k=0
     bad = load([("e1", "e1", [(ONE, "e1")]), ("e1", "e2", [(Fraction(3), "e2")])], (2, 0))
-    assert not envelope_jordan_check(bad, EnvelopeConfig(k=0)).ok
+    assert not envelope_jordan_check(bad, k=0).ok
 
 
 def test_envelope_agrees_across_catalog(catalog):
