@@ -164,6 +164,8 @@ def cmd_components(args, rep: Reporter) -> int:
 
 
 def cmd_verify_all(args, rep: Reporter) -> int:
+    if args.dot:
+        Path(args.dot).mkdir(parents=True, exist_ok=True)
     cat = _load_catalog(args)
     t0 = time.time()
     id_rows, elapsed = V.verify_identities(cat)
@@ -179,8 +181,6 @@ def cmd_verify_all(args, rep: Reporter) -> int:
     rep.line(f"# witnesses: {pub_ok}/{pub_total} published rows verified, {verified} total")
     rep.rows(V.verify_certificates(cat, trials=args.trials, seed=args.seed))
     rep.rows(V.verify_lemma_screens(cat))
-    if args.dot:
-        Path(args.dot).mkdir(parents=True, exist_ok=True)
     for graph, row in V.verify_components(cat, _verified(wrows)):
         rep.row(row)
         if args.dot:

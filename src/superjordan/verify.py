@@ -18,6 +18,7 @@ from .algebra import SuperAlgebra, check_super_jordan, flatten
 from .atlas import DegenGraph, build_graph, component_report, edge_monotonicity_violations
 from .catalog import FAMILY_SAMPLES, Catalog
 from .certificates import (
+    CertificateParseError,
     ClosedSet,
     closed_set_eval,
     failing_condition,
@@ -34,6 +35,9 @@ from .invariants import (
 
 # expected (component count, variety dimension) per type
 COMPONENTS = {(1, 3): (11, 12), (2, 2): (25, 13), (3, 1): (21, 15)}
+
+# share of separation trials that must land outside the closed set
+SEPARATION_THRESHOLD = 0.99
 
 
 @dataclass(frozen=True)
@@ -296,19 +300,27 @@ def witness_summary(rows) -> Tuple[int, int, int]:
     )
 
 
-def certificate_rows(
-    cat: Catalog,
-    cs: ClosedSet,
-    trials: int = 1000,
-    seed: int = 0,
-    separation_threshold: float = 0.99,
-) -> List[CheckRow]:
+def _certificate_table(cs: ClosedSet, J: SuperAlgebra):
+    """``J`` flattened in the certificate's basis, which must list each basis
+    vector of ``J`` exactly once."""
+    try:
+        fits = sorted(map(J.label_index, cs.basis)) == sorted(map(J.label_index, J.basis_order))
+    except KeyError:
+        fits = False
+    if not fits:
+        raise CertificateParseError(
+            f"{cs.label}: basis {' '.join(cs.basis)} does not fit {J.name} of type ({J.m},{J.n})"
+        )
+    return flatten(J, cs.basis)
+
+
+def certificate_rows(cat: Catalog, cs: ClosedSet, trials: int = 1000, seed: int = 0) -> List[CheckRow]:
     """Source, stability and separation rows of one certificate, for every
     instance of its source and of each target."""
     logged = cat.errata_keys()
     rows = []
     for J in cat.instances(cs.source):
-        table = flatten(J, cs.basis)
+        table = _certificate_table(cs, J)
         sat = closed_set_eval(table, cs)
         key = f"certificate:{cs.label}:source"
         detail = "" if sat else f"{J.name} fails {failing_condition(table, cs).text}"
@@ -319,24 +331,18 @@ def certificate_rows(
         key = f"certificate:{cs.label}:stability"
         ok = st.hits == trials
         rows.append(CheckRow(key, ok, (not ok) and key in logged, f"{st.hits}/{trials}"))
-    need = int(trials * separation_threshold)
+    need = int(trials * SEPARATION_THRESHOLD)
     for tname in cs.targets:
         for T in cat.instances(tname):
-            sep = separation_test(cs, flatten(T, cs.basis), trials=trials, seed=seed)
+            sep = separation_test(cs, _certificate_table(cs, T), trials=trials, seed=seed)
             key = f"certificate:{cs.label}:separation:{tname}"
             ok = sep.hits >= need
             rows.append(CheckRow(key, ok, (not ok) and key in logged, f"{sep.hits}/{trials}"))
     return rows
 
 
-def verify_certificates(
-    cat: Catalog, trials: int = 1000, seed: int = 0, separation_threshold: float = 0.99
-) -> List[CheckRow]:
-    return [
-        row
-        for cs in cat.closed_sets()
-        for row in certificate_rows(cat, cs, trials, seed, separation_threshold)
-    ]
+def verify_certificates(cat: Catalog, trials: int = 1000, seed: int = 0) -> List[CheckRow]:
+    return [row for cs in cat.closed_sets() for row in certificate_rows(cat, cs, trials, seed)]
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,8 @@ def test_criterion_5_lemma_screens(catalog):
 
 
 def test_criterion_6_component_accounting(catalog, verified_witnesses):
+    # the paper's table, kept literal here so an edit to COMPONENTS is caught
+    assert V.COMPONENTS == {(1, 3): (11, 12), (2, 2): (25, 13), (3, 1): (21, 15)}
     verified = [(w, v) for w, v, _ in verified_witnesses if v.verified]
     details = []
     ok = True

@@ -72,6 +72,7 @@ def test_parsers_raise_only_parse_error(kind):
         ),
         ("closedset", ".cs", "[closedset]\nsource = J7\n"),
         ("closedset", ".cs", "[closedset]\nsource = J7\nbasis = x1 x2 x3 x4\ncondition: c[a,1,1] = 0\n"),
+        ("closedset", ".cs", "[closedset]\nlabel = short\nsource = J7\nbasis = e f1 f2\ncondition: c[1,1,1] = 0\n"),
     ],
 )
 def test_malformed_file_is_one_error_line(tmp_path, capsys, command, suffix, text):
