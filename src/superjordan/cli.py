@@ -56,6 +56,21 @@ class Reporter:
         return 1 if self.fails else 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _load_catalog(args) -> Catalog:
     return Catalog(Path(args.catalog) if args.catalog else None)
 
@@ -167,7 +182,7 @@ def cmd_verify_all(args, rep: Reporter) -> int:
     if args.dot:
         Path(args.dot).mkdir(parents=True, exist_ok=True)
     cat = _load_catalog(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     id_rows, elapsed = V.verify_identities(cat)
     rep.rows(id_rows)
     rep.line(f"# identity suite: {sum(r.ok for r in id_rows)}/{len(id_rows)} in {elapsed:.1f}s")
@@ -186,7 +201,7 @@ def cmd_verify_all(args, rep: Reporter) -> int:
         if args.dot:
             mn = graph.mn
             Path(args.dot, f"type{mn[0]}{mn[1]}.dot").write_text(export_dot(graph), encoding="utf-8")
-    rep.line(f"# total time {time.time() - t0:.0f}s; hard failures: {rep.fails}")
+    rep.line(f"# total time {time.perf_counter() - t0:.0f}s; hard failures: {rep.fails}")
     return rep.status
 
 
@@ -205,7 +220,9 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify_catalog)
 
     p = sub.add_parser("verify-all", help="every sweep, one row per check")
-    p.add_argument("--trials", type=int, default=1000, help="certificate trials (default 1000)")
+    p.add_argument(
+        "--trials", type=_int_at_least(1), default=1000, help="certificate trials (default 1000)"
+    )
     p.add_argument("--seed", type=int, default=0, help="certificate seed (default 0)")
     p.add_argument("--dot", help="also write type13.dot, type22.dot and type31.dot into this directory")
     p.set_defaults(func=cmd_verify_all)
@@ -234,13 +251,13 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("closedset", help="evaluate a certificate file with randomized trials")
     p.add_argument("file")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_closedset)
 
     p = sub.add_parser("envelope", help="Grassmann-envelope Jordan check")
     p.add_argument("name")
-    p.add_argument("-k", type=int, default=4)
+    p.add_argument("-k", type=_int_at_least(0), default=4)
     p.set_defaults(func=cmd_envelope)
 
     p = sub.add_parser("graph", help="build the verified degeneration graph of a type")

@@ -120,42 +120,6 @@ def _as_rf(x: Entry) -> RatFun:
     return RatFun.const(x)
 
 
-def rank_by_minors(rows: Sequence[Sequence[Entry]]) -> int:
-    """Brute-force rank via minor expansion; oracle for small matrices."""
-    from itertools import combinations
-
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    n, w = len(m), len(m[0])
-    for k in range(min(n, w), 0, -1):
-        for ri in combinations(range(n), k):
-            for ci in combinations(range(w), k):
-                sub = [[m[i][j] for j in ci] for i in ri]
-                if _det_expansion(sub) != 0:
-                    return k
-    return 0
-
-
-def _det_expansion(m: List[List[Entry]]):
-    n = len(m)
-    if n == 1:
-        return Fraction(m[0][0]) if not isinstance(m[0][0], RatFun) else m[0][0]
-    total = None
-    for j in range(n):
-        if not isinstance(m[0][j], RatFun) and Fraction(m[0][j]) == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * _det_expansion(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        z = m[0][0]
-        return z - z  # typed zero
-    return total
-
-
 def row_reduce_basis(vectors: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     """Reduced row-echelon basis of the span (over Fraction)."""
     m = [[Fraction(x) for x in v] for v in vectors]

@@ -8,6 +8,7 @@ from superjordan.algebra import (
     DuplicateProduct,
     Element,
     GradingViolation,
+    IdentityReport,
     NonHomogeneousArgument,
     SquareOfOdd,
     apply_graded_change,
@@ -21,6 +22,8 @@ from superjordan.algebra import (
     power_filtration,
     subspace_product,
 )
+
+from conftest import perturb_entry
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -127,6 +130,54 @@ def test_check_super_jordan_reports_first_violation():
     bad = load([("e", "e", [(ONE, "e")]), ("e", "f", [(Fraction(2), "f")])], (1, 1))
     rep = check_super_jordan(bad)
     assert not rep.ok and rep.violation == ("e", "e", "e", "f")
+
+
+def _reference_check(J):
+    """The graded identity through ``jordan_defect`` on every basis quadruple,
+    in label order: the oracle for ``check_super_jordan``."""
+    sviol = J.supercommutativity_violations()
+    if sviol:
+        return IdentityReport(False, False, detail="; ".join(sviol[:3]))
+    labels = J.labels()
+    basis = {lab: J.basis_element(lab) for lab in labels}
+    for a in labels:
+        for b in labels:
+            for c in labels:
+                for d in labels:
+                    defect = jordan_defect(J, basis[a], basis[b], basis[c], basis[d])
+                    if not defect.is_zero():
+                        return IdentityReport(
+                            False,
+                            True,
+                            violation=(a, b, c, d),
+                            defect=defect,
+                            detail=f"J({a},{b},{c},{d}) != 0",
+                        )
+    return IdentityReport(True, True)
+
+
+def _oracle_entries(catalog):
+    """Jc16 (symbolic) plus the first entry of each type and summand count."""
+    picked = {}
+    for name in catalog.names():
+        entry = catalog.entry(name)
+        dec = entry.decomposition or ""
+        summands = 1 if dec == "Indecomposable" else len(dec.split("+"))
+        picked.setdefault((entry.mn, summands), name)
+    return sorted(set(picked.values()) | {"Jc16"})
+
+
+def test_identity_kernel_matches_reference(catalog):
+    names = _oracle_entries(catalog)
+    assert {catalog.entry(n).mn for n in names} == {(1, 3), (2, 2), (3, 1)}
+    tables = list(catalog.lowdim.values()) + [catalog.entry(n).algebra for n in names]
+    for J in tables:
+        assert check_super_jordan(J) == _reference_check(J), J.name
+    perturbed = [perturb_entry(catalog, n, seed) for n in names for seed in (0, 1, 2)]
+    for J in perturbed:
+        assert check_super_jordan(J) == _reference_check(J), J.name
+    broken = sum(not check_super_jordan(J).ok for J in perturbed)
+    assert 2 * broken >= len(perturbed)
 
 
 def test_subspace_product_examples(j1, j5):

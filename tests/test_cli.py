@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from superjordan import verify as V
 from superjordan.cli import main
 
@@ -77,6 +79,33 @@ def test_check_algebra_file(tmp_path, capsys):
 def test_envelope(capsys):
     assert main(["envelope", "J1", "-k", "4"]) == 0
     assert "PASS envelope:J1:k=4" in capsys.readouterr().out
+
+
+def _usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "error:" in captured.err
+    return captured.err
+
+
+def test_envelope_negative_k_is_usage_error(capsys):
+    assert "must be >= 0, got -1" in _usage_error(["envelope", "J1", "-k", "-1"], capsys)
+    assert main(["envelope", "J1", "-k", "0"]) == 0
+    assert "PASS envelope:J1:k=0" in capsys.readouterr().out
+
+
+def test_closedset_trials_below_one_is_usage_error(capsys):
+    cs = str(DATA / "closedsets" / "geo1_J11.cs")
+    for trials in ("0", "-3"):
+        err = _usage_error(["closedset", cs, "--trials", trials], capsys)
+        assert f"must be >= 1, got {trials}" in err
+    assert "invalid integer 'x'" in _usage_error(["closedset", cs, "--trials", "x"], capsys)
+
+
+def test_verify_all_trials_below_one_is_usage_error(capsys):
+    assert "must be >= 1, got 0" in _usage_error(["verify-all", "--trials", "0"], capsys)
 
 
 def test_components_and_graph(tmp_path, capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +12,44 @@ from superjordan.linalg import (
     invert_fraction_matrix,
     nullspace_dim,
     rank,
-    rank_by_minors,
     row_reduce_basis,
     span_contains,
 )
 from superjordan.ratfun import RatFun
+
+
+def rank_by_minors(rows):
+    """Brute-force rank via minor expansion; oracle for small matrices."""
+    m = [list(r) for r in rows]
+    if not m or not m[0]:
+        return 0
+    n, w = len(m), len(m[0])
+    for k in range(min(n, w), 0, -1):
+        for ri in combinations(range(n), k):
+            for ci in combinations(range(w), k):
+                sub = [[m[i][j] for j in ci] for i in ri]
+                if _det_expansion(sub) != 0:
+                    return k
+    return 0
+
+
+def _det_expansion(m):
+    n = len(m)
+    if n == 1:
+        return Fraction(m[0][0]) if not isinstance(m[0][0], RatFun) else m[0][0]
+    total = None
+    for j in range(n):
+        if not isinstance(m[0][j], RatFun) and Fraction(m[0][j]) == 0:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        term = m[0][j] * _det_expansion(minor)
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    if total is None:
+        z = m[0][0]
+        return z - z  # typed zero
+    return total
 
 
 def test_rank_examples():
