@@ -536,6 +536,18 @@ def flatten(J: SuperAlgebra, basis_order: Optional[Sequence[str]] = None):
     return tuple(tuple(tuple(r) for r in plane) for plane in table)
 
 
+def nonzero_constants(table) -> List[Tuple[int, int, int, Scalar]]:
+    """The nonzero constants (a, b, k, c[a,b,k]) of a flat d x d x d table."""
+    d = len(table)
+    return [
+        (a, b, k, table[a][b][k])
+        for a in range(d)
+        for b in range(d)
+        for k in range(d)
+        if table[a][b][k] != 0
+    ]
+
+
 def direct_sum(A: SuperAlgebra, B: SuperAlgebra, name: str = "") -> SuperAlgebra:
     m, n = A.m + B.m, A.n + B.n
     alpha = _zero_tensor(m, m, m)

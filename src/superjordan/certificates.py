@@ -14,6 +14,9 @@ is stable under the triangular subgroup (so it traps the whole orbit
 closure), and the target violates the conditions in every basis.  The two
 unpublished halves are exercised here by seeded random trials: triangular
 changes for stability, arbitrary invertible changes for separation.
+Every test at one (kind, dimension, trials, seed) replays the same
+matrices, whatever the certificate or table; each such sequence is drawn,
+and each of its matrices inverted, once per process.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from .algebra import nonzero_constants
 from .linalg import int_matrix_det_adjugate
 from .tablefmt import ParseError
 
@@ -420,26 +425,16 @@ def _int_table(table) -> List[List[List[int]]]:
     ]
 
 
-def transform_int_table(table_int, g: List[List[int]]):
-    """det(g)-scaled constants of the table in the basis y_a = sum g[a][c] x_c."""
-    d = len(table_int)
-    det, adj = int_matrix_det_adjugate(g)
-    if det == 0:
-        raise ValueError("singular change of basis")
-    nonzero = [
-        (c, dd, k, table_int[c][dd][k])
-        for c in range(d)
-        for dd in range(d)
-        for k in range(d)
-        if table_int[c][dd][k] != 0
-    ]
+def _transform(entries, d: int, g, adj):
+    """det(g)-scaled constants in the basis y_a = sum g[a][c] x_c, from the
+    nonzero ``entries`` of a d-dimensional table and the adjugate of g."""
     out = [[[0] * d for _ in range(d)] for _ in range(d)]
     for a in range(d):
         ga = g[a]
         for b in range(d):
             gb = g[b]
             v = [0] * d
-            for c, dd, k, val in nonzero:
+            for c, dd, k, val in entries:
                 f = ga[c] * gb[dd]
                 if f:
                     v[k] += f * val
@@ -451,6 +446,14 @@ def transform_int_table(table_int, g: List[List[int]]):
                         acc += v[k] * adj[k][l]
                 row_out[l] = acc
     return out
+
+
+def transform_int_table(table_int, g: List[List[int]]):
+    """det(g)-scaled constants of the table in the basis y_a = sum g[a][c] x_c."""
+    det, adj = int_matrix_det_adjugate(g)
+    if det == 0:
+        raise ValueError("singular change of basis")
+    return _transform(nonzero_constants(table_int), len(table_int), g, adj)
 
 
 def certificate_is_scale_safe(cs: ClosedSet) -> bool:
@@ -483,52 +486,69 @@ def _random_triangular(rng: random.Random, d: int) -> List[List[int]]:
     return g
 
 
-def _random_invertible(rng: random.Random, d: int) -> List[List[int]]:
+def _random_invertible(rng: random.Random, d: int):
+    """An invertible g with its adjugate, from the det/adjugate call that
+    rejects the singular draws."""
     # Wider range than the stability sampler: small ranges put visible
     # probability mass on the measure-zero coincidence sets (entries hitting
     # exact linear relations), which would understate the rejection rate.
     while True:
         g = [[rng.randint(-7, 7) for _ in range(d)] for _ in range(d)]
-        det, _ = int_matrix_det_adjugate(g)
+        det, adj = int_matrix_det_adjugate(g)
         if det != 0:
-            return g
+            return g, adj
+
+
+@lru_cache(maxsize=4)
+def _changes(kind: str, d: int, trials: int, seed: int):
+    """The ``trials`` seeded basis changes of one randomized test, as
+    immutable (g, adjugate) pairs: triangular for ``"stability"``, invertible
+    for ``"separation"``.  Every test at one (kind, d, trials, seed) replays
+    this draw, so it is made, and each matrix inverted, once."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(trials):
+        if kind == "stability":
+            g = _random_triangular(rng, d)
+            adj = int_matrix_det_adjugate(g)[1]
+        else:
+            g, adj = _random_invertible(rng, d)
+        out.append((tuple(map(tuple, g)), tuple(map(tuple, adj))))
+    return tuple(out)
+
+
+def _moved_tables(kind: str, cs: ClosedSet, table, trials: int, seed: int):
+    """Yield (g, the integer table moved by g) for each basis change."""
+    if not certificate_is_scale_safe(cs):
+        raise CertificateParseError(
+            f"{cs.label or cs.source}: non-homogeneous equation; integer path unsafe"
+        )
+    table_int = _int_table(table)
+    entries, d = nonzero_constants(table_int), len(table_int)
+    for g, adj in _changes(kind, cs.dim, trials, seed):
+        yield g, _transform(entries, d, g, adj)
 
 
 def stability_test(cs: ClosedSet, source_table, trials: int = 1000, seed: int = 0) -> RandomizedReport:
     """Fraction of random upper-triangular basis changes under which the
     source still satisfies the certificate (expected: all of them)."""
-    if not certificate_is_scale_safe(cs):
-        raise CertificateParseError(
-            f"{cs.label or cs.source}: non-homogeneous equation; integer path unsafe"
-        )
-    table_int = _int_table(source_table)
-    rng = random.Random(seed)
     hits = 0
     first_fail = ""
-    for _ in range(trials):
-        g = _random_triangular(rng, cs.dim)
-        moved = transform_int_table(table_int, g)
+    for g, moved in _moved_tables("stability", cs, source_table, trials, seed):
         if closed_set_eval(moved, cs):
             hits += 1
         elif not first_fail:
             bad = failing_condition(moved, cs)
-            first_fail = f"fails {bad.text if bad else '?'} at g={g}"
+            first_fail = f"fails {bad.text if bad else '?'} at g={[list(row) for row in g]}"
     return RandomizedReport("stability", hits, trials, seed, first_fail)
 
 
 def separation_test(cs: ClosedSet, target_table, trials: int = 1000, seed: int = 0) -> RandomizedReport:
     """Fraction of random invertible basis changes under which the target
     violates the certificate (expected: essentially all of them)."""
-    if not certificate_is_scale_safe(cs):
-        raise CertificateParseError(
-            f"{cs.label or cs.source}: non-homogeneous equation; integer path unsafe"
-        )
-    table_int = _int_table(target_table)
-    rng = random.Random(seed)
-    rejections = 0
-    for _ in range(trials):
-        g = _random_invertible(rng, cs.dim)
-        moved = transform_int_table(table_int, g)
-        if not closed_set_eval(moved, cs):
-            rejections += 1
+    rejections = sum(
+        1
+        for _, moved in _moved_tables("separation", cs, target_table, trials, seed)
+        if not closed_set_eval(moved, cs)
+    )
     return RandomizedReport("separation", rejections, trials, seed)

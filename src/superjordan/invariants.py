@@ -16,6 +16,7 @@ from .algebra import (
     _freeze,
     _zero_tensor,
     flatten,
+    nonzero_constants,
     power_filtration,
 )
 
@@ -242,31 +243,44 @@ class BurdeValue:
         return self.status == "defined"
 
 
-def _left_mult(table, x: Sequence[Fraction]):
-    d = len(table)
-    return [
-        [sum((x[a] * table[a][b][k] for a in range(d)), Fraction(0)) for b in range(d)]
-        for k in range(d)
-    ]
+def _left_mult(entries, d: int, x: Sequence[Fraction]):
+    """L(x)[k][b] = sum_a x[a] c[a,b,k], from the nonzero constants."""
+    out = [[Fraction(0)] * d for _ in range(d)]
+    for a, b, k, c in entries:
+        if x[a]:
+            out[k][b] += x[a] * c
+    return out
 
 
 def _mat_mul(A, B):
     d = len(A)
-    return [
-        [sum((A[i][k] * B[k][j] for k in range(d)), Fraction(0)) for j in range(d)]
-        for i in range(d)
-    ]
-
-
-def _mat_pow(A, e: int):
-    out = A
-    for _ in range(e - 1):
-        out = _mat_mul(out, A)
+    out = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        row = out[i]
+        for k, aik in enumerate(A[i]):
+            if aik:
+                for j, bkj in enumerate(B[k]):
+                    if bkj:
+                        row[j] += aik * bkj
     return out
 
 
 def _trace(A) -> Fraction:
     return sum((A[i][i] for i in range(len(A))), Fraction(0))
+
+
+def _trace_of_product(A, B) -> Fraction:
+    """tr(AB), without forming AB."""
+    d = len(A)
+    return sum((A[i][k] * B[k][i] for i in range(d) for k in range(d) if A[i][k]), Fraction(0))
+
+
+def _powers(A, top: int) -> list:
+    """[A, A^2, ..., A^top]."""
+    out = [A]
+    while len(out) < top:
+        out.append(_mat_mul(out[-1], A))
+    return out
 
 
 def burde_invariant(
@@ -279,33 +293,57 @@ def burde_invariant(
     random points is decisive evidence and disagreement is a proof of
     non-constancy.
     """
-    if i < 1 or j < 1:
+    return _burde_values(J, ((i, j),), trials, seed)[0]
+
+
+def _burde_values(J: SuperAlgebra, pairs, trials: int = 16, seed: int = 0) -> List[BurdeValue]:
+    """``burde_invariant(J, i, j, trials, seed)`` for every (i, j) in ``pairs``.
+
+    All pairs read the same seeded samples x, y, so each sample is drawn once
+    and L(x), L(y) and their powers are built once for all pairs.  A pair
+    stops at its first disagreement, as it would alone; sampling stops when
+    every pair has stopped.
+    """
+    if any(i < 1 or j < 1 for i, j in pairs):
         raise ValueError("exponents must be >= 1")
     if trials < 2:
         raise ValueError("need at least 2 trials")
     table = flatten(J)
     d = len(table)
+    entries = nonzero_constants(table)
     rng = random.Random(seed)
-    value: Optional[Fraction] = None
-    used = 0
+    values: List[Optional[Fraction]] = [None] * len(pairs)
+    used = [0] * len(pairs)
+    done: Dict[int, BurdeValue] = {}
     for _ in range(trials):
+        if len(done) == len(pairs):
+            break
         x = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
         y = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
-        lx = _mat_pow(_left_mult(table, x), i)
-        ly = _mat_pow(_left_mult(table, y), j)
-        num = _trace(lx) * _trace(ly)
-        den = _trace(_mat_mul(lx, ly))
-        if num == 0 or den == 0:
-            continue
-        used += 1
-        v = num / den
-        if value is None:
-            value = v
-        elif value != v:
-            return BurdeValue(i, j, "not_constant", samples_used=used)
-    if value is None:
-        return BurdeValue(i, j, "not_defined", samples_used=0)
-    return BurdeValue(i, j, "defined", value=value, samples_used=used)
+        live = [p for p in range(len(pairs)) if p not in done]
+        lx = _powers(_left_mult(entries, d, x), max(pairs[p][0] for p in live))
+        ly = _powers(_left_mult(entries, d, y), max(pairs[p][1] for p in live))
+        for p in live:
+            i, j = pairs[p]
+            num = _trace(lx[i - 1]) * _trace(ly[j - 1])
+            den = _trace_of_product(lx[i - 1], ly[j - 1])
+            if num == 0 or den == 0:
+                continue
+            used[p] += 1
+            v = num / den
+            if values[p] is None:
+                values[p] = v
+            elif values[p] != v:
+                done[p] = BurdeValue(i, j, "not_constant", samples_used=used[p])
+    out = []
+    for p, (i, j) in enumerate(pairs):
+        if p in done:
+            out.append(done[p])
+        elif values[p] is None:
+            out.append(BurdeValue(i, j, "not_defined", samples_used=0))
+        else:
+            out.append(BurdeValue(i, j, "defined", value=values[p], samples_used=used[p]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +413,9 @@ def algebra_fingerprint(J: SuperAlgebra) -> tuple:
         [table[a][b][k] for a in range(d)] for b in range(d) for k in range(d)
     ]
     ann_dim = d - linalg.rank(ann_matrix)
-    lmats = [_left_mult(table, [Fraction(1 if a == ii else 0) for a in range(d)]) for ii in range(d)]
-    tform = [[_trace(_mat_mul(lmats[a], lmats[b])) for b in range(d)] for a in range(d)]
+    entries = nonzero_constants(table)
+    lmats = [_left_mult(entries, d, [Fraction(1 if a == ii else 0) for a in range(d)]) for ii in range(d)]
+    tform = [[_trace_of_product(lmats[a], lmats[b]) for b in range(d)] for a in range(d)]
     tf_rank = linalg.rank(tform)
     return (
         tuple(dims),
@@ -448,11 +487,11 @@ def _burde_violations(
 ) -> List[ScreenViolation]:
     """Lemma item (4): defined Burde invariants must agree."""
     out = []
-    for i, j in burde_pairs:
-        ba = burde_invariant(A, i, j, trials=trials, seed=seed)
-        bb = burde_invariant(B, i, j, trials=trials, seed=seed)
+    for ba, bb in zip(
+        _burde_values(A, burde_pairs, trials, seed), _burde_values(B, burde_pairs, trials, seed)
+    ):
         if ba.defined and bb.defined and ba.value != bb.value:
-            out.append(ScreenViolation("burde", f"c_{{{i},{j}}}: {ba.value} vs {bb.value}"))
+            out.append(ScreenViolation("burde", f"c_{{{ba.i},{ba.j}}}: {ba.value} vs {bb.value}"))
             if first_only:
                 break
     return out

@@ -1,13 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from superjordan import certificates, linalg
 from superjordan.algebra import flatten
 from superjordan.certificates import (
     BasisMismatch,
     CertificateParseError,
     PolyEq,
+    RandomizedReport,
     SpanContain,
+    _int_table,
+    _random_invertible,
+    _random_triangular,
     certificate_is_scale_safe,
     closed_set_eval,
     failing_condition,
@@ -17,6 +23,7 @@ from superjordan.certificates import (
     stability_test,
     transform_int_table,
 )
+from superjordan.verify import _certificate_table, verify_certificates
 
 J12_CS = """
 [closedset]
@@ -113,3 +120,93 @@ def test_stability_and_separation_spec_example(catalog):
     assert st.hits == 200
     sep = separation_test(cs, flatten(catalog.lookup("J7")), trials=200, seed=0)
     assert sep.hits >= 198
+
+
+def _oracle_stability(cs, table, trials, seed):
+    """The per-call loop: its own Random(seed), one transform per trial."""
+    table_int = _int_table(table)
+    rng = random.Random(seed)
+    hits, first_fail = 0, ""
+    for _ in range(trials):
+        g = _random_triangular(rng, cs.dim)
+        moved = transform_int_table(table_int, g)
+        if closed_set_eval(moved, cs):
+            hits += 1
+        elif not first_fail:
+            bad = failing_condition(moved, cs)
+            first_fail = f"fails {bad.text if bad else '?'} at g={g}"
+    return RandomizedReport("stability", hits, trials, seed, first_fail)
+
+
+def _oracle_separation(cs, table, trials, seed):
+    table_int = _int_table(table)
+    rng = random.Random(seed)
+    hits = 0
+    for _ in range(trials):
+        g, _ = _random_invertible(rng, cs.dim)
+        if not closed_set_eval(transform_int_table(table_int, g), cs):
+            hits += 1
+    return RandomizedReport("separation", hits, trials, seed)
+
+
+def _reports(catalog, stability, separation, trials, seed):
+    """Yield one report per source instance and per target instance of every
+    certificate (sources that miss their certificate included)."""
+    for cs in catalog.closed_sets():
+        for J in catalog.instances(cs.source):
+            yield stability(cs, _certificate_table(cs, J), trials, seed)
+        for name in cs.targets:
+            for T in catalog.instances(name):
+                yield separation(cs, _certificate_table(cs, T), trials, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_shared_draws_replay_per_call_loop(catalog, seed):
+    assert len(catalog.closed_sets()) == 42
+    want = list(_reports(catalog, _oracle_stability, _oracle_separation, 50, seed))
+    certificates._changes.cache_clear()
+    assert list(_reports(catalog, stability_test, separation_test, 50, seed)) == want  # cold
+    assert certificates._changes.cache_info().hits > 0
+    assert list(_reports(catalog, stability_test, separation_test, 50, seed)) == want  # warm
+    # a table off the closed set: the report names the first failing change
+    cs, t7 = parse_closed_set(J12_CS), flatten(catalog.lookup("J7"))
+    failed = stability_test(cs, t7, 50, seed)
+    assert failed.detail.startswith("fails ") and failed == _oracle_stability(cs, t7, 50, seed)
+    if seed == 0:
+        # negative control: another seed's draw changes some report
+        other = _reports(catalog, _oracle_stability, _oracle_separation, 50, seed + 1)
+        assert any(o != w for o, w in zip(other, want))
+
+
+def _matrices_drawn(kind, d, trials, seed):
+    """Matrices one randomized test draws, rejected singular ones included."""
+    if kind == "stability":
+        return trials
+    rng = random.Random(seed)
+    drawn = 0
+    for _ in range(trials):
+        while True:
+            drawn += 1
+            g = [[rng.randint(-7, 7) for _ in range(d)] for _ in range(d)]
+            if linalg.int_matrix_det_adjugate(g)[0] != 0:
+                break
+    return drawn
+
+
+def test_one_det_adjugate_per_drawn_matrix(catalog, monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return linalg.int_matrix_det_adjugate(m)
+
+    monkeypatch.setattr(certificates, "int_matrix_det_adjugate", counted)
+    certificates._changes.cache_clear()
+    verify_certificates(catalog, trials=20, seed=0)
+    dims = {cs.dim for cs in catalog.closed_sets()}
+    drawn = sum(_matrices_drawn(kind, d, 20, 0) for kind in ("stability", "separation") for d in dims)
+    assert len(calls) == drawn
+    assert drawn < 100
+    for g, adj in certificates._changes("separation", 4, 20, 0):
+        assert isinstance(g, tuple) and all(isinstance(row, tuple) for row in g + adj)
+    certificates._changes.cache_clear()

@@ -5,7 +5,10 @@ import pytest
 
 from superjordan.algebra import apply_graded_change, check_super_jordan, flatten, load, power_filtration
 from superjordan.invariants import (
+    BURDE_PAIRS,
+    BurdeValue,
     TypeMismatch,
+    _burde_values,
     associated_algebra,
     burde_invariant,
     derivation_dims,
@@ -75,6 +78,70 @@ def test_burde_invariant_under_conjugation(catalog):
         moved = apply_graded_change(j, p_even, p_odd)
         got = burde_invariant(moved, 1, 1)
         assert got.defined and got.value == base.value
+
+
+def _reference_burde(J, i, j, trials=16, seed=0):
+    """The per-pair Burde loop: its own draw of x, y and dense sums."""
+    table = flatten(J)
+    d = len(table)
+
+    def left_mult(x):
+        return [
+            [sum((x[a] * table[a][b][k] for a in range(d)), Fraction(0)) for b in range(d)]
+            for k in range(d)
+        ]
+
+    def mat_mul(A, B):
+        return [
+            [sum((A[r][k] * B[k][c] for k in range(d)), Fraction(0)) for c in range(d)]
+            for r in range(d)
+        ]
+
+    def mat_pow(A, e):
+        out = A
+        for _ in range(e - 1):
+            out = mat_mul(out, A)
+        return out
+
+    def trace(A):
+        return sum((A[r][r] for r in range(d)), Fraction(0))
+
+    rng = random.Random(seed)
+    value, used = None, 0
+    for _ in range(trials):
+        x = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
+        y = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
+        lx, ly = mat_pow(left_mult(x), i), mat_pow(left_mult(y), j)
+        num = trace(lx) * trace(ly)
+        den = trace(mat_mul(lx, ly))
+        if num == 0 or den == 0:
+            continue
+        used += 1
+        v = num / den
+        if value is None:
+            value = v
+        elif value != v:
+            return BurdeValue(i, j, "not_constant", samples_used=used)
+    if value is None:
+        return BurdeValue(i, j, "not_defined", samples_used=0)
+    return BurdeValue(i, j, "defined", value=value, samples_used=used)
+
+
+def test_shared_burde_samples_match_per_pair_loop(catalog):
+    algebras = list(catalog.lowdim.values()) + [
+        catalog.lookup(name) for name in ("J15", "Jc42", "Jf53")
+    ]
+    assert len(algebras) == 31 + 3
+    pairs = BURDE_PAIRS + ((2, 1), (3, 1))
+    statuses = set()
+    for J in algebras:
+        for seed in (0, 5):
+            want = [_reference_burde(J, i, j, seed=seed) for i, j in pairs]
+            assert _burde_values(J, pairs, 16, seed) == want, J.name
+            assert [burde_invariant(J, i, j, seed=seed) for i, j in pairs] == want, J.name
+            statuses.update(v.status for v in want)
+    # every exit of the loop is exercised
+    assert statuses == {"defined", "not_defined", "not_constant"}
 
 
 def test_is_associative_examples(catalog):
