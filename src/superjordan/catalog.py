@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from .algebra import SuperAlgebra, direct_sum
 from .certificates import ClosedSet, parse_closed_set_file
 from .degeneration import Witness, parse_witness_file
+from .invariants import InvariantMemo
 from .ratfun import RatFun, ratfun_compose
 from .tablefmt import AlgebraFile, ParseError, parse_algebra_file
 
@@ -26,7 +27,8 @@ FAMILY_SAMPLES = (2, 3, 5)
 
 
 class UnknownName(KeyError):
-    pass
+    def __str__(self) -> str:
+        return f"unknown catalog name {self.args[0]!r}"
 
 
 class MissingParameter(ValueError):
@@ -115,6 +117,8 @@ class Catalog:
         self.components: Dict[str, dict] = {}
         self.errata: List[Erratum] = []
         self.lemma_pairs: List[LemmaPairGroup] = []
+        # fingerprints, orbit dimensions and power filtrations, filled on use
+        self.invariants = InvariantMemo()
         self._load()
 
     # ---- loading -----------------------------------------------------------

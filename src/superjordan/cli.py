@@ -15,11 +15,11 @@ from pathlib import Path
 
 from . import verify as V
 from .atlas import build_graph, edge_monotonicity_violations, export_dot
-from .catalog import Catalog, MissingParameter, UnknownName, instantiate
+from .catalog import Catalog, MissingParameter, instantiate
 from .certificates import parse_closed_set_file
 from .degeneration import parse_witness_file
 from .envelope import envelope_jordan_check
-from .invariants import derivation_dims
+from .invariants import TypeMismatch, derivation_dims
 from .tablefmt import ParseError, parse_algebra_file
 
 TYPE_ALIASES = {
@@ -270,15 +270,14 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_components)
 
     args = parser.parse_args(argv)
+    if args.command == "degenerate" and not args.file and not args.all:
+        parser.error("degenerate needs a file or --all DIR")
     out = None
-    if args.output:
-        out = open(args.output, "w", encoding="utf-8")
-    rep = Reporter(args.format, out)
     try:
-        if args.command == "degenerate" and not args.file and not args.all:
-            parser.error("degenerate needs a file or --all DIR")
-        code = args.func(args, rep)
-    except (UnknownName, MissingParameter, ParseError, OSError, UnicodeDecodeError, KeyError) as exc:
+        if args.output:
+            out = open(args.output, "w", encoding="utf-8")
+        code = args.func(args, Reporter(args.format, out))
+    except (KeyError, MissingParameter, ParseError, TypeMismatch, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import (
@@ -400,11 +400,13 @@ def centroid_dim(table) -> int:
     return d * d - linalg.rank(rows)
 
 
-def algebra_fingerprint(J: SuperAlgebra) -> tuple:
+def algebra_fingerprint(J: SuperAlgebra, memo: Optional[InvariantMemo] = None) -> tuple:
     """Isomorphism-invariant signature used to identify small Jordan algebras:
     power-filtration dims, derivation dims, associativity, annihilator dim,
-    the rank of the trace form tr(L(x)L(y)), and the centroid dimension."""
-    dims = power_filtration(J, max(J.m + J.n, 4))
+    the rank of the trace form tr(L(x)L(y)), and the centroid dimension.
+    The power filtration is read from ``memo`` when one is given."""
+    memo = InvariantMemo() if memo is None else memo
+    dims = memo.power_filtration(J, max(J.m + J.n, 4))
     ders = derivation_dims(J)
     table = flatten(J)
     d = len(table)
@@ -428,14 +430,49 @@ def algebra_fingerprint(J: SuperAlgebra) -> tuple:
 
 
 def identify_algebra(
-    J: SuperAlgebra, candidates: Sequence[Tuple[str, SuperAlgebra]]
+    J: SuperAlgebra,
+    candidates: Iterable[Tuple[str, SuperAlgebra]],
+    memo: Optional[InvariantMemo] = None,
 ) -> Optional[str]:
-    """Fingerprint match against labeled candidates; None when ambiguous."""
-    fp = algebra_fingerprint(J)
-    hits = [label for label, cand in candidates if algebra_fingerprint(cand) == fp]
+    """Fingerprint match against labeled candidates; None when ambiguous.
+
+    A candidate of another type (m, n) is skipped without a fingerprint,
+    since the first power dimension of a fingerprint is the type."""
+    memo = InvariantMemo() if memo is None else memo
+    fp = memo.fingerprint(J)
+    same_type = [(label, cand) for label, cand in candidates if (cand.m, cand.n) == (J.m, J.n)]
+    hits = [label for label, cand in same_type if memo.fingerprint(cand) == fp]
     if len(hits) == 1:
         return hits[0]
     return None
+
+
+class InvariantMemo:
+    """Fingerprints, orbit dimensions and power filtrations, each computed
+    at most once per table: entries are keyed by the value ``(m, n, alpha,
+    beta, gamma, delta)``, never by name, so repeated blocks, shared even
+    parts and fresh family instances share one.  Filled on use only."""
+
+    def __init__(self):
+        self._values: Dict[tuple, object] = {}
+
+    def _get(self, kind: tuple, J: SuperAlgebra, compute: Callable[[], object]):
+        key = (kind, J.m, J.n, J.alpha, J.beta, J.gamma, J.delta)
+        if key not in self._values:
+            self._values[key] = compute()
+        return self._values[key]
+
+    def fingerprint(self, J: SuperAlgebra) -> tuple:
+        return self._get(("fingerprint",), J, lambda: algebra_fingerprint(J, self))
+
+    def orbit_dimension(self, J: SuperAlgebra) -> int:
+        return self._get(("orbit",), J, lambda: orbit_dimension(J))
+
+    def power_filtration(self, J: SuperAlgebra, r_max: Optional[int] = None) -> tuple:
+        """``power_filtration(J, r_max)`` as a tuple; the default length
+        ``m + n`` and an explicit equal ``r_max`` share one entry."""
+        r = J.m + J.n if r_max is None else r_max
+        return self._get(("powers", r), J, lambda: tuple(power_filtration(J, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +507,12 @@ class ScreenReport:
 BURDE_PAIRS = ((1, 1), (1, 2), (2, 2))
 
 
-def _power_dim_violations(A: SuperAlgebra, B: SuperAlgebra) -> List[ScreenViolation]:
+def _power_dim_violations(
+    A: SuperAlgebra, B: SuperAlgebra, memo: InvariantMemo
+) -> List[ScreenViolation]:
     """Lemma item (1): dim (J^r) may not grow along a degeneration."""
     out = []
-    for r, (pa, pb) in enumerate(zip(power_filtration(A), power_filtration(B)), start=1):
+    for r, (pa, pb) in enumerate(zip(memo.power_filtration(A), memo.power_filtration(B)), start=1):
         for idx, part in ((0, "even"), (1, "odd")):
             if pa[idx] < pb[idx]:
                 out.append(
@@ -511,8 +550,7 @@ def nondegeneration_screen(
     even_label_a: Optional[str] = None,
     even_label_b: Optional[str] = None,
     even_reachable: Optional[Callable[[str, str], bool]] = None,
-    orbit_a: Optional[int] = None,
-    orbit_b: Optional[int] = None,
+    memo: Optional[InvariantMemo] = None,
     burde_pairs=BURDE_PAIRS,
     trials: int = 16,
     seed: int = 0,
@@ -523,10 +561,12 @@ def nondegeneration_screen(
     An empty report means "no obstruction found", never "degeneration
     exists".  Cross-type pairs are rejected outright.  With ``quick`` the
     cheap conditions run first and the scan stops at the first violation.
+    Power filtrations and orbit dimensions are read from ``memo``.
     """
     if (A.m, A.n) != (B.m, B.n):
-        raise TypeMismatch(f"({A.m},{A.n}) vs ({B.m},{B.n})")
-    violations = _power_dim_violations(A, B)
+        raise TypeMismatch(f"cannot screen type ({A.m},{A.n}) against type ({B.m},{B.n})")
+    memo = InvariantMemo() if memo is None else memo
+    violations = _power_dim_violations(A, B, memo)
 
     def done() -> bool:
         return quick and bool(violations)
@@ -540,8 +580,7 @@ def nondegeneration_screen(
             )
 
     if not done():
-        oa = orbit_dimension(A) if orbit_a is None else orbit_a
-        ob = orbit_dimension(B) if orbit_b is None else orbit_b
+        oa, ob = memo.orbit_dimension(A), memo.orbit_dimension(B)
         if oa <= ob and flatten(A) != flatten(B):
             violations.append(
                 ScreenViolation("orbit-dimension", f"{oa} <= {ob} with distinct tables")
@@ -554,7 +593,7 @@ def nondegeneration_screen(
         # associated algebras must themselves satisfy items (1), (4), (5)
         aA, aB = associated_algebra(A), associated_algebra(B)
         for v in (
-            _power_dim_violations(aA, aB)
+            _power_dim_violations(aA, aB, memo)
             + _burde_violations(aA, aB, burde_pairs, trials, seed)
             + _associativity_violations(aA, aB)
         ):

@@ -26,12 +26,7 @@ from .certificates import (
     stability_test,
 )
 from .degeneration import Verdict, Witness, eval_t_expression, verify_degeneration
-from .invariants import (
-    even_part,
-    identify_algebra,
-    nondegeneration_screen,
-    orbit_dimension,
-)
+from .invariants import even_part, identify_algebra, nondegeneration_screen
 
 # expected (component count, variety dimension) per type
 COMPONENTS = {(1, 3): (11, 12), (2, 2): (25, 13), (3, 1): (21, 15)}
@@ -88,7 +83,7 @@ def orbit_rows(cat: Catalog, name: str) -> List[CheckRow]:
     suffixes = [f"@{p}" for p in FAMILY_SAMPLES] if entry.is_family else [""]
     rows = []
     for suffix, J in zip(suffixes, cat.instances(name)):
-        od = orbit_dimension(J)
+        od = cat.invariants.orbit_dimension(J)
         ok = od == entry.orbit
         rows.append(
             CheckRow(
@@ -178,12 +173,10 @@ def _sub_algebra(J: SuperAlgebra, block: Sequence[Tuple[int, int]]) -> SuperAlge
 def computed_decomposition(cat: Catalog, J: SuperAlgebra) -> List[str]:
     """Block structure of the multiplication table, each block identified
     against the low-dimensional catalog by fingerprint (or typed as (m,n))."""
-    blocks = _interaction_blocks(J)
-    cands = [(name, alg) for name, alg in cat.lowdim.items()]
     out = []
-    for block in blocks:
+    for block in _interaction_blocks(J):
         sub = _sub_algebra(J, block)
-        label = identify_algebra(sub, cands)
+        label = identify_algebra(sub, cat.lowdim.items(), cat.invariants)
         out.append(label if label else f"?({sub.m},{sub.n})")
     return sorted(out)
 
@@ -241,7 +234,7 @@ def verify_even_parts(cat: Catalog) -> List[CheckRow]:
         J = cat.instances(name)[0]
         graph = cat.even_graph_for(J.m)
         cands = [(label, cat.node_algebra(label)) for label in graph.nodes]
-        got = identify_algebra(even_part(J), cands)
+        got = identify_algebra(even_part(J), cands, cat.invariants)
         ok = got == entry.even_part_label
         rows.append(
             CheckRow(
@@ -365,6 +358,7 @@ def verify_lemma_screens(cat: Catalog, quick: bool = True) -> List[CheckRow]:
                 even_label_a=e.even_part_label,
                 even_label_b=te.even_part_label,
                 even_reachable=graph.reachable,
+                memo=cat.invariants,
                 quick=quick,
             )
             detail = rep.violations[0].item if rep.violations else "no obstruction"
@@ -384,6 +378,7 @@ def screen_pair(cat: Catalog, a: str, b: str, quick: bool = False):
         even_label_a=ea.even_part_label,
         even_label_b=eb.even_part_label,
         even_reachable=graph.reachable if graph else None,
+        memo=cat.invariants,
         quick=quick,
     )
 

@@ -1,5 +1,7 @@
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,8 +30,27 @@ def test_orbit_logged_mismatch(capsys):
     assert "XFAIL(errata) orbit:J2" in out
 
 
+def _one_error_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and len(captured.err.splitlines()) == 1
+    return captured.err.strip()
+
+
 def test_unknown_name_is_usage_error(capsys):
-    assert main(["orbit", "nope"]) == 2
+    assert _one_error_line(["orbit", "nope"], capsys) == "error: unknown catalog name 'nope'"
+
+
+def test_cross_type_screen_is_usage_error(capsys):
+    err = _one_error_line(["screen", "J1", "Jc1"], capsys)
+    assert err == "error: cannot screen type (1,3) against type (2,2)"
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.txt"
+    err = _one_error_line(["--output", str(missing), "orbit", "J1"], capsys)
+    assert err.startswith("error: ") and str(missing) in err
+    assert not missing.parent.exists()
 
 
 def test_derive(capsys):
@@ -167,3 +188,18 @@ def test_degenerate_all_matches_witness_sweep(verified_witnesses, capsys):
     assert main(["degenerate", "--all", str(DATA / "witnesses")]) == 0
     printed = capsys.readouterr().out.splitlines()
     assert printed == [row.display for _, _, row in verified_witnesses]
+
+
+def test_verify_catalog_full_report_shape(capsys):
+    # identity, orbit and ambient rows, then the decomposition and even-part
+    # sweeps; only the "#" summary line carries a time
+    assert main(["verify-catalog", "--full"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 604
+    timed = [line for line in lines if re.search(r"\d\.\ds\b", line)]
+    assert timed == [line for line in lines if line.startswith("#")]
+    assert len(timed) == 1 and re.fullmatch(r"# 149/149 algebras verified in \d+\.\ds", timed[0])
+    sweeps = Counter(line.split()[1].split(":")[0] for line in lines if not line.startswith("#"))
+    assert sweeps == {
+        "identity": 149, "orbit": 151, "ambient": 5, "decomposition": 149, "even-part": 149
+    }

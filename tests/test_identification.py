@@ -1,0 +1,127 @@
+"""Fingerprint identification: the decomposition and even-part sweeps on the
+packaged catalog, the per-call identification loop as their oracle, and the
+catalog's invariant memo."""
+
+import functools
+from collections import Counter
+
+import pytest
+
+from superjordan import invariants
+from superjordan import verify as V
+from superjordan.atlas import build_graph
+from superjordan.catalog import Catalog
+from superjordan.invariants import algebra_fingerprint, even_part, identify_algebra
+
+
+@pytest.fixture(scope="module")
+def label_rows(catalog):
+    return V.verify_decompositions(catalog), V.verify_even_parts(catalog)
+
+
+def test_decomposition_and_even_part_sweeps(catalog, label_rows):
+    decompositions, even_parts = label_rows
+    assert len(decompositions) == len(even_parts) == 149
+    rows = decompositions + even_parts
+    assert [r.display for r in rows if not r.acceptable] == []
+    logged = {r.check_id for r in rows if r.logged}
+    ledger = {k for k in catalog.errata_keys() if k.startswith("decomposition:")}
+    assert len(ledger) == 12
+    assert logged == ledger
+
+
+def test_wrong_labels_fail(catalog, label_rows, monkeypatch):
+    # J15 is indecomposable and Jc36 has even part B1; neither key is logged
+    monkeypatch.setattr(catalog.entry("J15"), "decomposition", "S1_1+S2_3")
+    monkeypatch.setattr(catalog.entry("Jc36"), "even_part_label", "B2")
+    before = {r.check_id: r for r in label_rows[0] + label_rows[1]}
+    after = V.verify_decompositions(catalog) + V.verify_even_parts(catalog)
+    changed = {r.check_id: r.display for r in after if r != before[r.check_id]}
+    assert changed == {
+        "decomposition:J15": "FAIL decomposition:J15 computed ?(1,3), declared S1_1+S2_3",
+        "even-part:Jc36": "FAIL even-part:Jc36 identified B1, declared B2",
+    }
+
+
+def _identify_per_call(J, candidates, fingerprint):
+    """The identification loop without memo or type filter: every candidate
+    fingerprinted on every call."""
+    fp = fingerprint(J)
+    hits = [label for label, cand in candidates if fingerprint(cand) == fp]
+    if len(hits) == 1:
+        return hits[0]
+    return None
+
+
+def _table(J):
+    return (J.m, J.n, J.alpha, J.beta, J.gamma, J.delta)
+
+
+def test_memoized_identification_matches_per_call_loop(catalog):
+    # plain fingerprints, cached per algebra here only to keep the oracle
+    # from taking tens of seconds
+    fingerprint = functools.lru_cache(maxsize=None)(algebra_fingerprint)
+    lowdim = list(catalog.lowdim.items())
+    labels = Counter()
+    for name in catalog.names():
+        J = catalog.instances(name)[0]
+        graph = catalog.even_graph_for(J.m)
+        even_cands = [(label, catalog.node_algebra(label)) for label in graph.nodes]
+        subs = [(V._sub_algebra(J, block), lowdim) for block in V._interaction_blocks(J)]
+        for sub, cands in subs + [(even_part(J), even_cands)]:
+            want = _identify_per_call(sub, cands, fingerprint)
+            assert identify_algebra(sub, cands, catalog.invariants) == want, name
+            labels[want is not None, sub.m + sub.n] += 1
+    # 416 blocks and even parts; the 64 left unidentified are the whole
+    # tables of the 64 indecomposable entries
+    assert sum(labels.values()) == 416
+    assert {key: n for key, n in labels.items() if not key[0]} == {(False, 4): 64}
+
+
+def test_each_invariant_computed_once_per_table(monkeypatch, verified_witnesses):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(J, *args, **kwargs):
+            calls[(name, _table(J))] += 1
+            return fn(J, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("algebra_fingerprint", "power_filtration", "orbit_dimension"):
+        monkeypatch.setattr(invariants, name, counted(name, getattr(invariants, name)))
+    cat = Catalog()
+    assert not calls
+    V.verify_orbits(cat)
+    V.verify_decompositions(cat)
+    V.verify_even_parts(cat)
+    V.verify_lemma_screens(cat)
+    V.screen_pair(cat, "J7", "J5")
+    verified = [(w, v) for w, v, _ in verified_witnesses if v.verified]
+    for mn in V.COMPONENTS:
+        build_graph(mn, cat, verified)
+    kinds = Counter(name for name, _ in calls)
+    assert set(kinds) == {"algebra_fingerprint", "power_filtration", "orbit_dimension"}
+    assert max(calls.values()) == 1
+    # a second pass computes nothing
+    before = sum(calls.values())
+    V.verify_decompositions(cat)
+    V.verify_lemma_screens(cat)
+    assert sum(calls.values()) == before
+
+
+def test_other_types_are_not_fingerprinted(catalog, monkeypatch):
+    types = []
+    fingerprint = invariants.algebra_fingerprint
+
+    def recorded(J, memo=None):
+        types.append((J.m, J.n))
+        return fingerprint(J, memo)
+
+    monkeypatch.setattr(invariants, "algebra_fingerprint", recorded)
+    J = catalog.lowdim["S1_2"]
+    assert identify_algebra(J, catalog.lowdim.items()) == "S1_2"
+    same_type = [name for name, A in catalog.lowdim.items() if (A.m, A.n) == (J.m, J.n)]
+    assert len(same_type) < len(catalog.lowdim)
+    # J itself once, then each candidate of its type; J's entry is reused
+    assert types == [(J.m, J.n)] * len(same_type)
