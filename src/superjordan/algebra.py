@@ -1,8 +1,8 @@
 """Jordan-superalgebra data model: structure tensors, the graded identity,
-power filtration, and the line-oriented table format.
+power filtration, basis changes, and the line-oriented table format.
 
-A superalgebra of type (m, n) stores four structure tensors over an exact
-scalar ring (Fraction, or RatFun for one-parameter families):
+A superalgebra of type (m, n) is stored as four structure tensors over an
+exact scalar ring (Fraction, or RatFun for one-parameter families):
 
     alpha[i][j][k] : e_i e_j -> sum alpha e_k     (m x m x m)
     beta[i][p][q]  : e_i f_p -> sum beta f_q      (m x n x n)
@@ -11,6 +11,12 @@ scalar ring (Fraction, or RatFun for one-parameter families):
 
 Supercommutativity is a stored invariant: alpha is symmetric, gamma
 mirrors beta, delta is antisymmetric (so odd squares are zero).
+
+The four blocks are storage only.  The kernels (the identity check, basis
+changes, superderivations, the power filtration, block decomposition) read
+one flat (m+n)^3 table in label order, ``flatten(J, J.labels())``, together
+with the parity vector [0]*m + [1]*n (``graded_table``); ``unflatten`` turns
+such a table back into the blocks.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from .linalg import invert_fraction_matrix, row_reduce_basis
 from .ratfun import RatFun
 
 Scalar = Union[Fraction, RatFun]
@@ -369,11 +376,11 @@ def check_super_jordan(J: SuperAlgebra) -> IdentityReport:
         return IdentityReport(False, False, detail="; ".join(sviol[:3]))
     labels = J.labels()
     dim = len(labels)
-    par = [0] * J.m + [1] * J.n
+    table, par = graded_table(J)
     # T[a][b] = e_a e_b as sparse (k, c) pairs, indices in label order
     T = [
         [tuple((k, c) for k, c in enumerate(row) if not _sc_is_zero(c)) for row in plane]
-        for plane in flatten(J, labels)
+        for plane in table
     ]
     unit = [((a, 1),) for a in range(dim)]
     P = [
@@ -424,88 +431,6 @@ def _sparse_product(T, u, v) -> Tuple[Tuple[int, Scalar], ...]:
 
 
 # ---------------------------------------------------------------------------
-# Graded subspaces and the power filtration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GradedSubspace:
-    even_basis: tuple  # reduced row-echelon rows in Q^m
-    odd_basis: tuple  # reduced row-echelon rows in Q^n
-
-    @property
-    def dims(self) -> Tuple[int, int]:
-        return len(self.even_basis), len(self.odd_basis)
-
-
-def full_space(J: SuperAlgebra) -> GradedSubspace:
-    ev = tuple(
-        tuple(Fraction(1 if j == i else 0) for j in range(J.m)) for i in range(J.m)
-    )
-    od = tuple(
-        tuple(Fraction(1 if j == i else 0) for j in range(J.n)) for i in range(J.n)
-    )
-    return GradedSubspace(ev, od)
-
-
-def subspace_product(J: SuperAlgebra, U: GradedSubspace, W: GradedSubspace) -> GradedSubspace:
-    """Span of all pairwise products of homogeneous spanning vectors."""
-    from .linalg import row_reduce_basis
-
-    ev_vecs: List[List[Fraction]] = []
-    od_vecs: List[List[Fraction]] = []
-
-    def as_elem(parity: int, coords) -> Element:
-        if parity == 0:
-            return Element(tuple(coords), tuple([Fraction(0)] * J.n))
-        return Element(tuple([Fraction(0)] * J.m), tuple(coords))
-
-    homog_u = [(0, v) for v in U.even_basis] + [(1, v) for v in U.odd_basis]
-    homog_w = [(0, v) for v in W.even_basis] + [(1, v) for v in W.odd_basis]
-    for pu, vu in homog_u:
-        for pw, vw in homog_w:
-            prod = J.multiply(as_elem(pu, vu), as_elem(pw, vw))
-            if any(c != 0 for c in prod.even):
-                ev_vecs.append(list(prod.even))
-            if any(c != 0 for c in prod.odd):
-                od_vecs.append(list(prod.odd))
-    return GradedSubspace(
-        tuple(tuple(v) for v in row_reduce_basis(ev_vecs)),
-        tuple(tuple(v) for v in row_reduce_basis(od_vecs)),
-    )
-
-
-def subspace_sum(*spaces: GradedSubspace) -> GradedSubspace:
-    from .linalg import row_reduce_basis
-
-    ev = [list(v) for sp in spaces for v in sp.even_basis]
-    od = [list(v) for sp in spaces for v in sp.odd_basis]
-    return GradedSubspace(
-        tuple(tuple(v) for v in row_reduce_basis(ev)),
-        tuple(tuple(v) for v in row_reduce_basis(od)),
-    )
-
-
-def power_filtration(J: SuperAlgebra, r_max: Optional[int] = None) -> List[Tuple[int, int]]:
-    """Graded dimensions of J^r for r = 1..r_max (default r_max = m + n)."""
-    if r_max is None:
-        r_max = J.m + J.n
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
-    powers = [full_space(J)]
-    dims = [powers[0].dims]
-    for r in range(2, r_max + 1):
-        terms = [
-            subspace_product(J, powers[i - 1], powers[r - i - 1])
-            for i in range(1, r)
-        ]
-        jr = subspace_sum(*terms) if terms else GradedSubspace((), ())
-        powers.append(jr)
-        dims.append(jr.dims)
-    return dims
-
-
-# ---------------------------------------------------------------------------
 # Flattening to an ungraded table
 # ---------------------------------------------------------------------------
 
@@ -536,6 +461,26 @@ def flatten(J: SuperAlgebra, basis_order: Optional[Sequence[str]] = None):
     return tuple(tuple(tuple(r) for r in plane) for plane in table)
 
 
+def graded_table(J: SuperAlgebra) -> Tuple[tuple, List[int]]:
+    """The flat table in label order (even vectors first) and the parity of
+    each of its basis vectors: the one input of the kernels."""
+    return flatten(J, J.labels()), [0] * J.m + [1] * J.n
+
+
+def unflatten(table, m: int, n: int, name: str = "") -> SuperAlgebra:
+    """The inverse of ``graded_table``: the four blocks of a flat table whose
+    first m basis vectors are even and last n odd.  Parity-mixing constants
+    are dropped; a graded table has none."""
+    ev, od = range(m), range(m, m + n)
+
+    def block(A, B, C):
+        return tuple(tuple(tuple(table[a][b][c] for c in C) for b in B) for a in A)
+
+    return SuperAlgebra(
+        m, n, block(ev, ev, ev), block(ev, od, od), block(od, ev, od), block(od, od, ev), name=name
+    )
+
+
 def nonzero_constants(table) -> List[Tuple[int, int, int, Scalar]]:
     """The nonzero constants (a, b, k, c[a,b,k]) of a flat d x d x d table."""
     d = len(table)
@@ -544,7 +489,7 @@ def nonzero_constants(table) -> List[Tuple[int, int, int, Scalar]]:
         for a in range(d)
         for b in range(d)
         for k in range(d)
-        if table[a][b][k] != 0
+        if table[a][b][k]
     ]
 
 
@@ -573,55 +518,108 @@ def direct_sum(A: SuperAlgebra, B: SuperAlgebra, name: str = "") -> SuperAlgebra
     )
 
 
+# ---------------------------------------------------------------------------
+# Basis changes and the power filtration
+# ---------------------------------------------------------------------------
+
+
+def change_basis(entries, d: int, P, Q, zero) -> List[List[List[Scalar]]]:
+    """Constants of a product in the basis y_a = sum_c P[a][c] x_c, scaled by
+    s where P Q = s I: Q = P^-1 gives the constants themselves, Q = adj(P)
+    gives them times det(P) in integer arithmetic.
+
+    ``entries`` are the nonzero constants of the d-dimensional table
+    (``nonzero_constants``) and ``zero`` is the zero of the scalars (0,
+    Fraction(0) or the zero RatFun).  The scalars may be int, Fraction or
+    RatFun: zeros are skipped by their truth value.
+    """
+    out = []
+    for a in range(d):
+        pa = P[a]
+        plane = []
+        for b in range(d):
+            pb = P[b]
+            v = [zero] * d
+            for c, e, k, val in entries:
+                f = pa[c] * pb[e]
+                if f:
+                    v[k] = v[k] + f * val
+            live = [(k, x) for k, x in enumerate(v) if x]
+            row = []
+            for l in range(d):
+                acc = zero
+                for k, x in live:
+                    q = Q[k][l]
+                    if q:
+                        acc = acc + x * q
+                row.append(acc)
+            plane.append(row)
+        out.append(plane)
+    return out
+
+
 def apply_graded_change(
     J: SuperAlgebra, p_even: Sequence[Sequence[Fraction]], p_odd: Sequence[Sequence[Fraction]]
 ) -> SuperAlgebra:
     """Structure constants after the graded basis change E_i = sum P0[i][j] e_j,
     F_p = sum P1[p][q] f_q (matrices over Fraction, must be invertible)."""
-    from .linalg import invert_fraction_matrix
-
     m, n = J.m, J.n
-    q_even = invert_fraction_matrix([list(r) for r in p_even]) if m else []
-    q_odd = invert_fraction_matrix([list(r) for r in p_odd]) if n else []
-
-    def new_even(i: int) -> Element:
-        return Element(tuple(Fraction(p_even[i][j]) for j in range(m)), tuple([Fraction(0)] * n))
-
-    def new_odd(p: int) -> Element:
-        return Element(tuple([Fraction(0)] * m), tuple(Fraction(p_odd[p][q]) for q in range(n)))
-
-    alpha = _zero_tensor(m, m, m)
-    beta = _zero_tensor(m, n, n)
-    gamma = _zero_tensor(n, m, n)
-    delta = _zero_tensor(n, n, m)
-    for i in range(m):
-        Ei = new_even(i)
-        for j in range(m):
-            prod = J.multiply(Ei, new_even(j))
-            for k in range(m):
-                alpha[i][j][k] = sum(
-                    (prod.even[c] * q_even[c][k] for c in range(m)), Fraction(0)
-                )
-        for p in range(n):
-            prod = J.multiply(Ei, new_odd(p))
-            for q in range(n):
-                beta[i][p][q] = sum(
-                    (prod.odd[c] * q_odd[c][q] for c in range(n)), Fraction(0)
-                )
-    for p in range(n):
-        Fp = new_odd(p)
-        for i in range(m):
-            prod = J.multiply(Fp, new_even(i))
-            for q in range(n):
-                gamma[p][i][q] = sum(
-                    (prod.odd[c] * q_odd[c][q] for c in range(n)), Fraction(0)
-                )
-        for q in range(n):
-            prod = J.multiply(Fp, new_odd(q))
-            for k in range(m):
-                delta[p][q][k] = sum(
-                    (prod.even[c] * q_even[c][k] for c in range(m)), Fraction(0)
-                )
-    return SuperAlgebra(
-        m, n, _freeze(alpha), _freeze(beta), _freeze(gamma), _freeze(delta), name=J.name
+    P = [[Fraction(x) for x in row] + [Fraction(0)] * n for row in p_even] + [
+        [Fraction(0)] * m + [Fraction(x) for x in row] for row in p_odd
+    ]
+    table, _par = graded_table(J)
+    moved = change_basis(
+        nonzero_constants(table), m + n, P, invert_fraction_matrix(P), Fraction(0)
     )
+    return unflatten(moved, m, n, name=J.name)
+
+
+def power_spans(table, r_max: int) -> List[List[List[Fraction]]]:
+    """Reduced row-echelon bases of the powers T^1, ..., T^r_max of a flat
+    table, where T^1 is the whole space and T^r = sum_{i<r} T^i T^(r-i)."""
+    d = len(table)
+
+    def product_span(U, W):
+        vecs = []
+        for u in U:
+            for w in W:
+                out = [Fraction(0)] * d
+                for a in range(d):
+                    if not u[a]:
+                        continue
+                    for b in range(d):
+                        if not w[b]:
+                            continue
+                        c = u[a] * w[b]
+                        for k, t in enumerate(table[a][b]):
+                            if t:
+                                out[k] += c * t
+                if any(out):
+                    vecs.append(out)
+        return row_reduce_basis(vecs)
+
+    powers = [[[Fraction(int(i == j)) for j in range(d)] for i in range(d)]]
+    for r in range(2, r_max + 1):
+        vecs = []
+        for i in range(1, r):
+            vecs.extend(product_span(powers[i - 1], powers[r - i - 1]))
+        powers.append(row_reduce_basis(vecs))
+    return powers
+
+
+def power_filtration(J: SuperAlgebra, r_max: Optional[int] = None) -> List[Tuple[int, int]]:
+    """Graded dimensions of J^r for r = 1..r_max (default r_max = m + n).
+
+    J^r is a graded subspace, so its reduced row-echelon basis in the flat
+    table's coordinates is homogeneous: each basis vector has the parity of
+    its pivot coordinate."""
+    if r_max is None:
+        r_max = J.m + J.n
+    if r_max < 1:
+        raise ValueError("r_max must be >= 1")
+    table, par = graded_table(J)
+    dims = []
+    for basis in power_spans(table, r_max):
+        odd = sum(par[next(j for j, x in enumerate(v) if x)] for v in basis)
+        dims.append((len(basis) - odd, odd))
+    return dims

@@ -126,7 +126,10 @@ class Catalog:
         for dirname, mn in TYPE_DIRS.items():
             names = []
             dirpath = self.root / "catalog" / dirname
-            for path in sorted(dirpath.glob("*.alg")):
+            paths = sorted(dirpath.glob("*.alg"))
+            if not paths:
+                raise ParseError(f"{dirpath}: missing or empty catalog directory (no .alg files)")
+            for path in paths:
                 af = parse_algebra_file(path)
                 if af.mn != mn:
                     raise ParseError(f"{path}: type {af.mn} does not match {dirname}")

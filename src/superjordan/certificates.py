@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import nonzero_constants
+from .algebra import change_basis, nonzero_constants
 from .linalg import int_matrix_det_adjugate
 from .tablefmt import ParseError
 
@@ -425,35 +425,12 @@ def _int_table(table) -> List[List[List[int]]]:
     ]
 
 
-def _transform(entries, d: int, g, adj):
-    """det(g)-scaled constants in the basis y_a = sum g[a][c] x_c, from the
-    nonzero ``entries`` of a d-dimensional table and the adjugate of g."""
-    out = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for a in range(d):
-        ga = g[a]
-        for b in range(d):
-            gb = g[b]
-            v = [0] * d
-            for c, dd, k, val in entries:
-                f = ga[c] * gb[dd]
-                if f:
-                    v[k] += f * val
-            row_out = out[a][b]
-            for l in range(d):
-                acc = 0
-                for k in range(d):
-                    if v[k]:
-                        acc += v[k] * adj[k][l]
-                row_out[l] = acc
-    return out
-
-
 def transform_int_table(table_int, g: List[List[int]]):
     """det(g)-scaled constants of the table in the basis y_a = sum g[a][c] x_c."""
     det, adj = int_matrix_det_adjugate(g)
     if det == 0:
         raise ValueError("singular change of basis")
-    return _transform(nonzero_constants(table_int), len(table_int), g, adj)
+    return change_basis(nonzero_constants(table_int), len(table_int), g, adj, 0)
 
 
 def certificate_is_scale_safe(cs: ClosedSet) -> bool:
@@ -526,7 +503,7 @@ def _moved_tables(kind: str, cs: ClosedSet, table, trials: int, seed: int):
     table_int = _int_table(table)
     entries, d = nonzero_constants(table_int), len(table_int)
     for g, adj in _changes(kind, cs.dim, trials, seed):
-        yield g, _transform(entries, d, g, adj)
+        yield g, change_basis(entries, d, g, adj, 0)
 
 
 def stability_test(cs: ClosedSet, source_table, trials: int = 1000, seed: int = 0) -> RandomizedReport:

@@ -12,13 +12,14 @@ import argparse
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 from . import verify as V
 from .atlas import build_graph, edge_monotonicity_violations, export_dot
 from .catalog import Catalog, MissingParameter, instantiate
 from .certificates import parse_closed_set_file
 from .degeneration import parse_witness_file
-from .envelope import envelope_jordan_check
+from .envelope import MAX_K, envelope_jordan_check
 from .invariants import TypeMismatch, derivation_dims
 from .tablefmt import ParseError, parse_algebra_file
 
@@ -56,8 +57,8 @@ class Reporter:
         return 1 if self.fails else 0
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low, else a usage error (exit 2)."""
+def _int_in_range(low: int, high: Optional[int] = None):
+    """argparse type: an integer in [low, high], else a usage error (exit 2)."""
 
     def parse(text: str) -> int:
         try:
@@ -66,6 +67,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     return parse
@@ -221,7 +224,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify-all", help="every sweep, one row per check")
     p.add_argument(
-        "--trials", type=_int_at_least(1), default=1000, help="certificate trials (default 1000)"
+        "--trials", type=_int_in_range(1), default=1000, help="certificate trials (default 1000)"
     )
     p.add_argument("--seed", type=int, default=0, help="certificate seed (default 0)")
     p.add_argument("--dot", help="also write type13.dot, type22.dot and type31.dot into this directory")
@@ -251,13 +254,13 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("closedset", help="evaluate a certificate file with randomized trials")
     p.add_argument("file")
-    p.add_argument("--trials", type=_int_at_least(1), default=1000)
+    p.add_argument("--trials", type=_int_in_range(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_closedset)
 
     p = sub.add_parser("envelope", help="Grassmann-envelope Jordan check")
     p.add_argument("name")
-    p.add_argument("-k", type=_int_at_least(0), default=4)
+    p.add_argument("-k", type=_int_in_range(0, MAX_K), default=4)
     p.set_defaults(func=cmd_envelope)
 
     p = sub.add_parser("graph", help="build the verified degeneration graph of a type")

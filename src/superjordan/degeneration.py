@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import SuperAlgebra, _sc_is_zero, default_basis_order, flatten
+from .algebra import SuperAlgebra, _freeze, change_basis, default_basis_order, flatten, nonzero_constants
 from .linalg import SingularMatrix, _as_rf, invert_field_matrix
 from .ratfun import RatFun
 from .tablefmt import ParseError
@@ -349,49 +349,10 @@ def parse_witness_file(path) -> Witness:
 # ---------------------------------------------------------------------------
 
 
-def apply_basis_change_table(table, P: Sequence[Sequence], Pinv=None):
-    """Constants of the same product in the basis y_a = sum_c P[a][c] x_c.
-
-    Works over any field whose elements support + - * / (Fraction, RatFun).
-    """
-    d = len(table)
-    if Pinv is None:
-        rf = [[_as_rf(P[i][j]) for j in range(d)] for i in range(d)]
-        Pinv = invert_field_matrix(rf)
-        P = rf
-    nonzero = [
-        (c, dd, k, table[c][dd][k])
-        for c in range(d)
-        for dd in range(d)
-        for k in range(d)
-        if not _sc_is_zero(table[c][dd][k])
-    ]
-    out = [[[None] * d for _ in range(d)] for _ in range(d)]
-    zero = _zero_like(P[0][0])
-    for a in range(d):
-        for b in range(d):
-            v = [zero] * d
-            for c, dd, k, val in nonzero:
-                pac = P[a][c]
-                if _sc_is_zero(pac):
-                    continue
-                pbd = P[b][dd]
-                if _sc_is_zero(pbd):
-                    continue
-                v[k] = v[k] + pac * pbd * val
-            for l in range(d):
-                acc = zero
-                for k in range(d):
-                    if not _sc_is_zero(v[k]) and not _sc_is_zero(Pinv[k][l]):
-                        acc = acc + v[k] * Pinv[k][l]
-                out[a][b][l] = acc
-    return tuple(tuple(tuple(r) for r in plane) for plane in out)
-
-
-def _zero_like(x):
-    if isinstance(x, RatFun):
-        return RatFun.const(0)
-    return Fraction(0)
+def apply_basis_change_table(table, P: Sequence[Sequence[RatFun]], Pinv: Sequence[Sequence[RatFun]]):
+    """Constants of the same product in the basis y_a = sum_c P[a][c] x_c,
+    given P and its inverse over the rational-function field."""
+    return _freeze(change_basis(nonzero_constants(table), len(table), P, Pinv, RatFun.const(0)))
 
 
 def witness_matrix(wit: Witness, J: SuperAlgebra, ram: Optional[int] = None):
@@ -467,18 +428,8 @@ def parametric_constants(wit: Witness, source: SuperAlgebra):
     return apply_basis_change_table(rf_table, P, Pinv), order, ram
 
 
-def verify_degeneration(
-    wit: Witness,
-    source: SuperAlgebra,
-    target: SuperAlgebra,
-    post_iso=None,
-) -> Verdict:
-    """Replay the witness and compare the t -> 0 limit with the target.
-
-    ``post_iso`` optionally applies a constant basis change (matrix rows over
-    Fraction) to the limit table before comparing, for witnesses that land on
-    an isomorphic copy of the target.
-    """
+def verify_degeneration(wit: Witness, source: SuperAlgebra, target: SuperAlgebra) -> Verdict:
+    """Replay the witness and compare the t -> 0 limit with the target."""
     if (source.m, source.n) != (target.m, target.n):
         raise WitnessError("source and target types differ")
     ram = wit.ramification()
@@ -515,13 +466,7 @@ def verify_degeneration(
                         f"valuation {new_constants[a][b][k].valuation()}",
                     )
                 limit[a][b][k] = lv
-    limit_t = tuple(tuple(tuple(r) for r in plane) for plane in limit)
-    if post_iso is not None:
-        limit_t = apply_basis_change_table(limit_t, [[Fraction(x) for x in row] for row in post_iso], None)
-        limit_t = tuple(
-            tuple(tuple(v.as_constant() if isinstance(v, RatFun) else v for v in row) for row in plane)
-            for plane in limit_t
-        )
+    limit_t = _freeze(limit)
     target_table = flatten(target, default_basis_order(target.m, target.n))
     if limit_t != target_table:
         diff = tuple(

@@ -23,6 +23,10 @@ from .algebra import SuperAlgebra
 # a G(A) element maps (grassmann_mask, parity, index) -> Fraction
 GElement = Dict[Tuple[int, int, int], Fraction]
 
+# Largest number of Grassmann generators: the random trials list all 2**k
+# masks, so memory grows as 2**k.
+MAX_K = 16
+
 
 def grassmann_sign(s: int, t: int) -> int:
     """Sign of xi_S * xi_T for disjoint bitmasks (0 when not disjoint)."""
@@ -52,8 +56,8 @@ class EnvelopeReport:
 
 class _Envelope:
     def __init__(self, J: SuperAlgebra, k: int):
-        if k < 0:
-            raise ValueError("k must be >= 0")
+        if not 0 <= k <= MAX_K:
+            raise ValueError(f"k must be in [0, {MAX_K}], got {k}")
         self.J = J
         self.k = k
 

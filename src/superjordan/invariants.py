@@ -6,6 +6,7 @@ identification, and the necessary-condition screen for non-degenerations.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -16,8 +17,10 @@ from .algebra import (
     _freeze,
     _zero_tensor,
     flatten,
+    graded_table,
     nonzero_constants,
     power_filtration,
+    power_spans,
 )
 
 
@@ -36,84 +39,47 @@ class DerivationSpace:
         return self.even_dim + self.odd_dim
 
 
-def _leibniz_rows(J: SuperAlgebra, d_parity: int) -> List[List[Fraction]]:
-    """Rows of the linear system D(xy) = D(x)y + (-1)^{|D||x|} x D(y) over
-    the block unknowns of a parity-|D| linear map."""
-    m, n = J.m, J.n
-    if d_parity == 0:
-        # unknowns: E[i][j] (m*m) then F[p][q] (n*n)
-        n_unknowns = m * m + n * n
+def _derivation_dim(table, par: Sequence[int], d_par: int) -> int:
+    """Dimension of the parity-``d_par`` superderivations of a flat table whose
+    basis vector x_a has parity par[a]: the linear maps D x_a = sum_c D[a][c] x_c
+    with D[a][c] = 0 unless par[c] = par[a] + d_par (mod 2), solving
 
-        def d_basis(parity: int, idx: int):
-            if parity == 0:
-                return [(0, j, idx * m + j) for j in range(m)]
-            return [(1, q, m * m + idx * n + q) for q in range(n)]
+        D(x_a x_b) = D(x_a) x_b + (-1)^{d_par par[a]} x_a D(x_b).
 
-    else:
-        # unknowns: R[i][q] (m*n) then S[p][k] (n*m)
-        n_unknowns = 2 * m * n
-
-        def d_basis(parity: int, idx: int):
-            if parity == 0:
-                return [(1, q, idx * n + q) for q in range(n)]
-            return [(0, k, m * n + idx * m + k) for k in range(m)]
-
-    basis = [(0, i) for i in range(m)] + [(1, p) for p in range(n)]
-
-    def product_coords(pa: int, ia: int, pb: int, ib: int) -> List[Tuple[int, int, Fraction]]:
-        if pa == 0 and pb == 0:
-            return [(0, k, J.alpha[ia][ib][k]) for k in range(m)]
-        if pa == 0 and pb == 1:
-            return [(1, q, J.beta[ia][ib][q]) for q in range(n)]
-        if pa == 1 and pb == 0:
-            return [(1, q, J.gamma[ia][ib][q]) for q in range(n)]
-        return [(0, k, J.delta[ia][ib][k]) for k in range(m)]
-
-    rows: List[List[Fraction]] = []
-    for pa, ia in basis:
-        for pb, ib in basis:
-            # coefficient dicts keyed by (result_parity, result_idx)
-            acc: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-
-            def add(rp: int, ri: int, unknown: int, coeff: Fraction):
-                if coeff == 0:
-                    return
-                cell = acc.setdefault((rp, ri), {})
-                cell[unknown] = cell.get(unknown, Fraction(0)) + coeff
-
-            # D(x_a x_b)
-            for rp, ri, c in product_coords(pa, ia, pb, ib):
-                if c == 0:
-                    continue
-                for tp, ti, unk in d_basis(rp, ri):
-                    add(tp, ti, unk, c)
-            # - D(x_a) x_b
-            for tp, ti, unk in d_basis(pa, ia):
-                for rp, ri, c in product_coords(tp, ti, pb, ib):
-                    add(rp, ri, unk, -c)
-            # - (-1)^{|D| |x_a|} x_a D(x_b)
-            sign = -1 if (d_parity * pa) % 2 else 1
-            for tp, ti, unk in d_basis(pb, ib):
-                for rp, ri, c in product_coords(pa, ia, tp, ti):
-                    add(rp, ri, unk, -sign * c)
-
-            for cell in acc.values():
-                row = [Fraction(0)] * n_unknowns
-                for unk, c in cell.items():
-                    row[unk] = c
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    return rows
+    With every parity 0 these are the derivations of the ungraded table."""
+    d = len(table)
+    # unknowns of row a of D: (c, column) pairs
+    unknowns: List[List[Tuple[int, int]]] = [[] for _ in range(d)]
+    width = 0
+    for a in range(d):
+        for c in range(d):
+            if par[c] == (par[a] + d_par) % 2:
+                unknowns[a].append((c, width))
+                width += 1
+    sparse = [[[(k, t) for k, t in enumerate(row) if t] for row in plane] for plane in table]
+    rows = []
+    for a in range(d):
+        sign = -1 if d_par * par[a] % 2 else 1
+        for b in range(d):
+            # the equation at output coordinate l, as coefficients of the unknowns
+            eqs = defaultdict(lambda: [0] * width)
+            for k, t in sparse[a][b]:  # D(x_a x_b)
+                for l, col in unknowns[k]:
+                    eqs[l][col] += t
+            for c, col in unknowns[a]:  # - D(x_a) x_b
+                for l, t in sparse[c][b]:
+                    eqs[l][col] -= t
+            for c, col in unknowns[b]:  # - (-1)^{d_par par[a]} x_a D(x_b)
+                for l, t in sparse[a][c]:
+                    eqs[l][col] -= sign * t
+            rows += [row for row in eqs.values() if any(row)]
+    return width - linalg.rank(rows)
 
 
 def derivation_dims(J: SuperAlgebra) -> DerivationSpace:
     """Dimensions of the even and odd superderivation spaces."""
-    even_rows = _leibniz_rows(J, 0)
-    odd_rows = _leibniz_rows(J, 1)
-    m, n = J.m, J.n
-    even_dim = (m * m + n * n) - linalg.rank(even_rows) if (m or n) else 0
-    odd_dim = (2 * m * n) - linalg.rank(odd_rows) if (m and n) else 0
-    return DerivationSpace(even_dim, odd_dim)
+    table, par = graded_table(J)
+    return DerivationSpace(_derivation_dim(table, par, 0), _derivation_dim(table, par, 1))
 
 
 def orbit_dimension(J: SuperAlgebra) -> int:
@@ -129,68 +95,13 @@ def orbit_dimension(J: SuperAlgebra) -> int:
 
 def ungraded_derivation_dim(table) -> int:
     """Derivation dimension of a flattened (ungraded) multiplication table."""
-    d = len(table)
-    rows: List[List[Fraction]] = []
-    # unknowns D[a][b]: x_a -> sum_b D[a][b] x_b
-    for a in range(d):
-        for b in range(d):
-            for k in range(d):
-                row = [Fraction(0)] * (d * d)
-                # D(x_a x_b)_k = sum_c C[a][b][c] D[c][k]
-                for c in range(d):
-                    if table[a][b][c] != 0:
-                        row[c * d + k] += table[a][b][c]
-                # - (D(x_a) x_b)_k = - sum_c D[a][c] C[c][b][k]
-                for c in range(d):
-                    if table[c][b][k] != 0:
-                        row[a * d + c] -= table[c][b][k]
-                # - (x_a D(x_b))_k
-                for c in range(d):
-                    if table[a][c][k] != 0:
-                        row[b * d + c] -= table[a][c][k]
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    if not rows:
-        return d * d
-    return d * d - linalg.rank(rows)
+    return _derivation_dim(table, [0] * len(table), 0)
 
 
 def ungraded_power_dims(table, r_max: Optional[int] = None) -> List[int]:
-    d = len(table)
-    if r_max is None:
-        r_max = d
-    full = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
-
-    def prod_span(U, W):
-        vecs = []
-        for u in U:
-            for w in W:
-                out = [Fraction(0)] * d
-                for a in range(d):
-                    if u[a] == 0:
-                        continue
-                    for b in range(d):
-                        if w[b] == 0:
-                            continue
-                        c = u[a] * w[b]
-                        row = table[a][b]
-                        for k in range(d):
-                            if row[k] != 0:
-                                out[k] += c * row[k]
-                if any(x != 0 for x in out):
-                    vecs.append(out)
-        return linalg.row_reduce_basis(vecs)
-
-    powers = [full]
-    dims = [d]
-    for r in range(2, r_max + 1):
-        vecs = []
-        for i in range(1, r):
-            vecs.extend(prod_span(powers[i - 1], powers[r - i - 1]))
-        basis = linalg.row_reduce_basis(vecs)
-        powers.append(basis)
-        dims.append(len(basis))
-    return dims
+    """Dimensions of the powers of a flattened (ungraded) table, r = 1..r_max
+    (default r_max = dim)."""
+    return [len(basis) for basis in power_spans(table, len(table) if r_max is None else r_max)]
 
 
 def associated_algebra(J: SuperAlgebra) -> SuperAlgebra:

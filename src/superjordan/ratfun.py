@@ -263,6 +263,11 @@ class RatFun:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self) -> bool:
+        """Nonzero, as for int and Fraction, so one truthiness test skips
+        zeros whatever the scalars."""
+        return not self.num.is_zero()
+
     def is_constant(self) -> bool:
         return self.num.degree() <= 0 and self.den.degree() == 0
 

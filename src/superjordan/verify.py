@@ -14,7 +14,14 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .algebra import SuperAlgebra, check_super_jordan, flatten
+from .algebra import (
+    SuperAlgebra,
+    check_super_jordan,
+    flatten,
+    graded_table,
+    nonzero_constants,
+    unflatten,
+)
 from .atlas import DegenGraph, build_graph, component_report, edge_monotonicity_violations
 from .catalog import FAMILY_SAMPLES, Catalog
 from .certificates import (
@@ -105,10 +112,11 @@ def verify_orbits(cat: Catalog) -> List[CheckRow]:
 # ---------------------------------------------------------------------------
 
 
-def _interaction_blocks(J: SuperAlgebra) -> List[List[Tuple[int, int]]]:
-    """Connected components of the basis-interaction graph."""
-    verts = [(0, i) for i in range(J.m)] + [(1, p) for p in range(J.n)]
-    parent = {v: v for v in verts}
+def _interaction_blocks(J: SuperAlgebra) -> List[List[int]]:
+    """Connected components of the basis-interaction graph, as ascending
+    indices into ``J.labels()``: x_a, x_b and x_k are linked when c[a,b,k] != 0."""
+    table, _par = graded_table(J)
+    parent = list(range(len(table)))
 
     def find(v):
         while parent[v] != v:
@@ -116,58 +124,23 @@ def _interaction_blocks(J: SuperAlgebra) -> List[List[Tuple[int, int]]]:
             v = parent[v]
         return v
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+    for a, b, k, _c in nonzero_constants(table):
+        for w in (b, k):
+            parent[find(a)] = find(w)
 
-    def link_product(va, vb, comps):
-        for parity, idx, val in comps:
-            if val == 0:
-                continue
-            union(va, vb)
-            union(va, (parity, idx))
-
-    for i in range(J.m):
-        for j in range(J.m):
-            link_product((0, i), (0, j), [(0, k, J.alpha[i][j][k]) for k in range(J.m)])
-        for p in range(J.n):
-            link_product((0, i), (1, p), [(1, q, J.beta[i][p][q]) for q in range(J.n)])
-    for p in range(J.n):
-        for q in range(J.n):
-            link_product((1, p), (1, q), [(0, k, J.delta[p][q][k]) for k in range(J.m)])
-
-    groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for v in verts:
+    groups: Dict[int, List[int]] = {}
+    for v in range(len(table)):
         groups.setdefault(find(v), []).append(v)
     return sorted(groups.values(), key=lambda g: (-len(g), g))
 
 
-def _sub_algebra(J: SuperAlgebra, block: Sequence[Tuple[int, int]]) -> SuperAlgebra:
-    evens = [idx for parity, idx in block if parity == 0]
-    odds = [idx for parity, idx in block if parity == 1]
-    m, n = len(evens), len(odds)
-    emap = {orig: new for new, orig in enumerate(evens)}
-    omap = {orig: new for new, orig in enumerate(odds)}
-    from .algebra import _freeze, _zero_tensor
-
-    alpha = _zero_tensor(m, m, m)
-    beta = _zero_tensor(m, n, n)
-    gamma = _zero_tensor(n, m, n)
-    delta = _zero_tensor(n, n, m)
-    for i in evens:
-        for j in evens:
-            for k in evens:
-                alpha[emap[i]][emap[j]][emap[k]] = J.alpha[i][j][k]
-        for p in odds:
-            for q in odds:
-                beta[emap[i]][omap[p]][omap[q]] = J.beta[i][p][q]
-                gamma[omap[p]][emap[i]][omap[q]] = J.gamma[p][i][q]
-    for p in odds:
-        for q in odds:
-            for k in evens:
-                delta[omap[p]][omap[q]][emap[k]] = J.delta[p][q][k]
-    return SuperAlgebra(m, n, _freeze(alpha), _freeze(beta), _freeze(gamma), _freeze(delta))
+def _sub_algebra(J: SuperAlgebra, block: Sequence[int]) -> SuperAlgebra:
+    """The products among the basis vectors ``block`` (ascending indices into
+    ``J.labels()``, closed under the product)."""
+    table, par = graded_table(J)
+    sub = [[[table[a][b][k] for k in block] for b in block] for a in block]
+    m = sum(1 for a in block if par[a] == 0)
+    return unflatten(sub, m, len(block) - m)
 
 
 def computed_decomposition(cat: Catalog, J: SuperAlgebra) -> List[str]:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,9 @@ from superjordan.algebra import (
     default_basis_order,
     direct_sum,
     flatten,
-    full_space,
     jordan_defect,
     load,
     power_filtration,
-    subspace_product,
 )
 
 from conftest import perturb_entry
@@ -180,14 +179,11 @@ def test_identity_kernel_matches_reference(catalog):
     assert 2 * broken >= len(perturbed)
 
 
-def test_subspace_product_examples(j1, j5):
-    whole = full_space(j1)
-    prod = subspace_product(j1, whole, whole)
-    assert prod.dims == (1, 0)
-    z = load([], (2, 2))
-    assert subspace_product(z, full_space(z), full_space(z)).dims == (0, 0)
-    prod5 = subspace_product(j5, full_space(j5), full_space(j5))
-    assert prod5.dims == (1, 1)
+def test_square_examples(j1, j5):
+    # J^2, the span of all products, with its even and odd dimensions
+    assert power_filtration(j1, 2) == [(1, 3), (1, 0)]
+    assert power_filtration(load([], (2, 2)), 2) == [(2, 2), (0, 0)]
+    assert power_filtration(j5, 2) == [(1, 3), (1, 1)]
 
 
 def test_power_filtration_examples(j1):
@@ -251,3 +247,26 @@ def test_basis_label_aliases(j1):
     assert j1.label_index("e") == j1.label_index("e1")
     jf = load([("e1", "e1", [(ONE, "e1")])], (3, 1))
     assert jf.label_index("f") == jf.label_index("f1")
+
+
+def test_graded_change_is_the_flat_basis_change(catalog):
+    # the graded change of an entry equals the basis change of its flat
+    # table over Q(s) by the block-diagonal matrix diag(P0, P1)
+    from superjordan.degeneration import apply_basis_change_table
+    from superjordan.linalg import int_matrix_det_adjugate, invert_field_matrix
+    from superjordan.ratfun import RatFun
+
+    rng = random.Random(11)
+    for name in catalog.names()[::4]:
+        J = catalog.instances(name)[0]
+        m, n = J.m, J.n
+        while True:
+            P = [[rng.randint(-2, 2) if (a < m) == (b < m) else 0 for b in range(m + n)] for a in range(m + n)]
+            if int_matrix_det_adjugate(P)[0]:
+                break
+        moved = apply_graded_change(
+            J, [[Fraction(x) for x in row[:m]] for row in P[:m]], [[Fraction(x) for x in row[m:]] for row in P[m:]]
+        )
+        rf = [[RatFun.const(x) for x in row] for row in P]
+        want = apply_basis_change_table(flatten(J, J.labels()), rf, invert_field_matrix(rf))
+        assert flatten(moved, moved.labels()) == want, name

@@ -210,3 +210,25 @@ def test_one_det_adjugate_per_drawn_matrix(catalog, monkeypatch):
     for g, adj in certificates._changes("separation", 4, 20, 0):
         assert isinstance(g, tuple) and all(isinstance(row, tuple) for row in g + adj)
     certificates._changes.cache_clear()
+
+
+def test_integer_path_is_det_times_field_path(catalog):
+    # the adjugate-scaled integer loop equals det(g) times the basis change
+    # over the field (Q = g^-1), for the first changes of both seed-0 draws,
+    # on every certificate source table
+    from superjordan.algebra import change_basis, nonzero_constants
+
+    checked = 0
+    for cs in catalog.closed_sets():
+        for J in catalog.instances(cs.source):
+            table_int = _int_table(_certificate_table(cs, J))
+            entries = nonzero_constants(table_int)
+            for kind in ("stability", "separation"):
+                for g, adj in certificates._changes(kind, cs.dim, 5, 0):
+                    det = linalg.int_matrix_det_adjugate(g)[0]
+                    inverse = linalg.invert_fraction_matrix([list(row) for row in g])
+                    field = change_basis(entries, cs.dim, g, inverse, Fraction(0))
+                    scaled = [[[det * x for x in row] for row in plane] for plane in field]
+                    assert transform_int_table(table_int, g) == scaled, cs.label
+                    checked += 1
+    assert checked >= 10 * len(catalog.closed_sets())

@@ -53,6 +53,17 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert not missing.parent.exists()
 
 
+def test_catalog_root_without_type_directories_is_usage_error(tmp_path, capsys):
+    # an empty root must not pass vacuously with 0/0 entries verified
+    for argv in (["verify-catalog"], ["components", "22"]):
+        err = _one_error_line(["--catalog", str(tmp_path)] + argv, capsys)
+        assert err.startswith("error: ") and str(tmp_path / "catalog" / "type13") in err
+    (tmp_path / "catalog" / "type13").mkdir(parents=True)
+    (tmp_path / "catalog" / "type13" / "J1.alg").write_text((DATA / "catalog" / "type13" / "J1.alg").read_text())
+    err = _one_error_line(["--catalog", str(tmp_path), "verify-catalog"], capsys)
+    assert "missing or empty" in err and str(tmp_path / "catalog" / "type22") in err
+
+
 def test_derive(capsys):
     assert main(["derive", "J18"]) == 0
     assert "even=9 odd=0" in capsys.readouterr().out
@@ -113,6 +124,9 @@ def _usage_error(argv, capsys):
 
 def test_envelope_negative_k_is_usage_error(capsys):
     assert "must be >= 0, got -1" in _usage_error(["envelope", "J1", "-k", "-1"], capsys)
+    # the envelope lists 2**k masks: a large k is refused before any work
+    for k in ("17", "4096"):
+        assert f"must be <= 16, got {k}" in _usage_error(["envelope", "J1", "-k", k], capsys)
     assert main(["envelope", "J1", "-k", "0"]) == 0
     assert "PASS envelope:J1:k=0" in capsys.readouterr().out
 

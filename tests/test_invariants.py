@@ -17,6 +17,8 @@ from superjordan.invariants import (
     is_associative,
     nondegeneration_screen,
     orbit_dimension,
+    ungraded_derivation_dim,
+    ungraded_power_dims,
 )
 from superjordan.verify import screen_pair
 
@@ -199,3 +201,18 @@ def test_invariance_under_graded_changes(catalog):
             assert orbit_dimension(moved) == base_orbit
             assert power_filtration(moved) == base_powers
             assert is_associative(moved) == base_assoc
+
+
+def test_graded_kernels_reduce_to_ungraded(catalog):
+    # with no odd part a superderivation is a derivation; on every table the
+    # graded power dimensions add up to the ungraded ones
+    instances = [J for name in catalog.names() for J in catalog.instances(name)]
+    even = [J for J in catalog.lowdim.values() if J.n == 0] + [even_part(J) for J in instances]
+    even += [catalog.node_algebra(label) for m in (1, 2, 3) for label in catalog.even_graph_for(m).nodes]
+    assert len(even) > len(instances)
+    for J in even:
+        ders = derivation_dims(J)
+        assert (ders.even_dim, ders.odd_dim) == (ungraded_derivation_dim(flatten(J)), 0), J.name
+    for J in list(catalog.lowdim.values()) + instances:
+        summed = [e + o for e, o in power_filtration(J)]
+        assert summed == ungraded_power_dims(flatten(J)), J.name
