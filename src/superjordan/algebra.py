@@ -154,9 +154,6 @@ class SuperAlgebra:
             od[idx] = Fraction(1)
         return Element(tuple(ev), tuple(od))
 
-    def zero_element(self) -> Element:
-        return Element(tuple([Fraction(0)] * self.m), tuple([Fraction(0)] * self.n))
-
     # ---- multiplication ----------------------------------------------------
     def multiply(self, x: Element, y: Element) -> Element:
         m, n = self.m, self.n
@@ -232,6 +229,13 @@ class SuperAlgebra:
                         if isinstance(c, RatFun) and not c.is_constant():
                             return True
         return False
+
+
+def label_parity(label: str) -> int:
+    """0 for an even basis vector (e, e1, ...), 1 for an odd one (f, f1, ...).
+    A basis change is a superalgebra one, i.e. lies in the structure group
+    GL_m x GL_n, iff it never mixes labels of different parity."""
+    return 0 if label.startswith("e") else 1
 
 
 def default_basis_order(m: int, n: int) -> List[str]:

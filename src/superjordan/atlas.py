@@ -26,7 +26,6 @@ class DegenEdge:
     source: str
     target: str
     label: str
-    mode: str
     family_swept: bool  # source parameter varies with t
 
 
@@ -87,15 +86,7 @@ def build_graph(
         if key in seen:
             continue
         seen.add(key)
-        edges.append(
-            DegenEdge(
-                wit.source,
-                wit.target,
-                wit.label,
-                verdict.mode_used,
-                _is_family_swept(wit),
-            )
-        )
+        edges.append(DegenEdge(wit.source, wit.target, wit.label, _is_family_swept(wit)))
     return DegenGraph(mn, names, edges, orbit, rigid, family_nodes)
 
 
@@ -194,7 +185,6 @@ def export_dot(g: DegenGraph) -> str:
             members.append(f'"{name}"')
         lines.append(f'  {{ rank=same; {"; ".join(members)}; }}')
     for e in sorted(g.edges, key=lambda e: (_name_sort_key(e.source), _name_sort_key(e.target))):
-        style = ' [style=dashed]' if e.mode == "ungraded" else ""
-        lines.append(f'  "{e.source}" -> "{e.target}"{style};')
+        lines.append(f'  "{e.source}" -> "{e.target}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

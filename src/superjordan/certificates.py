@@ -11,12 +11,26 @@ c[a,b,k] of a flattened table in a declared basis x_1..x_d:
 
 The published claim pattern: the source satisfies the conditions, the set
 is stable under the triangular subgroup (so it traps the whole orbit
-closure), and the target violates the conditions in every basis.  The two
-unpublished halves are exercised here by seeded random trials: triangular
-changes for stability, arbitrary invertible changes for separation.
-Every test at one (kind, dimension, trials, seed) replays the same
-matrices, whatever the certificate or table; each such sequence is drawn,
-and each of its matrices inverted, once per process.
+closure), and the target violates the conditions in every basis of the
+superalgebra.  The two unpublished halves are exercised here by seeded
+random trials: upper-triangular changes for stability, and changes in the
+structure group GL_m x GL_n for separation.
+
+The structure group is the set of invertible changes that never mix even
+and odd basis vectors, so a separation change is drawn block-diagonal by
+the parity pattern of the certificate's basis labels.  A parity-mixing
+basis is not a superalgebra basis, and it can put the target in the set:
+J15 multiplies as v w = (lam(v) w + lam(w) v)/2 with lam the e-coefficient
+functional, so it satisfies every condition of the J16, J17 and J19
+certificates (basis f1 f2 f3 e) whenever lam(x4) = 0.  In a graded basis
+x4 = c*e with c != 0, so lam(x4) = c never vanishes.  The full triangular
+group of the stability trials contains the graded one, so a stability pass
+is stronger than needed.
+
+Every test at one (kind, key, trials, seed) replays the same matrices,
+whatever the certificate or table; the key is the dimension for stability
+and the parity pattern for separation.  Each such sequence is drawn, and
+each of its matrices inverted, once per process.
 """
 
 from __future__ import annotations
@@ -29,7 +43,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import change_basis, nonzero_constants
+from .algebra import change_basis, label_parity, nonzero_constants
 from .linalg import int_matrix_det_adjugate
 from .tablefmt import ParseError
 
@@ -84,7 +98,6 @@ class ClosedSet:
     basis: List[str]
     conditions: List[Condition]
     label: str = ""
-    group: str = "gl"  # certificates act at the full linear-group level
 
     @property
     def dim(self) -> int:
@@ -463,33 +476,39 @@ def _random_triangular(rng: random.Random, d: int) -> List[List[int]]:
     return g
 
 
-def _random_invertible(rng: random.Random, d: int):
-    """An invertible g with its adjugate, from the det/adjugate call that
-    rejects the singular draws."""
+def _random_invertible(rng: random.Random, pattern: Tuple[int, ...]):
+    """An invertible g in the structure group of the parity ``pattern``
+    (g[a][b] = 0 unless a and b have the same parity), with its adjugate,
+    from the det/adjugate call that rejects the singular draws."""
     # Wider range than the stability sampler: small ranges put visible
     # probability mass on the measure-zero coincidence sets (entries hitting
     # exact linear relations), which would understate the rejection rate.
+    d = len(pattern)
     while True:
-        g = [[rng.randint(-7, 7) for _ in range(d)] for _ in range(d)]
+        g = [
+            [rng.randint(-7, 7) if pattern[a] == pattern[b] else 0 for b in range(d)]
+            for a in range(d)
+        ]
         det, adj = int_matrix_det_adjugate(g)
         if det != 0:
             return g, adj
 
 
 @lru_cache(maxsize=4)
-def _changes(kind: str, d: int, trials: int, seed: int):
+def _changes(kind: str, key, trials: int, seed: int):
     """The ``trials`` seeded basis changes of one randomized test, as
-    immutable (g, adjugate) pairs: triangular for ``"stability"``, invertible
-    for ``"separation"``.  Every test at one (kind, d, trials, seed) replays
+    immutable (g, adjugate) pairs: upper-triangular of dimension ``key`` for
+    ``"stability"``, graded by the parity pattern ``key`` for
+    ``"separation"``.  Every test at one (kind, key, trials, seed) replays
     this draw, so it is made, and each matrix inverted, once."""
     rng = random.Random(seed)
     out = []
     for _ in range(trials):
         if kind == "stability":
-            g = _random_triangular(rng, d)
+            g = _random_triangular(rng, key)
             adj = int_matrix_det_adjugate(g)[1]
         else:
-            g, adj = _random_invertible(rng, d)
+            g, adj = _random_invertible(rng, key)
         out.append((tuple(map(tuple, g)), tuple(map(tuple, adj))))
     return tuple(out)
 
@@ -502,7 +521,8 @@ def _moved_tables(kind: str, cs: ClosedSet, table, trials: int, seed: int):
         )
     table_int = _int_table(table)
     entries, d = nonzero_constants(table_int), len(table_int)
-    for g, adj in _changes(kind, cs.dim, trials, seed):
+    key = cs.dim if kind == "stability" else tuple(map(label_parity, cs.basis))
+    for g, adj in _changes(kind, key, trials, seed):
         yield g, change_basis(entries, d, g, adj, 0)
 
 
@@ -521,8 +541,8 @@ def stability_test(cs: ClosedSet, source_table, trials: int = 1000, seed: int = 
 
 
 def separation_test(cs: ClosedSet, target_table, trials: int = 1000, seed: int = 0) -> RandomizedReport:
-    """Fraction of random invertible basis changes under which the target
-    violates the certificate (expected: essentially all of them)."""
+    """Fraction of random changes in the structure group under which the
+    target violates the certificate (expected: all of them)."""
     rejections = sum(
         1
         for _, moved in _moved_tables("separation", cs, target_table, trials, seed)

@@ -17,14 +17,18 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import SuperAlgebra, _freeze, change_basis, default_basis_order, flatten, nonzero_constants
+from .algebra import (
+    SuperAlgebra,
+    _freeze,
+    change_basis,
+    default_basis_order,
+    flatten,
+    label_parity,
+    nonzero_constants,
+)
 from .linalg import SingularMatrix, _as_rf, invert_field_matrix
 from .ratfun import RatFun
 from .tablefmt import ParseError
-
-
-class NonGradedWitness(ValueError):
-    """Graded mode demands block-diagonal parametric bases."""
 
 
 class WitnessError(ParseError):
@@ -201,16 +205,26 @@ def eval_t_expression(text: str, ram: int) -> RatFun:
 # ---------------------------------------------------------------------------
 
 
+# How a witness basis relates to the printed one; the errata ledger explains
+# every basis that is not "published".  All but "corrected" count as
+# published rows.
+STATUSES = (
+    "published",  # as printed
+    "published-rationalized",  # printed, rescaled to rational coefficients
+    "published-graded",  # printed, with the terms that mix parities dropped
+    "corrected",  # not the printed basis
+)
+
+
 @dataclass
 class Witness:
     source: str
     target: str
-    mode: str = "auto"  # graded | ungraded | auto
     source_param: Optional[str] = None  # family parameter expression in t
     basis: List[Tuple[str, List[Tuple[str, str]]]] = None  # (slot, [(coeff_expr, src_label)])
     note: str = ""
     label: str = ""
-    status: str = "published"  # published | published-rationalized | corrected
+    status: str = "published"  # one of STATUSES
 
     def ramification(self) -> int:
         dens = []
@@ -277,7 +291,6 @@ def _checked(expr: str, source_name: str, lineno: int) -> str:
 
 def parse_witness(text: str, source_name: str = "<string>") -> Witness:
     src = tgt = None
-    mode = "auto"
     param = None
     basis: List[Tuple[str, List[Tuple[str, str]]]] = []
     note = ""
@@ -314,15 +327,15 @@ def parse_witness(text: str, source_name: str = "<string>") -> Witness:
                 src = val
         elif key == "target":
             tgt = val
-        elif key == "mode":
-            if val not in ("graded", "ungraded", "auto"):
-                raise WitnessError(f"{source_name}:{lineno}: bad mode {val!r}")
-            mode = val
         elif key == "note":
             note = val
         elif key == "label":
             label = val
         elif key == "status":
+            if val not in STATUSES:
+                raise WitnessError(
+                    f"{source_name}:{lineno}: bad status {val!r} (expected one of {', '.join(STATUSES)})"
+                )
             status = val
         else:
             raise WitnessError(f"{source_name}:{lineno}: unknown key {key!r}")
@@ -331,7 +344,7 @@ def parse_witness(text: str, source_name: str = "<string>") -> Witness:
     if src is None or tgt is None:
         raise WitnessError(f"{source_name}: source and target are required")
     return Witness(
-        source=src, target=tgt, mode=mode, source_param=param,
+        source=src, target=tgt, source_param=param,
         basis=basis, note=note, label=label, status=status,
     )
 
@@ -395,7 +408,8 @@ def witness_matrix(wit: Witness, J: SuperAlgebra, ram: Optional[int] = None):
 
 
 def is_graded_matrix(P, order: List[str]) -> bool:
-    parities = [0 if lab.startswith("e") else 1 for lab in order]
+    """True iff P never mixes basis vectors of different parity."""
+    parities = [label_parity(lab) for lab in order]
     for a in range(len(order)):
         for b in range(len(order)):
             if parities[a] != parities[b] and not P[a][b].is_zero():
@@ -405,8 +419,7 @@ def is_graded_matrix(P, order: List[str]) -> bool:
 
 @dataclass(frozen=True)
 class Verdict:
-    status: str  # Verified | LimitDiverges | LimitMismatch | NonGradedWitness | SingularMatrix
-    mode_used: str = ""
+    status: str  # Verified | LimitDiverges | LimitMismatch | NonGradedWitness | SingularMatrix | Error
     detail: str = ""
     limit_table: Optional[tuple] = None
     diff: Tuple[Tuple[int, int, int], ...] = ()
@@ -429,28 +442,22 @@ def parametric_constants(wit: Witness, source: SuperAlgebra):
 
 
 def verify_degeneration(wit: Witness, source: SuperAlgebra, target: SuperAlgebra) -> Verdict:
-    """Replay the witness and compare the t -> 0 limit with the target."""
+    """Replay the witness and compare the t -> 0 limit with the target.
+
+    Only a basis in the structure group GL_m x GL_n is a superalgebra basis,
+    so a witness whose matrix mixes parities is rejected before replay."""
     if (source.m, source.n) != (target.m, target.n):
         raise WitnessError("source and target types differ")
-    ram = wit.ramification()
     try:
-        P, order = witness_matrix(wit, source, ram)
+        P, order = witness_matrix(wit, source)
     except WitnessError as exc:
-        return Verdict("Error", detail=str(exc))
-    graded = is_graded_matrix(P, order)
-    if wit.mode == "graded" and not graded:
-        return Verdict("NonGradedWitness", detail="basis mixes parities in graded mode")
-    mode_used = "graded" if graded else "ungraded"
-
-    table = flatten(source, order)
-    rf_table = tuple(
-        tuple(tuple(_as_rf(x) for x in row) for row in plane) for plane in table
-    )
+        return Verdict("Error", str(exc))
+    if not is_graded_matrix(P, order):
+        return Verdict("NonGradedWitness", "basis mixes even and odd vectors")
     try:
-        Pinv = invert_field_matrix(P)
+        new_constants, _order, _ram = parametric_constants(wit, source)
     except SingularMatrix:
-        return Verdict("SingularMatrix", mode_used, "witness basis is singular")
-    new_constants = apply_basis_change_table(rf_table, P, Pinv)
+        return Verdict("SingularMatrix", "witness basis is singular")
 
     d = source.dim
     limit = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
@@ -461,7 +468,6 @@ def verify_degeneration(wit: Witness, source: SuperAlgebra, target: SuperAlgebra
                 if lv is None:
                     return Verdict(
                         "LimitDiverges",
-                        mode_used,
                         f"entry c[{a+1},{b+1}]^{k+1} diverges: "
                         f"valuation {new_constants[a][b][k].valuation()}",
                     )
@@ -478,12 +484,11 @@ def verify_degeneration(wit: Witness, source: SuperAlgebra, target: SuperAlgebra
         )
         return Verdict(
             "LimitMismatch",
-            mode_used,
             f"{len(diff)} entries differ from {target.name}: {diff[:6]}",
             limit_table=limit_t,
             diff=diff,
         )
-    return Verdict("Verified", mode_used, limit_table=limit_t)
+    return Verdict("Verified", limit_table=limit_t)
 
 
 def specialize_witness(wit: Witness, source: SuperAlgebra, t0: Fraction):

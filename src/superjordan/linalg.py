@@ -151,19 +151,6 @@ def row_reduce_basis(vectors: Sequence[Sequence[Fraction]]) -> List[List[Fractio
     return [basis[i] for i in order]
 
 
-def span_contains(basis: List[List[Fraction]], vector: Sequence[Fraction]) -> bool:
-    """Membership against a reduced row-echelon basis."""
-    v = [Fraction(x) for x in vector]
-    w = len(v)
-    for b in basis:
-        lead = next(j for j in range(w) if b[j] != 0)
-        if v[lead] != 0:
-            c = v[lead]
-            for j in range(w):
-                v[j] -= c * b[j]
-    return all(x == 0 for x in v)
-
-
 def invert_field_matrix(m: List[List[RatFun]]) -> List[List[RatFun]]:
     """Inverse over the rational-function field; raises on singular input."""
     n = len(m)

@@ -145,23 +145,6 @@ class Poly:
                     rem[j + k] -= c * oc
         return Poly(quot), Poly(rem)
 
-    def shift_up(self, k: int) -> "Poly":
-        """Multiply by s**k."""
-        if self.is_zero():
-            return self
-        return Poly([Fraction(0)] * k + list(self.coeffs))
-
-    def compose_power(self, n: int) -> "Poly":
-        """Substitute s -> s**n."""
-        if n < 1:
-            raise ValueError("power substitution needs n >= 1")
-        if n == 1 or self.is_zero():
-            return self
-        out = [Fraction(0)] * (self.degree() * n + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * n] = c
-        return Poly(out)
-
     def evaluate(self, x: Scalar) -> Fraction:
         x = Fraction(x)
         acc = Fraction(0)
@@ -365,10 +348,6 @@ class RatFun:
         if not self.is_zero() and self.valuation() < 0:
             return None
         return self.limit_at_zero()
-
-    def substitute_power(self, n: int) -> "RatFun":
-        """Substitute s -> s**n (already-reduced fractions stay reduced)."""
-        return RatFun(self.num.compose_power(n), self.den.compose_power(n))
 
     def evaluate(self, x: Scalar) -> Fraction:
         dv = self.den.evaluate(x)

@@ -244,9 +244,11 @@ def witness_row(cat: Catalog, wit: Witness) -> Tuple[Verdict, CheckRow]:
     verdict = verify_degeneration(wit, src, tgt)
     key = f"witness:{wit.label}" if wit.label else f"witness:{wit.source}->{wit.target}"
     ok = verdict.verified
+    # every basis that gets as far as the replay is graded
+    replayed = verdict.status not in ("Error", "NonGradedWitness")
     detail = (
         f"{verdict.status}"
-        + (f" ({verdict.mode_used})" if verdict.mode_used else "")
+        + (" (graded)" if replayed else "")
         + (f": {verdict.detail}" if verdict.detail else "")
     )
     return verdict, CheckRow(key, ok, (not ok) and key in cat.errata_keys(), detail)

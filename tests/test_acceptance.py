@@ -87,25 +87,23 @@ def test_criterion_3_witness_replay(catalog, verified_witnesses):
     ]
     all_failures_logged = all(r.logged for _, _, r in failed_published)
     fraction = published_ok / published_total
-    # parity-mixing published witnesses must verify in ungraded mode
-    mixing_checked = 0
-    mixing_ok = True
-    for w, v, _ in rows:
+    # every verified witness basis lies in the structure group GL_m x GL_n
+    mixing = []
+    for w, v, r in rows:
         if not v.verified:
             continue
         src, _tgt = V.resolve_witness_algebras(catalog, w)
         P, order = witness_matrix(w, src)
         if not is_graded_matrix(P, order):
-            mixing_checked += 1
-            mixing_ok = mixing_ok and v.mode_used == "ungraded"
-    ok = fraction >= 0.95 and all_failures_logged and mixing_ok and mixing_checked >= 4
+            mixing.append(r.check_id)
+    ok = fraction >= 0.95 and all_failures_logged and not mixing
     _emit(
         "criterion-3-witness-replay",
         ok,
         f"{published_ok}/{published_total} published rows verified "
         f"({100 * fraction:.1f}%); {len(failed_published)} failures all logged: "
         f"{[r.check_id for _, _, r in failed_published]}; "
-        f"{mixing_checked} parity-mixing rows verified ungraded",
+        f"{verified} verified bases, parity-mixing: {mixing}",
     )
 
 
@@ -120,13 +118,14 @@ def test_criterion_4_certificates(catalog, certificate_rows):
     logged = [r for r in rows if r.logged]
     sources = [r for r in rows if r.check_id.endswith(":source")]
     stability = [r for r in rows if r.check_id.endswith(":stability")]
-    ok = not unlogged and all(r.ok for r in sources) and all(r.ok for r in stability)
+    # separation over the structure group leaks nothing, so no row is logged
+    ok = not unlogged and not logged and all(r.ok for r in sources) and all(r.ok for r in stability)
     _emit(
         "criterion-4-certificates",
         ok,
         f"{len(sources)} sources exact, {len(stability)} stability runs 1000/1000, "
         f"{sum(1 for r in rows if 'separation' in r.check_id and r.ok)} separations >=99%; "
-        f"documented leaks: {[r.check_id for r in logged]}",
+        f"logged rows: {[r.check_id for r in logged]}",
     )
 
 

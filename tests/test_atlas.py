@@ -66,6 +66,9 @@ def test_dot_export(graphs):
     g13 = graphs[(1, 3)]
     dot = export_dot(g13)
     assert '"J5" -> "J2";' in dot
+    # every edge is a graded degeneration and is drawn alike
+    assert '"J3" -> "J1";' in dot
+    assert all("dashed" not in export_dot(g) for g in graphs.values())
     assert dot == export_dot(g13)  # byte-identical across runs
     single = build_graph_like_single(g13)
     text = export_dot(single)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from superjordan import certificates, linalg
-from superjordan.algebra import flatten
+from superjordan.algebra import flatten, label_parity
 from superjordan.certificates import (
     BasisMismatch,
     CertificateParseError,
@@ -23,7 +23,7 @@ from superjordan.certificates import (
     stability_test,
     transform_int_table,
 )
-from superjordan.verify import _certificate_table, verify_certificates
+from superjordan.verify import _certificate_table, certificate_rows, verify_certificates
 
 J12_CS = """
 [closedset]
@@ -122,6 +122,15 @@ def test_stability_and_separation_spec_example(catalog):
     assert sep.hits >= 198
 
 
+def _pattern(cs):
+    return tuple(map(label_parity, cs.basis))
+
+
+def _key(kind, cs):
+    """What the draw of a randomized test depends on besides trials and seed."""
+    return cs.dim if kind == "stability" else _pattern(cs)
+
+
 def _oracle_stability(cs, table, trials, seed):
     """The per-call loop: its own Random(seed), one transform per trial."""
     table_int = _int_table(table)
@@ -143,7 +152,7 @@ def _oracle_separation(cs, table, trials, seed):
     rng = random.Random(seed)
     hits = 0
     for _ in range(trials):
-        g, _ = _random_invertible(rng, cs.dim)
+        g, _ = _random_invertible(rng, _pattern(cs))
         if not closed_set_eval(transform_int_table(table_int, g), cs):
             hits += 1
     return RandomizedReport("separation", hits, trials, seed)
@@ -178,7 +187,7 @@ def test_shared_draws_replay_per_call_loop(catalog, seed):
         assert any(o != w for o, w in zip(other, want))
 
 
-def _matrices_drawn(kind, d, trials, seed):
+def _matrices_drawn(kind, key, trials, seed):
     """Matrices one randomized test draws, rejected singular ones included."""
     if kind == "stability":
         return trials
@@ -187,7 +196,7 @@ def _matrices_drawn(kind, d, trials, seed):
     for _ in range(trials):
         while True:
             drawn += 1
-            g = [[rng.randint(-7, 7) for _ in range(d)] for _ in range(d)]
+            g = [[rng.randint(-7, 7) if pa == pb else 0 for pb in key] for pa in key]
             if linalg.int_matrix_det_adjugate(g)[0] != 0:
                 break
     return drawn
@@ -203,13 +212,50 @@ def test_one_det_adjugate_per_drawn_matrix(catalog, monkeypatch):
     monkeypatch.setattr(certificates, "int_matrix_det_adjugate", counted)
     certificates._changes.cache_clear()
     verify_certificates(catalog, trials=20, seed=0)
-    dims = {cs.dim for cs in catalog.closed_sets()}
-    drawn = sum(_matrices_drawn(kind, d, 20, 0) for kind in ("stability", "separation") for d in dims)
+    keys = {(kind, _key(kind, cs)) for cs in catalog.closed_sets() for kind in ("stability", "separation")}
+    drawn = sum(_matrices_drawn(kind, key, 20, 0) for kind, key in keys)
     assert len(calls) == drawn
     assert drawn < 100
-    for g, adj in certificates._changes("separation", 4, 20, 0):
+    for g, adj in certificates._changes("separation", (0, 0, 1, 1), 20, 0):
         assert isinstance(g, tuple) and all(isinstance(row, tuple) for row in g + adj)
     certificates._changes.cache_clear()
+
+
+def test_separation_draws_graded_stability_draws_triangular(catalog):
+    patterns = {_pattern(cs) for cs in catalog.closed_sets()}
+    assert patterns == {(0, 0, 0, 1), (0, 0, 1, 1), (1, 1, 1, 0)}
+    for pattern in patterns:
+        draws = certificates._changes("separation", pattern, 200, 0)
+        mixed = [(a, b) for a in range(4) for b in range(4) if pattern[a] != pattern[b]]
+        same = [(a, b) for a in range(4) for b in range(4) if a != b and pattern[a] == pattern[b]]
+        for g, adj in draws:
+            assert all(g[a][b] == 0 for a, b in mixed), (pattern, g)
+            det = linalg.int_matrix_det_adjugate([list(row) for row in g])[0]
+            assert det != 0
+            product = [[sum(g[i][k] * adj[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+            assert product == [[det if i == j else 0 for j in range(4)] for i in range(4)]
+        # the blocks are drawn in full, not only their diagonals
+        assert any(g[a][b] != 0 for g, _ in draws for a, b in same)
+    # stability keeps the full upper-triangular draw, matrix for matrix
+    rng = random.Random(0)
+    want = [tuple(map(tuple, _random_triangular(rng, 4))) for _ in range(200)]
+    assert [g for g, _ in certificates._changes("stability", 4, 200, 0)] == want
+
+
+@pytest.mark.parametrize(
+    "labels, seed",
+    [(("geo2_Jc54", "geo2_Jc62"), 5), (("geo1_J16", "geo1_J17", "geo1_J19"), 0)],
+)
+def test_graded_separation_rejects_every_trial(catalog, labels, seed):
+    # seed 5: the two rows that fell to 989/1000 under parity-mixing draws;
+    # seed 0: the J15 rows that a parity-mixing basis with lam(x4) = 0 leaked
+    by_label = {cs.label: cs for cs in catalog.closed_sets()}
+    rows = [row for label in labels for row in certificate_rows(catalog, by_label[label], 1000, seed)]
+    separation = [r for r in rows if ":separation:" in r.check_id]
+    assert len(separation) >= 2 * len(labels)
+    assert all(r.ok and r.detail == "1000/1000" for r in separation), [r.display for r in separation]
+    assert not any(r.logged for r in rows)
+    assert all(r.ok for r in rows)
 
 
 def test_integer_path_is_det_times_field_path(catalog):
@@ -224,7 +270,7 @@ def test_integer_path_is_det_times_field_path(catalog):
             table_int = _int_table(_certificate_table(cs, J))
             entries = nonzero_constants(table_int)
             for kind in ("stability", "separation"):
-                for g, adj in certificates._changes(kind, cs.dim, 5, 0):
+                for g, adj in certificates._changes(kind, _key(kind, cs), 5, 0):
                     det = linalg.int_matrix_det_adjugate(g)[0]
                     inverse = linalg.invert_fraction_matrix([list(row) for row in g])
                     field = change_basis(entries, cs.dim, g, inverse, Fraction(0))

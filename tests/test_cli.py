@@ -99,6 +99,21 @@ def test_degenerate_unlogged_failure_fails(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_degenerate_printed_mixed_parity_basis_fails(tmp_path, capsys):
+    # the printed J3 -> J1 basis mixes even and odd vectors; its erratum is
+    # keyed to the stored graded basis, which passes, so this row is unlogged
+    printed = tmp_path / "geo1_J3_J1_printed.wit"
+    printed.write_text(
+        "[degeneration]\nlabel = geo1:J3->J1-printed\nsource = J3\ntarget = J1\n"
+        "basis: f1 = t*f1\nbasis: f2 = f2+f3+t*e\nbasis: f3 = f3+t*e\nbasis: e = t*e\n"
+    )
+    assert main(["degenerate", str(printed)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL witness:geo1:J3->J1-printed NonGradedWitness: ")
+    assert main(["degenerate", str(DATA / "witnesses" / "geo1_J3_J1.wit")]) == 0
+    assert capsys.readouterr().out.startswith("PASS witness:geo1:J3->J1 Verified (graded)")
+
+
 def test_check_algebra_file(tmp_path, capsys):
     path = tmp_path / "probe.alg"
     path.write_text(

@@ -18,8 +18,8 @@ from superjordan.ratfun import RatFun
 ONE = Fraction(1)
 
 
-def wit_text(src, tgt, basis_lines, mode="auto"):
-    lines = ["[degeneration]", f"source = {src}", f"target = {tgt}", f"mode = {mode}"]
+def wit_text(src, tgt, basis_lines):
+    lines = ["[degeneration]", f"source = {src}", f"target = {tgt}"]
     lines += [f"basis: {b}" for b in basis_lines]
     return "\n".join(lines)
 
@@ -73,7 +73,7 @@ def test_verify_degeneration_verdicts(catalog):
     j5, j2, j7 = catalog.lookup("J5"), catalog.lookup("J2"), catalog.lookup("J7")
     w = parse_witness(wit_text("J5", "J2", ["f1 = t*f1", "f2 = t*f2", "f3 = f3", "e = e"]))
     v = verify_degeneration(w, j5, j2)
-    assert v.verified and v.mode_used == "graded"
+    assert v.verified
 
     ident = parse_witness(wit_text("J7", "J5", ["f1 = f1", "f2 = f2", "f3 = f3", "e = e"]))
     v2 = verify_degeneration(ident, j7, j5)
@@ -92,22 +92,24 @@ def test_verify_degeneration_verdicts(catalog):
     assert v4.status == "SingularMatrix"
 
 
-def test_graded_mode_rejects_mixed_basis(catalog):
+def test_mixed_parity_basis_is_rejected(catalog):
+    # the printed J3 -> J1 basis: its limit is J1, but it is no superalgebra basis
     j3, j1 = catalog.lookup("J3"), catalog.lookup("J1")
-    mixed = parse_witness(
-        wit_text(
-            "J3",
-            "J1",
-            ["f1 = t*f1", "f2 = f2+f3+t*e", "f3 = f3+t*e", "e = t*e"],
-            mode="graded",
-        )
-    )
-    assert verify_degeneration(mixed, j3, j1).status == "NonGradedWitness"
-    auto = parse_witness(
-        wit_text("J3", "J1", ["f1 = t*f1", "f2 = f2+f3+t*e", "f3 = f3+t*e", "e = t*e"])
-    )
-    v = verify_degeneration(auto, j3, j1)
-    assert v.verified and v.mode_used == "ungraded"
+    printed = ["f1 = t*f1", "f2 = f2+f3+t*e", "f3 = f3+t*e", "e = t*e"]
+    v = verify_degeneration(parse_witness(wit_text("J3", "J1", printed)), j3, j1)
+    assert v.status == "NonGradedWitness" and not v.verified
+    # its graded part, as stored, verifies
+    graded = ["f1 = t*f1", "f2 = f2+f3", "f3 = f3", "e = t*e"]
+    assert verify_degeneration(parse_witness(wit_text("J3", "J1", graded)), j3, j1).verified
+    # cross-parity terms that cancel leave a graded matrix
+    cancelled = ["f1 = t*f1", "f2 = f2+f3+t*e-t*e", "f3 = f3", "e = t*e"]
+    assert verify_degeneration(parse_witness(wit_text("J3", "J1", cancelled)), j3, j1).verified
+
+
+def test_parse_witness_statuses():
+    basis = wit_text("J5", "J5", ["f1 = f1", "f2 = f2", "f3 = f3", "e = e"])
+    for status in ("published", "published-rationalized", "published-graded", "corrected"):
+        assert parse_witness(f"{basis}\nstatus = {status}").status == status
 
 
 def test_basis_change_composition():
@@ -167,5 +169,4 @@ def test_family_source_witness(catalog):
     param = eval_t_expression(w.source_param, w.ramification())
     src = catalog.lookup("Jc16", param)
     tgt = catalog.lookup("Jc30")
-    v = verify_degeneration(w, src, tgt)
-    assert v.verified and v.mode_used == "graded"
+    assert verify_degeneration(w, src, tgt).verified

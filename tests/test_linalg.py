@@ -13,7 +13,6 @@ from superjordan.linalg import (
     nullspace_dim,
     rank,
     row_reduce_basis,
-    span_contains,
 )
 from superjordan.ratfun import RatFun
 
@@ -124,8 +123,9 @@ def test_invert_fraction_matrix():
 def test_row_reduce_and_membership():
     basis = row_reduce_basis([[Fraction(1), Fraction(1), Fraction(0)], [Fraction(2), Fraction(2), Fraction(0)]])
     assert len(basis) == 1
-    assert span_contains(basis, [Fraction(3), Fraction(3), Fraction(0)])
-    assert not span_contains(basis, [Fraction(1), Fraction(0), Fraction(0)])
+    # membership: adding a vector of the span keeps the rank, any other raises it
+    assert rank(basis + [[Fraction(3), Fraction(3), Fraction(0)]]) == 1
+    assert rank(basis + [[Fraction(1), Fraction(0), Fraction(0)]]) == 2
 
 
 @given(st.data())

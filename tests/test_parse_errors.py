@@ -82,3 +82,19 @@ def test_malformed_file_is_one_error_line(tmp_path, capsys, command, suffix, tex
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("status = corected", "bad status 'corected'"),  # would leave the published count
+        ("mode = auto", "unknown key 'mode'"),  # the key is gone: every replay is graded
+    ],
+)
+def test_witness_key_error_names_file_and_line(tmp_path, capsys, line, message):
+    path = tmp_path / "bad.wit"
+    path.write_text(f"[degeneration]\nsource = J7\ntarget = J5\n{line}\n")
+    assert main(["degenerate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}:4: {message}") and captured.err.count("\n") == 1

@@ -92,14 +92,6 @@ def test_limit_additivity(f, g):
     assert total == lf + lg
 
 
-def test_substitute_power():
-    s = RatFun.var()
-    f = (1 + s) / s
-    g = f.substitute_power(3)
-    assert g.valuation() == -3
-    assert g.num == Poly([1, 0, 0, 1])
-
-
 def test_compose():
     s = RatFun.var()
     f = (1 + s) / (1 - s)
