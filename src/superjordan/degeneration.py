@@ -26,8 +26,8 @@ from .algebra import (
     label_parity,
     nonzero_constants,
 )
-from .linalg import SingularMatrix, _as_rf, invert_field_matrix
-from .ratfun import RatFun
+from .linalg import SingularMatrix, invert_field_matrix
+from .ratfun import RatFun, as_ratfun
 from .tablefmt import ParseError
 
 
@@ -433,12 +433,16 @@ def parametric_constants(wit: Witness, source: SuperAlgebra):
     """Structure constants of the parametric basis, as RatFun in s."""
     ram = wit.ramification()
     P, order = witness_matrix(wit, source, ram)
+    return _constants_in_basis(source, P, order), order, ram
+
+
+def _constants_in_basis(source: SuperAlgebra, P, order: List[str]):
+    """Structure constants of ``source`` in the basis given by the rows of P."""
     table = flatten(source, order)
     rf_table = tuple(
-        tuple(tuple(_as_rf(x) for x in row) for row in plane) for plane in table
+        tuple(tuple(as_ratfun(x) for x in row) for row in plane) for plane in table
     )
-    Pinv = invert_field_matrix(P)
-    return apply_basis_change_table(rf_table, P, Pinv), order, ram
+    return apply_basis_change_table(rf_table, P, invert_field_matrix(P))
 
 
 def verify_degeneration(wit: Witness, source: SuperAlgebra, target: SuperAlgebra) -> Verdict:
@@ -455,7 +459,7 @@ def verify_degeneration(wit: Witness, source: SuperAlgebra, target: SuperAlgebra
     if not is_graded_matrix(P, order):
         return Verdict("NonGradedWitness", "basis mixes even and odd vectors")
     try:
-        new_constants, _order, _ram = parametric_constants(wit, source)
+        new_constants = _constants_in_basis(source, P, order)
     except SingularMatrix:
         return Verdict("SingularMatrix", "witness basis is singular")
 

@@ -1,37 +1,102 @@
-"""Exact dense linear algebra over Fraction or RatFun entries.
+"""Exact dense linear algebra over Q (Fraction entries) and Q(s) (RatFun).
 
-Rank and nullspace over the rationals use fraction-free (Bareiss)
-elimination; over the rational-function field elimination pivots on any
-nonzero polynomial entry, preferring low-degree pivots so that divisions
-never involve polynomials that vanish identically.
+One elimination routine per scalar field:
+
+* ``_reduce_q``: fraction-free Gauss–Jordan over Q.  Each row is scaled to
+  integers; a pivot p at step k replaces every other row by
+  (p * row - entry * pivot row) // (pivot of step k - 1), above the pivot
+  as well as below, so every entry stays an integer minor of the input and
+  each division is exact (Bareiss).
+* ``_reduce_rf``: Gauss–Jordan over Q(s).  In each column it takes the
+  first entry of least degree (numerator plus denominator) as pivot, which
+  keeps the intermediate rational functions small.
+
+Rank is the number of pivots, the reduced row-echelon basis is each pivot
+row divided by its pivot, and the inverse of M is the right half of the
+reduced [M | I].  ``int_matrix_det_adjugate`` is cofactor expansion over Z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import List, Sequence, Union
+from math import lcm
+from typing import List, Sequence, Tuple, Union
 
-from .ratfun import RatFun
+from .ratfun import RatFun, as_ratfun
 
 Entry = Union[Fraction, RatFun]
 
 
-def _is_ratfun_matrix(rows: List[List[Entry]]) -> bool:
-    for row in rows:
-        for x in row:
-            if isinstance(x, RatFun):
-                return True
-    return False
+class SingularMatrix(ValueError):
+    pass
+
+
+def _reduce_q(m: Sequence[Sequence[Entry]]) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free Gauss–Jordan over Q: the reduced pivot rows, as integer
+    multiples of the reduced row-echelon rows, and their pivot columns."""
+    rows = []
+    for row in m:
+        fr = [Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in fr))
+        scaled = [x.numerator * (den // x.denominator) for x in fr]
+        if any(scaled):
+            rows.append(scaled)
+    pivots: List[int] = []
+    prev = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        pv = prow[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                x = row[c]
+                rows[i] = [(a * pv - x * b) // prev for a, b in zip(row, prow)]
+        prev = pv
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def _reduce_rf(m: Sequence[Sequence[Entry]]) -> Tuple[List[List[RatFun]], List[int]]:
+    """Gauss–Jordan over Q(s): the rows, pivot rows first and scaled to
+    pivot 1, and the pivot columns."""
+    rows = [[as_ratfun(x) for x in row] for row in m]
+    n = len(rows)
+    pivots: List[int] = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == n:
+            break
+        piv_row = None
+        best = None
+        for i in range(r, n):
+            x = rows[i][c]
+            if not x.is_zero():
+                wgt = x.num.degree() + x.den.degree()
+                if best is None or wgt < best:
+                    best, piv_row = wgt, i
+        if piv_row is None:
+            continue
+        rows[r], rows[piv_row] = rows[piv_row], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(n):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
 
 
 def rank(rows: Sequence[Sequence[Entry]]) -> int:
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    if _is_ratfun_matrix(m):
-        return _rank_field(m)
-    return _rank_bareiss(m)
+    if any(isinstance(x, RatFun) for row in rows for x in row):
+        return len(_reduce_rf(rows)[1])
+    return len(_reduce_q(rows)[1])
 
 
 def nullspace_dim(rows: Sequence[Sequence[Entry]]) -> int:
@@ -41,160 +106,32 @@ def nullspace_dim(rows: Sequence[Sequence[Entry]]) -> int:
     return len(m[0]) - rank(m)
 
 
-def _rank_bareiss(m: List[List[Entry]]) -> int:
-    """Fraction-free rank: scale rows to integers, then Bareiss elimination."""
-    rows = []
-    for row in m:
-        den = 1
-        fr = [Fraction(x) for x in row]
-        for x in fr:
-            den = den * x.denominator // gcd(den, x.denominator)
-        rows.append([int(x * den) for x in fr])
-    n, w = len(rows), len(rows[0])
-    r = 0
-    prev = 1
-    for c in range(w):
-        piv = None
-        for i in range(r, n):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, n):
-            xi = rows[i][c]
-            for j in range(c, w):
-                rows[i][j] = (rows[i][j] * pv - xi * rows[r][j]) // prev
-        prev = pv
-        r += 1
-        if r == n:
-            break
-    return r
-
-
-def _pivot_weight(x: Entry):
-    if isinstance(x, RatFun):
-        return x.num.degree() + x.den.degree()
-    return 0
-
-
-def _rank_field(m: List[List[Entry]]) -> int:
-    """Generic field elimination with full pivoting on the lightest nonzero entry."""
-    n, w = len(m), len(m[0])
-    m = [[_as_rf(x) for x in row] for row in m]
-    r = 0
-    row_used = [False] * n
-    col_used = [False] * w
-    while True:
-        best = None
-        for i in range(n):
-            if row_used[i]:
-                continue
-            for j in range(w):
-                if col_used[j] or m[i][j].is_zero():
-                    continue
-                wgt = _pivot_weight(m[i][j])
-                if best is None or wgt < best[0]:
-                    best = (wgt, i, j)
-        if best is None:
-            return r
-        _, pi, pj = best
-        row_used[pi] = True
-        col_used[pj] = True
-        piv = m[pi][pj]
-        for i in range(n):
-            if row_used[i] or m[i][pj].is_zero():
-                continue
-            factor = m[i][pj] / piv
-            for j in range(w):
-                if not m[pi][j].is_zero():
-                    m[i][j] = m[i][j] - factor * m[pi][j]
-        r += 1
-
-
-def _as_rf(x: Entry) -> RatFun:
-    if isinstance(x, RatFun):
-        return x
-    return RatFun.const(x)
-
-
 def row_reduce_basis(vectors: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     """Reduced row-echelon basis of the span (over Fraction)."""
-    m = [[Fraction(x) for x in v] for v in vectors]
-    if not m:
-        return []
-    w = len(m[0])
-    basis: List[List[Fraction]] = []
-    pivots: List[int] = []
-    for vec in m:
-        v = list(vec)
-        for b, p in zip(basis, pivots):
-            if v[p] != 0:
-                c = v[p]
-                for j in range(w):
-                    v[j] -= c * b[j]
-        lead = next((j for j in range(w) if v[j] != 0), None)
-        if lead is None:
-            continue
-        c = v[lead]
-        v = [x / c for x in v]
-        for b, p in zip(basis, pivots):
-            if b[lead] != 0:
-                cb = b[lead]
-                for j in range(w):
-                    b[j] -= cb * v[j]
-        basis.append(v)
-        pivots.append(lead)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [basis[i] for i in order]
+    rows, pivots = _reduce_q(vectors)
+    return [[Fraction(a, row[p]) for a in row] for row, p in zip(rows, pivots)]
+
+
+def _identity_augmented(m: Sequence[Sequence[Entry]]) -> List[List[Entry]]:
+    n = len(m)
+    return [list(m[i]) + [int(k == i) for k in range(n)] for i in range(n)]
+
+
+def invert_fraction_matrix(m: List[List[Fraction]]) -> List[List[Fraction]]:
+    n = len(m)
+    rows, pivots = _reduce_q(_identity_augmented(m))
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrix("matrix is singular")
+    return [[Fraction(a, row[i]) for a in row[n:]] for i, row in enumerate(rows)]
 
 
 def invert_field_matrix(m: List[List[RatFun]]) -> List[List[RatFun]]:
     """Inverse over the rational-function field; raises on singular input."""
     n = len(m)
-    aug = [[_as_rf(m[i][j]) for j in range(n)] + [RatFun.const(1 if k == i else 0) for k in range(n)] for i in range(n)]
-    for col in range(n):
-        piv_row = None
-        best = None
-        for i in range(col, n):
-            if not aug[i][col].is_zero():
-                wgt = _pivot_weight(aug[i][col])
-                if best is None or wgt < best:
-                    best, piv_row = wgt, i
-        if piv_row is None:
-            raise SingularMatrix("matrix is singular over the function field")
-        aug[col], aug[piv_row] = aug[piv_row], aug[col]
-        piv = aug[col][col]
-        inv = piv.inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and not aug[i][col].is_zero():
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def invert_fraction_matrix(m: List[List[Fraction]]) -> List[List[Fraction]]:
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(1 if k == i else 0) for k in range(n)] for i in range(n)]
-    for col in range(n):
-        piv_row = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv_row is None:
-            raise SingularMatrix("matrix is singular")
-        aug[col], aug[piv_row] = aug[piv_row], aug[col]
-        piv = aug[col][col]
-        aug[col] = [x / piv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
-class SingularMatrix(ValueError):
-    pass
+    rows, pivots = _reduce_rf(_identity_augmented(m))
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrix("matrix is singular over the function field")
+    return [row[n:] for row in rows]
 
 
 def int_matrix_det_adjugate(m: List[List[int]]) -> tuple[int, List[List[int]]]:

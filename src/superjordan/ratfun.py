@@ -365,6 +365,11 @@ RF_ZERO = RatFun(_ZERO, _ONE, _reduced=True)
 RF_ONE = RatFun(_ONE, _ONE, _reduced=True)
 
 
+def as_ratfun(x: Union[Scalar, RatFun]) -> RatFun:
+    """x as an element of Q(s): a RatFun as it is, a number as a constant."""
+    return x if isinstance(x, RatFun) else RatFun.const(x)
+
+
 def poly_compose(p: Poly, g: RatFun) -> RatFun:
     """p(g) by Horner's rule."""
     acc = RF_ZERO

@@ -251,7 +251,10 @@ def witness_row(cat: Catalog, wit: Witness) -> Tuple[Verdict, CheckRow]:
         + (" (graded)" if replayed else "")
         + (f": {verdict.detail}" if verdict.detail else "")
     )
-    return verdict, CheckRow(key, ok, (not ok) and key in cat.errata_keys(), detail)
+    # an erratum logs the printed basis failing; a basis stored with any
+    # other status is already the correction, so its failure is a FAIL
+    logged = (not ok) and wit.status == "published" and key in cat.errata_keys()
+    return verdict, CheckRow(key, ok, logged, detail)
 
 
 def verify_witnesses(cat: Catalog) -> List[Tuple[Witness, Verdict, CheckRow]]:

@@ -114,6 +114,18 @@ def test_degenerate_printed_mixed_parity_basis_fails(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("PASS witness:geo1:J3->J1 Verified (graded)")
 
 
+def test_degenerate_broken_correction_is_not_logged(tmp_path, capsys):
+    # E25 logs the printed J3 -> J1 basis; the stored graded basis is its
+    # correction, so a failure of the stored basis is a FAIL, not XFAIL
+    text = (DATA / "witnesses" / "geo1_J3_J1.wit").read_text()
+    assert "status = published-graded" in text and "basis: f3 = f3\n" in text
+    broken = tmp_path / "geo1_J3_J1.wit"
+    broken.write_text(text.replace("basis: f3 = f3\n", "basis: f3 = f3 + f2\n"))
+    assert main(["degenerate", str(broken)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL witness:geo1:J3->J1 SingularMatrix (graded): ")
+
+
 def test_check_algebra_file(tmp_path, capsys):
     path = tmp_path / "probe.alg"
     path.write_text(

@@ -51,6 +51,71 @@ def _det_expansion(m):
     return total
 
 
+def row_reduce_by_fractions(vectors):
+    """Reduced row-echelon basis by Fraction elimination, one vector at a
+    time; the loop ``row_reduce_basis`` ran before it shared the fraction-free
+    routine, kept as its oracle."""
+    m = [[Fraction(x) for x in v] for v in vectors]
+    if not m:
+        return []
+    w = len(m[0])
+    basis, pivots = [], []
+    for vec in m:
+        v = list(vec)
+        for b, p in zip(basis, pivots):
+            if v[p] != 0:
+                c = v[p]
+                for j in range(w):
+                    v[j] -= c * b[j]
+        lead = next((j for j in range(w) if v[j] != 0), None)
+        if lead is None:
+            continue
+        c = v[lead]
+        v = [x / c for x in v]
+        for b, p in zip(basis, pivots):
+            if b[lead] != 0:
+                cb = b[lead]
+                for j in range(w):
+                    b[j] -= cb * v[j]
+        basis.append(v)
+        pivots.append(lead)
+    order = sorted(range(len(basis)), key=lambda i: pivots[i])
+    return [basis[i] for i in order]
+
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def deficient_matrices(draw):
+    """Rows spanned by at most ``k`` drawn vectors, with zero rows mixed in,
+    so that the rank is usually below both dimensions."""
+    nrows = draw(st.integers(min_value=0, max_value=5))
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=0, max_value=3))
+    gens = draw(st.lists(st.lists(_fractions, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
+    rows = []
+    for _ in range(nrows):
+        coeffs = draw(st.lists(_fractions, min_size=k, max_size=k))
+        rows.append([sum((c * g[j] for c, g in zip(coeffs, gens)), Fraction(0)) for j in range(ncols)])
+    return rows
+
+
+@given(deficient_matrices())
+@settings(max_examples=120, deadline=None)
+def test_row_reduce_basis_matches_fraction_oracle(rows):
+    basis = row_reduce_basis(rows)
+    assert basis == row_reduce_by_fractions(rows)
+    assert all(type(x) is Fraction for row in basis for x in row)
+    assert len(basis) == rank(rows) == rank_by_minors(rows)
+
+
+def test_row_reduce_basis_of_zero_rows():
+    assert row_reduce_basis([]) == []
+    assert row_reduce_basis([[0, 0, 0], [Fraction(0)] * 3]) == []
+    assert row_reduce_basis([[0, 0], [0, 2], [0, 0], [1, 1]]) == [[1, 0], [0, 1]]
+
+
 def test_rank_examples():
     ident = [[1, 0], [0, 1]]
     assert rank(ident) == 2
@@ -118,6 +183,49 @@ def test_invert_fraction_matrix():
     m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
     inv = invert_fraction_matrix(m)
     assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
+
+
+def test_invert_fraction_matrix_rejects_singular():
+    for m in ([[0]], [[1, 2], [2, 4]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]], [[0, 0], [0, 1]]):
+        with pytest.raises(SingularMatrix):
+            invert_fraction_matrix([[Fraction(x) for x in row] for row in m])
+
+
+@given(st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_invert_fraction_matrix_is_inverse(n, data):
+    m = data.draw(st.lists(st.lists(_fractions, min_size=n, max_size=n), min_size=n, max_size=n))
+    if rank_by_minors(m) < n:
+        with pytest.raises(SingularMatrix):
+            invert_fraction_matrix(m)
+        return
+    inv = invert_fraction_matrix(m)
+    for i in range(n):
+        for j in range(n):
+            assert sum(m[i][k] * inv[k][j] for k in range(n)) == (i == j)
+
+
+@st.composite
+def polynomial_matrices(draw):
+    """2-3 x 3 matrices of polynomials in s of degree <= 2; the last row is
+    often a polynomial combination of the others, so the rank often drops."""
+    nrows = draw(st.integers(min_value=2, max_value=3))
+
+    def poly():
+        coeffs = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=3, max_size=3))
+        return sum((RatFun.monomial(e, c) for e, c in enumerate(coeffs)), RatFun.const(0))
+
+    rows = [[poly() for _ in range(3)] for _ in range(nrows)]
+    if draw(st.booleans()):
+        coeffs = [poly() for _ in rows[:-1]]
+        rows[-1] = [sum((c * row[j] for c, row in zip(coeffs, rows)), RatFun.const(0)) for j in range(3)]
+    return rows
+
+
+@given(polynomial_matrices())
+@settings(max_examples=60, deadline=None)
+def test_rank_over_ratfun_matches_minor_expansion(m):
+    assert rank(m) == rank_by_minors(m)
 
 
 def test_row_reduce_and_membership():
