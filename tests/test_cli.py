@@ -244,3 +244,14 @@ def test_verify_catalog_full_report_shape(capsys):
     assert sweeps == {
         "identity": 149, "orbit": 151, "ambient": 5, "decomposition": 149, "even-part": 149
     }
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "verify_all_trials20_seed0.txt"
+
+
+def test_verify_all_matches_golden_report(capsys):
+    # every sweep at 20 certificate trials; the "#" lines carry times
+    assert main(["verify-all", "--trials", "20", "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line for line in lines if not line.startswith("#")]
+    assert rows == GOLDEN.read_text(encoding="utf-8").splitlines()
