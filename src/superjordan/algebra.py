@@ -9,19 +9,23 @@ exact scalar ring (Fraction, or RatFun for one-parameter families):
     gamma[p][i][q] : f_p e_i -> sum gamma f_q     (n x m x n)
     delta[p][q][k] : f_p f_q -> sum delta e_k     (n x n x m)
 
-Supercommutativity is a stored invariant: alpha is symmetric, gamma
-mirrors beta, delta is antisymmetric (so odd squares are zero).
+The four blocks are storage only.  Every other module builds and reads one
+flat (m+n)^3 table in label order together with the parity vector
+[0]*m + [1]*n (``graded_table``): ``flatten`` is the one reader of the
+blocks and ``unflatten`` the one writer.  ``load``, ``direct_sum``, the
+supercommutativity check and the kernels (the identity check, basis
+changes, superderivations, the power filtration, block decomposition) all
+work on the flat table.
 
-The four blocks are storage only.  The kernels (the identity check, basis
-changes, superderivations, the power filtration, block decomposition) read
-one flat (m+n)^3 table in label order, ``flatten(J, J.labels())``, together
-with the parity vector [0]*m + [1]*n (``graded_table``); ``unflatten`` turns
-such a table back into the blocks.
+Two block readers stay on purpose, as references independent of the flat
+table: ``SuperAlgebra.multiply``, behind ``jordan_defect``, which the
+identity check prints for a failing quadruple and the tests use as its
+oracle; and ``envelope._Envelope.mul``, the Grassmann-envelope cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -45,10 +49,6 @@ class SquareOfOdd(ValueError):
 
 class NonHomogeneousArgument(ValueError):
     """jordan_defect needs purely even or purely odd arguments."""
-
-
-def _zero_tensor(a: int, b: int, c: int):
-    return [[[Fraction(0)] * c for _ in range(b)] for _ in range(a)]
 
 
 def _freeze(t) -> tuple:
@@ -105,12 +105,8 @@ class SuperAlgebra:
     beta: tuple
     gamma: tuple
     delta: tuple
-    name: str = ""
-    basis_order: Tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.basis_order:
-            object.__setattr__(self, "basis_order", tuple(default_basis_order(self.m, self.n)))
+    # two algebras with equal constants are equal whatever their names
+    name: str = field(default="", compare=False)
 
     # ---- basis bookkeeping -------------------------------------------------
     @property
@@ -201,34 +197,8 @@ class SuperAlgebra:
 
     # ---- invariant checks --------------------------------------------------
     def supercommutativity_violations(self) -> List[str]:
-        out = []
-        m, n = self.m, self.n
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if self.alpha[i][j][k] != self.alpha[j][i][k]:
-                        out.append(f"alpha[{i}][{j}][{k}] != alpha[{j}][{i}][{k}]")
-        for i in range(m):
-            for p in range(n):
-                for q in range(n):
-                    if self.gamma[p][i][q] != self.beta[i][p][q]:
-                        out.append(f"gamma[{p}][{i}][{q}] != beta[{i}][{p}][{q}]")
-        for p in range(n):
-            for q in range(n):
-                for k in range(m):
-                    if self.delta[p][q][k] != -self.delta[q][p][k]:
-                        out.append(f"delta[{p}][{q}][{k}] != -delta[{q}][{p}][{k}]")
-        return out
-
-    def is_family(self) -> bool:
-        """True when some structure constant is a non-constant RatFun."""
-        for tensor in (self.alpha, self.beta, self.gamma, self.delta):
-            for plane in tensor:
-                for row in plane:
-                    for c in row:
-                        if isinstance(c, RatFun) and not c.is_constant():
-                            return True
-        return False
+        table, par = graded_table(self)
+        return _supercommutativity_violations(table, par, self.labels())
 
 
 def label_parity(label: str) -> int:
@@ -255,75 +225,55 @@ ProductTerm = Tuple[Scalar, str]
 ProductSpec = Tuple[str, str, Sequence[ProductTerm]]
 
 
-def load(
-    products: Sequence[ProductSpec],
-    mn: Tuple[int, int],
-    name: str = "",
-    basis_order: Optional[Sequence[str]] = None,
-) -> SuperAlgebra:
+def load(products: Sequence[ProductSpec], mn: Tuple[int, int], name: str = "") -> SuperAlgebra:
     """Build a SuperAlgebra from a list of basis products.
 
     Each listed product fixes the mirrored product by supercommutativity;
     listing both orders is allowed only when consistent.
     """
     m, n = mn
-    alpha = _zero_tensor(m, m, m)
-    beta = _zero_tensor(m, n, n)
-    gamma = _zero_tensor(n, m, n)
-    delta = _zero_tensor(n, n, m)
-    probe = SuperAlgebra(m, n, _freeze(alpha), _freeze(beta), _freeze(gamma), _freeze(delta))
-    seen: Dict[Tuple[int, int, int, int], Dict[int, Scalar]] = {}
+    d = m + n
+    table = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    probe = unflatten(table, m, n)  # the zero algebra, for its labels
 
+    def position(label: str) -> Tuple[int, int]:
+        """(parity, index in label order) of a basis label."""
+        parity, within = probe.label_index(label)
+        return parity, within + parity * m
+
+    seen: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
     for left, right, terms in products:
-        lp, li = probe.label_index(left)
-        rp, ri = probe.label_index(right)
+        lp, a = position(left)
+        rp, b = position(right)
         result_parity = (lp + rp) % 2
         value: Dict[int, Scalar] = {}
         for coeff, res in terms:
-            tp, ti = probe.label_index(res)
+            tp, k = position(res)
             if tp != result_parity:
                 raise GradingViolation(
                     f"{left}*{right} is {'odd' if result_parity else 'even'} "
                     f"but result names {res}"
                 )
-            value[ti] = value.get(ti, Fraction(0)) + coeff
+            value[k] = value.get(k, Fraction(0)) + coeff
         value = {k: v for k, v in value.items() if not _sc_is_zero(v)}
-        if lp == 1 and rp == 1 and li == ri and value:
+        if lp == 1 and rp == 1 and a == b and value:
             raise SquareOfOdd(f"nonzero square {left}*{right}")
 
-        key = (lp, li, rp, ri)
         mirror_sign = -1 if (lp == 1 and rp == 1) else 1
         mirror = {k: mirror_sign * v for k, v in value.items()}
-        for k2, v2 in ((key, value), ((rp, ri, lp, li), mirror)):
-            if k2 in seen:
-                if seen[k2] != v2:
+        for key, v2 in (((a, b), value), ((b, a), mirror)):
+            if key in seen:
+                if seen[key] != v2:
                     raise DuplicateProduct(
-                        f"conflicting values for product {k2}: {seen[k2]} vs {v2}"
+                        f"conflicting values for product {key}: {seen[key]} vs {v2}"
                     )
             else:
-                seen[k2] = v2
+                seen[key] = v2
 
-    for (lp, li, rp, ri), value in seen.items():
+    for (a, b), value in seen.items():
         for k, v in value.items():
-            if lp == 0 and rp == 0:
-                alpha[li][ri][k] = v
-            elif lp == 0 and rp == 1:
-                beta[li][ri][k] = v
-            elif lp == 1 and rp == 0:
-                gamma[li][ri][k] = v
-            else:
-                delta[li][ri][k] = v
-
-    return SuperAlgebra(
-        m,
-        n,
-        _freeze(alpha),
-        _freeze(beta),
-        _freeze(gamma),
-        _freeze(delta),
-        name=name,
-        basis_order=tuple(basis_order) if basis_order else (),
-    )
+            table[a][b][k] = v
+    return unflatten(table, m, n, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +325,12 @@ def check_super_jordan(J: SuperAlgebra) -> IdentityReport:
     triple products (e_a e_b) e_c, both computed once per call.  The first
     failing quadruple in label order is reported with its ``jordan_defect``.
     """
-    sviol = J.supercommutativity_violations()
-    if sviol:
-        return IdentityReport(False, False, detail="; ".join(sviol[:3]))
     labels = J.labels()
     dim = len(labels)
     table, par = graded_table(J)
+    sviol = _supercommutativity_violations(table, par, labels)
+    if sviol:
+        return IdentityReport(False, False, detail="; ".join(sviol[:3]))
     # T[a][b] = e_a e_b as sparse (k, c) pairs, indices in label order
     T = [
         [tuple((k, c) for k, c in enumerate(row) if not _sc_is_zero(c)) for row in plane]
@@ -418,6 +368,21 @@ def check_super_jordan(J: SuperAlgebra) -> IdentityReport:
     return IdentityReport(True, True)
 
 
+def _supercommutativity_violations(table, par: Sequence[int], labels: Sequence[str]) -> List[str]:
+    """The constants of a flat table that break x_a x_b = (-1)^{|a||b|} x_b x_a;
+    an odd square must vanish."""
+    d = len(table)
+    out = []
+    for a in range(d):
+        for b in range(d):
+            sign = -1 if par[a] and par[b] else 1
+            for k in range(d):
+                if table[a][b][k] != sign * table[b][a][k]:
+                    mirror = f"{'-' if sign < 0 else ''}{labels[b]}*{labels[a]}"
+                    out.append(f"{labels[a]}*{labels[b]} != {mirror} at {labels[k]}")
+    return out
+
+
 def _add_product(acc: Dict[int, Scalar], T, u, v, sign: int) -> None:
     """acc += sign * u v for sparse vectors u, v."""
     for k, cu in u:
@@ -440,8 +405,9 @@ def _sparse_product(T, u, v) -> Tuple[Tuple[int, Scalar], ...]:
 
 
 def flatten(J: SuperAlgebra, basis_order: Optional[Sequence[str]] = None):
-    """Full (m+n)^3 structure tensor in the declared basis ordering."""
-    order = list(basis_order) if basis_order else list(J.basis_order)
+    """Full (m+n)^3 structure tensor in the given basis ordering (default
+    ``default_basis_order``)."""
+    order = list(basis_order) if basis_order else default_basis_order(J.m, J.n)
     d = J.dim
     if len(order) != d:
         raise ValueError(f"basis order {order} has wrong length for dim {d}")
@@ -498,28 +464,15 @@ def nonzero_constants(table) -> List[Tuple[int, int, int, Scalar]]:
 
 
 def direct_sum(A: SuperAlgebra, B: SuperAlgebra, name: str = "") -> SuperAlgebra:
+    """A + B with basis (even of A, even of B, odd of A, odd of B)."""
     m, n = A.m + B.m, A.n + B.n
-    alpha = _zero_tensor(m, m, m)
-    beta = _zero_tensor(m, n, n)
-    gamma = _zero_tensor(n, m, n)
-    delta = _zero_tensor(n, n, m)
+    d = m + n
+    table = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     for J, eo, oo in ((A, 0, 0), (B, A.m, A.n)):
-        for i in range(J.m):
-            for j in range(J.m):
-                for k in range(J.m):
-                    alpha[eo + i][eo + j][eo + k] = J.alpha[i][j][k]
-        for i in range(J.m):
-            for p in range(J.n):
-                for q in range(J.n):
-                    beta[eo + i][oo + p][oo + q] = J.beta[i][p][q]
-                    gamma[oo + p][eo + i][oo + q] = J.gamma[p][i][q]
-        for p in range(J.n):
-            for q in range(J.n):
-                for k in range(J.m):
-                    delta[oo + p][oo + q][eo + k] = J.delta[p][q][k]
-    return SuperAlgebra(
-        m, n, _freeze(alpha), _freeze(beta), _freeze(gamma), _freeze(delta), name=name
-    )
+        pos = [eo + i for i in range(J.m)] + [m + oo + p for p in range(J.n)]
+        for a, b, k, c in nonzero_constants(graded_table(J)[0]):
+            table[pos[a]][pos[b]][pos[k]] = c
+    return unflatten(table, m, n, name=name)
 
 
 # ---------------------------------------------------------------------------

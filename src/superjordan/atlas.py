@@ -121,11 +121,14 @@ class ComponentReport:
     unreachable: Tuple[str, ...]
 
     def ok(self, expect_count: int, expect_dim: int) -> bool:
+        """The claimed count and dimension, no representative reached from
+        another, and every algebra of the type in some component."""
         return (
             self.component_count == expect_count
             and self.computed_dimension == expect_dim
             and self.claimed_dimension == expect_dim
             and not self.rigidity_violations
+            and not self.unreachable
         )
 
 

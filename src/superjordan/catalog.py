@@ -8,12 +8,12 @@ only loads and cross-checks them.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from .algebra import SuperAlgebra, direct_sum
+from .algebra import SuperAlgebra, direct_sum, graded_table, unflatten
 from .certificates import ClosedSet, parse_closed_set_file
 from .degeneration import Witness, parse_witness_file
 from .invariants import InvariantMemo
@@ -220,9 +220,7 @@ class Catalog:
         out = algs[0]
         for nxt in algs[1:]:
             out = direct_sum(out, nxt)
-        return SuperAlgebra(
-            out.m, out.n, out.alpha, out.beta, out.gamma, out.delta, name=label
-        )
+        return replace(out, name=label)
 
     # ---- auxiliary data ------------------------------------------------------
     def witnesses(self) -> List[Witness]:
@@ -270,21 +268,9 @@ def instantiate(J: SuperAlgebra, param, name: str = "") -> SuperAlgebra:
                 return ratfun_compose(c, param)
             return c
 
-    def conv(tensor):
-        return tuple(
-            tuple(tuple(sub(x) for x in row) for row in plane) for plane in tensor
-        )
-
-    return SuperAlgebra(
-        J.m,
-        J.n,
-        conv(J.alpha),
-        conv(J.beta),
-        conv(J.gamma),
-        conv(J.delta),
-        name=name or J.name,
-        basis_order=J.basis_order,
-    )
+    table, _par = graded_table(J)
+    values = [[[sub(x) for x in row] for row in plane] for plane in table]
+    return unflatten(values, J.m, J.n, name=name or J.name)
 
 
 def _parse_edges(path: Path) -> ReferenceGraph:

@@ -91,6 +91,11 @@ class SpanContain:
 Condition = Union[PolyEq, SpanContain]
 
 
+# How a certificate relates to the printed one; the errata ledger explains
+# every "corrected" certificate.
+STATUSES = ("published", "corrected")
+
+
 @dataclass
 class ClosedSet:
     source: str
@@ -98,6 +103,7 @@ class ClosedSet:
     basis: List[str]
     conditions: List[Condition]
     label: str = ""
+    status: str = "published"  # one of STATUSES
 
     @property
     def dim(self) -> int:
@@ -371,6 +377,7 @@ def parse_closed_set(text: str, source_name: str = "<string>") -> ClosedSet:
     targets: List[str] = []
     basis: List[str] = []
     label = ""
+    status = "published"
     cond_lines: List[Tuple[int, str]] = []
     saw_header = False
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -395,6 +402,12 @@ def parse_closed_set(text: str, source_name: str = "<string>") -> ClosedSet:
             basis = val.split()
         elif key == "label":
             label = val
+        elif key == "status":
+            if val not in STATUSES:
+                raise CertificateParseError(
+                    f"{source_name}:{lineno}: bad status {val!r} (expected one of {', '.join(STATUSES)})"
+                )
+            status = val
         else:
             # bare condition lines under a "conditions:" block
             cond_lines.append((lineno, line))
@@ -409,7 +422,7 @@ def parse_closed_set(text: str, source_name: str = "<string>") -> ClosedSet:
             conditions.append(parse_condition(text, d))
         except CertificateParseError as exc:
             raise CertificateParseError(f"{source_name}:{lineno}: {exc}") from None
-    return ClosedSet(source, targets, basis, conditions, label=label)
+    return ClosedSet(source, targets, basis, conditions, label=label, status=status)
 
 
 def parse_closed_set_file(path) -> ClosedSet:

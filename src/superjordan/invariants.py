@@ -14,13 +14,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from . import linalg
 from .algebra import (
     SuperAlgebra,
-    _freeze,
-    _zero_tensor,
     flatten,
     graded_table,
     nonzero_constants,
     power_filtration,
     power_spans,
+    unflatten,
 )
 
 
@@ -106,17 +105,12 @@ def ungraded_power_dims(table, r_max: Optional[int] = None) -> List[int]:
 
 def associated_algebra(J: SuperAlgebra) -> SuperAlgebra:
     """Keep only the odd-times-odd products; zero the rest."""
-    m, n = J.m, J.n
-    return SuperAlgebra(
-        m,
-        n,
-        _freeze(_zero_tensor(m, m, m)),
-        _freeze(_zero_tensor(m, n, n)),
-        _freeze(_zero_tensor(n, m, n)),
-        J.delta,
-        name=f"a({J.name})" if J.name else "",
-        basis_order=J.basis_order,
-    )
+    table, par = graded_table(J)
+    kept = [
+        [row if par[a] and par[b] else [Fraction(0)] * len(row) for b, row in enumerate(plane)]
+        for a, plane in enumerate(table)
+    ]
+    return unflatten(kept, J.m, J.n, name=f"a({J.name})" if J.name else "")
 
 
 def is_associative(J: SuperAlgebra) -> bool:
@@ -263,17 +257,12 @@ def _burde_values(J: SuperAlgebra, pairs, trials: int = 16, seed: int = 0) -> Li
 
 
 def even_part(J: SuperAlgebra) -> SuperAlgebra:
-    """The even subalgebra (restriction of alpha), as a type (m, 0) algebra."""
+    """The even subalgebra (the products of even vectors), as a type (m, 0)
+    algebra."""
     m = J.m
-    return SuperAlgebra(
-        m,
-        0,
-        J.alpha,
-        _freeze(_zero_tensor(m, 0, 0)),
-        _freeze(_zero_tensor(0, m, 0)),
-        _freeze(_zero_tensor(0, 0, m)),
-        name=f"({J.name})_0" if J.name else "",
-    )
+    table, _par = graded_table(J)
+    even = [[row[:m] for row in plane[:m]] for plane in table[:m]]
+    return unflatten(even, m, 0, name=f"({J.name})_0" if J.name else "")
 
 
 def centroid_dim(table) -> int:
@@ -360,15 +349,15 @@ def identify_algebra(
 
 class InvariantMemo:
     """Fingerprints, orbit dimensions and power filtrations, each computed
-    at most once per table: entries are keyed by the value ``(m, n, alpha,
-    beta, gamma, delta)``, never by name, so repeated blocks, shared even
-    parts and fresh family instances share one.  Filled on use only."""
+    at most once per table: entries are keyed by the algebra, whose equality
+    ignores its name, so repeated blocks, shared even parts and fresh family
+    instances share one.  Filled on use only."""
 
     def __init__(self):
         self._values: Dict[tuple, object] = {}
 
     def _get(self, kind: tuple, J: SuperAlgebra, compute: Callable[[], object]):
-        key = (kind, J.m, J.n, J.alpha, J.beta, J.gamma, J.delta)
+        key = (kind, J)
         if key not in self._values:
             self._values[key] = compute()
         return self._values[key]

@@ -7,13 +7,21 @@ Algebra files:
     type = 1,3
     even = e
     odd = f1 f2 f3
-    basis_order = f1 f2 f3 e        # optional
     orbit = 12                      # optional catalog metadata
     decomposition = S1_3 + S1_1     # optional; "Indecomposable" for none
     even_part = U2                  # optional declared label
     family = t                      # optional family parameter symbol
     product: e*f1 = f2
     product: f1*f2 = 1/2 e + t e2   # rational or family-parameter coefficients
+
+The constants are stored and read in label order (even vectors first), so
+a file names no basis order; a ``basis_order`` key is a parse error.
+
+Witness files (``[degeneration]``) and closed-set certificates
+(``[closedset]``) are parsed in ``degeneration`` and ``certificates``.  Both
+take an optional ``status``: ``published`` (the default) or ``corrected``
+for a certificate, and witnesses add ``published-rationalized`` and
+``published-graded``.  Only a ``published`` row can be logged by an erratum.
 
 Whitespace around tokens is ignored; ``#`` begins a comment.
 """
@@ -39,7 +47,6 @@ class AlgebraFile:
     name: str
     mn: Tuple[int, int]
     products: List[Tuple[str, str, List[Tuple[Union[Fraction, RatFun], str]]]]
-    basis_order: Optional[List[str]] = None
     orbit: Optional[int] = None
     decomposition: Optional[str] = None
     even_part: Optional[str] = None
@@ -48,7 +55,7 @@ class AlgebraFile:
 
     def build(self) -> SuperAlgebra:
         try:
-            return load(self.products, self.mn, name=self.name, basis_order=self.basis_order)
+            return load(self.products, self.mn, name=self.name)
         except (KeyError, ValueError) as exc:
             raise ParseError(f"{self.name or 'algebra'}: {exc}") from None
 
@@ -95,7 +102,6 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
     name = ""
     mn: Optional[Tuple[int, int]] = None
     products = []
-    basis_order = None
     orbit = None
     decomposition = None
     even_part = None
@@ -126,7 +132,8 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
                 raise ParseError(f"{source}:{lineno}: bad type {val!r}")
             mn = (_count(parts[0], source, lineno), _count(parts[1], source, lineno))
         elif key == "basis_order":
-            basis_order = val.split()
+            # flat tables are in label order; a stored ordering would be ignored
+            raise ParseError(f"{source}:{lineno}: unknown key 'basis_order'")
         elif key == "orbit":
             orbit = _count(val, source, lineno)
         elif key == "decomposition":
@@ -163,7 +170,6 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
         name=name,
         mn=mn,
         products=products,
-        basis_order=basis_order,
         orbit=orbit,
         decomposition=decomposition,
         even_part=even_part,

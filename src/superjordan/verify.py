@@ -275,7 +275,7 @@ def _certificate_table(cs: ClosedSet, J: SuperAlgebra):
     """``J`` flattened in the certificate's basis, which must list each basis
     vector of ``J`` exactly once."""
     try:
-        fits = sorted(map(J.label_index, cs.basis)) == sorted(map(J.label_index, J.basis_order))
+        fits = sorted(map(J.label_index, cs.basis)) == sorted(map(J.label_index, J.labels()))
     except KeyError:
         fits = False
     if not fits:
@@ -287,8 +287,10 @@ def _certificate_table(cs: ClosedSet, J: SuperAlgebra):
 
 def certificate_rows(cat: Catalog, cs: ClosedSet, trials: int = 1000, seed: int = 0) -> List[CheckRow]:
     """Source, stability and separation rows of one certificate, for every
-    instance of its source and of each target."""
-    logged = cat.errata_keys()
+    instance of its source and of each target.  As for witnesses, an erratum
+    logs a failure of the printed certificate only: a ``corrected`` one
+    fails outright."""
+    logged = cat.errata_keys() if cs.status == "published" else set()
     rows = []
     for J in cat.instances(cs.source):
         table = _certificate_table(cs, J)

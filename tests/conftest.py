@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superjordan.algebra import load
+from superjordan.algebra import graded_table, load, nonzero_constants
 from superjordan.catalog import Catalog
 
 
@@ -26,35 +26,24 @@ def perturb_entry(catalog, name, seed):
     entry = catalog.entry(name)
     J = catalog.lookup(name, 2) if entry.is_family else entry.algebra
     labels = J.labels()
-    ev, od = J.even_labels(), J.odd_labels()
+    table, par = graded_table(J)
+    parity = dict(zip(labels, par))
+    ev, od = labels[: J.m], labels[J.m :]
+    # each product once, x_a x_b with a <= b in label order; load mirrors it
+    base = [
+        (labels[a], labels[b], [(c, labels[k])])
+        for a, b, k, c in nonzero_constants(table)
+        if a <= b
+    ]
     while True:
         a, b = rng.choice(labels), rng.choice(labels)
-        pa, _ = J.label_index(a)
-        pb, _ = J.label_index(b)
+        pa, pb = parity[a], parity[b]
         if pa == 1 and pb == 1 and a == b:
             continue
-        parity = (pa + pb) % 2
-        target = rng.choice(ev if parity == 0 else od)
+        target = rng.choice(ev if (pa + pb) % 2 == 0 else od)
         coeff = Fraction(rng.choice((1, 2, -1)))
-        extra = [(a, b, [(coeff, target)])]
-        base = []
-        for i in range(J.m):
-            for j in range(i, J.m):
-                for k in range(J.m):
-                    if J.alpha[i][j][k] != 0:
-                        base.append((ev[i], ev[j], [(J.alpha[i][j][k], ev[k])]))
-        for i in range(J.m):
-            for p in range(J.n):
-                for q in range(J.n):
-                    if J.beta[i][p][q] != 0:
-                        base.append((ev[i], od[p], [(J.beta[i][p][q], od[q])]))
-        for p in range(J.n):
-            for q in range(p + 1, J.n):
-                for k in range(J.m):
-                    if J.delta[p][q][k] != 0:
-                        base.append((od[p], od[q], [(J.delta[p][q][k], ev[k])]))
         merged = {}
-        for left, right, terms in base + extra:
+        for left, right, terms in base + [(a, b, [(coeff, target)])]:
             merged.setdefault((left, right), [])
             merged[(left, right)] += list(terms)
         try:

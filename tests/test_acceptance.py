@@ -160,13 +160,7 @@ def test_criterion_6_component_accounting(catalog, verified_witnesses):
     for mn, (count, dim) in V.COMPONENTS.items():
         g = build_graph(mn, catalog, verified)
         rep = component_report(mn, catalog, g)
-        good = (
-            rep.component_count == count
-            and rep.computed_dimension == dim
-            and rep.claimed_dimension == dim
-            and not rep.rigidity_violations
-            and not edge_monotonicity_violations(g)
-        )
+        good = rep.ok(count, dim) and not edge_monotonicity_violations(g)
         ok = ok and good
         details.append(
             f"type{mn[0]}{mn[1]}: {rep.component_count} comps"

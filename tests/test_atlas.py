@@ -7,7 +7,7 @@ from superjordan.atlas import (
     edge_monotonicity_violations,
     export_dot,
 )
-from superjordan.verify import COMPONENTS
+from superjordan.verify import COMPONENTS, verify_components
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +55,17 @@ def test_component_reports(catalog, graphs):
         assert rep.claimed_dimension == dim
         assert not rep.rigidity_violations
         assert not rep.unreachable
+
+
+def test_component_row_fails_when_an_algebra_lies_in_no_component(catalog, verified_witnesses):
+    # with no verified witness into J1, no representative reaches it
+    verified = [(w, v) for w, v, _ in verified_witnesses if v.verified and w.target != "J1"]
+    [(graph, row)] = verify_components(catalog, verified, types=[(1, 3)])
+    assert "J1" in graph.nodes
+    assert row.display == (
+        "FAIL components:type13 11 components (11 rigid + 0 family), dimension 12;"
+        " unreachable ('J1',)"
+    )
 
 
 def test_type22_split_counts(catalog, graphs):

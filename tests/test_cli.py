@@ -126,6 +126,22 @@ def test_degenerate_broken_correction_is_not_logged(tmp_path, capsys):
     assert out.startswith("FAIL witness:geo1:J3->J1 SingularMatrix (graded): ")
 
 
+def test_closedset_broken_correction_is_not_logged(tmp_path, capsys):
+    # E8 logs the printed geo2_Jc10 certificate; the stored one is its
+    # correction, so a failure of the stored certificate is a FAIL, not XFAIL
+    text = (DATA / "closedsets" / "geo2_Jc10.cs").read_text()
+    assert "status = corrected\n" in text and "condition: 2*c[2,3,3] = c[2,2,2]\n" in text
+    broken = tmp_path / "geo2_Jc10.cs"
+    broken.write_text(text.replace("2*c[2,3,3]", "3*c[2,3,3]"))
+    assert main(["closedset", str(broken), "--trials", "5"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL certificate:geo2_Jc10:source Jc10 fails 3*c[2,3,3] = c[2,2,2]\n")
+    # the same broken conditions stored as the printed certificate are E8
+    broken.write_text(text.replace("2*c[2,3,3]", "3*c[2,3,3]").replace("status = corrected\n", ""))
+    assert main(["closedset", str(broken), "--trials", "5"]) == 0
+    assert capsys.readouterr().out.startswith("XFAIL(errata) certificate:geo2_Jc10:source ")
+
+
 def test_check_algebra_file(tmp_path, capsys):
     path = tmp_path / "probe.alg"
     path.write_text(

@@ -98,3 +98,20 @@ def test_witness_key_error_names_file_and_line(tmp_path, capsys, line, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}:4: {message}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, suffix, text, message",
+    [
+        # tables are read in label order; a stored basis order would be ignored
+        ("check", ".alg", "[algebra]\nname = b\ntype = 1,3\nbasis_order = f1 f2 f3 e\n", "4: unknown key 'basis_order'"),
+        ("closedset", ".cs", "[closedset]\nsource = J7\nstatus = printed\n", "3: bad status 'printed'"),
+    ],
+)
+def test_key_error_names_file_and_line(tmp_path, capsys, command, suffix, text, message):
+    path = tmp_path / f"bad{suffix}"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}:{message}") and captured.err.count("\n") == 1
