@@ -369,17 +369,15 @@ def check_super_jordan(J: SuperAlgebra) -> IdentityReport:
 
 
 def _supercommutativity_violations(table, par: Sequence[int], labels: Sequence[str]) -> List[str]:
-    """The constants of a flat table that break x_a x_b = (-1)^{|a||b|} x_b x_a;
-    an odd square must vanish."""
-    d = len(table)
+    """The nonzero constants c[a,b,k] of a flat table that break
+    x_a x_b = (-1)^{|a||b|} x_b x_a; an odd square must vanish.  A zero
+    constant with a nonzero mirror is found at its mirror."""
     out = []
-    for a in range(d):
-        for b in range(d):
-            sign = -1 if par[a] and par[b] else 1
-            for k in range(d):
-                if table[a][b][k] != sign * table[b][a][k]:
-                    mirror = f"{'-' if sign < 0 else ''}{labels[b]}*{labels[a]}"
-                    out.append(f"{labels[a]}*{labels[b]} != {mirror} at {labels[k]}")
+    for a, b, k, c in nonzero_constants(table):
+        odd = par[a] and par[b]
+        if table[b][a][k] != (-c if odd else c):
+            sign = "-" if odd else ""
+            out.append(f"{labels[a]}*{labels[b]} != {sign}{labels[b]}*{labels[a]} at {labels[k]}")
     return out
 
 
@@ -412,22 +410,21 @@ def flatten(J: SuperAlgebra, basis_order: Optional[Sequence[str]] = None):
     if len(order) != d:
         raise ValueError(f"basis order {order} has wrong length for dim {d}")
     idx = [J.label_index(lab) for lab in order]
-    table = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    zero = Fraction(0)
+    table = [[[zero] * d for _ in range(d)] for _ in range(d)]
     for a, (pa, ia) in enumerate(idx):
         for b, (pb, ib) in enumerate(idx):
             if pa == 0 and pb == 0:
-                comp = [(0, k, J.alpha[ia][ib][k]) for k in range(J.m)]
-            elif pa == 0 and pb == 1:
-                comp = [(1, q, J.beta[ia][ib][q]) for q in range(J.n)]
-            elif pa == 1 and pb == 0:
-                comp = [(1, q, J.gamma[ia][ib][q]) for q in range(J.n)]
+                parity, row = 0, J.alpha[ia][ib]
+            elif pa == 0:
+                parity, row = 1, J.beta[ia][ib]
+            elif pb == 0:
+                parity, row = 1, J.gamma[ia][ib]
             else:
-                comp = [(0, k, J.delta[ia][ib][k]) for k in range(J.m)]
-            for parity, within, val in comp:
-                if _sc_is_zero(val):
-                    continue
-                k = idx.index((parity, within))
-                table[a][b][k] = val
+                parity, row = 0, J.delta[ia][ib]
+            for within, val in enumerate(row):
+                if not _sc_is_zero(val):
+                    table[a][b][idx.index((parity, within))] = val
     return tuple(tuple(tuple(r) for r in plane) for plane in table)
 
 

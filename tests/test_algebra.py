@@ -20,6 +20,7 @@ from superjordan.algebra import (
     jordan_defect,
     load,
     power_filtration,
+    unflatten,
 )
 
 from conftest import perturb_entry
@@ -46,6 +47,17 @@ def test_load_completes_supercommutativity(j1):
     assert j1.delta[0][1][0] == 1
     assert j1.delta[1][0][0] == -1
     assert not j1.supercommutativity_violations()
+
+
+def test_supercommutativity_violations_name_the_constant():
+    t = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
+    t[0][1][1] = ONE  # e f = f, but f e = 0
+    t[1][1][0] = ONE  # f f = e, a nonzero odd square
+    bad = unflatten(t, 1, 1)
+    assert bad.supercommutativity_violations() == ["e*f != f*e at f", "f*f != -f*f at e"]
+    rep = check_super_jordan(bad)
+    assert not rep.ok and not rep.supercommutative
+    assert rep.detail == "e*f != f*e at f; f*f != -f*f at e"
 
 
 def test_load_zero_algebra():
