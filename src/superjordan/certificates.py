@@ -1,13 +1,22 @@
 """Closed-set certificates for non-degenerations.
 
 A certificate is a conjunction of conditions on the structure constants
-c[a,b,k] of a flattened table in a declared basis x_1..x_d:
+c[a,b,k] of a flattened table in a declared basis x_1..x_d, written as
 
-  * polynomial equations, e.g.  c[4,4,4] = 2*c[2,4,2]   (wildcard * = for all)
+  * polynomial equations, e.g.  c[4,4,4] = 2*c[2,4,2].  Each ``*`` index is
+    its own for-all index, on either side of ``=``: c[*,1,1] = c[*,2,2]
+    stands for the d^2 equations c[i,1,1] = c[j,2,2];
   * span containments on tail flags A_i = span(x_i, ..., x_d), e.g.
         span(A2*A2) <= span(A2)
         span(J*J) <= span(x2,x3,x4)        (J is the whole space)
         A1*A4 = 0
+
+Each condition is parsed once into the polynomials in the constants that
+must vanish: lhs - rhs for every assignment of the ``*`` indices, and one
+atom c[a,b,k] for each product x_a x_b whose k-th coordinate a containment
+bans.  Every polynomial must be homogeneous, which is checked at parse: the
+trials below clear denominators and scale by det(g), and a homogeneous
+polynomial vanishes on a scaled table iff it vanishes on the table.
 
 The published claim pattern: the source satisfies the conditions, the set
 is stable under the triangular subgroup (so it traps the whole orbit
@@ -40,10 +49,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple
 
-from .algebra import change_basis, label_parity, nonzero_constants
+from .algebra import SuperAlgebra, change_basis, flatten, label_parity, nonzero_constants
 from .linalg import int_matrix_det_adjugate
 from .tablefmt import ParseError
 
@@ -57,38 +67,20 @@ class CertificateParseError(ParseError):
 
 
 # ---------------------------------------------------------------------------
-# Condition ASTs
+# Conditions: polynomials in the structure constants that must vanish
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class PolyEq:
-    """lhs - rhs = 0; each side is a polynomial AST over c[a,b,k] atoms."""
+class Condition:
+    """One ``condition:`` line: it holds on a table iff every polynomial
+    vanishes there.  A polynomial is a tuple of (coefficient, monomial)
+    terms, the coefficient an int where its denominator is 1; a monomial is
+    a sorted tuple of 0-based atoms (a, b, k), each standing for
+    c[a+1,b+1,k+1], and the empty monomial is the constant 1."""
 
-    lhs: tuple
-    rhs: tuple
+    polys: tuple
     text: str
-
-    def wildcard_slots(self) -> int:
-        return _count_wildcards(self.lhs) + _count_wildcards(self.rhs)
-
-    def is_homogeneous(self) -> bool:
-        degs = _monomial_degrees(self.lhs) | _monomial_degrees(self.rhs)
-        degs.discard(None)
-        return len(degs) <= 1
-
-
-@dataclass(frozen=True)
-class SpanContain:
-    """Products of two index sets land inside a coordinate span."""
-
-    left: Tuple[int, ...]  # row indices (1-based) of the first factor
-    right: Tuple[int, ...]
-    allowed: Tuple[int, ...]  # coordinates allowed to be nonzero
-    text: str
-
-
-Condition = Union[PolyEq, SpanContain]
 
 
 # How a certificate relates to the printed one; the errata ledger explains
@@ -110,193 +102,22 @@ class ClosedSet:
         return len(self.basis)
 
 
-# AST node formats:
-#   ("const", Fraction)
-#   ("atom", a, b, k)            1-based indices; 0 encodes a wildcard slot
-#   ("add", left, right) / ("sub", left, right) / ("mul", left, right)
-#   ("neg", node)
-
-
-def _count_wildcards(node) -> int:
-    kind = node[0]
-    if kind == "const":
-        return 0
-    if kind == "atom":
-        return sum(1 for x in node[1:] if x == 0)
-    if kind == "neg":
-        return _count_wildcards(node[1])
-    return _count_wildcards(node[1]) + _count_wildcards(node[2])
-
-
-def _monomial_degrees(node) -> set:
-    """Set of total atom-degrees of the monomials in an AST (None for 0)."""
-    kind = node[0]
-    if kind == "const":
-        return {0 if node[1] != 0 else None}
-    if kind == "atom":
-        return {1}
-    if kind == "neg":
-        return _monomial_degrees(node[1])
-    if kind in ("add", "sub"):
-        return _monomial_degrees(node[1]) | _monomial_degrees(node[2])
-    # mul: all combinations of degrees add
-    left = _monomial_degrees(node[1])
-    right = _monomial_degrees(node[2])
-    out = set()
-    for a in left:
-        for b in right:
-            out.add(None if a is None or b is None else a + b)
-    return out
-
-
-_POLY_TOKEN = re.compile(r"\s*(c\[[^\]]*\]|\d+/\d+|\d+|[()+\-*])")
-
-
-class _PolyParser:
-    def __init__(self, text: str, d: int):
-        self.d = d
-        self.toks: List[str] = []
-        pos = 0
-        while pos < len(text):
-            mobj = _POLY_TOKEN.match(text, pos)
-            if not mobj:
-                if text[pos:].strip():
-                    raise CertificateParseError(f"cannot tokenize {text[pos:]!r}")
-                break
-            self.toks.append(mobj.group(1))
-            pos = mobj.end()
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise CertificateParseError("unexpected end of polynomial")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        if self.peek() is not None:
-            raise CertificateParseError(f"trailing tokens {self.toks[self.pos:]}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == "*":
-            self.take()
-            node = ("mul", node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek() == "-":
-            self.take()
-            return ("neg", self.unary())
-        if self.peek() == "+":
-            self.take()
-            return self.unary()
-        return self.atom()
-
-    def atom(self):
-        tok = self.take()
-        if tok == "(":
-            node = self.expr()
-            if self.take() != ")":
-                raise CertificateParseError("unbalanced parentheses")
-            return node
-        if tok.startswith("c["):
-            parts = [p.strip() for p in tok[2:-1].split(",")]
-            if len(parts) != 3 or not all(
-                p == "*" or p.isdecimal() and 1 <= int(p) <= self.d for p in parts
-            ):
-                raise CertificateParseError(f"bad atom {tok!r}")
-            return ("atom",) + tuple(0 if p == "*" else int(p) for p in parts)
-        try:
-            return ("const", Fraction(tok))
-        except ZeroDivisionError:
-            raise CertificateParseError(f"zero denominator in {tok!r}") from None
-
-
-def _eval_poly(node, table, wild: Dict[int, int], counter: List[int]):
-    kind = node[0]
-    if kind == "const":
-        return node[1]
-    if kind == "atom":
-        idx = []
-        for x in node[1:]:
-            if x == 0:
-                slot = counter[0]
-                counter[0] += 1
-                idx.append(wild[slot])
-            else:
-                idx.append(x)
-        a, b, k = idx
-        return table[a - 1][b - 1][k - 1]
-    if kind == "neg":
-        return -_eval_poly(node[1], table, wild, counter)
-    left = _eval_poly(node[1], table, wild, counter)
-    right = _eval_poly(node[2], table, wild, counter)
-    if kind == "add":
-        return left + right
-    if kind == "sub":
-        return left - right
-    return left * right
-
-
-def _poly_eq_holds(eq: PolyEq, table, d: int) -> bool:
-    slots = eq.wildcard_slots()
-    if slots == 0:
-        lhs = _eval_poly(eq.lhs, table, {}, [0])
-        rhs = _eval_poly(eq.rhs, table, {}, [0])
-        return lhs == rhs
-    # each wildcard occurrence is an independent universal index
-    from itertools import product as iproduct
-
-    for combo in iproduct(range(1, d + 1), repeat=slots):
-        wild = dict(enumerate(combo))
-        lhs = _eval_poly(eq.lhs, table, wild, [0])
-        rhs = _eval_poly(eq.rhs, table, wild, [0])
-        if lhs != rhs:
+def condition_holds(cond: Condition, table) -> bool:
+    for poly in cond.polys:
+        total = 0
+        for coef, mono in poly:
+            term = coef
+            for a, b, k in mono:
+                term *= table[a][b][k]
+            total += term
+        if total:
             return False
     return True
 
 
-def _span_holds(cond: SpanContain, table, d: int) -> bool:
-    banned = [k for k in range(1, d + 1) if k not in cond.allowed]
-    for a in cond.left:
-        for b in cond.right:
-            row = table[a - 1][b - 1]
-            for k in banned:
-                if row[k - 1] != 0:
-                    return False
-    return True
-
-
-def condition_holds(cond: Condition, table) -> bool:
-    d = len(table)
-    if isinstance(cond, PolyEq):
-        return _poly_eq_holds(cond, table, d)
-    return _span_holds(cond, table, d)
-
-
-def closed_set_eval(table, cs: ClosedSet, basis_order: Optional[Sequence[str]] = None) -> bool:
-    """True iff every condition holds exactly on the table.
-
-    When ``basis_order`` is given it must equal the certificate's declared
-    basis (the conditions are basis-sensitive).
-    """
-    if basis_order is not None and list(basis_order) != list(cs.basis):
-        raise BasisMismatch(f"table basis {basis_order} != certificate basis {cs.basis}")
+def closed_set_eval(table, cs: ClosedSet) -> bool:
+    """True iff every condition holds exactly on the table, which must be
+    written in the certificate's basis (see ``certificate_table``)."""
     if len(table) != cs.dim:
         raise BasisMismatch(f"table dim {len(table)} != certificate dim {cs.dim}")
     return all(condition_holds(cond, table) for cond in cs.conditions)
@@ -309,9 +130,152 @@ def failing_condition(table, cs: ClosedSet) -> Optional[Condition]:
     return None
 
 
+def certificate_table(cs: ClosedSet, J: SuperAlgebra):
+    """``J`` flattened in the certificate's basis, which must list each basis
+    vector of ``J`` exactly once."""
+    try:
+        fits = sorted(map(J.label_index, cs.basis)) == sorted(map(J.label_index, J.labels()))
+    except KeyError:
+        fits = False
+    if not fits:
+        raise CertificateParseError(
+            f"{cs.label}: basis {' '.join(cs.basis)} does not fit {J.name} of type ({J.m},{J.n})"
+        )
+    return flatten(J, cs.basis)
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
+
+# While parsing, polynomials are dicts {monomial: Fraction}; an index of a
+# monomial may be a wildcard slot s, stored as ~s (a negative int).
+
+
+def _add(p: dict, q: dict, sign: int = 1) -> dict:
+    out = dict(p)
+    for mono, coef in q.items():
+        out[mono] = out.get(mono, 0) + sign * coef
+    return {mono: coef for mono, coef in out.items() if coef}
+
+
+def _mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            mono = tuple(sorted(m1 + m2))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return {mono: coef for mono, coef in out.items() if coef}
+
+
+_POLY_TOKEN = re.compile(r"\s*(c\[[^\]]*\]|\d+/\d+|\d+|[()+\-*])")
+
+
+class _PolyParser:
+    """Recursive descent over + - * and parentheses; each ``*`` index of an
+    atom takes the next wildcard slot, numbered across every side parsed."""
+
+    def __init__(self, d: int):
+        self.d = d
+        self.slots = 0
+
+    def parse(self, text: str) -> dict:
+        self.toks: List[str] = []
+        pos = 0
+        while pos < len(text):
+            mobj = _POLY_TOKEN.match(text, pos)
+            if not mobj:
+                if text[pos:].strip():
+                    raise CertificateParseError(f"cannot tokenize {text[pos:]!r}")
+                break
+            self.toks.append(mobj.group(1))
+            pos = mobj.end()
+        self.pos = 0
+        poly = self.expr()
+        if self.peek() is not None:
+            raise CertificateParseError(f"trailing tokens {self.toks[self.pos:]}")
+        return poly
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise CertificateParseError("unexpected end of polynomial")
+        self.pos += 1
+        return tok
+
+    def expr(self) -> dict:
+        poly = self.term()
+        while self.peek() in ("+", "-"):
+            sign = 1 if self.take() == "+" else -1
+            poly = _add(poly, self.term(), sign)
+        return poly
+
+    def term(self) -> dict:
+        poly = self.unary()
+        while self.peek() == "*":
+            self.take()
+            poly = _mul(poly, self.unary())
+        return poly
+
+    def unary(self) -> dict:
+        if self.peek() == "-":
+            self.take()
+            return _add({}, self.unary(), -1)
+        if self.peek() == "+":
+            self.take()
+            return self.unary()
+        return self.atom()
+
+    def atom(self) -> dict:
+        tok = self.take()
+        if tok == "(":
+            poly = self.expr()
+            if self.take() != ")":
+                raise CertificateParseError("unbalanced parentheses")
+            return poly
+        if tok.startswith("c["):
+            parts = [p.strip() for p in tok[2:-1].split(",")]
+            if len(parts) != 3 or not all(
+                p == "*" or p.isdecimal() and 1 <= int(p) <= self.d for p in parts
+            ):
+                raise CertificateParseError(f"bad atom {tok!r}")
+            idx = []
+            for p in parts:
+                if p == "*":
+                    idx.append(~self.slots)
+                    self.slots += 1
+                else:
+                    idx.append(int(p) - 1)
+            return {(tuple(idx),): 1}
+        try:
+            coef = Fraction(tok)
+        except ZeroDivisionError:
+            raise CertificateParseError(f"zero denominator in {tok!r}") from None
+        return {(): coef}
+
+
+def _expand(poly: dict, d: int, slots: int) -> tuple:
+    """One polynomial per assignment of basis positions to the wildcard
+    slots; those that vanish identically are dropped."""
+    out = []
+    for combo in product(range(d), repeat=slots):
+        inst: dict = {}
+        for mono, coef in poly.items():
+            concrete = tuple(
+                sorted(tuple(i if i >= 0 else combo[~i] for i in atom) for atom in mono)
+            )
+            inst[concrete] = inst.get(concrete, 0) + coef
+        terms = tuple(
+            (int(coef) if coef.denominator == 1 else coef, mono)
+            for mono, coef in sorted(inst.items())
+            if coef
+        )
+        if terms:
+            out.append(terms)
+    return tuple(out)
 
 
 def _parse_index_set(text: str, d: int) -> Tuple[int, ...]:
@@ -353,9 +317,13 @@ def parse_condition(text: str, d: int) -> Condition:
         lhs_text, _, rhs_text = text.partition("=")
         if not rhs_text:
             raise CertificateParseError(f"polynomial condition needs '=': {text!r}")
-        lhs = _PolyParser(lhs_text, d).parse()
-        rhs = _PolyParser(rhs_text, d).parse()
-        return PolyEq(lhs, rhs, text)
+        parser = _PolyParser(d)
+        poly = _add(parser.parse(lhs_text), parser.parse(rhs_text), -1)
+        # the trials clear denominators and scale by det(g): only a
+        # homogeneous polynomial vanishes on the scaled table iff on the table
+        if len({len(mono) for mono in poly}) > 1:
+            raise CertificateParseError(f"non-homogeneous condition {text!r}")
+        return Condition(_expand(poly, d, parser.slots), text)
     mobj = re.fullmatch(
         r"(?:span\(\s*)?([AJ]\d*)\s*\*\s*([AJ]\d*)\s*\)?\s*(<=|=)\s*(.+)", text
     )
@@ -368,7 +336,12 @@ def parse_condition(text: str, d: int) -> Condition:
             raise CertificateParseError(
                 f"use <= for containment in a nonzero span: {text!r}"
             )
-        return SpanContain(left, right, allowed, text)
+        # every banned coordinate of every product is one atom that must vanish
+        banned = [k for k in range(1, d + 1) if k not in allowed]
+        polys = tuple(
+            ((1, ((a - 1, b - 1, k - 1),)),) for a in left for b in right for k in banned
+        )
+        return Condition(polys, text)
     raise CertificateParseError(f"cannot parse condition {text!r}")
 
 
@@ -459,14 +432,6 @@ def transform_int_table(table_int, g: List[List[int]]):
     return change_basis(nonzero_constants(table_int), len(table_int), g, adj, 0)
 
 
-def certificate_is_scale_safe(cs: ClosedSet) -> bool:
-    """All polynomial equations homogeneous: global table scalings are harmless,
-    so the integer fast path is exact."""
-    return all(
-        cond.is_homogeneous() for cond in cs.conditions if isinstance(cond, PolyEq)
-    )
-
-
 @dataclass(frozen=True)
 class RandomizedReport:
     kind: str  # "stability" | "separation"
@@ -528,10 +493,6 @@ def _changes(kind: str, key, trials: int, seed: int):
 
 def _moved_tables(kind: str, cs: ClosedSet, table, trials: int, seed: int):
     """Yield (g, the integer table moved by g) for each basis change."""
-    if not certificate_is_scale_safe(cs):
-        raise CertificateParseError(
-            f"{cs.label or cs.source}: non-homogeneous equation; integer path unsafe"
-        )
     table_int = _int_table(table)
     entries, d = nonzero_constants(table_int), len(table_int)
     key = cs.dim if kind == "stability" else tuple(map(label_parity, cs.basis))

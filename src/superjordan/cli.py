@@ -15,11 +15,11 @@ from pathlib import Path
 from typing import Optional
 
 from . import verify as V
-from .atlas import build_graph, edge_monotonicity_violations, export_dot
+from .atlas import export_dot
 from .catalog import Catalog, MissingParameter, instantiate
 from .certificates import parse_closed_set_file
 from .degeneration import parse_witness_file
-from .envelope import MAX_K, envelope_jordan_check
+from .envelope import MAX_K
 from .invariants import TypeMismatch, derivation_dims
 from .tablefmt import ParseError, parse_algebra_file
 
@@ -136,14 +136,7 @@ def cmd_closedset(args, rep: Reporter) -> int:
 
 
 def cmd_envelope(args, rep: Reporter) -> int:
-    cat = _load_catalog(args)
-    result = envelope_jordan_check(cat.instances(args.name)[0], k=args.k)
-    rep.row(
-        V.CheckRow(
-            f"envelope:{args.name}:k={args.k}", result.ok, False,
-            f"{result.pairs_checked} pairs" + (f"; {result.detail}" if result.detail else ""),
-        )
-    )
+    rep.row(V.envelope_row(_load_catalog(args), args.name, args.k))
     return rep.status
 
 
@@ -153,16 +146,8 @@ def _verified(wrows):
 
 def cmd_graph(args, rep: Reporter) -> int:
     cat = _load_catalog(args)
-    mn = TYPE_ALIASES[args.type]
-    g = build_graph(mn, cat, _verified(V.verify_witnesses(cat)))
-    viol = edge_monotonicity_violations(g)
-    rep.row(
-        V.CheckRow(
-            f"graph:type{mn[0]}{mn[1]}", not viol, False,
-            f"{len(g.nodes)} nodes, {len(g.edges)} verified edges"
-            + (f"; monotonicity violations {viol}" if viol else ""),
-        )
-    )
+    g, row = V.graph_row(cat, TYPE_ALIASES[args.type], _verified(V.verify_witnesses(cat)))
+    rep.row(row)
     if args.dot:
         text = export_dot(g)
         if args.dot == "-":

@@ -1,6 +1,6 @@
 """Catalog-wide verification sweeps: identities, orbit columns, decomposition
-labels, even-part labels, witness replays, certificates, lemma screens and
-component accounting.
+labels, even-part labels, witness replays, certificates, lemma screens,
+envelope checks, degeneration graphs and component accounting.
 
 This module is the one place that builds report rows: every sweep is a loop
 over a per-item row builder, and the command line filters the same builders.
@@ -17,7 +17,6 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 from .algebra import (
     SuperAlgebra,
     check_super_jordan,
-    flatten,
     graded_table,
     nonzero_constants,
     unflatten,
@@ -25,14 +24,15 @@ from .algebra import (
 from .atlas import DegenGraph, build_graph, component_report, edge_monotonicity_violations
 from .catalog import FAMILY_SAMPLES, Catalog
 from .certificates import (
-    CertificateParseError,
     ClosedSet,
+    certificate_table,
     closed_set_eval,
     failing_condition,
     separation_test,
     stability_test,
 )
 from .degeneration import Verdict, Witness, eval_t_expression, verify_degeneration
+from .envelope import envelope_jordan_check
 from .invariants import even_part, identify_algebra, nondegeneration_screen
 
 # expected (component count, variety dimension) per type
@@ -271,20 +271,6 @@ def witness_summary(rows) -> Tuple[int, int, int]:
     )
 
 
-def _certificate_table(cs: ClosedSet, J: SuperAlgebra):
-    """``J`` flattened in the certificate's basis, which must list each basis
-    vector of ``J`` exactly once."""
-    try:
-        fits = sorted(map(J.label_index, cs.basis)) == sorted(map(J.label_index, J.labels()))
-    except KeyError:
-        fits = False
-    if not fits:
-        raise CertificateParseError(
-            f"{cs.label}: basis {' '.join(cs.basis)} does not fit {J.name} of type ({J.m},{J.n})"
-        )
-    return flatten(J, cs.basis)
-
-
 def certificate_rows(cat: Catalog, cs: ClosedSet, trials: int = 1000, seed: int = 0) -> List[CheckRow]:
     """Source, stability and separation rows of one certificate, for every
     instance of its source and of each target.  As for witnesses, an erratum
@@ -293,7 +279,7 @@ def certificate_rows(cat: Catalog, cs: ClosedSet, trials: int = 1000, seed: int 
     logged = cat.errata_keys() if cs.status == "published" else set()
     rows = []
     for J in cat.instances(cs.source):
-        table = _certificate_table(cs, J)
+        table = certificate_table(cs, J)
         sat = closed_set_eval(table, cs)
         key = f"certificate:{cs.label}:source"
         detail = "" if sat else f"{J.name} fails {failing_condition(table, cs).text}"
@@ -307,7 +293,7 @@ def certificate_rows(cat: Catalog, cs: ClosedSet, trials: int = 1000, seed: int 
     need = int(trials * SEPARATION_THRESHOLD)
     for tname in cs.targets:
         for T in cat.instances(tname):
-            sep = separation_test(cs, _certificate_table(cs, T), trials=trials, seed=seed)
+            sep = separation_test(cs, certificate_table(cs, T), trials=trials, seed=seed)
             key = f"certificate:{cs.label}:separation:{tname}"
             ok = sep.hits >= need
             rows.append(CheckRow(key, ok, (not ok) and key in logged, f"{sep.hits}/{trials}"))
@@ -364,8 +350,33 @@ def screen_pair(cat: Catalog, a: str, b: str, quick: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# irreducible components
+# envelope, degeneration graphs and irreducible components
 # ---------------------------------------------------------------------------
+
+
+def envelope_row(cat: Catalog, name: str, k: int) -> CheckRow:
+    """The ordinary Jordan identity in the Grassmann envelope of ``name``,
+    truncated at ``k`` generators."""
+    result = envelope_jordan_check(cat.instances(name)[0], k=k)
+    return CheckRow(
+        f"envelope:{name}:k={k}", result.ok, False,
+        f"{result.pairs_checked} pairs" + (f"; {result.detail}" if result.detail else ""),
+    )
+
+
+def graph_row(
+    cat: Catalog, mn: Tuple[int, int], verified: Sequence[Tuple[Witness, Verdict]]
+) -> Tuple[DegenGraph, CheckRow]:
+    """Graph of the verified witnesses of one type; orbit dimensions must
+    drop along every edge."""
+    graph = build_graph(mn, cat, verified)
+    viol = edge_monotonicity_violations(graph)
+    row = CheckRow(
+        f"graph:type{mn[0]}{mn[1]}", not viol, False,
+        f"{len(graph.nodes)} nodes, {len(graph.edges)} verified edges"
+        + (f"; monotonicity violations {viol}" if viol else ""),
+    )
+    return graph, row
 
 
 def verify_components(
@@ -377,9 +388,9 @@ def verify_components(
     each type against ``COMPONENTS``; orbit dimensions must also drop along
     every edge."""
     for mn in types:
-        graph = build_graph(mn, cat, verified)
+        graph, graph_check = graph_row(cat, mn, verified)
         rep = component_report(mn, cat, graph)
-        ok = rep.ok(*COMPONENTS[mn]) and not edge_monotonicity_violations(graph)
+        ok = rep.ok(*COMPONENTS[mn]) and graph_check.ok
         detail = (
             f"{rep.component_count} components ({rep.rigid_count} rigid"
             f" + {rep.family_count} family), dimension {rep.computed_dimension}"

@@ -20,7 +20,7 @@ from superjordan.algebra import (
     power_filtration,
 )
 from superjordan.atlas import build_graph, component_report, edge_monotonicity_violations
-from superjordan.certificates import closed_set_eval
+from superjordan.certificates import certificate_table, closed_set_eval
 from superjordan.degeneration import specialize_witness, witness_matrix, is_graded_matrix
 from superjordan.envelope import envelope_jordan_check
 from superjordan.invariants import (
@@ -140,7 +140,7 @@ def test_criterion_5_lemma_screens(catalog):
         for tname in cs.targets:
             for T in catalog.instances(tname):
                 cert_pairs += 1
-                if closed_set_eval(flatten(T, cs.basis), cs):
+                if closed_set_eval(certificate_table(cs, T), cs):
                     cert_ok = False
     ok = screens_ok and cert_ok
     _emit(

@@ -1,21 +1,25 @@
 import random
+import re
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superjordan import certificates, linalg
-from superjordan.algebra import flatten, label_parity
+from superjordan.algebra import change_basis, flatten, label_parity, nonzero_constants
 from superjordan.certificates import (
     BasisMismatch,
     CertificateParseError,
-    PolyEq,
     RandomizedReport,
-    SpanContain,
     _int_table,
     _random_invertible,
     _random_triangular,
-    certificate_is_scale_safe,
+    certificate_table,
     closed_set_eval,
+    condition_holds,
     failing_condition,
     parse_closed_set,
     parse_condition,
@@ -23,7 +27,7 @@ from superjordan.certificates import (
     stability_test,
     transform_int_table,
 )
-from superjordan.verify import _certificate_table, certificate_rows, verify_certificates
+from superjordan.verify import certificate_rows, verify_certificates
 
 J12_CS = """
 [closedset]
@@ -36,20 +40,65 @@ condition: c[4,4,4] = c[3,4,3]
 """
 
 
+def _atoms(triples):
+    """Single-atom polynomials, one per 0-based (a, b, k)."""
+    return tuple(((1, (abk,)),) for abk in triples)
+
+
 def test_parse_conditions():
-    c1 = parse_condition("A1*A4 = 0", 4)
-    assert isinstance(c1, SpanContain) and c1.allowed == ()
-    assert c1.left == (1, 2, 3, 4) and c1.right == (4,)
-    c2 = parse_condition("span(J*J) <= span(x4,x2,x3)", 4)
-    assert isinstance(c2, SpanContain) and c2.allowed == (2, 3, 4)
-    c3 = parse_condition("A2*A2 <= A2", 4)
-    assert c3.left == (2, 3, 4) and c3.allowed == (2, 3, 4)
-    c4 = parse_condition("c[*,*,1] = 0", 4)
-    assert isinstance(c4, PolyEq) and c4.wildcard_slots() == 2
+    # a span condition is one atom per banned coordinate of each product
+    assert parse_condition("A1*A4 = 0", 4).polys == _atoms(product(range(4), [3], range(4)))
+    assert parse_condition("span(J*J) <= span(x4,x2,x3)", 4).polys == _atoms(
+        product(range(4), range(4), [0])
+    )
+    assert parse_condition("A2*A2 <= A2", 4).polys == _atoms(product(range(1, 4), range(1, 4), [0]))
+    # an equation is lhs - rhs, terms sorted by monomial
+    assert parse_condition("c[*,*,1] = 0", 4).polys == _atoms(product(range(4), range(4), [0]))
+    assert parse_condition("c[4,4,4] = 2*c[2,4,2]", 4).polys == (
+        ((-2, ((1, 3, 1),)), (1, ((3, 3, 3),))),
+    )
+    [half] = parse_condition("c[3,4,4] = 1/2*c[3,3,3]", 4).polys
+    assert half == ((Fraction(-1, 2), ((2, 2, 2),)), (1, ((2, 3, 3),)))
+    assert type(half[1][0]) is int  # integral coefficients are ints
+    [quadratic] = parse_condition("c[1,1,2]*c[2,3,4] = c[1,3,4]*(2*c[1,4,4]-c[1,1,1])", 4).polys
+    assert quadratic == (
+        (1, ((0, 0, 0), (0, 2, 3))),
+        (1, ((0, 0, 1), (1, 2, 3))),
+        (-2, ((0, 2, 3), (0, 3, 3))),
+    )
+    # terms that cancel are dropped, and so are polynomials that vanish identically
+    assert parse_condition("c[1,1,1] - c[1,1,1] = 0", 4).polys == ()
     with pytest.raises(CertificateParseError):
         parse_condition("nonsense", 4)
     with pytest.raises(CertificateParseError):
         parse_condition("A1*A4 = A2", 4)  # containment must use <=
+
+
+def test_each_wildcard_is_its_own_index(catalog):
+    # slots are numbered across both sides of "=": c[i,1,1] = c[j,2,2] for all i, j
+    polys = parse_condition("c[*,1,1] = c[*,2,2]", 4).polys
+    assert len(polys) == 16
+    assert polys[1] == ((1, ((0, 0, 0),)), (-1, ((1, 1, 1),)))  # i = 1, j = 2
+    # J7 meets all 16.  J15 meets the four with i = j in every graded basis,
+    # so a right-hand * that reused a left-hand slot would separate nothing
+    cs = parse_closed_set(
+        "[closedset]\nsource = J7\ntargets = J15\nbasis = f1 f2 f3 e\n"
+        "condition: c[*,1,1] = c[*,2,2]\n"
+    )
+    rows = {row.check_id: row for row in certificate_rows(catalog, cs, trials=5, seed=0)}
+    assert rows["certificate::source"].ok and rows["certificate::stability"].detail == "5/5"
+    assert rows["certificate::separation:J15"].display == "PASS certificate::separation:J15 5/5"
+
+
+def test_conditions_are_homogeneous(catalog):
+    for cs in catalog.closed_sets():
+        for cond in cs.conditions:
+            for poly in cond.polys:
+                assert len({len(mono) for _coef, mono in poly}) == 1, (cs.label, cond.text)
+    # the trials scale tables: a condition of mixed degrees is refused at parse
+    for text in ("c[1,1,1] = c[1,1,1]*c[2,2,2]", "c[1,1,1] = 1", "c[*,1,1]*c[1,*,1] = c[1,1,1]"):
+        with pytest.raises(CertificateParseError, match="non-homogeneous"):
+            parse_condition(text, 4)
 
 
 def test_closed_set_eval_examples(catalog):
@@ -66,7 +115,10 @@ def test_closed_set_eval_examples(catalog):
 def test_basis_mismatch(catalog):
     cs = parse_closed_set(J12_CS)
     with pytest.raises(BasisMismatch):
-        closed_set_eval(flatten(catalog.lookup("J12")), cs, basis_order=["e", "f1", "f2", "f3"])
+        closed_set_eval([[[0] * 3] * 3] * 3, cs)
+    with pytest.raises(CertificateParseError, match="does not fit"):
+        certificate_table(parse_closed_set(J12_CS.replace("f3 e", "f3 f1")), catalog.lookup("J12"))
+    assert certificate_table(cs, catalog.lookup("J12")) == flatten(catalog.lookup("J12"), cs.basis)
 
 
 def test_empty_condition_set(catalog):
@@ -87,11 +139,6 @@ def test_span_condition_scale_invariance(catalog):
         tuple(tuple(3 * x for x in row) for row in plane) for plane in t12
     )
     assert closed_set_eval(scaled, cs)
-
-
-def test_all_embedded_certificates_scale_safe(catalog):
-    for cs in catalog.closed_sets():
-        assert certificate_is_scale_safe(cs), cs.label
 
 
 def test_separation_within_same_orbit_is_zero(catalog):
@@ -163,10 +210,10 @@ def _reports(catalog, stability, separation, trials, seed):
     certificate (sources that miss their certificate included)."""
     for cs in catalog.closed_sets():
         for J in catalog.instances(cs.source):
-            yield stability(cs, _certificate_table(cs, J), trials, seed)
+            yield stability(cs, certificate_table(cs, J), trials, seed)
         for name in cs.targets:
             for T in catalog.instances(name):
-                yield separation(cs, _certificate_table(cs, T), trials, seed)
+                yield separation(cs, certificate_table(cs, T), trials, seed)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -262,12 +309,10 @@ def test_integer_path_is_det_times_field_path(catalog):
     # the adjugate-scaled integer loop equals det(g) times the basis change
     # over the field (Q = g^-1), for the first changes of both seed-0 draws,
     # on every certificate source table
-    from superjordan.algebra import change_basis, nonzero_constants
-
     checked = 0
     for cs in catalog.closed_sets():
         for J in catalog.instances(cs.source):
-            table_int = _int_table(_certificate_table(cs, J))
+            table_int = _int_table(certificate_table(cs, J))
             entries = nonzero_constants(table_int)
             for kind in ("stability", "separation"):
                 for g, adj in certificates._changes(kind, _key(kind, cs), 5, 0):
@@ -278,3 +323,178 @@ def test_integer_path_is_det_times_field_path(catalog):
                     assert transform_int_table(table_int, g) == scaled, cs.label
                     checked += 1
     assert checked >= 10 * len(catalog.closed_sets())
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluator: the condition ASTs that the compiled polynomials
+# replaced, walked afresh on every table.  Each * takes the next slot,
+# counted from left to right across both sides of "=".
+# ---------------------------------------------------------------------------
+
+_AST_TOKEN = re.compile(r"\s*(c\[[^\]]*\]|\d+/\d+|\d+|[()+\-*])")
+
+
+class _AstParser:
+    """Nodes: ("const", Fraction), ("atom", a, b, k) with 1-based indices and
+    0 for a wildcard, ("add"|"sub"|"mul", left, right), ("neg", node)."""
+
+    def __init__(self, text):
+        self.toks = _AST_TOKEN.findall(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def take(self):
+        self.pos += 1
+        return self.toks[self.pos - 1]
+
+    def parse(self):
+        node = self.expr()
+        assert self.peek() is None
+        return node
+
+    def expr(self):
+        node = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            node = ("add" if op == "+" else "sub", node, self.term())
+        return node
+
+    def term(self):
+        node = self.unary()
+        while self.peek() == "*":
+            self.take()
+            node = ("mul", node, self.unary())
+        return node
+
+    def unary(self):
+        if self.peek() == "-":
+            self.take()
+            return ("neg", self.unary())
+        if self.peek() == "+":
+            self.take()
+            return self.unary()
+        tok = self.take()
+        if tok == "(":
+            node = self.expr()
+            assert self.take() == ")"
+            return node
+        if tok.startswith("c["):
+            return ("atom",) + tuple(0 if p.strip() == "*" else int(p) for p in tok[2:-1].split(","))
+        return ("const", Fraction(tok))
+
+
+def _wildcards(node):
+    if node[0] == "const":
+        return 0
+    if node[0] == "atom":
+        return node[1:].count(0)
+    return sum(_wildcards(child) for child in node[1:])
+
+
+def _eval(node, table, wild, counter):
+    kind = node[0]
+    if kind == "const":
+        return node[1]
+    if kind == "atom":
+        idx = []
+        for x in node[1:]:
+            if x == 0:
+                x = wild[counter[0]]
+                counter[0] += 1
+            idx.append(x)
+        a, b, k = idx
+        return table[a - 1][b - 1][k - 1]
+    if kind == "neg":
+        return -_eval(node[1], table, wild, counter)
+    left = _eval(node[1], table, wild, counter)
+    right = _eval(node[2], table, wild, counter)
+    return {"add": left + right, "sub": left - right, "mul": left * right}[kind]
+
+
+def _flag(name, d):
+    return range(1, d + 1) if name == "J" else range(int(name[1:]), d + 1)
+
+
+@lru_cache(maxsize=None)
+def _reference_condition(text, d):
+    """(lhs AST, rhs AST, wildcard count) of an equation; for a containment,
+    the 1-based (a, b, k) whose constant must vanish."""
+    if "c[" in text:
+        lhs, rhs = (_AstParser(side).parse() for side in text.split("="))
+        return lhs, rhs, _wildcards(lhs) + _wildcards(rhs)
+    left, right, allowed = re.fullmatch(
+        r"(?:span\(\s*)?([AJ]\d*)\s*\*\s*([AJ]\d*)\s*\)?\s*<?=\s*(.+)", text
+    ).groups()
+    if allowed == "0":
+        allowed = ()
+    elif allowed.startswith("A"):
+        allowed = _flag(allowed, d)
+    else:
+        allowed = [int(x.strip()[1:]) for x in allowed[len("span(") : -1].split(",")]
+    return [
+        (a, b, k)
+        for a in _flag(left, d)
+        for b in _flag(right, d)
+        for k in range(1, d + 1)
+        if k not in allowed
+    ]
+
+
+def _reference_holds(text, table):
+    d = len(table)
+    ref = _reference_condition(text, d)
+    if isinstance(ref, list):
+        return all(table[a - 1][b - 1][k - 1] == 0 for a, b, k in ref)
+    lhs, rhs, slots = ref
+    for wild in product(range(1, d + 1), repeat=slots):
+        counter = [0]
+        if _eval(lhs, table, wild, counter) != _eval(rhs, table, wild, counter):
+            return False
+    return True
+
+
+def _agree(cs, table, outcomes):
+    for cond in cs.conditions:
+        got = condition_holds(cond, table)
+        assert got == _reference_holds(cond.text, table), (cs.label, cond.text, table)
+        outcomes.add(got)
+
+
+def test_compiled_conditions_agree_with_reference(catalog):
+    closed_sets = catalog.closed_sets()
+    assert len(closed_sets) == 42
+    outcomes = set()
+    for cs in closed_sets:
+        # every instance of the certificate's type that fits its basis
+        source = catalog.instances(cs.source)[0]
+        for name in catalog.names((source.m, source.n)):
+            for J in catalog.instances(name):
+                try:
+                    table = certificate_table(cs, J)
+                except CertificateParseError:
+                    continue
+                _agree(cs, table, outcomes)
+        # the first 50 moved tables of both seed-0 draws, on source and targets
+        for name in [cs.source, *cs.targets]:
+            for J in catalog.instances(name):
+                table_int = _int_table(certificate_table(cs, J))
+                entries = nonzero_constants(table_int)
+                for kind in ("stability", "separation"):
+                    for g, adj in certificates._changes(kind, _key(kind, cs), 50, 0):
+                        _agree(cs, change_basis(entries, cs.dim, g, adj, 0), outcomes)
+    assert outcomes == {True, False}
+
+
+def test_compiled_conditions_agree_on_drawn_tables(catalog):
+    closed_sets = catalog.closed_sets()
+
+    @given(st.lists(st.integers(-2, 2), min_size=64, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def check(entries):
+        table = [[entries[16 * a + 4 * b : 16 * a + 4 * b + 4] for b in range(4)] for a in range(4)]
+        for cs in closed_sets:
+            _agree(cs, table, set())
+
+    check()

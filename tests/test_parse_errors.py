@@ -106,6 +106,13 @@ def test_witness_key_error_names_file_and_line(tmp_path, capsys, line, message):
         # tables are read in label order; a stored basis order would be ignored
         ("check", ".alg", "[algebra]\nname = b\ntype = 1,3\nbasis_order = f1 f2 f3 e\n", "4: unknown key 'basis_order'"),
         ("closedset", ".cs", "[closedset]\nsource = J7\nstatus = printed\n", "3: bad status 'printed'"),
+        # the trials scale the table, which only a homogeneous condition ignores
+        (
+            "closedset",
+            ".cs",
+            "[closedset]\nsource = J7\nbasis = f1 f2 f3 e\ncondition: c[1,1,1] = c[1,1,1]*c[2,2,2]\n",
+            "4: non-homogeneous condition",
+        ),
     ],
 )
 def test_key_error_names_file_and_line(tmp_path, capsys, command, suffix, text, message):
