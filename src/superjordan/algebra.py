@@ -477,6 +477,26 @@ def direct_sum(A: SuperAlgebra, B: SuperAlgebra, name: str = "") -> SuperAlgebra
 # ---------------------------------------------------------------------------
 
 
+def change_basis_row(entries, d: int, pa, pb, Q, zero) -> List[Scalar]:
+    """Row (a, b) of ``change_basis``: the coordinates of y_a y_b, where
+    ``pa`` and ``pb`` are the rows P[a] and P[b]."""
+    v = [zero] * d
+    for c, e, k, val in entries:
+        f = pa[c] * pb[e]
+        if f:
+            v[k] = v[k] + f * val
+    live = [(k, x) for k, x in enumerate(v) if x]
+    row = []
+    for l in range(d):
+        acc = zero
+        for k, x in live:
+            q = Q[k][l]
+            if q:
+                acc = acc + x * q
+        row.append(acc)
+    return row
+
+
 def change_basis(entries, d: int, P, Q, zero) -> List[List[List[Scalar]]]:
     """Constants of a product in the basis y_a = sum_c P[a][c] x_c, scaled by
     s where P Q = s I: Q = P^-1 gives the constants themselves, Q = adj(P)
@@ -487,29 +507,9 @@ def change_basis(entries, d: int, P, Q, zero) -> List[List[List[Scalar]]]:
     Fraction(0) or the zero RatFun).  The scalars may be int, Fraction or
     RatFun: zeros are skipped by their truth value.
     """
-    out = []
-    for a in range(d):
-        pa = P[a]
-        plane = []
-        for b in range(d):
-            pb = P[b]
-            v = [zero] * d
-            for c, e, k, val in entries:
-                f = pa[c] * pb[e]
-                if f:
-                    v[k] = v[k] + f * val
-            live = [(k, x) for k, x in enumerate(v) if x]
-            row = []
-            for l in range(d):
-                acc = zero
-                for k, x in live:
-                    q = Q[k][l]
-                    if q:
-                        acc = acc + x * q
-                row.append(acc)
-            plane.append(row)
-        out.append(plane)
-    return out
+    return [
+        [change_basis_row(entries, d, P[a], P[b], Q, zero) for b in range(d)] for a in range(d)
+    ]
 
 
 def apply_graded_change(

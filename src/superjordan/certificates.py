@@ -39,7 +39,9 @@ is stronger than needed.
 Every test at one (kind, key, trials, seed) replays the same matrices,
 whatever the certificate or table; the key is the dimension for stability
 and the parity pattern for separation.  Each such sequence is drawn, and
-each of its matrices inverted, once per process.
+each of its matrices inverted, once per process.  A trial computes row
+(a, b) of the moved table the first time a condition reads it, so a
+separation trial that fails its first condition moves few rows.
 """
 
 from __future__ import annotations
@@ -50,10 +52,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import lcm
 from typing import List, Optional, Tuple
 
-from .algebra import SuperAlgebra, change_basis, flatten, label_parity, nonzero_constants
+from .algebra import (
+    SuperAlgebra,
+    change_basis,
+    change_basis_row,
+    flatten,
+    label_parity,
+    nonzero_constants,
+)
 from .linalg import int_matrix_det_adjugate
 from .tablefmt import ParseError
 
@@ -295,9 +304,8 @@ def _parse_allowed(text: str, d: int) -> Tuple[int, ...]:
     text = text.strip()
     if text == "0":
         return ()
-    mobj = re.fullmatch(r"A(\d+)", text)
-    if mobj:
-        return tuple(range(int(mobj.group(1)), d + 1))
+    if re.fullmatch(r"A\d+", text):
+        return _parse_index_set(text, d)
     mobj = re.fullmatch(r"span\(([^)]*)\)", text)
     if mobj:
         out = []
@@ -306,7 +314,10 @@ def _parse_allowed(text: str, d: int) -> Tuple[int, ...]:
             m2 = re.fullmatch(r"x(\d+)", part)
             if not m2:
                 raise CertificateParseError(f"bad span member {part!r}")
-            out.append(int(m2.group(1)))
+            i = int(m2.group(1))
+            if not 1 <= i <= d:
+                raise CertificateParseError(f"span member out of range in {text!r}")
+            out.append(i)
         return tuple(sorted(out))
     raise CertificateParseError(f"bad span right side {text!r}")
 
@@ -411,19 +422,6 @@ def parse_closed_set_file(path) -> ClosedSet:
 # ---------------------------------------------------------------------------
 
 
-def _int_table(table) -> List[List[List[int]]]:
-    """Clear denominators (a global scale, harmless for homogeneous tests)."""
-    lcm = 1
-    for plane in table:
-        for row in plane:
-            for x in row:
-                den = Fraction(x).denominator
-                lcm = lcm * den // gcd(lcm, den)
-    return [
-        [[int(Fraction(x) * lcm) for x in row] for row in plane] for plane in table
-    ]
-
-
 def transform_int_table(table_int, g: List[List[int]]):
     """det(g)-scaled constants of the table in the basis y_a = sum g[a][c] x_c."""
     det, adj = int_matrix_det_adjugate(g)
@@ -491,13 +489,37 @@ def _changes(kind: str, key, trials: int, seed: int):
     return tuple(out)
 
 
+def _int_constants(table) -> List[Tuple[int, int, int, int]]:
+    """The nonzero constants of the table with denominators cleared (a
+    global scale, harmless for homogeneous conditions)."""
+    entries = nonzero_constants(table)
+    scale = lcm(*(Fraction(x).denominator for *_abk, x in entries))
+    return [(a, b, k, int(Fraction(x) * scale)) for a, b, k, x in entries]
+
+
+class _MovedPlane(dict):
+    """Plane a of a table moved by g: row b is computed by
+    ``change_basis_row`` the first time it is read, and kept."""
+
+    __slots__ = ("entries", "d", "pa", "g", "adj")
+
+    def __init__(self, entries, d: int, g, adj, a: int):
+        super().__init__()
+        self.entries, self.d, self.pa, self.g, self.adj = entries, d, g[a], g, adj
+
+    def __missing__(self, b: int):
+        row = self[b] = change_basis_row(self.entries, self.d, self.pa, self.g[b], self.adj, 0)
+        return row
+
+
 def _moved_tables(kind: str, cs: ClosedSet, table, trials: int, seed: int):
-    """Yield (g, the integer table moved by g) for each basis change."""
-    table_int = _int_table(table)
-    entries, d = nonzero_constants(table_int), len(table_int)
+    """Yield (g, the integer table moved by g) for each basis change.  The
+    moved table is a list of d lazy planes, so only the product rows that
+    the conditions read are ever computed."""
+    entries, d = _int_constants(table), len(table)
     key = cs.dim if kind == "stability" else tuple(map(label_parity, cs.basis))
     for g, adj in _changes(kind, key, trials, seed):
-        yield g, change_basis(entries, d, g, adj, 0)
+        yield g, [_MovedPlane(entries, d, g, adj, a) for a in range(d)]
 
 
 def stability_test(cs: ClosedSet, source_table, trials: int = 1000, seed: int = 0) -> RandomizedReport:

@@ -20,7 +20,7 @@ from .catalog import Catalog, MissingParameter, instantiate
 from .certificates import parse_closed_set_file
 from .degeneration import parse_witness_file
 from .envelope import MAX_K
-from .invariants import TypeMismatch, derivation_dims
+from .invariants import TypeMismatch
 from .tablefmt import ParseError, parse_algebra_file
 
 TYPE_ALIASES = {
@@ -102,10 +102,8 @@ def cmd_check(args, rep: Reporter) -> int:
 
 
 def cmd_derive(args, rep: Reporter) -> int:
-    cat = _load_catalog(args)
-    d = derivation_dims(cat.instances(args.name)[0])
-    rep.line(f"PASS derive:{args.name} even={d.even_dim} odd={d.odd_dim} total={d.total}")
-    return 0
+    rep.row(V.derive_row(_load_catalog(args), args.name))
+    return rep.status
 
 
 def cmd_orbit(args, rep: Reporter) -> int:
@@ -121,11 +119,8 @@ def cmd_degenerate(args, rep: Reporter) -> int:
 
 
 def cmd_screen(args, rep: Reporter) -> int:
-    cat = _load_catalog(args)
-    report = V.screen_pair(cat, args.source, args.target)
-    for line in report.lines():
-        rep.line(("PASS " if report.violations else "INFO ") + f"screen:{args.source}-x->{args.target} " + line)
-    return 0
+    rep.rows(V.screen_rows(_load_catalog(args), args.source, args.target))
+    return rep.status
 
 
 def cmd_closedset(args, rep: Reporter) -> int:

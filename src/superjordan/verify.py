@@ -33,7 +33,7 @@ from .certificates import (
 )
 from .degeneration import Verdict, Witness, eval_t_expression, verify_degeneration
 from .envelope import envelope_jordan_check
-from .invariants import even_part, identify_algebra, nondegeneration_screen
+from .invariants import derivation_dims, even_part, identify_algebra, nondegeneration_screen
 
 # expected (component count, variety dimension) per type
 COMPONENTS = {(1, 3): (11, 12), (2, 2): (25, 13), (3, 1): (21, 15)}
@@ -48,18 +48,21 @@ class CheckRow:
     ok: bool
     logged: bool  # failure matches an erratum entry
     detail: str = ""
+    info: bool = False  # a finding that neither passes nor fails
 
     @property
     def display(self) -> str:
         if self.ok:
             return f"PASS {self.check_id} {self.detail}".rstrip()
+        if self.info:
+            return f"INFO {self.check_id} {self.detail}".rstrip()
         if self.logged:
             return f"XFAIL(errata) {self.check_id} {self.detail}".rstrip()
         return f"FAIL {self.check_id} {self.detail}".rstrip()
 
     @property
     def acceptable(self) -> bool:
-        return self.ok or self.logged
+        return self.ok or self.logged or self.info
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +108,12 @@ def orbit_rows(cat: Catalog, name: str) -> List[CheckRow]:
 
 def verify_orbits(cat: Catalog) -> List[CheckRow]:
     return [row for name in cat.names() for row in orbit_rows(cat, name)]
+
+
+def derive_row(cat: Catalog, name: str) -> CheckRow:
+    """Superderivation dimensions of a catalog entry (its first instance)."""
+    d = derivation_dims(cat.instances(name)[0])
+    return CheckRow(f"derive:{name}", True, False, f"even={d.even_dim} odd={d.odd_dim} total={d.total}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +356,16 @@ def screen_pair(cat: Catalog, a: str, b: str, quick: bool = False):
         memo=cat.invariants,
         quick=quick,
     )
+
+
+def screen_rows(cat: Catalog, a: str, b: str) -> List[CheckRow]:
+    """The full screen of one pair: a PASS row per violation, which rules
+    the degeneration out, or one INFO row when nothing obstructs it."""
+    report = screen_pair(cat, a, b)
+    found = bool(report.violations)
+    return [
+        CheckRow(f"screen:{a}-x->{b}", found, False, line, info=not found) for line in report.lines()
+    ]
 
 
 # ---------------------------------------------------------------------------

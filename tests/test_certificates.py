@@ -3,18 +3,18 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superjordan import certificates, linalg
+from superjordan import algebra, certificates, linalg
 from superjordan.algebra import change_basis, flatten, label_parity, nonzero_constants
 from superjordan.certificates import (
     BasisMismatch,
     CertificateParseError,
     RandomizedReport,
-    _int_table,
     _random_invertible,
     _random_triangular,
     certificate_table,
@@ -169,6 +169,18 @@ def test_stability_and_separation_spec_example(catalog):
     assert sep.hits >= 198
 
 
+def _int_table(table):
+    """The dense integer table: denominators cleared by their lcm, the
+    oracle of ``certificates._int_constants``."""
+    lcm = 1
+    for plane in table:
+        for row in plane:
+            for x in row:
+                den = Fraction(x).denominator
+                lcm = lcm * den // gcd(lcm, den)
+    return [[[int(Fraction(x) * lcm) for x in row] for row in plane] for plane in table]
+
+
 def _pattern(cs):
     return tuple(map(label_parity, cs.basis))
 
@@ -303,6 +315,53 @@ def test_graded_separation_rejects_every_trial(catalog, labels, seed):
     assert all(r.ok and r.detail == "1000/1000" for r in separation), [r.display for r in separation]
     assert not any(r.logged for r in rows)
     assert all(r.ok for r in rows)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_lazy_moved_table_matches_dense(catalog, seed):
+    # every row read from a trial's moved table is the row of the dense
+    # basis change, for every source and target instance of all 42 certificates
+    checked = 0
+    for cs in catalog.closed_sets():
+        for name in [cs.source, *cs.targets]:
+            for J in catalog.instances(name):
+                table = certificate_table(cs, J)
+                entries = nonzero_constants(_int_table(table))
+                assert certificates._int_constants(table) == entries
+                for kind in ("stability", "separation"):
+                    draws = certificates._changes(kind, _key(kind, cs), 5, seed)
+                    moved_tables = list(certificates._moved_tables(kind, cs, table, 5, seed))
+                    assert [g for g, _ in moved_tables] == [g for g, _ in draws]
+                    for (g, adj), (_g, moved) in zip(draws, moved_tables):
+                        assert len(moved) == cs.dim and not any(moved)  # nothing computed yet
+                        dense = change_basis(entries, cs.dim, g, adj, 0)
+                        for a, b in product(range(cs.dim), repeat=2):
+                            assert moved[a][b] == dense[a][b], (cs.label, J.name, kind, a, b)
+                            assert moved[a][b] is moved[a][b]  # computed once, then kept
+                        checked += 1
+    assert checked == 2 * 5 * sum(
+        len(catalog.instances(name)) for cs in catalog.closed_sets() for name in [cs.source, *cs.targets]
+    )
+
+
+def test_trials_compute_only_the_rows_they_read(catalog, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:4])
+        return algebra.change_basis_row(*args)
+
+    monkeypatch.setattr(certificates, "change_basis_row", counted)
+    rows = verify_certificates(catalog, trials=20, seed=0)
+    dims = {cs.label: cs.dim for cs in catalog.closed_sets()}
+    tests = [row for row in rows if not row.check_id.endswith(":source")]
+    full = sum(20 * dims[row.check_id.split(":")[1]] ** 2 for row in tests)
+    assert len(tests) == 219 and full == 70_080
+    # the conditions read 15,822 rows (22.6 %); the dense path computed them all
+    assert 0 < len(calls) < 0.3 * full
+    # no pass or failure depends on which rows were computed
+    monkeypatch.undo()
+    assert rows == verify_certificates(catalog, trials=20, seed=0)
 
 
 def test_integer_path_is_det_times_field_path(catalog):

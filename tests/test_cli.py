@@ -66,13 +66,34 @@ def test_catalog_root_without_type_directories_is_usage_error(tmp_path, capsys):
 
 def test_derive(capsys):
     assert main(["derive", "J18"]) == 0
-    assert "even=9 odd=0" in capsys.readouterr().out
+    assert capsys.readouterr().out == "PASS derive:J18 even=9 odd=0 total=9\n"
+    assert main(["derive", "Jc16"]) == 0  # a family: its first sample
+    assert capsys.readouterr().out == "PASS derive:Jc16 even=3 odd=2 total=5\n"
 
 
 def test_screen_output(capsys):
     assert main(["screen", "J7", "J5"]) == 0
-    out = capsys.readouterr().out
-    assert "orbit-dimension violation: 7 <= 12" in out
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 7
+    assert all(line.startswith("PASS screen:J7-x->J5 J7 -/-> J5: ") for line in out)
+    assert "PASS screen:J7-x->J5 J7 -/-> J5: orbit-dimension violation: 7 <= 12 with distinct tables" in out
+    # nothing obstructs J5 -> J2, a verified witness: one INFO row, exit 0
+    assert main(["screen", "J5", "J2"]) == 0
+    assert capsys.readouterr().out == "INFO screen:J5-x->J2 J5 -> J2: no obstruction found\n"
+    assert main(["--format", "tsv", "screen", "J5", "J2"]) == 0
+    assert capsys.readouterr().out == "INFO\tscreen:J5-x->J2\tJ5 -> J2: no obstruction found\n"
+
+
+def test_derive_and_screen_rows_come_from_verify(catalog, capsys):
+    # the command prints the rows that superjordan.verify builds
+    for argv, rows in (
+        (["derive", "J18"], [V.derive_row(catalog, "J18")]),
+        (["screen", "J7", "J5"], V.screen_rows(catalog, "J7", "J5")),
+        (["screen", "J5", "J2"], V.screen_rows(catalog, "J5", "J2")),
+    ):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "".join(row.display + "\n" for row in rows)
+        assert all(row.acceptable for row in rows)
 
 
 def test_degenerate_single(capsys):

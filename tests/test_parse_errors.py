@@ -113,6 +113,19 @@ def test_witness_key_error_names_file_and_line(tmp_path, capsys, line, message):
             "[closedset]\nsource = J7\nbasis = f1 f2 f3 e\ncondition: c[1,1,1] = c[1,1,1]*c[2,2,2]\n",
             "4: non-homogeneous condition",
         ),
+        # a right-hand side outside the basis is refused, as on the left
+        (
+            "closedset",
+            ".cs",
+            "[closedset]\nsource = J7\nbasis = f1 f2 f3 e\ncondition: A1*A4 = A9\n",
+            "4: flag index out of range in 'A9'",
+        ),
+        (
+            "closedset",
+            ".cs",
+            "[closedset]\nsource = J7\nbasis = f1 f2 f3 e\ncondition: J*J <= span(x2,x3,x9)\n",
+            "4: span member out of range in 'span(x2,x3,x9)'",
+        ),
     ],
 )
 def test_key_error_names_file_and_line(tmp_path, capsys, command, suffix, text, message):
