@@ -18,7 +18,7 @@ from .certificates import ClosedSet, parse_closed_set_file
 from .degeneration import Witness, parse_witness_file
 from .invariants import InvariantMemo
 from .ratfun import RatFun, ratfun_compose
-from .tablefmt import AlgebraFile, ParseError, parse_algebra_file
+from .tablefmt import ParseError, parse_algebra_file
 
 DATA_ENV = "SUPERJORDAN_DATA"
 
@@ -58,7 +58,6 @@ class CatalogEntry:
     decomposition: Optional[str]
     even_part_label: Optional[str]
     family: Optional[str]
-    source_file: str
 
     @property
     def is_family(self) -> bool:
@@ -112,7 +111,6 @@ class Catalog:
         self.entries: Dict[str, CatalogEntry] = {}
         self.by_type: Dict[Tuple[int, int], List[str]] = {}
         self.lowdim: Dict[str, SuperAlgebra] = {}
-        self.lowdim_files: Dict[str, AlgebraFile] = {}
         self.graphs: Dict[str, ReferenceGraph] = {}
         self.components: Dict[str, dict] = {}
         self.errata: List[Erratum] = []
@@ -141,7 +139,6 @@ class Catalog:
                     decomposition=af.decomposition,
                     even_part_label=af.even_part,
                     family=af.family,
-                    source_file=str(path),
                 )
                 if af.name in self.entries:
                     raise ParseError(f"duplicate catalog name {af.name}")
@@ -152,7 +149,6 @@ class Catalog:
         for path in sorted(lowdir.glob("*.alg")):
             af = parse_algebra_file(path)
             self.lowdim[af.name] = af.build()
-            self.lowdim_files[af.name] = af
         for path in sorted((self.root / "catalog" / "graphs").glob("*.edges")):
             self.graphs[path.stem] = _parse_edges(path)
         compdir = self.root / "catalog" / "components"

@@ -46,14 +46,15 @@ separation trial that fails its first condition moves few rows.
 
 from __future__ import annotations
 
+import ast
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, partial
+from itertools import count, product
 from math import lcm
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .algebra import (
     SuperAlgebra,
@@ -64,7 +65,7 @@ from .algebra import (
     nonzero_constants,
 )
 from .linalg import int_matrix_det_adjugate
-from .tablefmt import ParseError
+from .tablefmt import ParseError, excerpt, read_arithmetic
 
 
 class BasisMismatch(ValueError):
@@ -157,113 +158,60 @@ def certificate_table(cs: ClosedSet, J: SuperAlgebra):
 # Parsing
 # ---------------------------------------------------------------------------
 
-# While parsing, polynomials are dicts {monomial: Fraction}; an index of a
-# monomial may be a wildcard slot s, stored as ~s (a negative int).
+
+class _Poly(dict):
+    """A polynomial while a condition is read: {monomial: coefficient} with
+    no zero coefficient.  An index of a monomial's atom may be a wildcard
+    slot s, stored as ~s (a negative int)."""
+
+    @staticmethod
+    def of(terms) -> "_Poly":
+        """The sum of the (monomial, coefficient) terms."""
+        out: dict = {}
+        for mono, coef in terms:
+            out[mono] = out.get(mono, 0) + coef
+        return _Poly({mono: coef for mono, coef in out.items() if coef})
+
+    @staticmethod
+    def const(c: int) -> "_Poly":
+        return _Poly.of([((), Fraction(c))])
+
+    def __add__(self, other: "_Poly") -> "_Poly":
+        return _Poly.of([*self.items(), *other.items()])
+
+    def __neg__(self) -> "_Poly":
+        return _Poly({mono: -coef for mono, coef in self.items()})
+
+    def __sub__(self, other: "_Poly") -> "_Poly":
+        return self + -other
+
+    def __mul__(self, other: "_Poly") -> "_Poly":
+        return _Poly.of(
+            (tuple(sorted(m1 + m2)), c1 * c2) for m1, c1 in self.items() for m2, c2 in other.items()
+        )
+
+    def __truediv__(self, other: "_Poly") -> "_Poly":
+        if not other:
+            raise ZeroDivisionError
+        if set(other) != {()}:
+            raise CertificateParseError("a condition divides by numbers only")
+        return _Poly({mono: coef / other[()] for mono, coef in self.items()})
+
+    def __pow__(self, k: int):
+        raise CertificateParseError("a condition has no powers")
 
 
-def _add(p: dict, q: dict, sign: int = 1) -> dict:
-    out = dict(p)
-    for mono, coef in q.items():
-        out[mono] = out.get(mono, 0) + sign * coef
-    return {mono: coef for mono, coef in out.items() if coef}
-
-
-def _mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            mono = tuple(sorted(m1 + m2))
-            out[mono] = out.get(mono, 0) + c1 * c2
-    return {mono: coef for mono, coef in out.items() if coef}
-
-
-_POLY_TOKEN = re.compile(r"\s*(c\[[^\]]*\]|\d+/\d+|\d+|[()+\-*])")
-
-
-class _PolyParser:
-    """Recursive descent over + - * and parentheses; each ``*`` index of an
-    atom takes the next wildcard slot, numbered across every side parsed."""
-
-    def __init__(self, d: int):
-        self.d = d
-        self.slots = 0
-
-    def parse(self, text: str) -> dict:
-        self.toks: List[str] = []
-        pos = 0
-        while pos < len(text):
-            mobj = _POLY_TOKEN.match(text, pos)
-            if not mobj:
-                if text[pos:].strip():
-                    raise CertificateParseError(f"cannot tokenize {text[pos:]!r}")
-                break
-            self.toks.append(mobj.group(1))
-            pos = mobj.end()
-        self.pos = 0
-        poly = self.expr()
-        if self.peek() is not None:
-            raise CertificateParseError(f"trailing tokens {self.toks[self.pos:]}")
-        return poly
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise CertificateParseError("unexpected end of polynomial")
-        self.pos += 1
-        return tok
-
-    def expr(self) -> dict:
-        poly = self.term()
-        while self.peek() in ("+", "-"):
-            sign = 1 if self.take() == "+" else -1
-            poly = _add(poly, self.term(), sign)
-        return poly
-
-    def term(self) -> dict:
-        poly = self.unary()
-        while self.peek() == "*":
-            self.take()
-            poly = _mul(poly, self.unary())
-        return poly
-
-    def unary(self) -> dict:
-        if self.peek() == "-":
-            self.take()
-            return _add({}, self.unary(), -1)
-        if self.peek() == "+":
-            self.take()
-            return self.unary()
-        return self.atom()
-
-    def atom(self) -> dict:
-        tok = self.take()
-        if tok == "(":
-            poly = self.expr()
-            if self.take() != ")":
-                raise CertificateParseError("unbalanced parentheses")
-            return poly
-        if tok.startswith("c["):
-            parts = [p.strip() for p in tok[2:-1].split(",")]
-            if len(parts) != 3 or not all(
-                p == "*" or p.isdecimal() and 1 <= int(p) <= self.d for p in parts
-            ):
-                raise CertificateParseError(f"bad atom {tok!r}")
-            idx = []
-            for p in parts:
-                if p == "*":
-                    idx.append(~self.slots)
-                    self.slots += 1
-                else:
-                    idx.append(int(p) - 1)
-            return {(tuple(idx),): 1}
-        try:
-            coef = Fraction(tok)
-        except ZeroDivisionError:
-            raise CertificateParseError(f"zero denominator in {tok!r}") from None
-        return {(): coef}
+def _atom(node: ast.expr, exp: Fraction, d: int, slots: Iterator[int]) -> _Poly:
+    """``c[a,b,k]`` as a polynomial; each ``*`` index, which the reader
+    passes as ``...``, takes the next wildcard slot."""
+    is_c = isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "c"
+    elts = node.slice.elts if is_c and isinstance(node.slice, ast.Tuple) else []
+    parts = [elt.value if isinstance(elt, ast.Constant) else None for elt in elts]
+    if len(parts) != 3 or not all(p is ... or type(p) is int and 1 <= p <= d for p in parts):
+        raise CertificateParseError(f"bad atom {excerpt(ast.unparse(node).replace('...', '*'))}")
+    if exp != 1:
+        raise CertificateParseError("a condition has no powers")
+    return _Poly({(tuple(~next(slots) if p is ... else p - 1 for p in parts),): 1})
 
 
 def _expand(poly: dict, d: int, slots: int) -> tuple:
@@ -297,7 +245,7 @@ def _parse_index_set(text: str, d: int) -> Tuple[int, ...]:
         if not 1 <= i <= d:
             raise CertificateParseError(f"flag index out of range in {text!r}")
         return tuple(range(i, d + 1))
-    raise CertificateParseError(f"bad subspace name {text!r} (expected J or A<i>)")
+    raise CertificateParseError(f"bad subspace name {excerpt(text)} (expected J or A<i>)")
 
 
 def _parse_allowed(text: str, d: int) -> Tuple[int, ...]:
@@ -319,7 +267,7 @@ def _parse_allowed(text: str, d: int) -> Tuple[int, ...]:
                 raise CertificateParseError(f"span member out of range in {text!r}")
             out.append(i)
         return tuple(sorted(out))
-    raise CertificateParseError(f"bad span right side {text!r}")
+    raise CertificateParseError(f"bad span right side {excerpt(text)}")
 
 
 def parse_condition(text: str, d: int) -> Condition:
@@ -327,14 +275,18 @@ def parse_condition(text: str, d: int) -> Condition:
     if "c[" in text:
         lhs_text, _, rhs_text = text.partition("=")
         if not rhs_text:
-            raise CertificateParseError(f"polynomial condition needs '=': {text!r}")
-        parser = _PolyParser(d)
-        poly = _add(parser.parse(lhs_text), parser.parse(rhs_text), -1)
+            raise CertificateParseError(f"polynomial condition needs '=': {excerpt(text)}")
+        slots = count()  # numbered across both sides
+        leaf = partial(_atom, d=d, slots=slots)
+        lhs, rhs = (
+            read_arithmetic(side, leaf, _Poly.const, CertificateParseError) for side in (lhs_text, rhs_text)
+        )
+        poly = lhs - rhs
         # the trials clear denominators and scale by det(g): only a
         # homogeneous polynomial vanishes on the scaled table iff on the table
         if len({len(mono) for mono in poly}) > 1:
-            raise CertificateParseError(f"non-homogeneous condition {text!r}")
-        return Condition(_expand(poly, d, parser.slots), text)
+            raise CertificateParseError(f"non-homogeneous condition {excerpt(text)}")
+        return Condition(_expand(poly, d, next(slots)), text)
     mobj = re.fullmatch(
         r"(?:span\(\s*)?([AJ]\d*)\s*\*\s*([AJ]\d*)\s*\)?\s*(<=|=)\s*(.+)", text
     )
@@ -345,7 +297,7 @@ def parse_condition(text: str, d: int) -> Condition:
         allowed = _parse_allowed(rhs, d)
         if op == "=" and allowed:
             raise CertificateParseError(
-                f"use <= for containment in a nonzero span: {text!r}"
+                f"use <= for containment in a nonzero span: {excerpt(text)}"
             )
         # every banned coordinate of every product is one atom that must vanish
         banned = [k for k in range(1, d + 1) if k not in allowed]
@@ -353,7 +305,7 @@ def parse_condition(text: str, d: int) -> Condition:
             ((1, ((a - 1, b - 1, k - 1),)),) for a in left for b in right for k in banned
         )
         return Condition(polys, text)
-    raise CertificateParseError(f"cannot parse condition {text!r}")
+    raise CertificateParseError(f"cannot parse condition {excerpt(text)}")
 
 
 def parse_closed_set(text: str, source_name: str = "<string>") -> ClosedSet:

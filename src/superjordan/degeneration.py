@@ -11,10 +11,11 @@ the ordinary rational-function field over s.
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -28,7 +29,7 @@ from .algebra import (
 )
 from .linalg import SingularMatrix, invert_field_matrix
 from .ratfun import RatFun, as_ratfun
-from .tablefmt import ParseError
+from .tablefmt import ParseError, check_arithmetic, excerpt, read_arithmetic
 
 
 class WitnessError(ParseError):
@@ -39,165 +40,21 @@ class WitnessError(ParseError):
 # Coefficient expressions in t
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+|t|\^|\(|\)|\*|/|\+|-)")
-_FRAC_EXP = re.compile(r"\^\s*\(\s*-?\d+\s*/\s*(\d+)\s*\)")
 
-
-def exponent_denominators(text: str) -> List[int]:
-    return [int(q) for q in _FRAC_EXP.findall(text)]
-
-
-def _tokenize(text: str) -> List[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        mobj = _TOKEN.match(text, pos)
-        if not mobj:
-            if text[pos:].strip():
-                raise WitnessError(f"cannot tokenize {text[pos:]!r}")
-            break
-        out.append(mobj.group(1))
-        pos = mobj.end()
-    return out
-
-
-class _ExprParser:
-    """Recursive-descent parser for t-expressions.
-
-    Builds a tree of tuples: ``("num", k)``, ``("t^", p, q)`` for t^(p/q)
-    (plain ``t`` is t^(1/1)), ``("^", base, k)`` for an integer power of any
-    other atom, ``("neg", x)`` and ``(op, x, y)`` for op in ``+ - * /``.
-    """
-
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> Optional[str]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise WitnessError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str):
-        got = self.take()
-        if got != tok:
-            raise WitnessError(f"expected {tok!r}, got {got!r}")
-
-    def parse(self) -> tuple:
-        node = self.expr()
-        if self.peek() is not None:
-            raise WitnessError(f"trailing tokens {self.toks[self.pos:]}")
-        return node
-
-    def expr(self) -> tuple:
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            node = (self.take(), node, self.term())
-        return node
-
-    def term(self) -> tuple:
-        node = self.unary()
-        while self.peek() in ("*", "/"):
-            node = (self.take(), node, self.unary())
-        return node
-
-    def unary(self) -> tuple:
-        if self.peek() == "-":
-            self.take()
-            return ("neg", self.unary())
-        if self.peek() == "+":
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> tuple:
-        is_t = self.peek() == "t"
-        base = self.atom()
-        if self.peek() != "^":
-            return base
-        self.take()
-        num, den = self.exponent()
-        if is_t:
-            return ("t^", num, den)
-        if den != 1:
-            raise WitnessError("fractional exponents only allowed on t")
-        return ("^", base, num)
-
-    def exponent(self) -> Tuple[int, int]:
-        parens = self.peek() == "("
-        if parens:
-            self.take()
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
-        num, den = self.integer(), 1
-        if parens:
-            if self.peek() == "/":
-                self.take()
-                den = self.integer()
-                if den == 0:
-                    raise WitnessError("exponent denominator 0")
-            self.expect(")")
-        return sign * num, den
-
-    def integer(self) -> int:
-        tok = self.take()
-        if not tok.isdecimal():
-            raise WitnessError(f"expected an integer, got {tok!r}")
-        return int(tok)
-
-    def atom(self) -> tuple:
-        tok = self.take()
-        if tok == "t":
-            return ("t^", 1, 1)
-        if tok == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if tok.isdecimal():
-            return ("num", int(tok))
-        raise WitnessError(f"unexpected token {tok!r}")
-
-
-def _evaluate(node: tuple, ram: int) -> RatFun:
-    kind = node[0]
-    if kind == "num":
-        return RatFun.const(node[1])
-    if kind == "t^":
-        num, den = node[1], node[2]
-        if (ram * num) % den:
-            raise WitnessError(f"ramification {ram} does not clear exponent {num}/{den}")
-        return RatFun.monomial(ram * num // den)
-    if kind == "neg":
-        return -_evaluate(node[1], ram)
-    if kind == "^":
-        base, exp = _evaluate(node[1], ram), node[2]
-        out = RatFun.const(1)
-        for _ in range(abs(exp)):
-            out = out * base
-        return out if exp >= 0 else out.inverse()
-    left, right = _evaluate(node[1], ram), _evaluate(node[2], ram)
-    if kind == "+":
-        return left + right
-    if kind == "-":
-        return left - right
-    if kind == "*":
-        return left * right
-    return left / right
+def _s_exponent(node: ast.expr, exp: Fraction, ram: int) -> int:
+    """The power of s that t^exp is, for t = s^ram."""
+    if not (isinstance(node, ast.Name) and node.id == "t"):
+        raise WitnessError(f"unknown name {excerpt(ast.unparse(node))}; coefficients are written in t")
+    if (ram * exp.numerator) % exp.denominator:
+        raise WitnessError(f"ramification {ram} does not clear exponent {exp}")
+    return ram * exp.numerator // exp.denominator
 
 
 def eval_t_expression(text: str, ram: int) -> RatFun:
     """Evaluate a coefficient expression in t with t = s^ram."""
-    try:
-        return _evaluate(_ExprParser(text).parse(), ram)
-    except ZeroDivisionError as exc:
-        raise WitnessError(f"{text!r}: {exc}") from None
+    return read_arithmetic(
+        text, lambda node, exp: RatFun.monomial(_s_exponent(node, exp, ram)), RatFun.const, WitnessError
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +84,12 @@ class Witness:
     status: str = "published"  # one of STATUSES
 
     def ramification(self) -> int:
-        dens = []
-        for _, terms in self.basis:
-            for coeff, _ in terms:
-                dens.extend(exponent_denominators(coeff))
-        if self.source_param:
-            dens.extend(exponent_denominators(self.source_param))
-        ram = 1
-        for q in dens:
-            ram = ram * q // gcd(ram, q)
-        return ram
+        """The least N for which t = s^N clears every exponent of t."""
+        dens: List[int] = []
+        texts = [coeff for _, terms in self.basis for coeff, _ in terms]
+        for text in texts + ([self.source_param] if self.source_param else []):
+            check_arithmetic(text, lambda _node, exp: dens.append(exp.denominator), WitnessError)
+        return lcm(*dens)
 
 
 def _split_combination(rhs: str) -> List[Tuple[str, str]]:
@@ -267,7 +120,7 @@ def _split_combination(rhs: str) -> List[Tuple[str, str]]:
         chunk = chunk.strip()
         mobj = re.search(r"([ef]\d*)\s*$", chunk)
         if not mobj:
-            raise WitnessError(f"term {chunk!r} does not end with a basis label")
+            raise WitnessError(f"term {excerpt(chunk)} does not end with a basis label")
         label = mobj.group(1)
         coeff = chunk[: mobj.start()].strip()
         if coeff.endswith("*"):
@@ -281,9 +134,9 @@ def _split_combination(rhs: str) -> List[Tuple[str, str]]:
 
 
 def _checked(expr: str, source_name: str, lineno: int) -> str:
-    """``expr`` itself, once it parses as a t-expression."""
+    """``expr`` itself, once it reads as a t-expression at some ramification."""
     try:
-        _ExprParser(expr).parse()
+        check_arithmetic(expr, lambda node, exp: _s_exponent(node, exp, exp.denominator), WitnessError)
     except WitnessError as exc:
         raise WitnessError(f"{source_name}:{lineno}: {exc}") from None
     return expr
@@ -316,15 +169,10 @@ def parse_witness(text: str, source_name: str = "<string>") -> Witness:
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key == "source":
-            if "^" in val:
-                src, _, param = val.partition("^")
-                src = src.strip()
-                param = param.strip()
-                if param.startswith("(") and param.endswith(")"):
-                    param = param[1:-1]
-                param = _checked(param, source_name, lineno)
-            else:
-                src = val
+            src, caret, param = (part.strip() for part in val.partition("^"))
+            if param.startswith("(") and param.endswith(")"):
+                param = param[1:-1]
+            param = _checked(param, source_name, lineno) if caret else None
         elif key == "target":
             tgt = val
         elif key == "note":

@@ -318,6 +318,12 @@ class RatFun:
             raise ZeroDivisionError("inverse of the zero function")
         return RatFun(self.den, self.num)
 
+    def __pow__(self, k: int) -> "RatFun":
+        out = RF_ONE
+        for _ in range(abs(k)):
+            out = out * self
+        return out if k >= 0 else out.inverse()
+
     def __truediv__(self, other: "RatFun") -> "RatFun":
         if isinstance(other, (int, Fraction)):
             other = RatFun.const(other)

@@ -23,15 +23,28 @@ take an optional ``status``: ``published`` (the default) or ``corrected``
 for a certificate, and witnesses add ``published-rationalized`` and
 ``published-graded``.  Only a ``published`` row can be logged by an erratum.
 
-Whitespace around tokens is ignored; ``#`` begins a comment.
+Whitespace around tokens is ignored; ``#`` begins a comment.  An unknown
+key is a parse error (``even`` and ``odd`` are informative only).
+
+Witness coefficients (``t^(1/2) - 2*t``) and both sides of a certificate
+equation (``c[4,4,4] = 1/2*c[*,2,2]``) are read by ``read_arithmetic``:
+integer literals, ``+ - * /``, unary signs, parentheses and ``^``.  An
+exponent is k, -k or a fraction (p/q), as in ``t^-1`` or ``t^(-1/2)``; only
+a name takes a fractional one, and ``t^2^2`` is an error.  The names are
+``t`` in a witness and ``c[a,b,k]`` in a certificate, whose ``*`` index is
+a wildcard.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from functools import lru_cache
+from typing import Callable, List, Optional, Tuple, Union
 
 from .algebra import SuperAlgebra, load
 from .ratfun import RatFun
@@ -40,6 +53,113 @@ from .ratfun import RatFun
 class ParseError(ValueError):
     """Malformed input text; the algebra, witness and certificate parsers
     raise this or a subclass of it."""
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic: witness coefficients and certificate conditions
+# ---------------------------------------------------------------------------
+
+_OPERATORS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv
+}
+_LEAVES = (ast.Name, ast.Subscript)
+_WILDCARD = re.compile(r"(?<=[\[,])\s*\*\s*(?=[,\]])")  # a "*" index, read as "..."
+
+
+def excerpt(text: str) -> str:
+    """``text`` quoted, cut after its first 40 characters."""
+    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+
+
+def _signed_int(node: ast.expr) -> Optional[int]:
+    sign = 1
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        sign, node = -1, node.operand
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return sign * node.value
+    return None
+
+
+@lru_cache(maxsize=4096)
+def _parse(text: str) -> ast.Expression:
+    """Python's tree of ``text``, with ``^`` as ``**`` and each ``*`` index as
+    ``...``; the files repeat their expressions, so each is parsed once."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # e.g. "1or 2" warns before it is refused
+        return ast.parse(_WILDCARD.sub("...", text.replace("^", "**")), mode="eval")
+
+
+def read_arithmetic(text: str, leaf: Callable, const: Callable, error: type):
+    """The value of ``text``, read from Python's tree of it; nothing is run.
+    An integer literal k is ``const(k)``, a name or subscript x is
+    ``leaf(x, 1)`` and x^e is ``leaf(x, e)``.  Everything else is computed
+    with the operators of those values; any other node, a division by zero
+    or a tree too deep to read raises ``error``."""
+    text = text.strip()
+    try:
+        tree = _parse(text)
+    except (SyntaxError, ValueError, RecursionError, MemoryError):
+        raise error(f"cannot read {excerpt(text)}") from None
+
+    def exponent(node: ast.expr) -> Fraction:
+        num, den = node, ast.Constant(1)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            num, den = node.left, node.right
+        p, q = _signed_int(num), _signed_int(den)
+        if p is None or q is None:
+            raise error(f"an exponent is an integer or a fraction of two in {excerpt(text)}")
+        if q == 0:
+            raise error(f"exponent denominator 0 in {excerpt(text)}")
+        return Fraction(p, q)
+
+    def walk(node: ast.expr):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            exp = exponent(node.right)
+            if isinstance(node.left, _LEAVES):
+                return leaf(node.left, exp)
+            if exp.denominator != 1:
+                raise error(f"a fractional exponent needs a name as its base in {excerpt(text)}")
+            return walk(node.left) ** exp.numerator
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            return _OPERATORS[type(node.op)](walk(node.left), walk(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            value = walk(node.operand)
+            return -value if isinstance(node.op, ast.USub) else value
+        if isinstance(node, _LEAVES):
+            return leaf(node, Fraction(1))
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return const(node.value)
+        raise error(f"cannot read {excerpt(text)}")
+
+    try:
+        return walk(tree.body)
+    except ZeroDivisionError:
+        raise error(f"division by zero in {excerpt(text)}") from None
+    except RecursionError:
+        raise error(f"{excerpt(text)} is nested too deeply") from None
+
+
+class _Unread:
+    """Every value while a text is only checked: each operation gives it back."""
+
+    def _same(self, *_):
+        return self
+
+    __add__ = __sub__ = __mul__ = __truediv__ = __pow__ = __neg__ = _same
+
+
+_UNREAD = _Unread()
+
+
+def check_arithmetic(text: str, leaf: Callable, error: type) -> None:
+    """Read ``text`` as ``read_arithmetic`` does and let ``leaf`` check each
+    name and subscript, but compute nothing."""
+
+    def checked(node: ast.expr, exp: Fraction) -> _Unread:
+        leaf(node, exp)
+        return _UNREAD
+
+    read_arithmetic(text, checked, lambda _k: _UNREAD, error)
 
 
 @dataclass
@@ -51,7 +171,6 @@ class AlgebraFile:
     decomposition: Optional[str] = None
     even_part: Optional[str] = None
     family: Optional[str] = None
-    extras: Dict[str, str] = field(default_factory=dict)
 
     def build(self) -> SuperAlgebra:
         try:
@@ -106,7 +225,6 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
     decomposition = None
     even_part = None
     family = None
-    extras: Dict[str, str] = {}
     saw_header = False
     raw_products: List[str] = []
 
@@ -131,9 +249,6 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
             if len(parts) != 2:
                 raise ParseError(f"{source}:{lineno}: bad type {val!r}")
             mn = (_count(parts[0], source, lineno), _count(parts[1], source, lineno))
-        elif key == "basis_order":
-            # flat tables are in label order; a stored ordering would be ignored
-            raise ParseError(f"{source}:{lineno}: unknown key 'basis_order'")
         elif key == "orbit":
             orbit = _count(val, source, lineno)
         elif key == "decomposition":
@@ -142,10 +257,8 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
             even_part = val
         elif key in ("family", "family_param"):
             family = val
-        elif key in ("even", "odd"):
-            extras[key] = val  # informative only; counts come from `type`
-        else:
-            extras[key] = val
+        elif key not in ("even", "odd"):  # informative only; counts come from `type`
+            raise ParseError(f"{source}:{lineno}: unknown key {key!r}")
 
     if not saw_header:
         raise ParseError(f"{source}: missing [algebra] header")
@@ -174,7 +287,6 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
         decomposition=decomposition,
         even_part=even_part,
         family=family,
-        extras=extras,
     )
 
 

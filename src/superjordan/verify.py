@@ -321,25 +321,10 @@ def verify_certificates(cat: Catalog, trials: int = 1000, seed: int = 0) -> List
 def verify_lemma_screens(cat: Catalog, quick: bool = True) -> List[CheckRow]:
     rows = []
     for grp in cat.lemma_pairs:
-        e = cat.entry(grp.source)
-        A = cat.instances(grp.source)[0]
-        graph = cat.even_graph_for(A.m)
         for tgt in grp.targets:
-            te = cat.entry(tgt)
-            B = cat.instances(tgt)[0]
-            rep = nondegeneration_screen(
-                A,
-                B,
-                even_label_a=e.even_part_label,
-                even_label_b=te.even_part_label,
-                even_reachable=graph.reachable,
-                memo=cat.invariants,
-                quick=quick,
-            )
+            rep = screen_pair(cat, grp.source, tgt, quick=quick)
             detail = rep.violations[0].item if rep.violations else "no obstruction"
-            rows.append(
-                CheckRow(f"screen:{grp.source}-x->{tgt}", bool(rep), False, detail)
-            )
+            rows.append(CheckRow(f"screen:{grp.source}-x->{tgt}", bool(rep), False, detail))
     return rows
 
 

@@ -74,6 +74,39 @@ def test_parse_conditions():
         parse_condition("A1*A4 = A2", 4)  # containment must use <=
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("1/2*c[1,2,3] = c[4,4,4]", (((Fraction(1, 2), ((0, 1, 2),)), (-1, ((3, 3, 3),))),)),
+        ("c[1,2,3]*1/2 = c[4,4,4]", (((Fraction(1, 2), ((0, 1, 2),)), (-1, ((3, 3, 3),))),)),
+        ("-c[1,1,1] = c[2,2,2]", (((-1, ((0, 0, 0),)), (-1, ((1, 1, 1),))),)),
+        ("-(c[1,1,1] - 2*c[1,2,2]) = 0", (((-1, ((0, 0, 0),)), (2, ((0, 1, 1),))),)),
+        (
+            "((c[1,1,2]*(c[2,3,4] - c[1,1,1]))) = c[1,3,4]*((2*c[1,4,4]))",
+            (
+                (
+                    (-1, ((0, 0, 0), (0, 0, 1))),
+                    (1, ((0, 0, 1), (1, 2, 3))),
+                    (-2, ((0, 2, 3), (0, 3, 3))),
+                ),
+            ),
+        ),
+    ],
+)
+def test_condition_arithmetic(text, expected):
+    assert parse_condition(text, 4).polys == expected
+
+
+def test_wildcards_on_both_sides():
+    # c[i,1,2] = c[2,j,1] for every i and j, in basis order of (i, j)
+    expected = tuple(
+        tuple(sorted([(1, ((i, 0, 1),)), (-1, ((1, j, 0),))], key=lambda term: term[1]))
+        for i in range(2)
+        for j in range(2)
+    )
+    assert parse_condition("c[*,1,2] = c[2,*,1]", 2).polys == expected
+
+
 def test_each_wildcard_is_its_own_index(catalog):
     # slots are numbered across both sides of "=": c[i,1,1] = c[j,2,2] for all i, j
     polys = parse_condition("c[*,1,1] = c[*,2,2]", 4).polys

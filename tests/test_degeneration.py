@@ -33,6 +33,39 @@ def test_expression_parser():
         eval_t_expression("t^(1/2)", 3)  # ramification does not clear /2
 
 
+@pytest.mark.parametrize(
+    "text, ram, expected",
+    [
+        ("t^(-1/2)", 2, RatFun.monomial(-1)),
+        ("t^-1", 1, RatFun.monomial(-1)),
+        ("(t-1)^-2", 1, RatFun.const(1) / (RatFun.var() - 1) / (RatFun.var() - 1)),
+        ("1/t^2", 1, RatFun.monomial(-2)),
+        ("-t^2*3", 1, RatFun.monomial(2, -3)),
+        ("(2+t)/2/t", 1, (RatFun.const(1) + RatFun.monomial(1, Fraction(1, 2))) / RatFun.var()),
+        ("t^(2/4)", 2, RatFun.monomial(1)),
+    ],
+)
+def test_expression_values(text, ram, expected):
+    assert eval_t_expression(text, ram) == expected
+
+
+@pytest.mark.parametrize(
+    "text, ram",
+    [
+        ("t^(1/2)", 3),  # the ramification does not clear /2
+        ("(1+t)^(1/2)", 2),  # a fractional power of t only
+        ("t^t", 1),
+        ("1/0", 1),
+        ("2 t", 1),
+        ("t^2^2", 1),
+        ("__import__('os').getpid()", 1),  # the text is read, never run
+    ],
+)
+def test_expression_errors(text, ram):
+    with pytest.raises(WitnessError):
+        eval_t_expression(text, ram)
+
+
 def test_witness_ramification():
     w = parse_witness(
         wit_text("A", "B", ["f1 = t^(2/3)*f1", "f2 = t^(1/2)*f2", "f3 = f3", "e = e"])

@@ -73,6 +73,21 @@ def test_parsers_raise_only_parse_error(kind):
         ("closedset", ".cs", "[closedset]\nsource = J7\n"),
         ("closedset", ".cs", "[closedset]\nsource = J7\nbasis = x1 x2 x3 x4\ncondition: c[a,1,1] = 0\n"),
         ("closedset", ".cs", "[closedset]\nlabel = short\nsource = J7\nbasis = e f1 f2\ncondition: c[1,1,1] = 0\n"),
+        # nested too deeply for a recursive reader
+        pytest.param(
+            "closedset",
+            ".cs",
+            "[closedset]\nsource = J7\nbasis = f1 f2 f3 e\ncondition: c[1,1,1] = "
+            + "(" * 3000 + "c[2,2,2]" + ")" * 3000 + "\n",
+            id="deep-condition",
+        ),
+        pytest.param(
+            "degenerate",
+            ".wit",
+            "[degeneration]\nsource = J7\ntarget = J5\nbasis: f1 = " + "(" * 3000 + "t" + ")" * 3000
+            + " f1\nbasis: f2 = f2\nbasis: f3 = f3\nbasis: e = e\n",
+            id="deep-coefficient",
+        ),
     ],
 )
 def test_malformed_file_is_one_error_line(tmp_path, capsys, command, suffix, text):
@@ -82,6 +97,7 @@ def test_malformed_file_is_one_error_line(tmp_path, capsys, command, suffix, tex
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err) < len(str(path)) + 200  # the text is quoted in part
 
 
 @pytest.mark.parametrize(
@@ -105,6 +121,7 @@ def test_witness_key_error_names_file_and_line(tmp_path, capsys, line, message):
     [
         # tables are read in label order; a stored basis order would be ignored
         ("check", ".alg", "[algebra]\nname = b\ntype = 1,3\nbasis_order = f1 f2 f3 e\n", "4: unknown key 'basis_order'"),
+        ("check", ".alg", "[algebra]\nname = b\ntype = 1,1\norbt = 3\n", "4: unknown key 'orbt'"),
         ("closedset", ".cs", "[closedset]\nsource = J7\nstatus = printed\n", "3: bad status 'printed'"),
         # the trials scale the table, which only a homogeneous condition ignores
         (
