@@ -482,9 +482,11 @@ def change_basis_row(entries, d: int, pa, pb, Q, zero) -> List[Scalar]:
     ``pa`` and ``pb`` are the rows P[a] and P[b]."""
     v = [zero] * d
     for c, e, k, val in entries:
-        f = pa[c] * pb[e]
-        if f:
-            v[k] = v[k] + f * val
+        x = pa[c]
+        if x:
+            f = x * pb[e]
+            if f:
+                v[k] = v[k] + f * val
     live = [(k, x) for k, x in enumerate(v) if x]
     row = []
     for l in range(d):
@@ -500,12 +502,12 @@ def change_basis_row(entries, d: int, pa, pb, Q, zero) -> List[Scalar]:
 def change_basis(entries, d: int, P, Q, zero) -> List[List[List[Scalar]]]:
     """Constants of a product in the basis y_a = sum_c P[a][c] x_c, scaled by
     s where P Q = s I: Q = P^-1 gives the constants themselves, Q = adj(P)
-    gives them times det(P) in integer arithmetic.
+    gives them times det(P) without a division (over Z, or Q[s]).
 
     ``entries`` are the nonzero constants of the d-dimensional table
     (``nonzero_constants``) and ``zero`` is the zero of the scalars (0,
-    Fraction(0) or the zero RatFun).  The scalars may be int, Fraction or
-    RatFun: zeros are skipped by their truth value.
+    Fraction(0), the zero Poly or the zero RatFun).  The scalars may be int,
+    Fraction, Poly or RatFun: zeros are skipped by their truth value.
     """
     return [
         [change_basis_row(entries, d, P[a], P[b], Q, zero) for b in range(d)] for a in range(d)

@@ -7,6 +7,13 @@ parameter t, possibly with fractional powers t^(p/q).  Fractional powers
 are removed up front by the global ramification substitution t = s^N
 (N = lcm of the exponent denominators), after which everything lives in
 the ordinary rational-function field over s.
+
+The replay itself runs over the polynomials Q[s].  Each row of the basis
+matrix P is cleared of its denominators by their lcm D_a, giving R, and the
+source constants by theirs, D_T.  One basis change with the adjugate of R
+then gives every moved constant as a polynomial over the one denominator
+D_a D_b det(R) D_T of its product, and a rational function is reduced only
+where a caller asks for one.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .algebra import (
     SuperAlgebra,
@@ -27,8 +34,8 @@ from .algebra import (
     label_parity,
     nonzero_constants,
 )
-from .linalg import SingularMatrix, invert_field_matrix
-from .ratfun import RatFun, as_ratfun
+from .linalg import SingularMatrix, int_matrix_det_adjugate
+from .ratfun import RF_ZERO, Poly, RatFun, as_ratfun, poly_lcm
 from .tablefmt import ParseError, check_arithmetic, excerpt, read_arithmetic
 
 
@@ -170,8 +177,6 @@ def parse_witness(text: str, source_name: str = "<string>") -> Witness:
         key, val = key.strip(), val.strip()
         if key == "source":
             src, caret, param = (part.strip() for part in val.partition("^"))
-            if param.startswith("(") and param.endswith(")"):
-                param = param[1:-1]
             param = _checked(param, source_name, lineno) if caret else None
         elif key == "target":
             tgt = val
@@ -210,10 +215,11 @@ def parse_witness_file(path) -> Witness:
 # ---------------------------------------------------------------------------
 
 
-def apply_basis_change_table(table, P: Sequence[Sequence[RatFun]], Pinv: Sequence[Sequence[RatFun]]):
+def apply_basis_change_table(table, P, Q, zero=RF_ZERO):
     """Constants of the same product in the basis y_a = sum_c P[a][c] x_c,
-    given P and its inverse over the rational-function field."""
-    return _freeze(change_basis(nonzero_constants(table), len(table), P, Pinv, RatFun.const(0)))
+    times s where P Q = s I: Q = P^-1 over Q(s) gives the constants, and
+    Q = adj(P) over Q[s] (``zero`` the zero Poly) gives them times det(P)."""
+    return _freeze(change_basis(nonzero_constants(table), len(table), P, Q, zero))
 
 
 def witness_matrix(wit: Witness, J: SuperAlgebra, ram: Optional[int] = None):
@@ -281,16 +287,45 @@ def parametric_constants(wit: Witness, source: SuperAlgebra):
     """Structure constants of the parametric basis, as RatFun in s."""
     ram = wit.ramification()
     P, order = witness_matrix(wit, source, ram)
-    return _constants_in_basis(source, P, order), order, ram
+    N, den = _constants_in_basis(source, P, order)
+    d = len(order)
+    table = [[[RatFun(x, den[a][b]) for x in N[a][b]] for b in range(d)] for a in range(d)]
+    return _freeze(table), order, ram
+
+
+def _common_denominator(values) -> Poly:
+    """The lcm of the denominators of some rational functions."""
+    D = Poly.const(1)
+    for x in values:
+        D = poly_lcm(D, x.den)
+    return D
+
+
+def _clear(x: RatFun, D: Poly) -> Poly:
+    """D * x, for a multiple D of the denominator of x."""
+    return x.num * (D if x.den.degree() == 0 else D.divmod(x.den)[0])
 
 
 def _constants_in_basis(source: SuperAlgebra, P, order: List[str]):
-    """Structure constants of ``source`` in the basis given by the rows of P."""
-    table = flatten(source, order)
-    rf_table = tuple(
-        tuple(tuple(as_ratfun(x) for x in row) for row in plane) for plane in table
-    )
-    return apply_basis_change_table(rf_table, P, invert_field_matrix(P))
+    """Structure constants of ``source`` in the basis given by the rows of P,
+    as polynomials N over one denominator per product: the constant (a, b, l)
+    is N[a][b][l] / den[a][b].  Raises SingularMatrix."""
+    D = [_common_denominator(row) for row in P]
+    R = [[_clear(x, D_a) for x in row] for row, D_a in zip(P, D)]
+    det, adj = int_matrix_det_adjugate(R)
+    if not det:
+        raise SingularMatrix("witness basis is singular")
+    table = [
+        [[as_ratfun(x) for x in row] for row in plane] for plane in flatten(source, order)
+    ]
+    D_T = _common_denominator(x for plane in table for row in plane for x in row)
+    T = [[[_clear(x, D_T) for x in row] for row in plane] for plane in table]
+    # P^-1 = adj(R) diag(D) / det(R), so with Q = adj(R) diag(D) each constant
+    # is N[a][b][l] / (D_a D_b det(R) D_T)
+    Q = [[x * D_l for x, D_l in zip(row, D)] for row in adj]
+    N = apply_basis_change_table(T, R, Q, Poly())
+    dt = det * D_T
+    return N, [[D_a * D_b * dt for D_b in D] for D_a in D]
 
 
 def verify_degeneration(wit: Witness, source: SuperAlgebra, target: SuperAlgebra) -> Verdict:
@@ -307,23 +342,28 @@ def verify_degeneration(wit: Witness, source: SuperAlgebra, target: SuperAlgebra
     if not is_graded_matrix(P, order):
         return Verdict("NonGradedWitness", "basis mixes even and odd vectors")
     try:
-        new_constants = _constants_in_basis(source, P, order)
+        N, den = _constants_in_basis(source, P, order)
     except SingularMatrix:
         return Verdict("SingularMatrix", "witness basis is singular")
 
+    # the limit of x / q at s = 0 is 0, x_i / q_j at equal orders i = j, and
+    # diverges where the order of x is below that of q
     d = source.dim
     limit = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     for a in range(d):
         for b in range(d):
-            for k in range(d):
-                lv = new_constants[a][b][k].try_limit_at_zero()
-                if lv is None:
+            q = den[a][b]
+            j = q.ord()
+            for k, x in enumerate(N[a][b]):
+                if not x:
+                    continue
+                i = x.ord()
+                if i < j:
                     return Verdict(
-                        "LimitDiverges",
-                        f"entry c[{a+1},{b+1}]^{k+1} diverges: "
-                        f"valuation {new_constants[a][b][k].valuation()}",
+                        "LimitDiverges", f"entry c[{a+1},{b+1}]^{k+1} diverges: valuation {i - j}"
                     )
-                limit[a][b][k] = lv
+                if i == j:
+                    limit[a][b][k] = x[i] / q[j]
     limit_t = _freeze(limit)
     target_table = flatten(target, default_basis_order(target.m, target.n))
     if limit_t != target_table:
@@ -349,13 +389,17 @@ def specialize_witness(wit: Witness, source: SuperAlgebra, t0: Fraction):
     we evaluate the RatFun entries at any s0 with s0^N = t0 rational).
 
     For witnesses with ramification N, the fiber at s = s0 corresponds to
-    t = s0^N, so this function takes s0 directly when N > 1.
+    t = s0^N, so this function takes s0 directly when N > 1.  A constant
+    whose common denominator vanishes at s0 is reduced first, and raises
+    ZeroDivisionError only if its reduced denominator vanishes there too.
     """
-    new_constants, order, ram = parametric_constants(wit, source)
+    ram = wit.ramification()
+    P, order = witness_matrix(wit, source, ram)
+    N, den = _constants_in_basis(source, P, order)
+
+    def value(x: Poly, q: Poly) -> Fraction:
+        qv = q.evaluate(t0)
+        return x.evaluate(t0) / qv if qv else RatFun(x, q).evaluate(t0)
+
     d = len(order)
-    out = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for a in range(d):
-        for b in range(d):
-            for k in range(d):
-                out[a][b][k] = new_constants[a][b][k].evaluate(t0)
-    return tuple(tuple(tuple(r) for r in plane) for plane in out), ram
+    return _freeze([[[value(x, den[a][b]) for x in N[a][b]] for b in range(d)] for a in range(d)]), ram

@@ -13,7 +13,12 @@ One elimination routine per scalar field:
 
 Rank is the number of pivots, the reduced row-echelon basis is each pivot
 row divided by its pivot, and the inverse of M is the right half of the
-reduced [M | I].  ``int_matrix_det_adjugate`` is cofactor expansion over Z.
+reduced [M | I].
+
+``int_matrix_det_adjugate`` is cofactor expansion over any commutative
+ring whose zero is falsy and whose elements add, subtract, negate and
+multiply among themselves: the integers of the certificate trials, and the
+polynomials (``Poly``) a witness basis is cleared to.
 """
 
 from __future__ import annotations
@@ -135,7 +140,8 @@ def invert_field_matrix(m: List[List[RatFun]]) -> List[List[RatFun]]:
 
 
 def int_matrix_det_adjugate(m: List[List[int]]) -> tuple[int, List[List[int]]]:
-    """Determinant and adjugate of an integer matrix (det * inv = adjugate)."""
+    """Determinant and adjugate of a square matrix over a ring (det * inv =
+    adjugate); zeros are skipped by their truth value."""
     n = len(m)
     det = _int_det(m)
     adj = [[0] * n for _ in range(n)]
@@ -155,11 +161,11 @@ def _int_det(m: List[List[int]]) -> int:
         return m[0][0]
     if n == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
+    total = m[0][0] - m[0][0]  # the zero of the entries' ring
     for j in range(n):
-        if m[0][j] == 0:
+        if not m[0][j]:
             continue
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]
         term = m[0][j] * _int_det(minor)
-        total += term if j % 2 == 0 else -term
+        total = total + term if j % 2 == 0 else total - term
     return total

@@ -22,7 +22,7 @@ class LimitUndefined(ArithmeticError):
 
 
 def _normalize(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    cs = [Fraction(c) for c in coeffs]
+    cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -56,6 +56,10 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        """Nonzero, as for RatFun, so a zero polynomial can be skipped."""
+        return bool(self.coeffs)
 
     def degree(self) -> int:
         # degree of the zero polynomial is -1 by convention
@@ -105,6 +109,10 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
+        if b == (1,):
+            return self
+        if a == (1,):
+            return other
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca == 0:
@@ -196,6 +204,16 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             _, r = r.content_and_primitive()
         a, b = b, r
     return a.monic()
+
+
+def poly_lcm(a: Poly, b: Poly) -> Poly:
+    """Monic lcm of two nonzero polynomials; a gcd only when neither divides
+    the other trivially (equal, or one of them constant)."""
+    if b.degree() == 0 or a == b:
+        return a.monic()
+    if a.degree() == 0:
+        return b.monic()
+    return (a * b.divmod(poly_gcd(a, b))[0]).monic()
 
 
 _ZERO = Poly()

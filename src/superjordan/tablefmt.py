@@ -29,10 +29,10 @@ key is a parse error (``even`` and ``odd`` are informative only).
 Witness coefficients (``t^(1/2) - 2*t``) and both sides of a certificate
 equation (``c[4,4,4] = 1/2*c[*,2,2]``) are read by ``read_arithmetic``:
 integer literals, ``+ - * /``, unary signs, parentheses and ``^``.  An
-exponent is k, -k or a fraction (p/q), as in ``t^-1`` or ``t^(-1/2)``; only
-a name takes a fractional one, and ``t^2^2`` is an error.  The names are
-``t`` in a witness and ``c[a,b,k]`` in a certificate, whose ``*`` index is
-a wildcard.
+exponent is k, -k or a fraction (p/q), as in ``t^-1`` or ``t^(-1/2)``, with
+|p| and |q| at most 64; only a name takes a fractional one, and ``t^2^2``
+is an error.  The names are ``t`` in a witness and ``c[a,b,k]`` in a
+certificate, whose ``*`` index is a wildcard.
 """
 
 from __future__ import annotations
@@ -63,6 +63,9 @@ _OPERATORS = {
     ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv
 }
 _LEAVES = (ast.Name, ast.Subscript)
+# The largest |p| and |q| of an exponent p/q; a larger power is refused at
+# load, before anything is computed with it.
+MAX_EXPONENT = 64
 _WILDCARD = re.compile(r"(?<=[\[,])\s*\*\s*(?=[,\]])")  # a "*" index, read as "..."
 
 
@@ -110,6 +113,8 @@ def read_arithmetic(text: str, leaf: Callable, const: Callable, error: type):
             raise error(f"an exponent is an integer or a fraction of two in {excerpt(text)}")
         if q == 0:
             raise error(f"exponent denominator 0 in {excerpt(text)}")
+        if abs(p) > MAX_EXPONENT or abs(q) > MAX_EXPONENT:
+            raise error(f"an exponent's terms are at most {MAX_EXPONENT} in {excerpt(text)}")
         return Fraction(p, q)
 
     def walk(node: ast.expr):

@@ -1,19 +1,26 @@
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from superjordan.algebra import flatten, load
+from superjordan import linalg, ratfun
+from superjordan.algebra import default_basis_order, flatten, load
 from superjordan.degeneration import (
+    Verdict,
     WitnessError,
     apply_basis_change_table,
     eval_t_expression,
+    is_graded_matrix,
     parametric_constants,
     parse_witness,
     specialize_witness,
     verify_degeneration,
+    witness_matrix,
 )
-from superjordan.ratfun import RatFun
+from superjordan.ratfun import RatFun, as_ratfun
+from superjordan.verify import resolve_witness_algebras, verify_witnesses
 
 ONE = Fraction(1)
 
@@ -198,8 +205,152 @@ def test_family_source_witness(catalog):
             ]
         )
     )
-    assert w.source_param == "t"
     param = eval_t_expression(w.source_param, w.ramification())
+    assert param == RatFun.var()
     src = catalog.lookup("Jc16", param)
     tgt = catalog.lookup("Jc30")
     assert verify_degeneration(w, src, tgt).verified
+
+
+@pytest.mark.parametrize(
+    "param, value",
+    [
+        ("(t)", RatFun.var()),
+        ("(1)+(t)", RatFun.const(1) + RatFun.var()),  # not stripped to '1)+(t'
+        ("(1+t)", RatFun.const(1) + RatFun.var()),
+        ("-1", RatFun.const(-1)),
+    ],
+)
+def test_source_parameter_is_read_whole(param, value):
+    w = parse_witness(wit_text(f"Jc16^{param}", "Jc30", ["e1 = e1", "e2 = e2", "f1 = f1", "f2 = f2"]))
+    assert eval_t_expression(w.source_param, w.ramification()) == value
+
+
+# ---------------------------------------------------------------------------
+# The replay over Q[s] against the replay over Q(s)
+# ---------------------------------------------------------------------------
+
+
+def _field_constants(wit, src):
+    """The moved constants over Q(s): the source table as RatFun, changed by
+    P and its inverse from Gauss-Jordan over the field."""
+    P, order = witness_matrix(wit, src)
+    table = tuple(
+        tuple(tuple(as_ratfun(x) for x in row) for row in plane) for plane in flatten(src, order)
+    )
+    return apply_basis_change_table(table, P, linalg.invert_field_matrix(P))
+
+
+def _field_verdict(wit, src, tgt):
+    """``verify_degeneration`` over Q(s), one reduced RatFun per constant."""
+    P, order = witness_matrix(wit, src)
+    if not is_graded_matrix(P, order):
+        return Verdict("NonGradedWitness", "basis mixes even and odd vectors")
+    try:
+        moved = _field_constants(wit, src)
+    except linalg.SingularMatrix:
+        return Verdict("SingularMatrix", "witness basis is singular")
+    d = src.dim
+    limit = [[[None] * d for _ in range(d)] for _ in range(d)]
+    for a in range(d):
+        for b in range(d):
+            for k in range(d):
+                x = moved[a][b][k]
+                if x.try_limit_at_zero() is None:
+                    return Verdict(
+                        "LimitDiverges",
+                        f"entry c[{a+1},{b+1}]^{k+1} diverges: valuation {x.valuation()}",
+                    )
+                limit[a][b][k] = x.limit_at_zero()
+    limit_t = tuple(tuple(tuple(r) for r in plane) for plane in limit)
+    want = flatten(tgt, default_basis_order(tgt.m, tgt.n))
+    diff = tuple(
+        (a + 1, b + 1, k + 1)
+        for a in range(d)
+        for b in range(d)
+        for k in range(d)
+        if limit_t[a][b][k] != want[a][b][k]
+    )
+    if diff:
+        detail = f"{len(diff)} entries differ from {tgt.name}: {diff[:6]}"
+        return Verdict("LimitMismatch", detail, limit_table=limit_t, diff=diff)
+    return Verdict("Verified", limit_table=limit_t)
+
+
+def _assert_replay_matches_field(wit, src, tgt):
+    verdict = verify_degeneration(wit, src, tgt)
+    assert verdict == _field_verdict(wit, src, tgt), wit.label
+    if verdict.status not in ("NonGradedWitness", "SingularMatrix"):
+        assert parametric_constants(wit, src)[0] == _field_constants(wit, src), wit.label
+    return verdict
+
+
+def test_packaged_replay_matches_the_field_replay(catalog):
+    statuses = Counter()
+    for wit in catalog.witnesses():
+        src, tgt = resolve_witness_algebras(catalog, wit)
+        statuses[_assert_replay_matches_field(wit, src, tgt).status] += 1
+    assert statuses == {"Verified": 92, "LimitMismatch": 1}
+
+
+# the packaged Jc16^(1+t) -> Jc47 basis: f1 f2 = e1 + (p - 1)/t E2 for the
+# parameter p
+JC16_BASIS = ["e1 = e1+e2", "e2 = t*e2", "f1 = 1/t*f1", "f2 = t*f2"]
+
+
+@pytest.mark.parametrize(
+    "source, target, basis, status",
+    [
+        # one row over two different denominators, lcm t(1+t)
+        ("J5", "J2", ["f1 = 1/(1+t)*f1 + 1/t*f2", "f2 = t*f2", "f3 = f3", "e = e"], "LimitDiverges"),
+        ("J5", "J2", ["f1 = t/(1+t)*f1 + t^2/(1-t)*f2", "f2 = t/(1-t)*f2", "f3 = f3", "e = e"], "Verified"),
+        ("J5", "J2", ["f1 = t/(1+t)*f1 + t^2/(1-t)*f2", "f2 = t/(2-t)*f2", "f3 = f3", "e = e"], "LimitMismatch"),
+        # ramified: t = s^2
+        ("J5", "J2", ["f1 = t^(1/2)*f1", "f2 = t^(1/2)*f2", "f3 = f3", "e = e"], "Verified"),
+        ("J5", "J2", ["f1 = t^(3/2)*f1", "f2 = t^(1/2)*f2", "f3 = f3", "e = e"], "LimitMismatch"),
+        # family sources: a polynomial parameter leaves D_T = 1, 1/(1-t) does not
+        ("Jc16^(1+t)", "Jc47", JC16_BASIS, "Verified"),
+        ("Jc16^(1/(1-t))", "Jc47", JC16_BASIS, "Verified"),
+        ("Jc16^(1/(1+t))", "Jc47", JC16_BASIS, "LimitMismatch"),
+        ("Jc16^(1/t)", "Jc47", ["e1 = e1+e2", "e2 = t*e2", "f1 = f1", "f2 = f2"], "LimitDiverges"),
+        ("Jc16^(1/t)", "Jc47", ["e1 = e1+e2", "e2 = t*e2", "f1 = 1/(t-2)*f1", "f2 = t^2*f2"], "LimitMismatch"),
+        # singular over Q(s)
+        ("J5", "J2", ["f1 = t*f1", "f2 = t*f1", "f3 = f3", "e = e"], "SingularMatrix"),
+        ("J5", "J2", ["f1 = 1/t*f1 + f2", "f2 = f1 + t*f2", "f3 = f3", "e = e"], "SingularMatrix"),
+    ],
+)
+def test_hand_built_replay_matches_the_field_replay(catalog, source, target, basis, status):
+    wit = parse_witness(wit_text(source, target, basis))
+    src, tgt = resolve_witness_algebras(catalog, wit)
+    assert _assert_replay_matches_field(wit, src, tgt).status == status
+
+
+def test_divergence_names_entry_and_valuation(catalog):
+    wit = parse_witness(wit_text("J5", "J2", ["f1 = 1/t^2*f1", "f2 = f2", "f3 = f3", "e = e"]))
+    src, tgt = resolve_witness_algebras(catalog, wit)
+    verdict = _assert_replay_matches_field(wit, src, tgt)
+    assert verdict.detail == "entry c[1,4]^2 diverges: valuation -2"  # f1 e = t^-2 f2
+
+
+def test_witness_replay_stays_over_polynomials(catalog, monkeypatch):
+    # a replay over Q(s) inverts P by Gauss-Jordan over the field and reduces
+    # every product by a gcd: 10,041 gcds on the packaged witnesses
+    counts = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+
+        # every module that holds the function, as ``from ... import`` binds it
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("superjordan") and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+
+    count(linalg, "invert_field_matrix")
+    count(ratfun, "poly_gcd")
+    assert len(verify_witnesses(catalog)) == 93
+    assert counts["invert_field_matrix"] == 0
+    assert 0 < counts["poly_gcd"] <= 1000

@@ -143,6 +143,20 @@ def test_witness_key_error_names_file_and_line(tmp_path, capsys, line, message):
             "[closedset]\nsource = J7\nbasis = f1 f2 f3 e\ncondition: J*J <= span(x2,x3,x9)\n",
             "4: span member out of range in 'span(x2,x3,x9)'",
         ),
+        # an exponent past the bound is refused at load; 65 would still replay
+        # quickly, so a missing bound fails here instead of hanging
+        (
+            "degenerate",
+            ".wit",
+            "[degeneration]\nsource = J7\ntarget = J5\nbasis: e = (1+t)^65*e\n",
+            "4: an exponent's terms are at most 64",
+        ),
+        (
+            "degenerate",
+            ".wit",
+            "[degeneration]\nsource = J7\ntarget = J5\nbasis: e = e\nbasis: f1 = t^(1/65)*f1\n",
+            "5: an exponent's terms are at most 64",
+        ),
     ],
 )
 def test_key_error_names_file_and_line(tmp_path, capsys, command, suffix, text, message):
@@ -152,3 +166,11 @@ def test_key_error_names_file_and_line(tmp_path, capsys, command, suffix, text, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}:{message}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("power", ["1000000000", "(-1000000000)", "(1/1000000000)", "(1000000000/2)"])
+def test_huge_exponent_is_refused_at_load(power):
+    # parse only: replaying such a power would not finish
+    text = f"[degeneration]\nsource = J7\ntarget = J5\nbasis: e = (1+t)^{power}*e\n"
+    with pytest.raises(ParseError, match=r"^<string>:4: an exponent's terms are at most 64"):
+        parse_witness(text)
