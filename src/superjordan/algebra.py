@@ -20,13 +20,24 @@ work on the flat table.
 Two block readers stay on purpose, as references independent of the flat
 table: ``SuperAlgebra.multiply``, behind ``jordan_defect``, which the
 identity check prints for a failing quadruple and the tests use as its
-oracle; and ``envelope._Envelope.mul``, the Grassmann-envelope cross-check.
+oracle; and ``envelope._Envelope``, the Grassmann-envelope cross-check,
+which reads the blocks once when it is built.
+
+The identity kernels (``check_super_jordan``, the envelope cross-check and
+``invariants.table_is_associative``) run in Python ints.  When every
+constant is rational, ``clear_denominators`` multiplies them all by lambda,
+the lcm of their denominators.  This is exact: x -> x/lambda is an
+isomorphism from (A, mu) to (A, lambda mu), and each identity is
+homogeneous in the constants (the Jordan defect is cubic, associativity
+quadratic), so every zero and every first failing quadruple stays where it
+was.  A table over RatFun runs the same loops unscaled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .linalg import invert_fraction_matrix, row_reduce_basis
@@ -320,10 +331,12 @@ class IdentityReport:
 def check_super_jordan(J: SuperAlgebra) -> IdentityReport:
     """Supercommutativity plus defect vanishing on all basis quadruples.
 
-    The six terms of the defect are summed exactly, in the scalars of the
-    table, from the pair products e_a e_b (the flattened table) and the
-    triple products (e_a e_b) e_c, both computed once per call.  The first
-    failing quadruple in label order is reported with its ``jordan_defect``.
+    The six terms of the defect are summed exactly, in ints, on the table
+    times lambda (``clear_denominators``): the defect is cubic in the
+    constants, so it vanishes where the unscaled one does.  They are summed
+    from the pair products e_a e_b and the triple products (e_a e_b) e_c,
+    both computed once per call.  The first failing quadruple in label order
+    is reported with its ``jordan_defect`` on the unscaled J.
     """
     labels = J.labels()
     dim = len(labels)
@@ -331,11 +344,11 @@ def check_super_jordan(J: SuperAlgebra) -> IdentityReport:
     sviol = _supercommutativity_violations(table, par, labels)
     if sviol:
         return IdentityReport(False, False, detail="; ".join(sviol[:3]))
-    # T[a][b] = e_a e_b as sparse (k, c) pairs, indices in label order
-    T = [
-        [tuple((k, c) for k, c in enumerate(row) if not _sc_is_zero(c)) for row in plane]
-        for plane in table
-    ]
+    # T[a][b] = lambda e_a e_b as sparse (k, c) pairs, indices in label order
+    entries = nonzero_constants(table)
+    T = [[[] for _ in range(dim)] for _ in range(dim)]
+    for (a, b, k, _c), c in zip(entries, clear_denominators([c for *_, c in entries])):
+        T[a][b].append((k, c))
     unit = [((a, 1),) for a in range(dim)]
     P = [
         [[_sparse_product(T, T[a][b], unit[c]) for c in range(dim)] for b in range(dim)]
@@ -355,7 +368,7 @@ def check_super_jordan(J: SuperAlgebra) -> IdentityReport:
                     _add_product(acc, T, T[a][b], T[c][d], -1)
                     _add_product(acc, T, T[a][d], T[b][c], -_sign(pt * (py + pz)))
                     _add_product(acc, T, T[a][c], T[b][d], -_sign(py * pz))
-                    if all(_sc_is_zero(v) for v in acc.values()):
+                    if not any(acc.values()):
                         continue
                     quad = (labels[a], labels[b], labels[c], labels[d])
                     return IdentityReport(
@@ -446,6 +459,18 @@ def unflatten(table, m: int, n: int, name: str = "") -> SuperAlgebra:
     return SuperAlgebra(
         m, n, block(ev, ev, ev), block(ev, od, od), block(od, ev, od), block(od, od, ev), name=name
     )
+
+
+def clear_denominators(constants: Sequence[Scalar]) -> List[Scalar]:
+    """``constants`` times lambda, the lcm of their denominators, as ints
+    when every constant is rational (int or Fraction); the constants
+    themselves when one is a RatFun.  Scaling every constant of a table by
+    one nonzero lambda gives an isomorphic algebra (x -> x/lambda), and an
+    identity homogeneous in the constants holds on one iff on the other."""
+    if not all(isinstance(c, (int, Fraction)) for c in constants):
+        return list(constants)
+    scale = lcm(*(c.denominator for c in constants))
+    return [c.numerator * (scale // c.denominator) for c in constants]
 
 
 def nonzero_constants(table) -> List[Tuple[int, int, int, Scalar]]:

@@ -5,8 +5,8 @@ A witness gives the new basis as linear combinations of the source basis
 with coefficients that are rational functions of the deformation
 parameter t, possibly with fractional powers t^(p/q).  Fractional powers
 are removed up front by the global ramification substitution t = s^N
-(N = lcm of the exponent denominators), after which everything lives in
-the ordinary rational-function field over s.
+(N = lcm of the exponent denominators, refused at load above MAX_EXPONENT),
+after which everything lives in the ordinary rational-function field over s.
 
 The replay itself runs over the polynomials Q[s].  Each row of the basis
 matrix P is cleared of its denominators by their lcm D_a, giving R, and the
@@ -36,7 +36,7 @@ from .algebra import (
 )
 from .linalg import SingularMatrix, int_matrix_det_adjugate
 from .ratfun import RF_ZERO, Poly, RatFun, as_ratfun, poly_lcm
-from .tablefmt import ParseError, check_arithmetic, excerpt, read_arithmetic
+from .tablefmt import MAX_EXPONENT, ParseError, check_arithmetic, excerpt, read_arithmetic
 
 
 class WitnessError(ParseError):
@@ -102,7 +102,8 @@ class Witness:
 def _split_combination(rhs: str) -> List[Tuple[str, str]]:
     """Split 'c1*v1 + c2*v2 - v3' into (coefficient-expression, label) pairs.
 
-    Splitting happens at top-level +/- only (never inside parentheses).
+    Splitting happens at top-level +/- only (never inside parentheses), and
+    never at the sign of an exponent (t^-1).
     """
     terms = []
     depth = 0
@@ -114,7 +115,7 @@ def _split_combination(rhs: str) -> List[Tuple[str, str]]:
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch in "+-" and depth == 0:
+        if ch in "+-" and depth == 0 and not cur.rstrip().endswith("^"):
             if cur.strip():
                 chunks.append((sign, cur.strip()))
             sign = ch
@@ -140,13 +141,24 @@ def _split_combination(rhs: str) -> List[Tuple[str, str]]:
     return terms
 
 
-def _checked(expr: str, source_name: str, lineno: int) -> str:
-    """``expr`` itself, once it reads as a t-expression at some ramification."""
+def _checked(expr: str, ram: int, source_name: str, lineno: int) -> int:
+    """The lcm N of ``ram`` and the exponent denominators of ``expr``, once
+    ``expr`` reads as a t-expression: t = s^N clears both.  An N above
+    MAX_EXPONENT is refused, as the replay builds powers of s up to it."""
+    dens = [ram]
+
+    def leaf(node, exp):
+        dens.append(exp.denominator)
+        return _s_exponent(node, exp, exp.denominator)
+
     try:
-        check_arithmetic(expr, lambda node, exp: _s_exponent(node, exp, exp.denominator), WitnessError)
+        check_arithmetic(expr, leaf, WitnessError)
+        ram = lcm(*dens)
+        if ram > MAX_EXPONENT:
+            raise WitnessError(f"ramification {ram} is above {MAX_EXPONENT}")
     except WitnessError as exc:
         raise WitnessError(f"{source_name}:{lineno}: {exc}") from None
-    return expr
+    return ram
 
 
 def parse_witness(text: str, source_name: str = "<string>") -> Witness:
@@ -157,6 +169,7 @@ def parse_witness(text: str, source_name: str = "<string>") -> Witness:
     label = ""
     status = "published"
     saw_header = False
+    ram = 1  # the ramification of the lines read so far
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -167,17 +180,19 @@ def parse_witness(text: str, source_name: str = "<string>") -> Witness:
         if line.startswith("basis:"):
             body = line[len("basis:") :].strip()
             slot, _, rhs = body.partition("=")
-            terms = [
-                (_checked(coeff, source_name, lineno), label)
-                for coeff, label in _split_combination(rhs.strip())
-            ]
+            terms = _split_combination(rhs.strip())
+            for coeff, _label in terms:
+                ram = _checked(coeff, ram, source_name, lineno)
             basis.append((slot.strip(), terms))
             continue
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key == "source":
             src, caret, param = (part.strip() for part in val.partition("^"))
-            param = _checked(param, source_name, lineno) if caret else None
+            if caret:
+                ram = _checked(param, ram, source_name, lineno)
+            else:
+                param = None
         elif key == "target":
             tgt = val
         elif key == "note":

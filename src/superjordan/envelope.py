@@ -8,20 +8,26 @@ sum of up to three monomials with disjoint Grassmann supports; k = 4
 generators are enough because the identity has degree four.  This check
 never looks at the graded-identity evaluator, so it independently
 validates the sign transcription there.
+
+The products are read from the four blocks once and multiplied in ints:
+every constant is scaled by lambda, the lcm of their denominators
+(``algebra.clear_denominators``).  Both sides of (x^2 y)x = x^2 (yx) are
+cubic in the constants, so each pair holds after the scaling iff it held
+before, and the first failing pair and ``pairs_checked`` stay the same.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import SuperAlgebra
+from .algebra import SuperAlgebra, clear_denominators
 
-# a G(A) element maps (grassmann_mask, parity, index) -> Fraction
-GElement = Dict[Tuple[int, int, int], Fraction]
+# a G(A) element maps (grassmann_mask, parity, index) -> int coefficient
+# (a RatFun for a table over RatFun, which is not scaled)
+GElement = Dict[Tuple[int, int, int], object]
 
 # Largest number of Grassmann generators: the random trials list all 2**k
 # masks, so memory grows as 2**k.
@@ -58,36 +64,46 @@ class _Envelope:
     def __init__(self, J: SuperAlgebra, k: int):
         if not 0 <= k <= MAX_K:
             raise ValueError(f"k must be in [0, {MAX_K}], got {k}")
-        self.J = J
-        self.k = k
+        blocks = ((0, 0, 0, J.alpha), (0, 1, 1, J.beta), (1, 0, 1, J.gamma), (1, 1, 0, J.delta))
+        entries = [
+            ((pa, i, pb, j), pr, kk, val)
+            for pa, pb, pr, block in blocks
+            for i, plane in enumerate(block)
+            for j, row in enumerate(plane)
+            for kk, val in enumerate(row)
+            if val
+        ]
+        scaled = clear_denominators([val for *_, val in entries])
+        # (parity, index) x (parity, index) -> nonzero (parity, index, lambda c)
+        self.products: Dict[Tuple[int, int, int, int], list] = {}
+        for (key, pr, kk, _val), val in zip(entries, scaled):
+            self.products.setdefault(key, []).append((pr, kk, val))
+        # grassmann_sign per mask pair met, as a full 2**k x 2**k table is
+        # too big at MAX_K
+        self.signs: Dict[Tuple[int, int], int] = {}
 
     def mul(self, x: GElement, y: GElement) -> GElement:
         out: GElement = {}
-        J = self.J
+        products, signs = self.products, self.signs
         for (s, pa, ia), ca in x.items():
             for (t, pb, ib), cb in y.items():
-                sg = grassmann_sign(s, t)
+                terms = products.get((pa, ia, pb, ib))
+                if terms is None:
+                    continue
+                sg = signs.get((s, t))
+                if sg is None:
+                    sg = signs[(s, t)] = grassmann_sign(s, t)
                 if sg == 0:
                     continue
                 c = ca * cb * sg
-                if pa == 0 and pb == 0:
-                    comps = [(0, kk, J.alpha[ia][ib][kk]) for kk in range(J.m)]
-                elif pa == 0 and pb == 1:
-                    comps = [(1, q, J.beta[ia][ib][q]) for q in range(J.n)]
-                elif pa == 1 and pb == 0:
-                    comps = [(1, q, J.gamma[ia][ib][q]) for q in range(J.n)]
-                else:
-                    comps = [(0, kk, J.delta[ia][ib][kk]) for kk in range(J.m)]
                 st = s | t
-                for parity, idx, val in comps:
-                    if val == 0:
-                        continue
+                for parity, idx, val in terms:
                     key = (st, parity, idx)
-                    acc = out.get(key, Fraction(0)) + c * val
-                    if acc == 0:
-                        out.pop(key, None)
-                    else:
+                    acc = out.get(key, 0) + c * val
+                    if acc:
                         out[key] = acc
+                    else:
+                        out.pop(key, None)
         return out
 
     def jordan_holds(self, x: GElement, y: GElement) -> bool:
@@ -136,7 +152,7 @@ def envelope_jordan_check(
     indices = {lab: J.label_index(lab) for lab in labels}
     pairs = 0
 
-    def monomial(mask: int, lab: str, coeff: Fraction = Fraction(1)) -> GElement:
+    def monomial(mask: int, lab: str, coeff: int = 1) -> GElement:
         p, i = indices[lab]
         return {(mask, p, i): coeff}
 
@@ -144,8 +160,8 @@ def envelope_jordan_check(
         out: GElement = {}
         for part in parts:
             for kk, v in part.items():
-                out[kk] = out.get(kk, Fraction(0)) + v
-        return {kk: v for kk, v in out.items() if v != 0}
+                out[kk] = out.get(kk, 0) + v
+        return {kk: v for kk, v in out.items() if v}
 
     for r in (1, 2, 3):
         for combo in iproduct(labels, repeat=r):
@@ -182,7 +198,7 @@ def envelope_jordan_check(
             if not pool:
                 continue
             mask = rng.choice(pool)
-            coeff = Fraction(rng.randint(-2, 2))
+            coeff = rng.randint(-2, 2)
             if coeff:
                 parts.append(monomial(mask, lab, coeff))
         return merge(parts)

@@ -14,6 +14,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from . import linalg
 from .algebra import (
     SuperAlgebra,
+    clear_denominators,
     flatten,
     graded_table,
     nonzero_constants,
@@ -118,13 +119,17 @@ def is_associative(J: SuperAlgebra) -> bool:
 
 
 def table_is_associative(table) -> bool:
+    """(ab)c = a(bc) on every basis triple, in ints on the table times lambda
+    (``clear_denominators``): both sides are quadratic in the constants."""
     d = len(table)
+    flat = clear_denominators([c for plane in table for row in plane for c in row])
+    T = [[flat[(a * d + b) * d : (a * d + b + 1) * d] for b in range(d)] for a in range(d)]
     for a in range(d):
         for b in range(d):
             for c in range(d):
                 for l in range(d):
-                    lhs = sum((table[a][b][k] * table[k][c][l] for k in range(d)), Fraction(0))
-                    rhs = sum((table[b][c][k] * table[a][k][l] for k in range(d)), Fraction(0))
+                    lhs = sum(T[a][b][k] * T[k][c][l] for k in range(d))
+                    rhs = sum(T[b][c][k] * T[a][k][l] for k in range(d))
                     if lhs != rhs:
                         return False
     return True

@@ -294,6 +294,11 @@ class RatFun:
     def __add__(self, other: "RatFun") -> "RatFun":
         if isinstance(other, (int, Fraction)):
             other = RatFun.const(other)
+        # a sum with zero is the other term, already reduced: no gcd
+        if not self.num:
+            return other
+        if not other.num:
+            return self
         return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__

@@ -249,6 +249,20 @@ def test_entry_point_installed():
     assert "computed 4" in result.stdout
 
 
+def test_package_runs_as_a_module():
+    # python -m superjordan, without an installed console script
+    result = subprocess.run(
+        [sys.executable, "-m", "superjordan", "verify-all", "--trials", "10", "--seed", "0"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[-1].endswith("hard failures: 0")
+    assert any(line.startswith("PASS identity:") for line in lines)
+    assert not any(line.startswith("FAIL") for line in lines)
+
+
 def test_closedset_matches_certificate_sweep(catalog, capsys):
     cs = DATA / "closedsets" / "geo2_Jc10.cs"
     assert main(["closedset", str(cs), "--trials", "50"]) == 0

@@ -226,6 +226,22 @@ def test_source_parameter_is_read_whole(param, value):
     assert eval_t_expression(w.source_param, w.ramification()) == value
 
 
+@pytest.mark.parametrize(
+    "bare, bracketed",
+    [
+        ("t^-1*f1", "t^(-1)*f1"),
+        ("e - t^-2*f1 + t^ -1 * f2", "e - t^(-2)*f1 + t^(-1) * f2"),
+    ],
+)
+def test_negative_exponent_is_not_split(bare, bracketed):
+    def terms(rhs):
+        w = parse_witness(wit_text("J7", "J5", [f"f1 = {rhs}", "f2 = f2", "f3 = f3", "e = e"]))
+        _slot, pairs = w.basis[0]
+        return [(eval_t_expression(coeff, 1), label) for coeff, label in pairs]
+
+    assert terms(bare) == terms(bracketed)
+
+
 # ---------------------------------------------------------------------------
 # The replay over Q[s] against the replay over Q(s)
 # ---------------------------------------------------------------------------
@@ -354,3 +370,5 @@ def test_witness_replay_stays_over_polynomials(catalog, monkeypatch):
     assert len(verify_witnesses(catalog)) == 93
     assert counts["invert_field_matrix"] == 0
     assert 0 < counts["poly_gcd"] <= 1000
+    # a sum with a zero RatFun, as each slot of witness_matrix starts, runs no gcd
+    assert counts["poly_gcd"] <= 109

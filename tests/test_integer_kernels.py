@@ -1,0 +1,303 @@
+"""The identity kernels run in ints on each table times the lcm of its
+denominators.  Their results must equal those of the same loops run in
+Fraction on the unscaled table, kept here as oracles."""
+
+import random
+from fractions import Fraction
+from itertools import product as iproduct
+
+from superjordan.algebra import (
+    IdentityReport,
+    _supercommutativity_violations,
+    apply_graded_change,
+    check_super_jordan,
+    clear_denominators,
+    flatten,
+    graded_table,
+    jordan_defect,
+    load,
+)
+from superjordan.envelope import EnvelopeReport, _support_plan, envelope_jordan_check, grassmann_sign
+from superjordan.invariants import table_is_associative
+from superjordan.linalg import int_matrix_det_adjugate
+
+from conftest import perturb_entry
+
+ONE = Fraction(1)
+HALF = Fraction(1, 2)
+THIRD = Fraction(1, 3)
+
+
+# ---- Fraction oracles ------------------------------------------------------
+
+
+def _sign(exp):
+    return -1 if exp % 2 else 1
+
+
+def _add_product(acc, T, u, v, sign):
+    for k, cu in u:
+        for l, cv in v:
+            for r, t in T[k][l]:
+                x = cu * cv * t
+                acc[r] = acc.get(r, 0) + x if sign > 0 else acc.get(r, 0) - x
+
+
+def _sparse_product(T, u, v):
+    acc = {}
+    _add_product(acc, T, u, v, 1)
+    return tuple((k, c) for k, c in acc.items() if c)
+
+
+def fraction_check_super_jordan(J):
+    """The graded identity on every basis quadruple, in the table's scalars."""
+    labels = J.labels()
+    dim = len(labels)
+    table, par = graded_table(J)
+    sviol = _supercommutativity_violations(table, par, labels)
+    if sviol:
+        return IdentityReport(False, False, detail="; ".join(sviol[:3]))
+    T = [[tuple((k, c) for k, c in enumerate(row) if c) for row in plane] for plane in table]
+    unit = [((a, 1),) for a in range(dim)]
+    P = [
+        [[_sparse_product(T, T[a][b], unit[c]) for c in range(dim)] for b in range(dim)]
+        for a in range(dim)
+    ]
+    for a, b, c, d in iproduct(range(dim), repeat=4):
+        px, py, pz, pt = par[a], par[b], par[c], par[d]
+        acc = {}
+        _add_product(acc, T, P[a][b][c], unit[d], 1)
+        _add_product(acc, T, P[a][d][c], unit[b], _sign(py * pz + py * pt + pz * pt))
+        _add_product(acc, T, P[b][d][c], unit[a], _sign(px * py + px * pz + px * pt + pz * pt))
+        _add_product(acc, T, T[a][b], T[c][d], -1)
+        _add_product(acc, T, T[a][d], T[b][c], -_sign(pt * (py + pz)))
+        _add_product(acc, T, T[a][c], T[b][d], -_sign(py * pz))
+        if all(v == 0 for v in acc.values()):
+            continue
+        quad = (labels[a], labels[b], labels[c], labels[d])
+        return IdentityReport(
+            False,
+            True,
+            violation=quad,
+            defect=jordan_defect(J, *(J.basis_element(lab) for lab in quad)),
+            detail=f"J({','.join(quad)}) != 0",
+        )
+    return IdentityReport(True, True)
+
+
+class _FractionEnvelope:
+    def __init__(self, J):
+        self.J = J
+
+    def mul(self, x, y):
+        out = {}
+        J = self.J
+        for (s, pa, ia), ca in x.items():
+            for (t, pb, ib), cb in y.items():
+                sg = grassmann_sign(s, t)
+                if sg == 0:
+                    continue
+                c = ca * cb * sg
+                if pa == 0 and pb == 0:
+                    comps = [(0, kk, J.alpha[ia][ib][kk]) for kk in range(J.m)]
+                elif pa == 0 and pb == 1:
+                    comps = [(1, q, J.beta[ia][ib][q]) for q in range(J.n)]
+                elif pa == 1 and pb == 0:
+                    comps = [(1, q, J.gamma[ia][ib][q]) for q in range(J.n)]
+                else:
+                    comps = [(0, kk, J.delta[ia][ib][kk]) for kk in range(J.m)]
+                st = s | t
+                for parity, idx, val in comps:
+                    if val == 0:
+                        continue
+                    key = (st, parity, idx)
+                    acc = out.get(key, Fraction(0)) + c * val
+                    if acc == 0:
+                        out.pop(key, None)
+                    else:
+                        out[key] = acc
+        return out
+
+    def jordan_holds(self, x, y):
+        xx = self.mul(x, x)
+        return self.mul(self.mul(xx, y), x) == self.mul(xx, self.mul(y, x))
+
+
+def fraction_envelope_check(J, k=4, random_trials=20, seed=0):
+    """``envelope_jordan_check`` with Fraction coefficients on the blocks."""
+    env = _FractionEnvelope(J)
+    labels = J.labels()
+    indices = {lab: J.label_index(lab) for lab in labels}
+    parities = {lab: indices[lab][0] for lab in labels}
+    pairs = 0
+
+    def monomial(mask, lab, coeff=Fraction(1)):
+        p, i = indices[lab]
+        return {(mask, p, i): coeff}
+
+    def merge(parts):
+        out = {}
+        for part in parts:
+            for kk, v in part.items():
+                out[kk] = out.get(kk, Fraction(0)) + v
+        return {kk: v for kk, v in out.items() if v != 0}
+
+    for r in (1, 2, 3):
+        for combo in iproduct(labels, repeat=r):
+            plan = _support_plan([parities[lab] for lab in combo], k)
+            if plan is None:
+                continue
+            used = 0
+            for msk in plan:
+                used |= msk
+            x = merge([monomial(msk, lab) for msk, lab in zip(plan, combo)])
+            free = [g for g in range(k) if not (used >> g) & 1]
+            for ylab in labels:
+                if parities[ylab] == 1:
+                    if not free:
+                        continue
+                    ymask = 1 << free[0]
+                else:
+                    ymask = 0
+                pairs += 1
+                if not env.jordan_holds(x, monomial(ymask, ylab)):
+                    return EnvelopeReport(
+                        False, pairs, detail=f"fails at x={combo} supports={plan}, y={ylab}"
+                    )
+
+    rng = random.Random(seed)
+    even_masks = [msk for msk in range(1 << k) if bin(msk).count("1") % 2 == 0]
+    odd_masks = [msk for msk in range(1 << k) if bin(msk).count("1") % 2 == 1]
+
+    def random_element():
+        parts = []
+        for lab in labels:
+            pool = even_masks if parities[lab] == 0 else odd_masks
+            if not pool:
+                continue
+            mask = rng.choice(pool)
+            coeff = Fraction(rng.randint(-2, 2))
+            if coeff:
+                parts.append(monomial(mask, lab, coeff))
+        return merge(parts)
+
+    for _ in range(random_trials):
+        x, y = random_element(), random_element()
+        pairs += 1
+        if not env.jordan_holds(x, y):
+            return EnvelopeReport(False, pairs, detail="fails at a random envelope pair")
+    return EnvelopeReport(True, pairs)
+
+
+def fraction_table_is_associative(table):
+    d = len(table)
+    for a, b, c, l in iproduct(range(d), repeat=4):
+        lhs = sum((table[a][b][k] * table[k][c][l] for k in range(d)), Fraction(0))
+        rhs = sum((table[b][c][k] * table[a][k][l] for k in range(d)), Fraction(0))
+        if lhs != rhs:
+            return False
+    return True
+
+
+def _assert_kernels_match(J):
+    assert check_super_jordan(J) == fraction_check_super_jordan(J), J.name
+    assert envelope_jordan_check(J) == fraction_envelope_check(J), J.name
+    table = flatten(J)
+    assert table_is_associative(table) == fraction_table_is_associative(table), J.name
+
+
+# ---- inputs ----------------------------------------------------------------
+
+
+def _instances(catalog):
+    """Every catalog entry, families at instance 2."""
+    out = []
+    for name in catalog.names():
+        entry = catalog.entry(name)
+        out.append(catalog.lookup(name, 2) if entry.is_family else entry.algebra)
+    return out
+
+
+def _non_unimodular_change(J, rng):
+    """J in a random graded basis given by integer matrices of determinant
+    other than +-1, drawn until the moved constants have a denominator."""
+
+    def matrix(size):
+        while True:
+            M = [[rng.randint(-2, 2) for _ in range(size)] for _ in range(size)]
+            if abs(int_matrix_det_adjugate(M)[0]) > 1:
+                return M
+
+    for _ in range(50):
+        moved = apply_graded_change(J, matrix(J.m), matrix(J.n))
+        if any(c.denominator > 1 for plane in flatten(moved) for row in plane for c in row):
+            return moved
+    raise AssertionError(f"no change of {J.name} gave a denominator")
+
+
+# ---- tests -----------------------------------------------------------------
+
+
+def test_clear_denominators_scales_by_the_lcm():
+    assert clear_denominators([HALF, THIRD, Fraction(0), Fraction(-5, 4)]) == [6, 4, 0, -15]
+    assert clear_denominators([1, Fraction(2), Fraction(0)]) == [1, 2, 0]
+    assert all(type(c) is int for c in clear_denominators([HALF, THIRD]))
+    assert clear_denominators([]) == []
+
+
+def test_ratfun_table_is_not_scaled(catalog):
+    from superjordan.ratfun import RatFun
+
+    mixed = [RatFun.var(), HALF, Fraction(0)]
+    assert clear_denominators(mixed) == mixed
+    # the symbolic family runs the same loops over RatFun, unscaled
+    Jc16 = catalog.entry("Jc16").algebra
+    assert any(isinstance(c, RatFun) for plane in flatten(Jc16) for row in plane for c in row)
+    report = check_super_jordan(Jc16)
+    assert report.ok and report == fraction_check_super_jordan(Jc16)
+    table = flatten(Jc16)
+    assert table_is_associative(table) == fraction_table_is_associative(table)
+
+
+def test_kernels_match_fraction_loops_on_catalog(catalog):
+    instances = _instances(catalog)
+    assert len(instances) == 149
+    for J in instances:
+        _assert_kernels_match(J)
+
+
+def test_kernels_match_fraction_loops_on_perturbations(catalog):
+    names = ["J1", "J5", "J14", "J15", "Jc1", "Jc16", "Jc42", "Jc58", "Jf1", "Jf49", "Jf53"]
+    variants = [perturb_entry(catalog, name, seed) for name in names for seed in (3, 4, 5)]
+    assert sum(not check_super_jordan(J).ok for J in variants) * 2 >= len(variants)
+    for J in variants:
+        _assert_kernels_match(J)
+
+
+def test_kernels_match_fraction_loops_after_non_unimodular_changes(catalog):
+    rng = random.Random(16)
+    names = ["J5", "J14", "Jc16", "Jc42", "Jc58", "Jf49", "Jf53"]
+    moved = []
+    for name in names:
+        entry = catalog.entry(name)
+        J = catalog.lookup(name, 2) if entry.is_family else entry.algebra
+        moved.append(_non_unimodular_change(J, rng))
+        moved.append(_non_unimodular_change(perturb_entry(catalog, name, 7), rng))
+    for J in moved:
+        _assert_kernels_match(J)
+
+
+def test_kernels_match_fraction_loops_on_mixed_denominators(catalog):
+    # e1 idempotent with Peirce values 1/2 (allowed) and 1/3 (not Jordan)
+    peirce = load(
+        [("e1", "e1", [(ONE, "e1")]), ("e1", "f1", [(HALF, "f1")]), ("e1", "f2", [(THIRD, "f2")])],
+        (2, 2),
+        name="peirce",
+    )
+    # Jc9 with e2 replaced by e2/3: e1 f2 = 1/2 f2 and e2 e2 = 1/3 e2
+    rescaled = apply_graded_change(catalog.lookup("Jc9"), [[1, 0], [0, THIRD]], [[1, 0], [0, 1]])
+    assert not check_super_jordan(peirce).ok and not envelope_jordan_check(peirce).ok
+    assert check_super_jordan(rescaled).ok and envelope_jordan_check(rescaled).ok
+    for J in (peirce, rescaled):
+        assert {HALF, THIRD} <= {c for plane in flatten(J) for row in plane for c in row}
+        _assert_kernels_match(J)

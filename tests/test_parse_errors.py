@@ -157,6 +157,21 @@ def test_witness_key_error_names_file_and_line(tmp_path, capsys, line, message):
             "[degeneration]\nsource = J7\ntarget = J5\nbasis: e = e\nbasis: f1 = t^(1/65)*f1\n",
             "5: an exponent's terms are at most 64",
         ),
+        # each exponent is in bound, but together they need t = s^14511168
+        (
+            "degenerate",
+            ".wit",
+            "[degeneration]\nsource = J7\ntarget = J5\nbasis: e = e\nbasis: f1 = t^(1/64)*f1\n"
+            "basis: f2 = t^(1/63)*f2\nbasis: f3 = t^(1/61)*f3 + t^(1/59)*f3\n",
+            "6: ramification 4032 is above 64",
+        ),
+        (
+            "degenerate",
+            ".wit",
+            "[degeneration]\nsource = Jc16^(t^(1/5))\ntarget = Jc30\nbasis: e1 = t^(1/13)*e1\n"
+            "basis: e2 = e2\nbasis: f1 = f1\nbasis: f2 = f2\n",
+            "4: ramification 65 is above 64",
+        ),
     ],
 )
 def test_key_error_names_file_and_line(tmp_path, capsys, command, suffix, text, message):
