@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -124,32 +125,13 @@ class SuperAlgebra:
     def dim(self) -> int:
         return self.m + self.n
 
-    def even_labels(self) -> List[str]:
-        return ["e"] if self.m == 1 else [f"e{i+1}" for i in range(self.m)]
-
-    def odd_labels(self) -> List[str]:
-        return ["f"] if self.n == 1 else [f"f{i+1}" for i in range(self.n)]
-
     def labels(self) -> List[str]:
-        return self.even_labels() + self.odd_labels()
+        return list(basis_labels(self.m, self.n)[0])
 
     def label_index(self, label: str) -> Tuple[int, int]:
         """(parity, index-within-parity) for a basis label."""
-        ev, od = self.even_labels(), self.odd_labels()
-        if label in ev:
-            return 0, ev.index(label)
-        if label in od:
-            return 1, od.index(label)
-        # accept e1/f1 aliases of e/f and vice versa
-        if label == "e1" and self.m == 1:
-            return 0, 0
-        if label == "f1" and self.n == 1:
-            return 1, 0
-        if label == "e" and self.m >= 1:
-            return 0, 0
-        if label == "f" and self.n >= 1:
-            return 1, 0
-        raise KeyError(f"unknown basis vector {label!r} for type ({self.m},{self.n})")
+        pos = label_position(label, self.m, self.n)
+        return (0, pos) if pos < self.m else (1, pos - self.m)
 
     def basis_element(self, label: str) -> Element:
         parity, idx = self.label_index(label)
@@ -206,11 +188,6 @@ class SuperAlgebra:
                         ev[k] = ev[k] + c * row[k]
         return Element(tuple(ev), tuple(od))
 
-    # ---- invariant checks --------------------------------------------------
-    def supercommutativity_violations(self) -> List[str]:
-        table, par = graded_table(self)
-        return _supercommutativity_violations(table, par, self.labels())
-
 
 def label_parity(label: str) -> int:
     """0 for an even basis vector (e, e1, ...), 1 for an odd one (f, f1, ...).
@@ -219,13 +196,36 @@ def label_parity(label: str) -> int:
     return 0 if label.startswith("e") else 1
 
 
+@lru_cache(maxsize=None)
+def basis_labels(m: int, n: int) -> Tuple[Tuple[str, ...], Dict[str, int]]:
+    """The basis labels of type (m, n) in label order (e or e1..em, then f
+    or f1..fn), and the flat position of each label in that order; e and e1
+    name the same vector, and so do f and f1.  The dict is shared: read it
+    only."""
+    ev = ("e",) if m == 1 else tuple(f"e{i+1}" for i in range(m))
+    od = ("f",) if n == 1 else tuple(f"f{i+1}" for i in range(n))
+    position = {lab: i for i, lab in enumerate(ev + od)}
+    if m:
+        position.setdefault("e", 0)
+        position.setdefault("e1", 0)
+    if n:
+        position.setdefault("f", m)
+        position.setdefault("f1", m)
+    return ev + od, position
+
+
+def label_position(label: str, m: int, n: int) -> int:
+    """The flat position of a basis label of type (m, n) in label order."""
+    try:
+        return basis_labels(m, n)[1][label]
+    except KeyError:
+        raise KeyError(f"unknown basis vector {label!r} for type ({m},{n})") from None
+
+
 def default_basis_order(m: int, n: int) -> List[str]:
     """Odd vectors first for type (1,3), even first otherwise."""
-    ev = ["e"] if m == 1 else [f"e{i+1}" for i in range(m)]
-    od = ["f"] if n == 1 else [f"f{i+1}" for i in range(n)]
-    if (m, n) == (1, 3):
-        return od + ev
-    return ev + od
+    labels = list(basis_labels(m, n)[0])
+    return labels[m:] + labels[:m] if (m, n) == (1, 3) else labels
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +245,11 @@ def load(products: Sequence[ProductSpec], mn: Tuple[int, int], name: str = "") -
     m, n = mn
     d = m + n
     table = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    probe = unflatten(table, m, n)  # the zero algebra, for its labels
 
     def position(label: str) -> Tuple[int, int]:
         """(parity, index in label order) of a basis label."""
-        parity, within = probe.label_index(label)
-        return parity, within + parity * m
+        pos = label_position(label, m, n)
+        return int(pos >= m), pos
 
     seen: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
     for left, right, terms in products:

@@ -18,7 +18,7 @@ from .certificates import ClosedSet, parse_closed_set_file
 from .degeneration import Witness, parse_witness_file
 from .invariants import InvariantMemo
 from .ratfun import RatFun, ratfun_compose
-from .tablefmt import ParseError, parse_algebra_file
+from .tablefmt import ParseError, parse_algebra_file, read_count, read_lines, unknown_line
 
 DATA_ENV = "SUPERJORDAN_DATA"
 
@@ -193,11 +193,6 @@ class Catalog:
             return [self.lookup(name, p) for p in FAMILY_SAMPLES]
         return [entry.algebra]
 
-    def reachable(self, graph: str, a: str, b: str) -> bool:
-        if graph not in self.graphs:
-            raise UnknownNode(f"no graph named {graph}")
-        return self.graphs[graph].reachable(a, b)
-
     def even_graph_for(self, m: int) -> ReferenceGraph:
         return self.graphs[f"dim{m}"]
 
@@ -271,80 +266,65 @@ def instantiate(J: SuperAlgebra, param, name: str = "") -> SuperAlgebra:
 
 def _parse_edges(path: Path) -> ReferenceGraph:
     edges = []
-    nodes = set()
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        src, _, dst = line.partition("->")
-        src, dst = src.strip(), dst.strip()
-        if not src or not dst:
-            raise ParseError(f"{path}: bad edge line {raw!r}")
+
+    def handle(key: str, line: str) -> None:
+        src, arrow, dst = (part.strip() for part in line.partition("->"))
+        if key or not (src and arrow and dst):
+            raise ParseError("expected an edge 'A -> B'")
         edges.append((src, dst))
-        nodes.add(src)
-        nodes.add(dst)
-    return ReferenceGraph(path.stem, tuple(sorted(nodes)), tuple(edges))
+
+    read_lines(path.read_text(encoding="utf-8"), str(path), handle)
+    nodes = sorted({node for edge in edges for node in edge})
+    return ReferenceGraph(path.stem, tuple(nodes), tuple(edges))
 
 
 def _parse_components(path: Path) -> dict:
     out = {"dimension": None, "rigid": [], "families": []}
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
+
+    def handle(key: str, val: str) -> None:
         if key == "dimension":
-            out["dimension"] = int(val)
-        elif key == "rigid":
-            out["rigid"] = val.split()
-        elif key == "families":
-            out["families"] = val.split()
+            out["dimension"] = read_count(val)
+        elif key in ("rigid", "families"):
+            out[key] = val.split()
+        else:
+            raise unknown_line(key, val)
+
+    read_lines(path.read_text(encoding="utf-8"), str(path), handle)
     return out
 
 
 def _parse_lemma_pairs(path: Path) -> List[LemmaPairGroup]:
     groups = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, reason = line.partition(";")
-        reason = reason.partition("=")[2].strip() if reason else ""
-        src, _, tgts = head.partition("-/->")
-        groups.append(LemmaPairGroup(src.strip(), tgts.split(), reason))
+
+    def handle(key: str, line: str) -> None:
+        head, semi, reason = line.partition(";")
+        src, arrow, tgts = head.partition("-/->")
+        name, _, reason = reason.partition("=")
+        if key or not (arrow and src.strip() and tgts.split()) or (semi and name.strip() != "reason"):
+            raise ParseError("expected 'SOURCE -/-> TARGET ... ; reason = R'")
+        groups.append(LemmaPairGroup(src.strip(), tgts.split(), reason.strip()))
+
+    read_lines(path.read_text(encoding="utf-8"), str(path), handle)
     return groups
 
 
 def parse_errata(path: Path) -> List[Erratum]:
-    out = []
-    cur: Dict[str, str] = {}
+    records: List[Dict[str, str]] = []
 
-    def flush():
-        if cur:
-            out.append(
-                Erratum(
-                    cur.get("id", f"E{len(out)+1}"),
-                    cur.get("kind", ""),
-                    cur.get("key", ""),
-                    cur.get("detail", ""),
-                )
-            )
-
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        if line.strip() == "[erratum]":
-            flush()
-            cur = {}
-            continue
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key in cur and key == "detail":
-            cur[key] += " " + val
+    def handle(key: str, val: str) -> None:
+        if (key, val) == ("", "[erratum]"):
+            records.append({})
+        elif not records:
+            raise ParseError("expected [erratum]")
+        elif key == "detail" and key in records[-1]:
+            records[-1][key] += " " + val
+        elif key in ("id", "kind", "key", "detail"):
+            records[-1][key] = val
         else:
-            cur[key] = val
-    flush()
-    return out
+            raise unknown_line(key, val)
+
+    read_lines(path.read_text(encoding="utf-8"), str(path), handle)
+    return [
+        Erratum(cur.get("id", f"E{i}"), cur.get("kind", ""), cur.get("key", ""), cur.get("detail", ""))
+        for i, cur in enumerate(filter(None, records), 1)
+    ]

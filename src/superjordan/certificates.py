@@ -53,19 +53,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import count, product
-from math import lcm
 from typing import Iterator, List, Optional, Tuple
 
 from .algebra import (
     SuperAlgebra,
     change_basis,
     change_basis_row,
+    clear_denominators,
     flatten,
     label_parity,
     nonzero_constants,
 )
 from .linalg import int_matrix_det_adjugate
-from .tablefmt import ParseError, excerpt, read_arithmetic
+from .tablefmt import ParseError, excerpt, read_arithmetic, read_lines, unknown_line
 
 
 class BasisMismatch(ValueError):
@@ -309,56 +309,24 @@ def parse_condition(text: str, d: int) -> Condition:
 
 
 def parse_closed_set(text: str, source_name: str = "<string>") -> ClosedSet:
-    source = None
-    targets: List[str] = []
-    basis: List[str] = []
-    label = ""
-    status = "published"
-    cond_lines: List[Tuple[int, str]] = []
-    saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "[closedset]":
-            saw_header = True
-            continue
-        if line.startswith("condition:"):
-            cond_lines.append((lineno, line[len("condition:") :].strip()))
-            continue
-        if line == "conditions:":
-            continue
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key == "source":
-            source = val
-        elif key == "targets":
-            targets = val.split()
-        elif key == "basis":
-            basis = val.split()
-        elif key == "label":
-            label = val
-        elif key == "status":
-            if val not in STATUSES:
-                raise CertificateParseError(
-                    f"{source_name}:{lineno}: bad status {val!r} (expected one of {', '.join(STATUSES)})"
-                )
-            status = val
-        else:
-            # bare condition lines under a "conditions:" block
-            cond_lines.append((lineno, line))
-    if not saw_header:
-        raise CertificateParseError(f"{source_name}: missing [closedset] header")
-    if source is None or not basis:
+    cs = ClosedSet(source=None, targets=[], basis=[], conditions=[])
+
+    def handle(key: str, val: str) -> None:
+        if key in ("condition:", ""):  # a bare line is a condition under "conditions:"
+            if not cs.basis:
+                raise CertificateParseError("a condition needs the basis line above it")
+            cs.conditions.append(parse_condition(val, cs.dim))
+        elif key in ("source", "label"):
+            setattr(cs, key, val)
+        elif key in ("targets", "basis"):
+            setattr(cs, key, val.split())
+        elif key != "conditions:" or val:
+            raise unknown_line(key, val)
+
+    cs.status = read_lines(text, source_name, handle, "closedset", STATUSES)
+    if cs.source is None or not cs.basis:
         raise CertificateParseError(f"{source_name}: source and basis are required")
-    d = len(basis)
-    conditions = []
-    for lineno, text in cond_lines:
-        try:
-            conditions.append(parse_condition(text, d))
-        except CertificateParseError as exc:
-            raise CertificateParseError(f"{source_name}:{lineno}: {exc}") from None
-    return ClosedSet(source, targets, basis, conditions, label=label, status=status)
+    return cs
 
 
 def parse_closed_set_file(path) -> ClosedSet:
@@ -445,8 +413,8 @@ def _int_constants(table) -> List[Tuple[int, int, int, int]]:
     """The nonzero constants of the table with denominators cleared (a
     global scale, harmless for homogeneous conditions)."""
     entries = nonzero_constants(table)
-    scale = lcm(*(Fraction(x).denominator for *_abk, x in entries))
-    return [(a, b, k, int(Fraction(x) * scale)) for a, b, k, x in entries]
+    scaled = clear_denominators([x for *_abk, x in entries])
+    return [(a, b, k, x) for (a, b, k, _x), x in zip(entries, scaled)]
 
 
 class _MovedPlane(dict):

@@ -19,7 +19,6 @@ where a caller asks for one.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -28,6 +27,7 @@ from typing import List, Optional, Tuple
 from .algebra import (
     SuperAlgebra,
     _freeze,
+    basis_labels,
     change_basis,
     default_basis_order,
     flatten,
@@ -36,7 +36,16 @@ from .algebra import (
 )
 from .linalg import SingularMatrix, int_matrix_det_adjugate
 from .ratfun import RF_ZERO, Poly, RatFun, as_ratfun, poly_lcm
-from .tablefmt import MAX_EXPONENT, ParseError, check_arithmetic, excerpt, read_arithmetic
+from .tablefmt import (
+    MAX_EXPONENT,
+    ParseError,
+    check_arithmetic,
+    excerpt,
+    read_arithmetic,
+    read_lines,
+    split_combination,
+    unknown_line,
+)
 
 
 class WitnessError(ParseError):
@@ -99,49 +108,7 @@ class Witness:
         return lcm(*dens)
 
 
-def _split_combination(rhs: str) -> List[Tuple[str, str]]:
-    """Split 'c1*v1 + c2*v2 - v3' into (coefficient-expression, label) pairs.
-
-    Splitting happens at top-level +/- only (never inside parentheses), and
-    never at the sign of an exponent (t^-1).
-    """
-    terms = []
-    depth = 0
-    cur = ""
-    sign = "+"
-    chunks: List[Tuple[str, str]] = []
-    for ch in rhs:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and not cur.rstrip().endswith("^"):
-            if cur.strip():
-                chunks.append((sign, cur.strip()))
-            sign = ch
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        chunks.append((sign, cur.strip()))
-    for sign, chunk in chunks:
-        chunk = chunk.strip()
-        mobj = re.search(r"([ef]\d*)\s*$", chunk)
-        if not mobj:
-            raise WitnessError(f"term {excerpt(chunk)} does not end with a basis label")
-        label = mobj.group(1)
-        coeff = chunk[: mobj.start()].strip()
-        if coeff.endswith("*"):
-            coeff = coeff[:-1].strip()
-        if not coeff:
-            coeff = "1"
-        if sign == "-":
-            coeff = f"-({coeff})"
-        terms.append((coeff, label))
-    return terms
-
-
-def _checked(expr: str, ram: int, source_name: str, lineno: int) -> int:
+def _checked(expr: str, ram: int) -> int:
     """The lcm N of ``ram`` and the exponent denominators of ``expr``, once
     ``expr`` reads as a t-expression: t = s^N clears both.  An N above
     MAX_EXPONENT is refused, as the replay builds powers of s up to it."""
@@ -151,70 +118,41 @@ def _checked(expr: str, ram: int, source_name: str, lineno: int) -> int:
         dens.append(exp.denominator)
         return _s_exponent(node, exp, exp.denominator)
 
-    try:
-        check_arithmetic(expr, leaf, WitnessError)
-        ram = lcm(*dens)
-        if ram > MAX_EXPONENT:
-            raise WitnessError(f"ramification {ram} is above {MAX_EXPONENT}")
-    except WitnessError as exc:
-        raise WitnessError(f"{source_name}:{lineno}: {exc}") from None
+    check_arithmetic(expr, leaf, WitnessError)
+    ram = lcm(*dens)
+    if ram > MAX_EXPONENT:
+        raise WitnessError(f"ramification {ram} is above {MAX_EXPONENT}")
     return ram
 
 
 def parse_witness(text: str, source_name: str = "<string>") -> Witness:
-    src = tgt = None
-    param = None
-    basis: List[Tuple[str, List[Tuple[str, str]]]] = []
-    note = ""
-    label = ""
-    status = "published"
-    saw_header = False
+    wit = Witness(source=None, target=None, basis=[])
     ram = 1  # the ramification of the lines read so far
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "[degeneration]":
-            saw_header = True
-            continue
-        if line.startswith("basis:"):
-            body = line[len("basis:") :].strip()
-            slot, _, rhs = body.partition("=")
-            terms = _split_combination(rhs.strip())
+
+    def handle(key: str, val: str) -> None:
+        nonlocal ram
+        if key == "basis:":
+            slot, eq, rhs = val.partition("=")
+            if not eq:
+                raise WitnessError(f"a basis line is 'slot = combination', got {excerpt(val)}")
+            terms = split_combination(rhs)
             for coeff, _label in terms:
-                ram = _checked(coeff, ram, source_name, lineno)
-            basis.append((slot.strip(), terms))
-            continue
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key == "source":
-            src, caret, param = (part.strip() for part in val.partition("^"))
+                ram = _checked(coeff, ram)
+            wit.basis.append((slot.strip(), terms))
+        elif key == "source":
+            wit.source, caret, param = (part.strip() for part in val.partition("^"))
             if caret:
-                ram = _checked(param, ram, source_name, lineno)
-            else:
-                param = None
-        elif key == "target":
-            tgt = val
-        elif key == "note":
-            note = val
-        elif key == "label":
-            label = val
-        elif key == "status":
-            if val not in STATUSES:
-                raise WitnessError(
-                    f"{source_name}:{lineno}: bad status {val!r} (expected one of {', '.join(STATUSES)})"
-                )
-            status = val
+                ram = _checked(param, ram)
+            wit.source_param = param if caret else None
+        elif key in ("target", "note", "label"):
+            setattr(wit, key, val)
         else:
-            raise WitnessError(f"{source_name}:{lineno}: unknown key {key!r}")
-    if not saw_header:
-        raise WitnessError(f"{source_name}: missing [degeneration] header")
-    if src is None or tgt is None:
+            raise unknown_line(key, val)
+
+    wit.status = read_lines(text, source_name, handle, "degeneration", STATUSES)
+    if wit.source is None or wit.target is None:
         raise WitnessError(f"{source_name}: source and target are required")
-    return Witness(
-        source=src, target=tgt, source_param=param,
-        basis=basis, note=note, label=label, status=status,
-    )
+    return wit
 
 
 def parse_witness_file(path) -> Witness:
@@ -243,35 +181,22 @@ def witness_matrix(wit: Witness, J: SuperAlgebra, ram: Optional[int] = None):
     if ram is None:
         ram = wit.ramification()
     order = default_basis_order(J.m, J.n)
-    cols = {lab: i for i, lab in enumerate(order)}
-    # accept e <-> e1 and f <-> f1 aliases
-    if J.m == 1:
-        cols.setdefault("e1", cols["e"])
-    else:
-        cols.setdefault("e", cols.get("e1", 0))
-    if J.n == 1:
-        cols.setdefault("f1", cols["f"])
-    else:
-        cols.setdefault("f", cols.get("f1", 0))
+    labels, position = basis_labels(J.m, J.n)
+    # the index in ``order`` of every label, aliases included
+    where = {lab: order.index(labels[pos]) for lab, pos in position.items()}
     d = J.dim
     P = [[RatFun.const(0)] * d for _ in range(d)]
-    slots_seen = []
+    rows = []
     for slot, terms in wit.basis:
-        canon_slot = slot
-        if canon_slot not in order:
-            if canon_slot == "e1" and "e" in order:
-                canon_slot = "e"
-            elif canon_slot == "f1" and "f" in order:
-                canon_slot = "f"
-            else:
-                raise WitnessError(f"slot {slot!r} not a basis vector of type ({J.m},{J.n})")
-        row = order.index(canon_slot)
-        slots_seen.append(canon_slot)
+        if slot not in where:
+            raise WitnessError(f"slot {slot!r} not a basis vector of type ({J.m},{J.n})")
+        row = where[slot]
+        rows.append(row)
         for coeff, lab in terms:
-            if lab not in cols:
+            if lab not in where:
                 raise WitnessError(f"unknown source basis vector {lab!r}")
-            P[row][cols[lab]] = P[row][cols[lab]] + eval_t_expression(coeff, ram)
-    if sorted(slots_seen) != sorted(order):
+            P[row][where[lab]] = P[row][where[lab]] + eval_t_expression(coeff, ram)
+    if sorted(rows) != list(range(d)):
         raise WitnessError(f"witness must define every slot of {order} exactly once")
     return P, order
 
@@ -296,16 +221,6 @@ class Verdict:
     @property
     def verified(self) -> bool:
         return self.status == "Verified"
-
-
-def parametric_constants(wit: Witness, source: SuperAlgebra):
-    """Structure constants of the parametric basis, as RatFun in s."""
-    ram = wit.ramification()
-    P, order = witness_matrix(wit, source, ram)
-    N, den = _constants_in_basis(source, P, order)
-    d = len(order)
-    table = [[[RatFun(x, den[a][b]) for x in N[a][b]] for b in range(d)] for a in range(d)]
-    return _freeze(table), order, ram
 
 
 def _common_denominator(values) -> Poly:

@@ -3,9 +3,9 @@
 Scalars are ``fractions.Fraction`` (arbitrary-precision, always reduced).
 ``Poly`` is a dense univariate polynomial in one formal variable ``s``;
 ``RatFun`` is a reduced fraction of two polynomials with a monic
-denominator, so equality is structural equality.  ``RatFun`` carries an
-order-of-vanishing at ``s = 0`` (the valuation) and a limit operator,
-which is what parametric basis changes need to take exact limits.
+denominator, so equality is structural equality.  The witness replay
+takes its t -> 0 limits from the orders of ``Poly`` numerators and
+denominators (``Poly.ord``), not from ``RatFun``.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ from math import gcd as int_gcd, inf
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
-
-
-class LimitUndefined(ArithmeticError):
-    """Raised when a rational function diverges at s = 0."""
 
 
 def _normalize(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
@@ -354,29 +350,6 @@ class RatFun:
 
     def __rtruediv__(self, other) -> "RatFun":
         return self.inverse() * other
-
-    def valuation(self) -> Union[int, float]:
-        """Order at s = 0; +inf for the zero function."""
-        if self.is_zero():
-            return inf
-        return self.num.ord() - self.den.ord()
-
-    def limit_at_zero(self) -> Fraction:
-        """Value of the power-series expansion at s = 0; raises if divergent."""
-        v = self.valuation()
-        if v is inf or v > 0:
-            return Fraction(0)
-        if v < 0:
-            raise LimitUndefined(f"valuation {v} < 0: {self!r}")
-        kn = self.num.ord()
-        kd = self.den.ord()
-        return self.num[kn] / self.den[kd]
-
-    def try_limit_at_zero(self):
-        """Same as limit_at_zero but returns None instead of raising."""
-        if not self.is_zero() and self.valuation() < 0:
-            return None
-        return self.limit_at_zero()
 
     def evaluate(self, x: Scalar) -> Fraction:
         dv = self.den.evaluate(x)

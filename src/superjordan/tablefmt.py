@@ -1,38 +1,64 @@
-"""Line-oriented text formats: algebra tables, witnesses, closed sets.
+"""The data files and the one reader they share.
 
-Algebra files:
+Every data file is read line by line by ``read_lines``:
+
+* ``#`` begins a comment, and blank lines are skipped;
+* a table, witness or certificate begins with its ``[header]`` line;
+* ``key = value`` and ``key: value`` lines, ``key`` a word, are split at
+  the first ``=`` or ``:``, and every other line is read whole;
+* ``status``, in a file that has one, is checked against its values;
+* every error is one line that begins ``FILE:LINE:``.
+
+A line may use only what the lines above it declare: a product its family
+symbol, a certificate condition its basis.  Unknown keys are errors.
+
+Algebra tables (``.alg``, read by ``parse_algebra``)::
 
     [algebra]
     name = J5
     type = 1,3
-    even = e
+    even = e                        # informative only, as is "odd"
     odd = f1 f2 f3
     orbit = 12                      # optional catalog metadata
     decomposition = S1_3 + S1_1     # optional; "Indecomposable" for none
     even_part = U2                  # optional declared label
     family = t                      # optional family parameter symbol
     product: e*f1 = f2
-    product: f1*f2 = 1/2 e + t e2   # rational or family-parameter coefficients
+    product: f1*f2 = 1/2 e + t e2   # a zero product is "= 0" or not listed
 
 The constants are stored and read in label order (even vectors first), so
 a file names no basis order; a ``basis_order`` key is a parse error.
 
-Witness files (``[degeneration]``) and closed-set certificates
-(``[closedset]``) are parsed in ``degeneration`` and ``certificates``.  Both
-take an optional ``status``: ``published`` (the default) or ``corrected``
-for a certificate, and witnesses add ``published-rationalized`` and
-``published-graded``.  Only a ``published`` row can be logged by an erratum.
+Witnesses (``.wit``, ``[degeneration]``, read by
+``degeneration.parse_witness``) name ``source = NAME`` or
+``source = NAME^(expr in t)``, ``target``, an optional ``label``, ``note``
+and ``status``, and one ``basis: slot = combination`` line per new basis
+vector.  Their ``status`` is ``published`` (the default),
+``published-rationalized``, ``published-graded`` or ``corrected``.
 
-Whitespace around tokens is ignored; ``#`` begins a comment.  An unknown
-key is a parse error (``even`` and ``odd`` are informative only).
+Certificates (``.cs``, ``[closedset]``, read by
+``certificates.parse_closed_set``) name ``source``, ``targets``, ``basis``,
+an optional ``label`` and ``status`` (``published`` or ``corrected``), and
+one ``condition:`` line per condition.  Only a ``published`` witness or
+certificate can be logged by an erratum.
 
-Witness coefficients (``t^(1/2) - 2*t``) and both sides of a certificate
-equation (``c[4,4,4] = 1/2*c[*,2,2]``) are read by ``read_arithmetic``:
+The catalog's other files (read in ``catalog``): the errata ledger is a
+list of ``[erratum]`` records of ``id``, ``kind``, ``key`` and ``detail``
+lines, the detail lines joined; a graph (``.edges``) has one ``A -> B``
+line per edge; a component list has ``dimension``, ``rigid`` and
+``families``; and the lemma pairs have one
+``SOURCE -/-> TARGET ... ; reason = R`` line per group.
+
+A linear combination (a product's right side, a witness basis vector) is
+split by ``split_combination`` into terms ``coefficient label``, the ``*``
+between them optional.  Every number in every file but a count (``type``,
+``orbit``, ``dimension``: decimal digits) is read by ``read_arithmetic``:
 integer literals, ``+ - * /``, unary signs, parentheses and ``^``.  An
 exponent is k, -k or a fraction (p/q), as in ``t^-1`` or ``t^(-1/2)``, with
-|p| and |q| at most 64; only a name takes a fractional one, and ``t^2^2``
-is an error.  The names are ``t`` in a witness and ``c[a,b,k]`` in a
-certificate, whose ``*`` index is a wildcard.
+|p| and |q| at most 64; only ``t`` in a witness takes a fractional one, and
+``t^2^2`` is an error.  The names are the family symbol in a table, ``t``
+in a witness and ``c[a,b,k]`` in a certificate, whose ``*`` index is a
+wildcard.
 """
 
 from __future__ import annotations
@@ -167,6 +193,109 @@ def check_arithmetic(text: str, leaf: Callable, error: type) -> None:
     read_arithmetic(text, checked, lambda _k: _UNREAD, error)
 
 
+# ---------------------------------------------------------------------------
+# Lines and linear combinations
+# ---------------------------------------------------------------------------
+
+_KEY = re.compile(r"(\w+)\s*([:=])\s*(.*)")
+
+
+def read_lines(
+    text: str,
+    source: str,
+    handle: Callable[[str, str], None],
+    header: Optional[str] = None,
+    statuses: Tuple[str, ...] = (),
+) -> Optional[str]:
+    """Hand each line of a data file to ``handle(key, value)``: ``key =
+    value`` gives the key, ``key: value`` the key and its colon, and any
+    other line the key ``""`` and the whole line.  Given a ``header``, the
+    first line must be ``[header]``, and is not handed on.  Given
+    ``statuses``, the ``status`` key is checked here, and its value, by
+    default the first, is returned.  A ParseError raised while a line is
+    read gets the prefix ``source:line:``."""
+    status = statuses[0] if statuses else None
+    started = header is None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            if not started:
+                if line != f"[{header}]":
+                    raise ParseError(f"expected [{header}], got {excerpt(line)}")
+                started = True
+                continue
+            match = _KEY.fullmatch(line)
+            if not match:
+                handle("", line)
+                continue
+            key, sep, value = match.groups()
+            if key == "status" and statuses:
+                if value not in statuses:
+                    raise ParseError(f"bad status {value!r} (expected one of {', '.join(statuses)})")
+                status = value
+            else:
+                handle(key + ":" if sep == ":" else key, value)
+        except ParseError as exc:
+            raise type(exc)(f"{source}:{lineno}: {exc}") from None
+    if not started:
+        raise ParseError(f"{source}: missing [{header}] header")
+    return status
+
+
+def unknown_line(key: str, value: str) -> ParseError:
+    """The error for a line that no key of its format reads."""
+    return ParseError(f"unknown key {key!r}" if key else f"cannot parse {excerpt(value)}")
+
+
+_LABEL = re.compile(r"[ef]\d*\s*$")
+
+
+def split_combination(rhs: str) -> List[Tuple[str, str]]:
+    """Split 'c1*v1 + c2 v2 - v3' into (coefficient text, label) pairs.
+
+    Splitting happens at top-level +/- only (never inside parentheses), and
+    never at the sign of an exponent (t^-1); signs in a row multiply.
+    """
+    chunks: List[Tuple[str, str]] = []
+    depth = 0
+    cur = ""
+    sign = "+"
+    for ch in rhs:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch in "+-" and depth == 0 and not cur.rstrip().endswith("^"):
+            if cur.strip():
+                chunks.append((sign, cur.strip()))
+                sign = ch
+            else:  # a sign after a sign: "- -v" is "+v"
+                sign = "+" if (sign == "-") == (ch == "-") else "-"
+            cur = ""
+        else:
+            cur += ch
+    if cur.strip():
+        chunks.append((sign, cur.strip()))
+    terms = []
+    for sign, chunk in chunks:
+        label = _LABEL.search(chunk)
+        if not label:
+            raise ParseError(f"term {excerpt(chunk)} does not end with a basis label")
+        coeff = chunk[: label.start()].strip()
+        if coeff.endswith("*"):
+            coeff = coeff[:-1].strip()
+        coeff = coeff or "1"
+        terms.append((f"-({coeff})" if sign == "-" else coeff, label.group().strip()))
+    return terms
+
+
+# ---------------------------------------------------------------------------
+# Algebra tables
+# ---------------------------------------------------------------------------
+
+
 @dataclass
 class AlgebraFile:
     name: str
@@ -184,115 +313,64 @@ class AlgebraFile:
             raise ParseError(f"{self.name or 'algebra'}: {exc}") from None
 
 
-_TERM_SPLIT = re.compile(r"(?=[+-])")
-
-
-def _parse_terms(rhs: str, family: Optional[str]):
-    rhs = rhs.strip()
-    if rhs == "0":
-        return []
-    terms = []
-    for chunk in _TERM_SPLIT.split(rhs.replace(" - ", " +- ").replace("+ -", "+-")):
-        chunk = chunk.strip()
-        if not chunk or chunk == "+":
-            continue
-        if chunk.startswith("+"):
-            chunk = chunk[1:].strip()
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:].strip()
-        tokens = chunk.split()
-        if not tokens:
-            continue
-        label = tokens[-1]
-        coeff: Union[Fraction, RatFun] = Fraction(sign)
-        for tok in tokens[:-1]:
-            if family is not None and tok == family:
-                coeff = coeff * RatFun.var()
-            else:
-                coeff = coeff * Fraction(tok)
-        terms.append((coeff, label))
-    return terms
-
-
-def _count(text: str, source: str, lineno: int) -> int:
+def read_count(text: str) -> int:
+    """A decimal count, as in ``type = 1,3``."""
+    text = text.strip()
     if not text.isdecimal():
-        raise ParseError(f"{source}:{lineno}: expected a count, got {text!r}")
+        raise ParseError(f"expected a count, got {text!r}")
     return int(text)
 
 
+def _product(spec: str, family: Optional[str]):
+    """(left, right, [(coefficient, label)]) of a ``product:`` line."""
+    lhs, eq, rhs = spec.partition("=")
+    left, star, right = lhs.partition("*")
+    if not (eq and star):
+        raise ParseError(f"a product is 'a*b = combination', got {excerpt(spec)}")
+
+    def leaf(node: ast.expr, exp: Fraction) -> RatFun:
+        if not (family and isinstance(node, ast.Name) and node.id == family):
+            raise ParseError(
+                f"unknown name {excerpt(ast.unparse(node))}; a table's one name is the family symbol"
+            )
+        if exp.denominator != 1:
+            raise ParseError(f"the family symbol takes integer powers only, got {exp}")
+        return RatFun.monomial(exp.numerator)
+
+    terms = [] if rhs.strip() == "0" else split_combination(rhs)
+    return left.strip(), right.strip(), [
+        (read_arithmetic(coeff, leaf, Fraction, ParseError), label) for coeff, label in terms
+    ]
+
+
 def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
-    name = ""
-    mn: Optional[Tuple[int, int]] = None
-    products = []
-    orbit = None
-    decomposition = None
-    even_part = None
-    family = None
-    saw_header = False
-    raw_products: List[str] = []
+    af = AlgebraFile(name="", mn=None, products=[])
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "[algebra]":
-            saw_header = True
-            continue
-        if line.startswith("product:"):
-            raw_products.append(line[len("product:") :].strip())
-            continue
-        if "=" not in line:
-            raise ParseError(f"{source}:{lineno}: cannot parse {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key == "name":
-            name = val
+    def handle(key: str, val: str) -> None:
+        if key == "product:":
+            af.products.append(_product(val, af.family))
+        elif key == "name":
+            af.name = val
         elif key == "type":
-            parts = [p.strip() for p in val.split(",")]
+            parts = val.split(",")
             if len(parts) != 2:
-                raise ParseError(f"{source}:{lineno}: bad type {val!r}")
-            mn = (_count(parts[0], source, lineno), _count(parts[1], source, lineno))
+                raise ParseError(f"bad type {val!r}")
+            af.mn = (read_count(parts[0]), read_count(parts[1]))
         elif key == "orbit":
-            orbit = _count(val, source, lineno)
+            af.orbit = read_count(val)
         elif key == "decomposition":
-            decomposition = val
+            af.decomposition = val
         elif key == "even_part":
-            even_part = val
+            af.even_part = val
         elif key in ("family", "family_param"):
-            family = val
+            af.family = val
         elif key not in ("even", "odd"):  # informative only; counts come from `type`
-            raise ParseError(f"{source}:{lineno}: unknown key {key!r}")
+            raise unknown_line(key, val)
 
-    if not saw_header:
-        raise ParseError(f"{source}: missing [algebra] header")
-    if mn is None:
+    read_lines(text, source, handle, "algebra")
+    if af.mn is None:
         raise ParseError(f"{source}: missing type")
-
-    for spec in raw_products:
-        if "=" not in spec:
-            raise ParseError(f"{source}: bad product line {spec!r}")
-        lhs, _, rhs = spec.partition("=")
-        lhs = lhs.strip()
-        if "*" not in lhs:
-            raise ParseError(f"{source}: product left side needs a*b, got {lhs!r}")
-        left, _, right = lhs.partition("*")
-        try:
-            terms = _parse_terms(rhs, family)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{source}: bad product line {spec!r}: {exc}") from None
-        products.append((left.strip(), right.strip(), terms))
-
-    return AlgebraFile(
-        name=name,
-        mn=mn,
-        products=products,
-        orbit=orbit,
-        decomposition=decomposition,
-        even_part=even_part,
-        family=family,
-    )
+    return af
 
 
 def parse_algebra_file(path) -> AlgebraFile:

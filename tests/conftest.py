@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import inf
 
 import pytest
 
-from superjordan.algebra import graded_table, load, nonzero_constants
+from superjordan.algebra import _supercommutativity_violations, graded_table, load, nonzero_constants
 from superjordan.catalog import Catalog
 
 
@@ -54,3 +55,42 @@ def perturb_entry(catalog, name, seed):
             )
         except Exception:
             continue
+
+
+def supercommutativity_violations(J):
+    """The constants of J that break supercommutativity, as
+    ``check_super_jordan`` names them."""
+    table, par = graded_table(J)
+    return _supercommutativity_violations(table, par, J.labels())
+
+
+# The t -> 0 limit of a RatFun: the oracle of the replay over Q[s], which
+# reads its limits from Poly orders instead.
+
+
+class LimitUndefined(ArithmeticError):
+    """A rational function diverges at s = 0."""
+
+
+def valuation(f):
+    """The order of a RatFun at s = 0; +inf for the zero function."""
+    if f.is_zero():
+        return inf
+    return f.num.ord() - f.den.ord()
+
+
+def limit_at_zero(f) -> Fraction:
+    """The value of the power-series expansion at s = 0; raises if it diverges."""
+    v = valuation(f)
+    if v is inf or v > 0:
+        return Fraction(0)
+    if v < 0:
+        raise LimitUndefined(f"valuation {v} < 0: {f!r}")
+    return f.num[f.num.ord()] / f.den[f.den.ord()]
+
+
+def try_limit_at_zero(f):
+    """``limit_at_zero``, or None where it diverges."""
+    if not f.is_zero() and valuation(f) < 0:
+        return None
+    return limit_at_zero(f)

@@ -23,7 +23,7 @@ from superjordan.algebra import (
     unflatten,
 )
 
-from conftest import perturb_entry
+from conftest import perturb_entry, supercommutativity_violations
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -46,7 +46,7 @@ def j5():
 def test_load_completes_supercommutativity(j1):
     assert j1.delta[0][1][0] == 1
     assert j1.delta[1][0][0] == -1
-    assert not j1.supercommutativity_violations()
+    assert not supercommutativity_violations(j1)
 
 
 def test_supercommutativity_violations_name_the_constant():
@@ -54,7 +54,7 @@ def test_supercommutativity_violations_name_the_constant():
     t[0][1][1] = ONE  # e f = f, but f e = 0
     t[1][1][0] = ONE  # f f = e, a nonzero odd square
     bad = unflatten(t, 1, 1)
-    assert bad.supercommutativity_violations() == ["e*f != f*e at f", "f*f != -f*f at e"]
+    assert supercommutativity_violations(bad) == ["e*f != f*e at f", "f*f != -f*f at e"]
     rep = check_super_jordan(bad)
     assert not rep.ok and not rep.supercommutative
     assert rep.detail == "e*f != f*e at f; f*f != -f*f at e"
@@ -146,7 +146,7 @@ def test_check_super_jordan_reports_first_violation():
 def _reference_check(J):
     """The graded identity through ``jordan_defect`` on every basis quadruple,
     in label order: the oracle for ``check_super_jordan``."""
-    sviol = J.supercommutativity_violations()
+    sviol = supercommutativity_violations(J)
     if sviol:
         return IdentityReport(False, False, detail="; ".join(sviol[:3]))
     labels = J.labels()

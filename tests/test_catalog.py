@@ -4,6 +4,8 @@ from superjordan.algebra import check_super_jordan, flatten
 from superjordan.catalog import MissingParameter, UnknownName, UnknownNode
 from superjordan.ratfun import RatFun
 
+from conftest import supercommutativity_violations
+
 
 def test_entry_counts(catalog):
     assert len(catalog.names((1, 3))) == 19
@@ -38,7 +40,7 @@ def test_family_symbolic_instantiation(catalog):
 
 def test_supercommutativity_across_catalog(catalog):
     for name in catalog.names():
-        assert not catalog.entry(name).algebra.supercommutativity_violations(), name
+        assert not supercommutativity_violations(catalog.entry(name).algebra), name
 
 
 def test_flatten_injective_per_type(catalog):
@@ -53,12 +55,13 @@ def test_flatten_injective_per_type(catalog):
 
 
 def test_reachability_examples(catalog):
-    assert catalog.reachable("dim2", "U1+U1", "B3")
-    assert not catalog.reachable("dim2", "B2", "B1")
-    assert catalog.reachable("dim2", "B2", "B2")
-    assert catalog.reachable("dim1", "U1", "U2")
+    dim1, dim2 = catalog.graphs["dim1"], catalog.graphs["dim2"]
+    assert dim2.reachable("U1+U1", "B3")
+    assert not dim2.reachable("B2", "B1")
+    assert dim2.reachable("B2", "B2")
+    assert dim1.reachable("U1", "U2")
     with pytest.raises(UnknownNode):
-        catalog.reachable("dim2", "B2", "missing")
+        dim2.reachable("B2", "missing")
 
 
 # Second, independent transcription of the reference graphs (in-edges per

@@ -6,23 +6,36 @@ from fractions import Fraction
 import pytest
 
 from superjordan import linalg, ratfun
-from superjordan.algebra import default_basis_order, flatten, load
+from superjordan.algebra import _freeze, default_basis_order, flatten, load
 from superjordan.degeneration import (
     Verdict,
     WitnessError,
+    _constants_in_basis,
     apply_basis_change_table,
     eval_t_expression,
     is_graded_matrix,
-    parametric_constants,
     parse_witness,
     specialize_witness,
     verify_degeneration,
     witness_matrix,
 )
 from superjordan.ratfun import RatFun, as_ratfun
+from superjordan.tablefmt import split_combination
 from superjordan.verify import resolve_witness_algebras, verify_witnesses
 
+from conftest import limit_at_zero, try_limit_at_zero, valuation
+
 ONE = Fraction(1)
+
+
+def parametric_constants(wit, source):
+    """Structure constants of the parametric basis, as RatFun in s."""
+    ram = wit.ramification()
+    P, order = witness_matrix(wit, source, ram)
+    N, den = _constants_in_basis(source, P, order)
+    d = len(order)
+    table = [[[RatFun(x, den[a][b]) for x in N[a][b]] for b in range(d)] for a in range(d)]
+    return _freeze(table), order, ram
 
 
 def wit_text(src, tgt, basis_lines):
@@ -242,6 +255,23 @@ def test_negative_exponent_is_not_split(bare, bracketed):
     assert terms(bare) == terms(bracketed)
 
 
+def test_slot_aliases_follow_label_index(catalog):
+    # e names e1 as a slot too, as it does as a source label, for m > 1
+    J = catalog.lookup(catalog.names((2, 2))[0])
+
+    def matrix(e1):
+        w = parse_witness(wit_text("A", "B", [f"{e1} = t*{e1}", "e2 = e2", "f1 = f1", "f2 = f2"]))
+        return witness_matrix(w, J)
+
+    assert matrix("e") == matrix("e1")
+
+
+def test_signs_in_a_row_multiply():
+    assert split_combination("e1 - -e2 + -t*f1 - +f2") == [
+        ("1", "e1"), ("1", "e2"), ("-(t)", "f1"), ("-(1)", "f2")
+    ]
+
+
 # ---------------------------------------------------------------------------
 # The replay over Q[s] against the replay over Q(s)
 # ---------------------------------------------------------------------------
@@ -272,12 +302,12 @@ def _field_verdict(wit, src, tgt):
         for b in range(d):
             for k in range(d):
                 x = moved[a][b][k]
-                if x.try_limit_at_zero() is None:
+                if try_limit_at_zero(x) is None:
                     return Verdict(
                         "LimitDiverges",
-                        f"entry c[{a+1},{b+1}]^{k+1} diverges: valuation {x.valuation()}",
+                        f"entry c[{a+1},{b+1}]^{k+1} diverges: valuation {valuation(x)}",
                     )
-                limit[a][b][k] = x.limit_at_zero()
+                limit[a][b][k] = limit_at_zero(x)
     limit_t = tuple(tuple(tuple(r) for r in plane) for plane in limit)
     want = flatten(tgt, default_basis_order(tgt.m, tgt.n))
     diff = tuple(

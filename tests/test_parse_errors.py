@@ -1,12 +1,14 @@
 """Malformed input: every parser raises ParseError, and the command line
 turns it into one ``error:`` line on stderr with exit status 2."""
 
+import shutil
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superjordan.catalog import _parse_components, _parse_edges, _parse_lemma_pairs, parse_errata
 from superjordan.certificates import parse_closed_set
 from superjordan.cli import main
 from superjordan.degeneration import parse_witness
@@ -25,6 +27,11 @@ PARSERS = {
     "algebra": (parse_algebra, _lines("catalog/*/*.alg")),
     "witness": (parse_witness, _lines("witnesses/*.wit")),
     "closedset": (parse_closed_set, _lines("closedsets/*.cs")),
+    # the catalog's own files are read from a path
+    "edges": (_parse_edges, _lines("catalog/graphs/*.edges")),
+    "components": (_parse_components, _lines("catalog/components/*.txt")),
+    "lemma_pairs": (_parse_lemma_pairs, _lines("catalog/screens/lemma_pairs.txt")),
+    "errata": (parse_errata, _lines("errata.txt")),
 }
 
 # lines of real files, freely recombined, next to their keys with short runs
@@ -33,23 +40,29 @@ _NOISE = st.text(alphabet="[]()=*/^+-,:#<> .ceftxAJ0123456789", max_size=24)
 
 
 def _documents(lines):
-    keys = sorted({line.split("=")[0].split(":")[0] for line in lines if "=" in line})
+    # the parts of each line before its separators, joined to noise by one
+    heads = sorted({line.split(sep)[0] for line in lines for sep in ("=", ":", "->") if sep in line})
     keyed = st.builds(
-        lambda k, sep, v: k + sep + v, st.sampled_from(keys), st.sampled_from(("=", ":")), _NOISE
+        lambda k, sep, v: k + sep + v, st.sampled_from(heads), st.sampled_from(("=", ":", "->")), _NOISE
     )
     line = st.one_of(st.sampled_from(lines), keyed, _NOISE, st.text(max_size=12))
     return st.lists(line, max_size=12).map("\n".join)
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
-def test_parsers_raise_only_parse_error(kind):
+def test_parsers_raise_only_parse_error(tmp_path, kind):
     parse, lines = PARSERS[kind]
+    path = tmp_path / "data.txt"
 
     @given(st.one_of(_documents(lines), st.text()))
     @settings(max_examples=300, deadline=None)
     def check(text):
         try:
-            parse(text)
+            if kind in ("algebra", "witness", "closedset"):
+                parse(text)
+            else:
+                path.write_text(text, encoding="utf-8")
+                parse(path)
         except ParseError:
             pass
 
@@ -122,6 +135,15 @@ def test_witness_key_error_names_file_and_line(tmp_path, capsys, line, message):
         # tables are read in label order; a stored basis order would be ignored
         ("check", ".alg", "[algebra]\nname = b\ntype = 1,3\nbasis_order = f1 f2 f3 e\n", "4: unknown key 'basis_order'"),
         ("check", ".alg", "[algebra]\nname = b\ntype = 1,1\norbt = 3\n", "4: unknown key 'orbt'"),
+        ("check", ".alg", "[algebra]\nname = b\ntype = 1,1\nproduct: e*e = 1/0 e\n", "4: division by zero in '1/0'"),
+        # the family symbol is the one name of a table
+        ("check", ".alg", "[algebra]\nname = b\ntype = 1,1\nproduct: e*e = s e\n", "4: unknown name 's'"),
+        (
+            "degenerate",
+            ".wit",
+            "[degeneration]\nsource = J7\ntarget = J5\nbasis: f1 = t*\n",
+            "4: term 't*' does not end with a basis label",
+        ),
         ("closedset", ".cs", "[closedset]\nsource = J7\nstatus = printed\n", "3: bad status 'printed'"),
         # the trials scale the table, which only a homogeneous condition ignores
         (
@@ -189,3 +211,23 @@ def test_huge_exponent_is_refused_at_load(power):
     text = f"[degeneration]\nsource = J7\ntarget = J5\nbasis: e = (1+t)^{power}*e\n"
     with pytest.raises(ParseError, match=r"^<string>:4: an exponent's terms are at most 64"):
         parse_witness(text)
+
+
+@pytest.mark.parametrize(
+    "relative, line, message",
+    [
+        ("catalog/components/type13.txt", "dimension = twelve", "1: expected a count, got 'twelve'"),
+        ("catalog/graphs/dim2.edges", "B3 B2", "1: expected an edge 'A -> B'"),
+        ("catalog/screens/lemma_pairs.txt", "J5 -/-> ; reason = even-part", "1: expected 'SOURCE"),
+        ("errata.txt", "kind = witness", "1: expected [erratum]"),
+    ],
+)
+def test_catalog_file_error_names_file_and_line(tmp_path, capsys, relative, line, message):
+    root = tmp_path / "data"
+    shutil.copytree(DATA, root)
+    path = root / relative
+    path.write_text(line + "\n" + path.read_text())
+    assert main(["--catalog", str(root), "verify-catalog"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}:{message}") and captured.err.count("\n") == 1
