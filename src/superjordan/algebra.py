@@ -236,54 +236,68 @@ ProductTerm = Tuple[Scalar, str]
 ProductSpec = Tuple[str, str, Sequence[ProductTerm]]
 
 
-def load(products: Sequence[ProductSpec], mn: Tuple[int, int], name: str = "") -> SuperAlgebra:
-    """Build a SuperAlgebra from a list of basis products.
+Products = Dict[Tuple[int, int], Dict[int, Scalar]]
 
-    Each listed product fixes the mirrored product by supercommutativity;
-    listing both orders is allowed only when consistent.
-    """
+
+def add_product(
+    products: Products, mn: Tuple[int, int], left: str, right: str, terms: Sequence[ProductTerm]
+) -> None:
+    """Enter the basis product ``left*right = terms`` of a type ``mn`` table,
+    and the mirrored product that supercommutativity fixes, into
+    ``products``: the products entered so far, by flat positions (a, b) ->
+    {k: nonzero constant}.  A product entered again must agree with the
+    value already there."""
     m, n = mn
-    d = m + n
-    table = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
 
     def position(label: str) -> Tuple[int, int]:
         """(parity, index in label order) of a basis label."""
         pos = label_position(label, m, n)
         return int(pos >= m), pos
 
-    seen: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    for left, right, terms in products:
-        lp, a = position(left)
-        rp, b = position(right)
-        result_parity = (lp + rp) % 2
-        value: Dict[int, Scalar] = {}
-        for coeff, res in terms:
-            tp, k = position(res)
-            if tp != result_parity:
-                raise GradingViolation(
-                    f"{left}*{right} is {'odd' if result_parity else 'even'} "
-                    f"but result names {res}"
-                )
-            value[k] = value.get(k, Fraction(0)) + coeff
-        value = {k: v for k, v in value.items() if not _sc_is_zero(v)}
-        if lp == 1 and rp == 1 and a == b and value:
-            raise SquareOfOdd(f"nonzero square {left}*{right}")
+    lp, a = position(left)
+    rp, b = position(right)
+    result_parity = (lp + rp) % 2
+    value: Dict[int, Scalar] = {}
+    for coeff, res in terms:
+        tp, k = position(res)
+        if tp != result_parity:
+            raise GradingViolation(
+                f"{left}*{right} is {'odd' if result_parity else 'even'} "
+                f"but result names {res}"
+            )
+        value[k] = value.get(k, Fraction(0)) + coeff
+    value = {k: v for k, v in value.items() if not _sc_is_zero(v)}
+    if lp == 1 and rp == 1 and a == b and value:
+        raise SquareOfOdd(f"nonzero square {left}*{right}")
 
-        mirror_sign = -1 if (lp == 1 and rp == 1) else 1
-        mirror = {k: mirror_sign * v for k, v in value.items()}
-        for key, v2 in (((a, b), value), ((b, a), mirror)):
-            if key in seen:
-                if seen[key] != v2:
-                    raise DuplicateProduct(
-                        f"conflicting values for product {key}: {seen[key]} vs {v2}"
-                    )
-            else:
-                seen[key] = v2
+    mirror_sign = -1 if (lp == 1 and rp == 1) else 1
+    mirror = {k: mirror_sign * v for k, v in value.items()}
+    for key, v2 in (((a, b), value), ((b, a), mirror)):
+        if products.setdefault(key, v2) != v2:
+            raise DuplicateProduct(f"conflicting values for {left}*{right}")
 
-    for (a, b), value in seen.items():
+
+def table_algebra(products: Products, mn: Tuple[int, int], name: str = "") -> SuperAlgebra:
+    """The SuperAlgebra whose nonzero constants are ``products``."""
+    m, n = mn
+    d = m + n
+    table = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    for (a, b), value in products.items():
         for k, v in value.items():
             table[a][b][k] = v
     return unflatten(table, m, n, name=name)
+
+
+def load(products: Sequence[ProductSpec], mn: Tuple[int, int], name: str = "") -> SuperAlgebra:
+    """Build a SuperAlgebra from a list of basis products (``add_product``).
+
+    Each listed product fixes the mirrored product by supercommutativity;
+    listing both orders is allowed only when consistent.
+    """
+    entered: Products = {}
+    for left, right, terms in products:
+        add_product(entered, mn, left, right, terms)
+    return table_algebra(entered, mn, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from .algebra import SuperAlgebra, direct_sum, graded_table, unflatten
+from .algebra import SuperAlgebra, direct_sum, graded_table, load, unflatten
 from .certificates import ClosedSet, parse_closed_set_file
 from .degeneration import Witness, parse_witness_file
 from .invariants import InvariantMemo
@@ -203,7 +203,7 @@ class Catalog:
         algs = []
         for part in summands:
             if part.startswith("C") and part[1:].isdigit():
-                algs.extend(self.lowdim["U2"] for _ in range(int(part[1:])))
+                algs.append(load([], (int(part[1:]), 0)))
             elif part in self.lowdim:
                 algs.append(self.lowdim[part])
             else:

@@ -358,10 +358,6 @@ class RandomizedReport:
     seed: int
     detail: str = ""
 
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.hits, self.trials) if self.trials else Fraction(0)
-
 
 def _random_triangular(rng: random.Random, d: int) -> List[List[int]]:
     g = [[0] * d for _ in range(d)]

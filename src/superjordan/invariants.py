@@ -1,6 +1,16 @@
 """Degeneration-invariant quantities: superderivations and orbit dimension,
 the associated algebra, the Burde invariant, associativity, even-part
 identification, and the necessary-condition screen for non-degenerations.
+
+One equation builder, ``_map_equations``, sets up the linear maps D with
+D(xy) = left D(x)y + right (-1)^{|D||x|} x D(y): (1, 1) gives the
+superderivations (and so the orbit dimension), and (1, 0) with (0, 1) the
+centroid of a fingerprint.
+
+The screen is one stream of violations, ``_screen_violations``, in a fixed
+cheapest-first order: power dimensions, even part, orbit dimension,
+associativity, the associated algebras, Burde invariants.  A full screen
+reads the whole stream and a quick one its first violation.
 """
 
 from __future__ import annotations
@@ -9,7 +19,8 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain, islice
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import (
@@ -39,14 +50,17 @@ class DerivationSpace:
         return self.even_dim + self.odd_dim
 
 
-def _derivation_dim(table, par: Sequence[int], d_par: int) -> int:
-    """Dimension of the parity-``d_par`` superderivations of a flat table whose
-    basis vector x_a has parity par[a]: the linear maps D x_a = sum_c D[a][c] x_c
-    with D[a][c] = 0 unless par[c] = par[a] + d_par (mod 2), solving
+def _map_equations(table, par: Sequence[int], d_par: int, left: int, right: int):
+    """The linear system of the parity-``d_par`` maps D x_a = sum_c D[a][c] x_c
+    of a flat table whose basis vector x_a has parity par[a] (D[a][c] = 0
+    unless par[c] = par[a] + d_par mod 2) that satisfy, for left and right in
+    {0, 1},
 
-        D(x_a x_b) = D(x_a) x_b + (-1)^{d_par par[a]} x_a D(x_b).
+        D(x_a x_b) = left D(x_a) x_b + right (-1)^{d_par par[a]} x_a D(x_b).
 
-    With every parity 0 these are the derivations of the ungraded table."""
+    Returns (rows, number of unknowns); the rows are built from the nonzero
+    constants.  (1, 1) gives the superderivations, and (1, 0) and (0, 1)
+    together the centroid."""
     d = len(table)
     # unknowns of row a of D: (c, column) pairs
     unknowns: List[List[Tuple[int, int]]] = [[] for _ in range(d)]
@@ -66,13 +80,22 @@ def _derivation_dim(table, par: Sequence[int], d_par: int) -> int:
             for k, t in sparse[a][b]:  # D(x_a x_b)
                 for l, col in unknowns[k]:
                     eqs[l][col] += t
-            for c, col in unknowns[a]:  # - D(x_a) x_b
-                for l, t in sparse[c][b]:
-                    eqs[l][col] -= t
-            for c, col in unknowns[b]:  # - (-1)^{d_par par[a]} x_a D(x_b)
-                for l, t in sparse[a][c]:
-                    eqs[l][col] -= sign * t
+            if left:
+                for c, col in unknowns[a]:  # - D(x_a) x_b
+                    for l, t in sparse[c][b]:
+                        eqs[l][col] -= t
+            if right:
+                for c, col in unknowns[b]:  # - (-1)^{d_par par[a]} x_a D(x_b)
+                    for l, t in sparse[a][c]:
+                        eqs[l][col] -= sign * t
             rows += [row for row in eqs.values() if any(row)]
+    return rows, width
+
+
+def _derivation_dim(table, par: Sequence[int], d_par: int) -> int:
+    """Dimension of the parity-``d_par`` superderivations of a flat table;
+    with every parity 0, of the derivations of the ungraded table."""
+    rows, width = _map_equations(table, par, d_par, 1, 1)
     return width - linalg.rank(rows)
 
 
@@ -98,10 +121,9 @@ def ungraded_derivation_dim(table) -> int:
     return _derivation_dim(table, [0] * len(table), 0)
 
 
-def ungraded_power_dims(table, r_max: Optional[int] = None) -> List[int]:
-    """Dimensions of the powers of a flattened (ungraded) table, r = 1..r_max
-    (default r_max = dim)."""
-    return [len(basis) for basis in power_spans(table, len(table) if r_max is None else r_max)]
+def ungraded_power_dims(table) -> List[int]:
+    """Dimensions of the powers of a flattened (ungraded) table, r = 1..dim."""
+    return [len(basis) for basis in power_spans(table, len(table))]
 
 
 def associated_algebra(J: SuperAlgebra) -> SuperAlgebra:
@@ -193,26 +215,17 @@ def _powers(A, top: int) -> list:
     return out
 
 
-def burde_invariant(
-    J: SuperAlgebra, i: int = 1, j: int = 1, trials: int = 16, seed: int = 0
-) -> BurdeValue:
-    """Sampled value of tr(L(x)^i) tr(L(y)^j) / tr(L(x)^i L(y)^j).
+def _burde_values(J: SuperAlgebra, pairs, trials: int = 16, seed: int = 0) -> List[BurdeValue]:
+    """Sampled values of tr(L(x)^i) tr(L(y)^j) / tr(L(x)^i L(y)^j), one for
+    each (i, j) in ``pairs``.
 
     Exact agreement across all surviving samples is required; the invariant
     is a ratio of polynomials in the structure constants, so agreement on
     random points is decisive evidence and disagreement is a proof of
-    non-constancy.
-    """
-    return _burde_values(J, ((i, j),), trials, seed)[0]
-
-
-def _burde_values(J: SuperAlgebra, pairs, trials: int = 16, seed: int = 0) -> List[BurdeValue]:
-    """``burde_invariant(J, i, j, trials, seed)`` for every (i, j) in ``pairs``.
-
-    All pairs read the same seeded samples x, y, so each sample is drawn once
-    and L(x), L(y) and their powers are built once for all pairs.  A pair
-    stops at its first disagreement, as it would alone; sampling stops when
-    every pair has stopped.
+    non-constancy.  All pairs read the same seeded samples x, y, so each
+    sample is drawn once and L(x), L(y) and their powers are built once for
+    all pairs.  A pair stops at its first disagreement, as it would alone;
+    sampling stops when every pair has stopped.
     """
     if any(i < 1 or j < 1 for i, j in pairs):
         raise ValueError("exponents must be >= 1")
@@ -275,43 +288,17 @@ def centroid_dim(table) -> int:
 
     Counts block multiplicity, so it separates direct sums from
     indecomposable algebras with otherwise equal invariants."""
-    d = len(table)
-    rows: List[List[Fraction]] = []
-    for a in range(d):
-        for b in range(d):
-            for l in range(d):
-                # phi(x_a x_b)_l - (phi(x_a) x_b)_l = 0
-                row = [Fraction(0)] * (d * d)
-                for k in range(d):
-                    if table[a][b][k] != 0:
-                        row[k * d + l] += table[a][b][k]
-                for c in range(d):
-                    if table[c][b][l] != 0:
-                        row[a * d + c] -= table[c][b][l]
-                if any(x != 0 for x in row):
-                    rows.append(row)
-                # phi(x_a x_b)_l - (x_a phi(x_b))_l = 0
-                row = [Fraction(0)] * (d * d)
-                for k in range(d):
-                    if table[a][b][k] != 0:
-                        row[k * d + l] += table[a][b][k]
-                for c in range(d):
-                    if table[a][c][l] != 0:
-                        row[b * d + c] -= table[a][c][l]
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    if not rows:
-        return d * d
-    return d * d - linalg.rank(rows)
+    ungraded = [0] * len(table)
+    left, width = _map_equations(table, ungraded, 0, 1, 0)
+    right, _ = _map_equations(table, ungraded, 0, 0, 1)
+    return width - linalg.rank(left + right)
 
 
-def algebra_fingerprint(J: SuperAlgebra, memo: Optional[InvariantMemo] = None) -> tuple:
+def algebra_fingerprint(J: SuperAlgebra) -> tuple:
     """Isomorphism-invariant signature used to identify small Jordan algebras:
     power-filtration dims, derivation dims, associativity, annihilator dim,
-    the rank of the trace form tr(L(x)L(y)), and the centroid dimension.
-    The power filtration is read from ``memo`` when one is given."""
-    memo = InvariantMemo() if memo is None else memo
-    dims = memo.power_filtration(J, max(J.m + J.n, 4))
+    the rank of the trace form tr(L(x)L(y)), and the centroid dimension."""
+    dims = power_filtration(J, max(J.m + J.n, 4))
     ders = derivation_dims(J)
     table = flatten(J)
     d = len(table)
@@ -341,11 +328,14 @@ def identify_algebra(
 ) -> Optional[str]:
     """Fingerprint match against labeled candidates; None when ambiguous.
 
-    A candidate of another type (m, n) is skipped without a fingerprint,
-    since the first power dimension of a fingerprint is the type."""
+    Only candidates of J's type (m, n) can match, since the first power
+    dimension of a fingerprint is the type: the others are skipped, and with
+    none left J is not fingerprinted at all."""
+    same_type = [(label, cand) for label, cand in candidates if (cand.m, cand.n) == (J.m, J.n)]
+    if not same_type:
+        return None
     memo = InvariantMemo() if memo is None else memo
     fp = memo.fingerprint(J)
-    same_type = [(label, cand) for label, cand in candidates if (cand.m, cand.n) == (J.m, J.n)]
     hits = [label for label, cand in same_type if memo.fingerprint(cand) == fp]
     if len(hits) == 1:
         return hits[0]
@@ -361,23 +351,21 @@ class InvariantMemo:
     def __init__(self):
         self._values: Dict[tuple, object] = {}
 
-    def _get(self, kind: tuple, J: SuperAlgebra, compute: Callable[[], object]):
+    def _get(self, kind: str, J: SuperAlgebra, compute: Callable[[], object]):
         key = (kind, J)
         if key not in self._values:
             self._values[key] = compute()
         return self._values[key]
 
     def fingerprint(self, J: SuperAlgebra) -> tuple:
-        return self._get(("fingerprint",), J, lambda: algebra_fingerprint(J, self))
+        return self._get("fingerprint", J, lambda: algebra_fingerprint(J))
 
     def orbit_dimension(self, J: SuperAlgebra) -> int:
-        return self._get(("orbit",), J, lambda: orbit_dimension(J))
+        return self._get("orbit", J, lambda: orbit_dimension(J))
 
-    def power_filtration(self, J: SuperAlgebra, r_max: Optional[int] = None) -> tuple:
-        """``power_filtration(J, r_max)`` as a tuple; the default length
-        ``m + n`` and an explicit equal ``r_max`` share one entry."""
-        r = J.m + J.n if r_max is None else r_max
-        return self._get(("powers", r), J, lambda: tuple(power_filtration(J, r)))
+    def power_filtration(self, J: SuperAlgebra) -> tuple:
+        """``power_filtration(J)``, of length m + n, as a tuple."""
+        return self._get("powers", J, lambda: tuple(power_filtration(J)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,38 +402,56 @@ BURDE_PAIRS = ((1, 1), (1, 2), (2, 2))
 
 def _power_dim_violations(
     A: SuperAlgebra, B: SuperAlgebra, memo: InvariantMemo
-) -> List[ScreenViolation]:
+) -> Iterator[ScreenViolation]:
     """Lemma item (1): dim (J^r) may not grow along a degeneration."""
-    out = []
     for r, (pa, pb) in enumerate(zip(memo.power_filtration(A), memo.power_filtration(B)), start=1):
         for idx, part in ((0, "even"), (1, "odd")):
             if pa[idx] < pb[idx]:
-                out.append(
-                    ScreenViolation("power-dims", f"dim (J^{r})_{part} {pa[idx]} < {pb[idx]}")
-                )
-    return out
+                yield ScreenViolation("power-dims", f"dim (J^{r})_{part} {pa[idx]} < {pb[idx]}")
 
 
-def _burde_violations(
-    A: SuperAlgebra, B: SuperAlgebra, burde_pairs, trials: int, seed: int, first_only: bool = False
-) -> List[ScreenViolation]:
+def _burde_violations(A: SuperAlgebra, B: SuperAlgebra) -> Iterator[ScreenViolation]:
     """Lemma item (4): defined Burde invariants must agree."""
-    out = []
-    for ba, bb in zip(
-        _burde_values(A, burde_pairs, trials, seed), _burde_values(B, burde_pairs, trials, seed)
-    ):
+    for ba, bb in zip(_burde_values(A, BURDE_PAIRS), _burde_values(B, BURDE_PAIRS)):
         if ba.defined and bb.defined and ba.value != bb.value:
-            out.append(ScreenViolation("burde", f"c_{{{ba.i},{ba.j}}}: {ba.value} vs {bb.value}"))
-            if first_only:
-                break
-    return out
+            yield ScreenViolation("burde", f"c_{{{ba.i},{ba.j}}}: {ba.value} vs {bb.value}")
 
 
-def _associativity_violations(A: SuperAlgebra, B: SuperAlgebra) -> List[ScreenViolation]:
+def _associativity_violations(A: SuperAlgebra, B: SuperAlgebra) -> Iterator[ScreenViolation]:
     """Lemma item (5): associativity is preserved by degenerations."""
     if is_associative(A) and not is_associative(B):
-        return [ScreenViolation("associativity", "source associative, target not")]
-    return []
+        yield ScreenViolation("associativity", "source associative, target not")
+
+
+def _screen_violations(
+    A: SuperAlgebra,
+    B: SuperAlgebra,
+    even_label_a: Optional[str],
+    even_label_b: Optional[str],
+    even_reachable: Optional[Callable[[str, str], bool]],
+    memo: InvariantMemo,
+) -> Iterator[ScreenViolation]:
+    """Every violated necessary condition for A -> B, cheapest first: power
+    dimensions, even part, orbit dimension, associativity, the associated
+    algebras, Burde invariants.  Each condition is computed only when the
+    stream reaches it."""
+    yield from _power_dim_violations(A, B, memo)
+    if even_label_a and even_label_b and even_reachable is not None:
+        if not even_reachable(even_label_a, even_label_b):
+            yield ScreenViolation("even-part", f"{even_label_a} does not reach {even_label_b}")
+    oa, ob = memo.orbit_dimension(A), memo.orbit_dimension(B)
+    if oa <= ob and flatten(A) != flatten(B):
+        yield ScreenViolation("orbit-dimension", f"{oa} <= {ob} with distinct tables")
+    yield from _associativity_violations(A, B)
+    # associated algebras must themselves satisfy items (1), (4), (5)
+    aA, aB = associated_algebra(A), associated_algebra(B)
+    for v in chain(
+        _power_dim_violations(aA, aB, memo),
+        _burde_violations(aA, aB),
+        _associativity_violations(aA, aB),
+    ):
+        yield ScreenViolation("associated-algebra", f"a(J): {v.item}: {v.detail}")
+    yield from _burde_violations(A, B)
 
 
 def nondegeneration_screen(
@@ -456,57 +462,18 @@ def nondegeneration_screen(
     even_label_b: Optional[str] = None,
     even_reachable: Optional[Callable[[str, str], bool]] = None,
     memo: Optional[InvariantMemo] = None,
-    burde_pairs=BURDE_PAIRS,
-    trials: int = 16,
-    seed: int = 0,
     quick: bool = False,
 ) -> ScreenReport:
-    """Collect every violated necessary condition for A -> B.
+    """Collect every violated necessary condition for A -> B, or with
+    ``quick`` only the first one, in the order of ``_screen_violations``.
 
     An empty report means "no obstruction found", never "degeneration
-    exists".  Cross-type pairs are rejected outright.  With ``quick`` the
-    cheap conditions run first and the scan stops at the first violation.
-    Power filtrations and orbit dimensions are read from ``memo``.
+    exists".  Cross-type pairs are rejected outright.  Power filtrations and
+    orbit dimensions are read from ``memo``.
     """
     if (A.m, A.n) != (B.m, B.n):
         raise TypeMismatch(f"cannot screen type ({A.m},{A.n}) against type ({B.m},{B.n})")
     memo = InvariantMemo() if memo is None else memo
-    violations = _power_dim_violations(A, B, memo)
-
-    def done() -> bool:
-        return quick and bool(violations)
-
-    if not done() and even_label_a and even_label_b and even_reachable is not None:
-        if not even_reachable(even_label_a, even_label_b):
-            violations.append(
-                ScreenViolation(
-                    "even-part", f"{even_label_a} does not reach {even_label_b}"
-                )
-            )
-
-    if not done():
-        oa, ob = memo.orbit_dimension(A), memo.orbit_dimension(B)
-        if oa <= ob and flatten(A) != flatten(B):
-            violations.append(
-                ScreenViolation("orbit-dimension", f"{oa} <= {ob} with distinct tables")
-            )
-
-    if not done():
-        violations += _associativity_violations(A, B)
-
-    if not done():
-        # associated algebras must themselves satisfy items (1), (4), (5)
-        aA, aB = associated_algebra(A), associated_algebra(B)
-        for v in (
-            _power_dim_violations(aA, aB, memo)
-            + _burde_violations(aA, aB, burde_pairs, trials, seed)
-            + _associativity_violations(aA, aB)
-        ):
-            violations.append(
-                ScreenViolation("associated-algebra", f"a(J): {v.item}: {v.detail}")
-            )
-
-    if not done():
-        violations += _burde_violations(A, B, burde_pairs, trials, seed, first_only=quick)
-
-    return ScreenReport(A.name or "A", B.name or "B", tuple(violations))
+    stream = _screen_violations(A, B, even_label_a, even_label_b, even_reachable, memo)
+    violations = tuple(islice(stream, 1) if quick else stream)
+    return ScreenReport(A.name or "A", B.name or "B", violations)

@@ -9,8 +9,11 @@ Every data file is read line by line by ``read_lines``:
 * ``status``, in a file that has one, is checked against its values;
 * every error is one line that begins ``FILE:LINE:``.
 
-A line may use only what the lines above it declare: a product its family
-symbol, a certificate condition its basis.  Unknown keys are errors.
+A line may use only what the lines above it declare: a product its type
+and family symbol, a certificate condition its basis.  Unknown keys are
+errors.  Each product is entered into the table as it is read, so an error
+about the table (a conflicting, misgraded or odd-square product, an unknown
+label) names the line of the product that causes it.
 
 Algebra tables (``.alg``, read by ``parse_algebra``)::
 
@@ -70,9 +73,9 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
-from .algebra import SuperAlgebra, load
+from .algebra import Products, SuperAlgebra, add_product, table_algebra
 from .ratfun import RatFun
 
 
@@ -299,18 +302,15 @@ def split_combination(rhs: str) -> List[Tuple[str, str]]:
 @dataclass
 class AlgebraFile:
     name: str
-    mn: Tuple[int, int]
-    products: List[Tuple[str, str, List[Tuple[Union[Fraction, RatFun], str]]]]
+    mn: Optional[Tuple[int, int]]
+    products: Products  # the nonzero constants, as ``algebra.add_product`` enters them
     orbit: Optional[int] = None
     decomposition: Optional[str] = None
     even_part: Optional[str] = None
     family: Optional[str] = None
 
     def build(self) -> SuperAlgebra:
-        try:
-            return load(self.products, self.mn, name=self.name)
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"{self.name or 'algebra'}: {exc}") from None
+        return table_algebra(self.products, self.mn, name=self.name)
 
 
 def read_count(text: str) -> int:
@@ -344,14 +344,22 @@ def _product(spec: str, family: Optional[str]):
 
 
 def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
-    af = AlgebraFile(name="", mn=None, products=[])
+    af = AlgebraFile(name="", mn=None, products={})
 
     def handle(key: str, val: str) -> None:
         if key == "product:":
-            af.products.append(_product(val, af.family))
+            if af.mn is None:
+                raise ParseError("a product needs the type line above it")
+            left, right, terms = _product(val, af.family)
+            try:
+                add_product(af.products, af.mn, left, right, terms)
+            except (KeyError, ValueError) as exc:
+                raise ParseError(exc.args[0]) from None
         elif key == "name":
             af.name = val
         elif key == "type":
+            if af.products:
+                raise ParseError("the type line must come before every product")
             parts = val.split(",")
             if len(parts) != 2:
                 raise ParseError(f"bad type {val!r}")

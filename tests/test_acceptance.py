@@ -130,7 +130,7 @@ def test_criterion_4_certificates(catalog, certificate_rows):
 
 
 def test_criterion_5_lemma_screens(catalog):
-    rows = V.verify_lemma_screens(catalog, quick=True)
+    rows = V.verify_lemma_screens(catalog)
     screens_ok = all(r.ok for r in rows)
     # certificate pairs: the target must violate the certificate in the
     # declared basis (or be screened); spot the whole table

@@ -114,9 +114,9 @@ def test_other_types_are_not_fingerprinted(catalog, monkeypatch):
     types = []
     fingerprint = invariants.algebra_fingerprint
 
-    def recorded(J, memo=None):
+    def recorded(J):
         types.append((J.m, J.n))
-        return fingerprint(J, memo)
+        return fingerprint(J)
 
     monkeypatch.setattr(invariants, "algebra_fingerprint", recorded)
     J = catalog.lowdim["S1_2"]
@@ -125,3 +125,18 @@ def test_other_types_are_not_fingerprinted(catalog, monkeypatch):
     assert len(same_type) < len(catalog.lowdim)
     # J itself once, then each candidate of its type; J's entry is reused
     assert types == [(J.m, J.n)] * len(same_type)
+
+
+def test_no_fingerprint_without_a_candidate_of_the_type(catalog, monkeypatch):
+    calls = []
+    fingerprint = invariants.algebra_fingerprint
+
+    def recorded(J):
+        calls.append(J.name)
+        return fingerprint(J)
+
+    monkeypatch.setattr(invariants, "algebra_fingerprint", recorded)
+    J = catalog.lookup("J15")
+    assert J.m + J.n == 4 and all(A.m + A.n < 4 for A in catalog.lowdim.values())
+    assert identify_algebra(J, catalog.lowdim.items(), invariants.InvariantMemo()) is None
+    assert calls == []

@@ -9,8 +9,9 @@ from superjordan.invariants import (
     BurdeValue,
     TypeMismatch,
     _burde_values,
+    _screen_violations,
     associated_algebra,
-    burde_invariant,
+    centroid_dim,
     derivation_dims,
     even_part,
     identify_algebra,
@@ -20,10 +21,17 @@ from superjordan.invariants import (
     ungraded_derivation_dim,
     ungraded_power_dims,
 )
-from superjordan.verify import screen_pair
+from superjordan.linalg import rank
+from superjordan.verify import _interaction_blocks, _sub_algebra, screen_pair
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+
+
+def burde_invariant(J, i=1, j=1, trials=16, seed=0):
+    """Sampled value of tr(L(x)^i) tr(L(y)^j) / tr(L(x)^i L(y)^j): the
+    one-pair case of ``_burde_values``."""
+    return _burde_values(J, ((i, j),), trials, seed)[0]
 
 
 def test_derivation_dims_examples(catalog):
@@ -216,3 +224,96 @@ def test_graded_kernels_reduce_to_ungraded(catalog):
     for J in list(catalog.lowdim.values()) + instances:
         summed = [e + o for e, o in power_filtration(J)]
         assert summed == ungraded_power_dims(flatten(J)), J.name
+
+
+def _dense_centroid_dim(table):
+    """The centroid {phi : phi(xy) = phi(x)y = x phi(y)} from one dense
+    d^2-wide row per (a, b, l) and side: the oracle of the sparse builder."""
+    d = len(table)
+    rows = []
+    for a in range(d):
+        for b in range(d):
+            for l in range(d):
+                # phi(x_a x_b)_l - (phi(x_a) x_b)_l = 0
+                row = [Fraction(0)] * (d * d)
+                for k in range(d):
+                    if table[a][b][k] != 0:
+                        row[k * d + l] += table[a][b][k]
+                for c in range(d):
+                    if table[c][b][l] != 0:
+                        row[a * d + c] -= table[c][b][l]
+                if any(x != 0 for x in row):
+                    rows.append(row)
+                # phi(x_a x_b)_l - (x_a phi(x_b))_l = 0
+                row = [Fraction(0)] * (d * d)
+                for k in range(d):
+                    if table[a][b][k] != 0:
+                        row[k * d + l] += table[a][b][k]
+                for c in range(d):
+                    if table[a][c][l] != 0:
+                        row[b * d + c] -= table[a][c][l]
+                if any(x != 0 for x in row):
+                    rows.append(row)
+    if not rows:
+        return d * d
+    return d * d - rank(rows)
+
+
+def test_centroid_matches_dense_builder(catalog):
+    tables = []
+    for name in catalog.names():
+        for J in catalog.instances(name):
+            tables += [J, even_part(J), associated_algebra(J)]
+            tables += [_sub_algebra(J, block) for block in _interaction_blocks(J)]
+    tables += list(catalog.lowdim.values())
+    tables += [catalog.node_algebra(label) for m in (1, 2, 3) for label in catalog.even_graph_for(m).nodes]
+    assert len(tables) == 781
+    dims = set()
+    for J in tables:
+        table = flatten(J)
+        got = centroid_dim(table)
+        assert got == _dense_centroid_dim(table), J.name
+        dims.add(got)
+    assert len(dims) > 3  # the tables do not all share one centroid
+
+
+def _same_type_pairs(catalog, count, seed):
+    names = catalog.names()
+    pairs = [
+        (a, b)
+        for a in names
+        for b in names
+        if a != b and catalog.entry(a).mn == catalog.entry(b).mn
+    ]
+    return random.Random(seed).sample(pairs, count)
+
+
+def test_quick_screen_is_first_violation_of_full_screen(catalog):
+    lemma = [(grp.source, tgt) for grp in catalog.lemma_pairs for tgt in grp.targets]
+    assert len(lemma) == 280
+    first_items = set()
+    for a, b in lemma + _same_type_pairs(catalog, 150, 11):
+        full = screen_pair(catalog, a, b).violations
+        quick = screen_pair(catalog, a, b, quick=True).violations
+        assert quick == full[:1], (a, b)
+        first_items.update(v.item for v in quick)
+    # the sample reaches past the first condition of the order
+    assert len(first_items) >= 3, first_items
+
+
+def test_lemma_pairs_violate_their_published_reason(catalog):
+    items = set()
+    for grp in catalog.lemma_pairs:
+        for tgt in grp.targets:
+            A, B = catalog.instances(grp.source)[0], catalog.instances(tgt)[0]
+            stream = _screen_violations(
+                A,
+                B,
+                catalog.entry(grp.source).even_part_label,
+                catalog.entry(tgt).even_part_label,
+                catalog.even_graph_for(A.m).reachable,
+                catalog.invariants,
+            )
+            assert any(v.item == grp.reason for v in stream), (grp.source, tgt, grp.reason)
+            items.add(grp.reason)
+    assert items == {"even-part"}

@@ -138,6 +138,28 @@ def test_witness_key_error_names_file_and_line(tmp_path, capsys, line, message):
         ("check", ".alg", "[algebra]\nname = b\ntype = 1,1\nproduct: e*e = 1/0 e\n", "4: division by zero in '1/0'"),
         # the family symbol is the one name of a table
         ("check", ".alg", "[algebra]\nname = b\ntype = 1,1\nproduct: e*e = s e\n", "4: unknown name 's'"),
+        # a product is entered into the table on its own line, by its labels
+        (
+            "check",
+            ".alg",
+            "[algebra]\nname = b\ntype = 1,1\nproduct: e*e = e\nproduct: e*e = 2 e\n",
+            "5: conflicting values for e*e",
+        ),
+        ("check", ".alg", "[algebra]\nname = b\ntype = 1,1\nproduct: f*f = e\n", "4: nonzero square f*f"),
+        ("check", ".alg", "[algebra]\nname = b\ntype = 1,1\nproduct: e*f = e\n", "4: e*f is odd but result names e"),
+        (
+            "check",
+            ".alg",
+            "[algebra]\nname = b\ntype = 1,1\nproduct: e*g = f\n",
+            "4: unknown basis vector 'g' for type (1,1)",
+        ),
+        ("check", ".alg", "[algebra]\nname = b\nproduct: e*e = e\ntype = 1,1\n", "3: a product needs the type line above it"),
+        (
+            "check",
+            ".alg",
+            "[algebra]\nname = b\ntype = 1,1\nproduct: e*e = e\ntype = 2,0\n",
+            "5: the type line must come before every product",
+        ),
         (
             "degenerate",
             ".wit",
