@@ -31,6 +31,16 @@ isomorphism from (A, mu) to (A, lambda mu), and each identity is
 homogeneous in the constants (the Jordan defect is cubic, associativity
 quadratic), so every zero and every first failing quadruple stays where it
 was.  A table over RatFun runs the same loops unscaled.
+
+The rank kernels run on the same scaled table, ``cleared_table``: the
+superderivations and the centroid (``invariants._map_equations``), the
+annihilator and the trace form of a fingerprint, and the powers J^r
+(``power_spans``).  The equations of the first three are linear in the
+constants and the trace form is quadratic, so one scalar lambda != 0
+keeps every rank; lambda (U W) spans U W, so it keeps every power.  Their
+integer rows go to ``linalg._reduce_q`` as they are, which drops repeated
+primitive rows before it eliminates.  A RatFun table goes to
+``linalg._reduce_rf`` unscaled.
 """
 
 from __future__ import annotations
@@ -486,6 +496,14 @@ def clear_denominators(constants: Sequence[Scalar]) -> List[Scalar]:
     return [c.numerator * (scale // c.denominator) for c in constants]
 
 
+def cleared_table(table):
+    """A flat d x d x d table times lambda (``clear_denominators``): in ints
+    when every constant is rational, the table itself when one is a RatFun."""
+    d = len(table)
+    flat = clear_denominators([c for plane in table for row in plane for c in row])
+    return [[flat[(a * d + b) * d : (a * d + b + 1) * d] for b in range(d)] for a in range(d)]
+
+
 def nonzero_constants(table) -> List[Tuple[int, int, int, Scalar]]:
     """The nonzero constants (a, b, k, c[a,b,k]) of a flat d x d x d table."""
     d = len(table)
@@ -568,16 +586,20 @@ def apply_graded_change(
     return unflatten(moved, m, n, name=J.name)
 
 
-def power_spans(table, r_max: int) -> List[List[List[Fraction]]]:
-    """Reduced row-echelon bases of the powers T^1, ..., T^r_max of a flat
-    table, where T^1 is the whole space and T^r = sum_{i<r} T^i T^(r-i)."""
+def power_spans(table, r_max: int) -> List[List[List[int]]]:
+    """Bases of the powers T^1, ..., T^r_max of a flat rational table, where
+    T^1 is the whole space and T^r = sum_{i<r} T^i T^(r-i): each basis is
+    the canonical integer one of ``row_reduce_basis``.  The products are
+    taken in ints on the table times lambda (``cleared_table``), whose
+    powers are those of the table: lambda (U W) spans U W."""
+    table = cleared_table(table)
     d = len(table)
 
     def product_span(U, W):
         vecs = []
         for u in U:
             for w in W:
-                out = [Fraction(0)] * d
+                out = [0] * d
                 for a in range(d):
                     if not u[a]:
                         continue
@@ -592,7 +614,7 @@ def power_spans(table, r_max: int) -> List[List[List[Fraction]]]:
                     vecs.append(out)
         return row_reduce_basis(vecs)
 
-    powers = [[[Fraction(int(i == j)) for j in range(d)] for i in range(d)]]
+    powers = [[[int(i == j) for j in range(d)] for i in range(d)]]
     for r in range(2, r_max + 1):
         vecs = []
         for i in range(1, r):
@@ -604,9 +626,9 @@ def power_spans(table, r_max: int) -> List[List[List[Fraction]]]:
 def power_filtration(J: SuperAlgebra, r_max: Optional[int] = None) -> List[Tuple[int, int]]:
     """Graded dimensions of J^r for r = 1..r_max (default r_max = m + n).
 
-    J^r is a graded subspace, so its reduced row-echelon basis in the flat
-    table's coordinates is homogeneous: each basis vector has the parity of
-    its pivot coordinate."""
+    J^r is a graded subspace, so its basis in the flat table's coordinates
+    (a multiple of the reduced row-echelon one, row by row) is homogeneous:
+    each basis vector has the parity of its pivot coordinate."""
     if r_max is None:
         r_max = J.m + J.n
     if r_max < 1:

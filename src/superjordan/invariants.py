@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from . import linalg
 from .algebra import (
     SuperAlgebra,
-    clear_denominators,
+    cleared_table,
     flatten,
     graded_table,
     nonzero_constants,
@@ -93,8 +93,9 @@ def _map_equations(table, par: Sequence[int], d_par: int, left: int, right: int)
 
 
 def _derivation_dim(table, par: Sequence[int], d_par: int) -> int:
-    """Dimension of the parity-``d_par`` superderivations of a flat table;
-    with every parity 0, of the derivations of the ungraded table."""
+    """Dimension of the parity-``d_par`` superderivations of a flat table
+    (``cleared_table``, so that the rows are ints); with every parity 0, of
+    the derivations of the ungraded table."""
     rows, width = _map_equations(table, par, d_par, 1, 1)
     return width - linalg.rank(rows)
 
@@ -102,6 +103,7 @@ def _derivation_dim(table, par: Sequence[int], d_par: int) -> int:
 def derivation_dims(J: SuperAlgebra) -> DerivationSpace:
     """Dimensions of the even and odd superderivation spaces."""
     table, par = graded_table(J)
+    table = cleared_table(table)
     return DerivationSpace(_derivation_dim(table, par, 0), _derivation_dim(table, par, 1))
 
 
@@ -118,7 +120,7 @@ def orbit_dimension(J: SuperAlgebra) -> int:
 
 def ungraded_derivation_dim(table) -> int:
     """Derivation dimension of a flattened (ungraded) multiplication table."""
-    return _derivation_dim(table, [0] * len(table), 0)
+    return _derivation_dim(cleared_table(table), [0] * len(table), 0)
 
 
 def ungraded_power_dims(table) -> List[int]:
@@ -142,10 +144,9 @@ def is_associative(J: SuperAlgebra) -> bool:
 
 def table_is_associative(table) -> bool:
     """(ab)c = a(bc) on every basis triple, in ints on the table times lambda
-    (``clear_denominators``): both sides are quadratic in the constants."""
+    (``cleared_table``): both sides are quadratic in the constants."""
     d = len(table)
-    flat = clear_denominators([c for plane in table for row in plane for c in row])
-    T = [[flat[(a * d + b) * d : (a * d + b + 1) * d] for b in range(d)] for a in range(d)]
+    T = cleared_table(table)
     for a in range(d):
         for b in range(d):
             for c in range(d):
@@ -288,6 +289,7 @@ def centroid_dim(table) -> int:
 
     Counts block multiplicity, so it separates direct sums from
     indecomposable algebras with otherwise equal invariants."""
+    table = cleared_table(table)
     ungraded = [0] * len(table)
     left, width = _map_equations(table, ungraded, 0, 1, 0)
     right, _ = _map_equations(table, ungraded, 0, 0, 1)
@@ -297,19 +299,24 @@ def centroid_dim(table) -> int:
 def algebra_fingerprint(J: SuperAlgebra) -> tuple:
     """Isomorphism-invariant signature used to identify small Jordan algebras:
     power-filtration dims, derivation dims, associativity, annihilator dim,
-    the rank of the trace form tr(L(x)L(y)), and the centroid dimension."""
+    the rank of the trace form tr(L(x)L(y)), and the centroid dimension.
+    The ranks are taken on the table times lambda (``cleared_table``): the
+    annihilator map is linear and the trace form quadratic in the constants,
+    so a scalar lambda != 0 keeps both ranks."""
     dims = power_filtration(J, max(J.m + J.n, 4))
     ders = derivation_dims(J)
-    table = flatten(J)
+    table = cleared_table(flatten(J))
     d = len(table)
     # annihilator = nullspace of x -> (x * e_b)_k as a map on coordinates
     ann_matrix = [
         [table[a][b][k] for a in range(d)] for b in range(d) for k in range(d)
     ]
     ann_dim = d - linalg.rank(ann_matrix)
-    entries = nonzero_constants(table)
-    lmats = [_left_mult(entries, d, [Fraction(1 if a == ii else 0) for a in range(d)]) for ii in range(d)]
-    tform = [[_trace_of_product(lmats[a], lmats[b]) for b in range(d)] for a in range(d)]
+    # tr(L(e_a) L(e_b)), where L(e_a)[k][c] = table[a][c][k]
+    tform = [
+        [sum(table[a][c][k] * table[b][k][c] for c in range(d) for k in range(d)) for b in range(d)]
+        for a in range(d)
+    ]
     tf_rank = linalg.rank(tform)
     return (
         tuple(dims),

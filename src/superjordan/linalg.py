@@ -1,19 +1,27 @@
-"""Exact dense linear algebra over Q (Fraction entries) and Q(s) (RatFun).
+"""Exact dense linear algebra over Q (int and Fraction entries) and Q(s)
+(RatFun).
 
 One elimination routine per scalar field:
 
-* ``_reduce_q``: fraction-free Gauss–Jordan over Q.  Each row is scaled to
-  integers; a pivot p at step k replaces every other row by
-  (p * row - entry * pivot row) // (pivot of step k - 1), above the pivot
-  as well as below, so every entry stays an integer minor of the input and
-  each division is exact (Bareiss).
+* ``_reduce_q``: fraction-free Gauss–Jordan over Q.  A row of ints is
+  taken as it is, and only a row that holds a Fraction is cleared of its
+  denominators.  Each row is divided by the gcd of its entries, signed so
+  that its leading entry is positive, and a primitive row seen before is
+  dropped, in first-seen order; the rank, the reduced row-echelon form and
+  the inverse depend only on the row space.  Then a pivot p at step k
+  replaces every other row by (p * row - entry * pivot row) // (pivot of
+  step k - 1), above the pivot as well as below, so every entry stays an
+  integer minor of the input and each division is exact (Bareiss).
 * ``_reduce_rf``: Gauss–Jordan over Q(s).  In each column it takes the
   first entry of least degree (numerator plus denominator) as pivot, which
   keeps the intermediate rational functions small.
 
-Rank is the number of pivots, the reduced row-echelon basis is each pivot
-row divided by its pivot, and the inverse of M is the right half of the
-reduced [M | I].
+``rank`` reads the scalar field off the pass that prepares the rows:
+``_reduce_q`` stops at the first RatFun entry, and ``_reduce_rf`` takes
+over.  Rank is the number of pivots.  ``row_reduce_basis`` scales each
+pivot row to a primitive integer vector with a positive pivot: the
+reduced row-echelon basis, each row times the lcm of its denominators.
+The inverse of M is the right half of the reduced [M | I].
 
 ``int_matrix_det_adjugate`` is cofactor expansion over any commutative
 ring whose zero is falsy and whose elements add, subtract, negate and
@@ -24,28 +32,43 @@ polynomials (``Poly``) a witness basis is cleared to.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import List, Sequence, Tuple, Union
+from math import gcd, lcm
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .ratfun import RatFun, as_ratfun
 
-Entry = Union[Fraction, RatFun]
+Rational = Union[int, Fraction]
+Entry = Union[int, Fraction, RatFun]
 
 
 class SingularMatrix(ValueError):
     pass
 
 
-def _reduce_q(m: Sequence[Sequence[Entry]]) -> Tuple[List[List[int]], List[int]]:
-    """Fraction-free Gauss–Jordan over Q: the reduced pivot rows, as integer
-    multiples of the reduced row-echelon rows, and their pivot columns."""
-    rows = []
+def _reduce_q(m: Sequence[Sequence[Entry]]) -> Optional[Tuple[List[List[int]], List[int]]]:
+    """Fraction-free Gauss–Jordan over Q, on the distinct primitive rows of
+    ``m`` (see above): the reduced pivot rows, as integer multiples of the
+    reduced row-echelon rows, and their pivot columns; None when an entry is
+    a RatFun."""
+    rows: List[List[int]] = []
+    seen = set()
     for row in m:
-        fr = [Fraction(x) for x in row]
-        den = lcm(*(x.denominator for x in fr))
-        scaled = [x.numerator * (den // x.denominator) for x in fr]
-        if any(scaled):
-            rows.append(scaled)
+        kinds = set(map(type, row))
+        if RatFun in kinds:
+            return None
+        if kinds - {int}:
+            fr = [Fraction(x) for x in row]
+            den = lcm(*(x.denominator for x in fr))
+            row = [x.numerator * (den // x.denominator) for x in fr]
+        g = gcd(*row)
+        if not g:
+            continue
+        if next(filter(None, row)) < 0:
+            g = -g
+        key = tuple(row) if g == 1 else tuple(x // g for x in row)
+        if key not in seen:
+            seen.add(key)
+            rows.append(list(key))
     pivots: List[int] = []
     prev = 1
     for c in range(len(rows[0]) if rows else 0):
@@ -59,9 +82,13 @@ def _reduce_q(m: Sequence[Sequence[Entry]]) -> Tuple[List[List[int]], List[int]]
         prow = rows[r]
         pv = prow[c]
         for i, row in enumerate(rows):
-            if i != r:
-                x = row[c]
+            if i == r:
+                continue
+            x = row[c]
+            if x:
                 rows[i] = [(a * pv - x * b) // prev for a, b in zip(row, prow)]
+            elif pv != prev:  # the same formula, with entry 0
+                rows[i] = [a * pv // prev for a in row]
         prev = pv
         pivots.append(c)
     return rows[: len(pivots)], pivots
@@ -99,9 +126,11 @@ def _reduce_rf(m: Sequence[Sequence[Entry]]) -> Tuple[List[List[RatFun]], List[i
 
 
 def rank(rows: Sequence[Sequence[Entry]]) -> int:
-    if any(isinstance(x, RatFun) for row in rows for x in row):
-        return len(_reduce_rf(rows)[1])
-    return len(_reduce_q(rows)[1])
+    """The rank over Q, or over Q(s) when an entry is a RatFun."""
+    reduced = _reduce_q(rows)
+    if reduced is None:
+        reduced = _reduce_rf(rows)
+    return len(reduced[1])
 
 
 def nullspace_dim(rows: Sequence[Sequence[Entry]]) -> int:
@@ -111,10 +140,15 @@ def nullspace_dim(rows: Sequence[Sequence[Entry]]) -> int:
     return len(m[0]) - rank(m)
 
 
-def row_reduce_basis(vectors: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Reduced row-echelon basis of the span (over Fraction)."""
-    rows, pivots = _reduce_q(vectors)
-    return [[Fraction(a, row[p]) for a in row] for row, p in zip(rows, pivots)]
+def row_reduce_basis(vectors: Sequence[Sequence[Rational]]) -> List[List[int]]:
+    """The canonical integer basis of the span over Q: each row of its
+    reduced row-echelon basis, scaled to a primitive integer vector with a
+    positive pivot."""
+    out = []
+    for row, p in zip(*_reduce_q(vectors)):
+        g = gcd(*row) if row[p] > 0 else -gcd(*row)
+        out.append([a // g for a in row])
+    return out
 
 
 def _identity_augmented(m: Sequence[Sequence[Entry]]) -> List[List[Entry]]:

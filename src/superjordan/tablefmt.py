@@ -11,9 +11,11 @@ Every data file is read line by line by ``read_lines``:
 
 A line may use only what the lines above it declare: a product its type
 and family symbol, a certificate condition its basis.  Unknown keys are
-errors.  Each product is entered into the table as it is read, so an error
-about the table (a conflicting, misgraded or odd-square product, an unknown
-label) names the line of the product that causes it.
+errors, and so is a second ``name``, ``type``, ``orbit``,
+``decomposition``, ``even_part`` or ``family`` line in a table.  Each
+product is entered into the table as it is read, so an error about the
+table (a conflicting, misgraded or odd-square product, an unknown label)
+names the line of the product that causes it.
 
 Algebra tables (``.alg``, read by ``parse_algebra``)::
 
@@ -345,8 +347,17 @@ def _product(spec: str, family: Optional[str]):
 
 def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
     af = AlgebraFile(name="", mn=None, products={})
+    seen = set()
 
     def handle(key: str, val: str) -> None:
+        if key == "family_param":
+            key = "family"
+        if key == "type" and af.products:
+            raise ParseError("the type line must come before every product")
+        if key in ("name", "type", "orbit", "decomposition", "even_part", "family"):
+            if key in seen:
+                raise ParseError(f"duplicate key {key!r}")
+            seen.add(key)
         if key == "product:":
             if af.mn is None:
                 raise ParseError("a product needs the type line above it")
@@ -358,8 +369,6 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
         elif key == "name":
             af.name = val
         elif key == "type":
-            if af.products:
-                raise ParseError("the type line must come before every product")
             parts = val.split(",")
             if len(parts) != 2:
                 raise ParseError(f"bad type {val!r}")
@@ -370,7 +379,7 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
             af.decomposition = val
         elif key == "even_part":
             af.even_part = val
-        elif key in ("family", "family_param"):
+        elif key == "family":
             af.family = val
         elif key not in ("even", "odd"):  # informative only; counts come from `type`
             raise unknown_line(key, val)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 import pytest
 
@@ -94,3 +94,46 @@ def try_limit_at_zero(f):
     if not f.is_zero() and valuation(f) < 0:
         return None
     return limit_at_zero(f)
+
+
+def row_reduce_by_fractions(vectors):
+    """Reduced row-echelon basis by Fraction elimination, one vector at a
+    time: the oracle of the fraction-free ``linalg`` routines."""
+    m = [[Fraction(x) for x in v] for v in vectors]
+    if not m:
+        return []
+    w = len(m[0])
+    basis, pivots = [], []
+    for vec in m:
+        v = list(vec)
+        for b, p in zip(basis, pivots):
+            if v[p] != 0:
+                c = v[p]
+                for j in range(w):
+                    v[j] -= c * b[j]
+        lead = next((j for j in range(w) if v[j] != 0), None)
+        if lead is None:
+            continue
+        c = v[lead]
+        v = [x / c for x in v]
+        for b, p in zip(basis, pivots):
+            if b[lead] != 0:
+                cb = b[lead]
+                for j in range(w):
+                    b[j] -= cb * v[j]
+        basis.append(v)
+        pivots.append(lead)
+    order = sorted(range(len(basis)), key=lambda i: pivots[i])
+    return [basis[i] for i in order]
+
+
+def divided_by_pivots(basis):
+    """A canonical integer basis (``linalg.row_reduce_basis``) with each row
+    divided by its pivot, after checking that the row is primitive with a
+    positive pivot: the reduced row-echelon basis."""
+    out = []
+    for row in basis:
+        pivot = next(x for x in row if x)
+        assert pivot > 0 and gcd(*row) == 1, row
+        out.append([Fraction(x, pivot) for x in row])
+    return out

@@ -1,27 +1,36 @@
-"""The identity kernels run in ints on each table times the lcm of its
-denominators.  Their results must equal those of the same loops run in
+"""The identity and rank kernels run in ints on each table times the lcm of
+its denominators.  Their results must equal those of the same loops run in
 Fraction on the unscaled table, kept here as oracles."""
 
 import random
 from fractions import Fraction
 from itertools import product as iproduct
 
+from superjordan import linalg
 from superjordan.algebra import (
     IdentityReport,
     _supercommutativity_violations,
     apply_graded_change,
     check_super_jordan,
     clear_denominators,
+    cleared_table,
     flatten,
     graded_table,
     jordan_defect,
     load,
+    power_filtration,
+    power_spans,
 )
 from superjordan.envelope import EnvelopeReport, _support_plan, envelope_jordan_check, grassmann_sign
-from superjordan.invariants import table_is_associative
+from superjordan.invariants import (
+    _map_equations,
+    centroid_dim,
+    derivation_dims,
+    table_is_associative,
+)
 from superjordan.linalg import int_matrix_det_adjugate
 
-from conftest import perturb_entry
+from conftest import divided_by_pivots, perturb_entry, row_reduce_by_fractions
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -199,11 +208,69 @@ def fraction_table_is_associative(table):
     return True
 
 
+def fraction_rank(rows):
+    return len(row_reduce_by_fractions(rows))
+
+
+def fraction_derivation_dim(table, par, d_par):
+    """Superderivation dimension, eliminated in Fraction on the unscaled table."""
+    rows, width = _map_equations(table, par, d_par, 1, 1)
+    return width - fraction_rank(rows)
+
+
+def fraction_centroid_dim(table):
+    ungraded = [0] * len(table)
+    left, width = _map_equations(table, ungraded, 0, 1, 0)
+    right, _ = _map_equations(table, ungraded, 0, 0, 1)
+    return width - fraction_rank(left + right)
+
+
+def fraction_power_spans(table, r_max):
+    """Reduced row-echelon bases of the powers, products taken in Fraction."""
+    d = len(table)
+
+    def product_span(U, W):
+        vecs = []
+        for u in U:
+            for w in W:
+                out = [Fraction(0)] * d
+                for a in range(d):
+                    for b in range(d):
+                        c = u[a] * w[b]
+                        for k, t in enumerate(table[a][b]):
+                            out[k] += c * t
+                if any(out):
+                    vecs.append(out)
+        return row_reduce_by_fractions(vecs)
+
+    powers = [[[Fraction(int(i == j)) for j in range(d)] for i in range(d)]]
+    for r in range(2, r_max + 1):
+        vecs = []
+        for i in range(1, r):
+            vecs.extend(product_span(powers[i - 1], powers[r - i - 1]))
+        powers.append(row_reduce_by_fractions(vecs))
+    return powers
+
+
+def _assert_rank_kernels_match(J):
+    table, par = graded_table(J)
+    ders = derivation_dims(J)
+    assert (ders.even_dim, ders.odd_dim) == tuple(
+        fraction_derivation_dim(table, par, d_par) for d_par in (0, 1)
+    ), J.name
+    flat = flatten(J)
+    assert centroid_dim(flat) == fraction_centroid_dim(flat), J.name
+    r_max = max(J.dim, 4)
+    got = power_spans(table, r_max)
+    assert [divided_by_pivots(basis) for basis in got] == fraction_power_spans(table, r_max), J.name
+
+
 def _assert_kernels_match(J):
     assert check_super_jordan(J) == fraction_check_super_jordan(J), J.name
     assert envelope_jordan_check(J) == fraction_envelope_check(J), J.name
     table = flatten(J)
     assert table_is_associative(table) == fraction_table_is_associative(table), J.name
+    _assert_rank_kernels_match(J)
 
 
 # ---- inputs ----------------------------------------------------------------
@@ -301,3 +368,43 @@ def test_kernels_match_fraction_loops_on_mixed_denominators(catalog):
     for J in (peirce, rescaled):
         assert {HALF, THIRD} <= {c for plane in flatten(J) for row in plane for c in row}
         _assert_kernels_match(J)
+
+
+def test_cleared_table_scales_every_plane(catalog):
+    rescaled = apply_graded_change(catalog.lookup("Jc9"), [[1, 0], [0, THIRD]], [[1, 0], [0, HALF]])
+    table = flatten(rescaled)
+    scale = clear_denominators([c for plane in table for row in plane for c in row])
+    cleared = cleared_table(table)
+    assert [c for plane in cleared for row in plane for c in row] == scale
+    assert all(type(c) is int for plane in cleared for row in plane for c in row)
+
+
+def test_rank_kernels_pass_int_rows_to_the_rational_elimination(catalog, monkeypatch):
+    seen, symbolic = [], []
+    reduce_q, reduce_rf = linalg._reduce_q, linalg._reduce_rf
+
+    def spy_q(m):
+        m = [list(row) for row in m]
+        seen.append(all(type(x) is int for row in m for x in row))
+        return reduce_q(m)
+
+    def spy_rf(m):
+        symbolic.append(len(m))
+        return reduce_rf(m)
+
+    rng = random.Random(19)
+    tables = [_non_unimodular_change(catalog.lookup(name), rng) for name in ("J5", "Jc42", "Jf53")]
+    tables.append(apply_graded_change(catalog.lookup("Jc9"), [[1, 0], [0, THIRD]], [[1, 0], [0, 1]]))
+    tables += _instances(catalog)[:20]
+    monkeypatch.setattr(linalg, "_reduce_q", spy_q)
+    monkeypatch.setattr(linalg, "_reduce_rf", spy_rf)
+    for J in tables:
+        derivation_dims(J)
+        centroid_dim(flatten(J))
+        power_filtration(J)
+    assert seen and all(seen) and not symbolic
+    # the symbolic family is eliminated over Q(s), unscaled
+    Jc16 = catalog.entry("Jc16").algebra
+    derivation_dims(Jc16)
+    centroid_dim(flatten(Jc16))
+    assert symbolic

@@ -16,6 +16,8 @@ from superjordan.linalg import (
 )
 from superjordan.ratfun import RatFun
 
+from conftest import divided_by_pivots, row_reduce_by_fractions
+
 
 def rank_by_minors(rows):
     """Brute-force rank via minor expansion; oracle for small matrices."""
@@ -51,38 +53,6 @@ def _det_expansion(m):
     return total
 
 
-def row_reduce_by_fractions(vectors):
-    """Reduced row-echelon basis by Fraction elimination, one vector at a
-    time; the loop ``row_reduce_basis`` ran before it shared the fraction-free
-    routine, kept as its oracle."""
-    m = [[Fraction(x) for x in v] for v in vectors]
-    if not m:
-        return []
-    w = len(m[0])
-    basis, pivots = [], []
-    for vec in m:
-        v = list(vec)
-        for b, p in zip(basis, pivots):
-            if v[p] != 0:
-                c = v[p]
-                for j in range(w):
-                    v[j] -= c * b[j]
-        lead = next((j for j in range(w) if v[j] != 0), None)
-        if lead is None:
-            continue
-        c = v[lead]
-        v = [x / c for x in v]
-        for b, p in zip(basis, pivots):
-            if b[lead] != 0:
-                cb = b[lead]
-                for j in range(w):
-                    b[j] -= cb * v[j]
-        basis.append(v)
-        pivots.append(lead)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [basis[i] for i in order]
-
-
 _fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
@@ -105,9 +75,49 @@ def deficient_matrices(draw):
 @settings(max_examples=120, deadline=None)
 def test_row_reduce_basis_matches_fraction_oracle(rows):
     basis = row_reduce_basis(rows)
-    assert basis == row_reduce_by_fractions(rows)
-    assert all(type(x) is Fraction for row in basis for x in row)
+    assert all(type(x) is int for row in basis for x in row)
+    assert divided_by_pivots(basis) == row_reduce_by_fractions(rows)
     assert len(basis) == rank(rows) == rank_by_minors(rows)
+
+
+@st.composite
+def repeated_rows(draw):
+    """Drawn rows, each repeated with nonzero int and Fraction multiples in
+    a shuffled order, with zero rows mixed in."""
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    entries = st.one_of(st.integers(min_value=-3, max_value=3), _fractions)
+    base = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=0, max_size=4))
+    multiples = st.one_of(
+        st.integers(min_value=-4, max_value=4).filter(bool), _fractions.filter(bool)
+    )
+    rows = []
+    for row in base:
+        rows.append(row)
+        for c in draw(st.lists(multiples, max_size=3)):
+            rows.append([c * x for x in row])
+    rows += [[0] * ncols, [Fraction(0)] * ncols][: draw(st.integers(min_value=0, max_value=2))]
+    return draw(st.permutations(rows))
+
+
+@given(repeated_rows())
+@settings(max_examples=120, deadline=None)
+def test_duplicate_and_proportional_rows(rows):
+    assert rank(rows) == rank_by_minors(rows)
+    assert divided_by_pivots(row_reduce_basis(rows)) == row_reduce_by_fractions(rows)
+    n = len(rows[0]) if rows else 0
+    if len(rows) >= n:
+        # a square matrix: the first n rows, invertible or not
+        m = [[Fraction(x) for x in row] for row in rows[:n]]
+        if rank_by_minors(m) < n:
+            with pytest.raises(SingularMatrix):
+                invert_fraction_matrix(m)
+        else:
+            inv = invert_fraction_matrix(m)
+            assert all(
+                sum(inv[i][k] * m[k][j] for k in range(n)) == (i == j)
+                for i in range(n)
+                for j in range(n)
+            )
 
 
 def test_row_reduce_basis_of_zero_rows():

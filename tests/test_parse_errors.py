@@ -160,6 +160,20 @@ def test_witness_key_error_names_file_and_line(tmp_path, capsys, line, message):
             "[algebra]\nname = b\ntype = 1,1\nproduct: e*e = e\ntype = 2,0\n",
             "5: the type line must come before every product",
         ),
+        # a repeated key is refused, not read as its last value
+        (
+            "check",
+            ".alg",
+            "[algebra]\nname = b\ntype = 1,1\ntype = 2,0\nname = c\n",
+            "4: duplicate key 'type'",
+        ),
+        ("check", ".alg", "[algebra]\nname = b\ntype = 2,0\nname = c\n", "4: duplicate key 'name'"),
+        (
+            "check",
+            ".alg",
+            "[algebra]\nname = b\ntype = 1,1\nfamily = t\nfamily = s\n",
+            "5: duplicate key 'family'",
+        ),
         (
             "degenerate",
             ".wit",
