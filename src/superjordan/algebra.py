@@ -24,34 +24,35 @@ oracle; and ``envelope._Envelope``, the Grassmann-envelope cross-check,
 which reads the blocks once when it is built.
 
 The identity kernels (``check_super_jordan``, the envelope cross-check and
-``invariants.table_is_associative``) run in Python ints.  When every
-constant is rational, ``clear_denominators`` multiplies them all by lambda,
-the lcm of their denominators.  This is exact: x -> x/lambda is an
-isomorphism from (A, mu) to (A, lambda mu), and each identity is
-homogeneous in the constants (the Jordan defect is cubic, associativity
-quadratic), so every zero and every first failing quadruple stays where it
-was.  A table over RatFun runs the same loops unscaled.
+``invariants.table_is_associative``) run on the table cleared of its
+denominators by ``linalg.clear_denominators``: when every constant is
+rational, they are all multiplied by lambda, the lcm of their
+denominators, and the loops run in Python ints; when one is a RatFun (the
+symbolic family), they are multiplied by D, the lcm of the denominator
+polynomials, and the loops run over Q[s] (Poly), whose sums and products
+need no gcd.  This is
+exact: x -> x/lambda is an isomorphism from (A, mu) to (A, lambda mu), and
+each identity is homogeneous in the constants (the Jordan defect is cubic,
+associativity quadratic), so every zero and every first failing quadruple
+stays where it was.
 
 The rank kernels run on the same scaled table, ``cleared_table``: the
 superderivations and the centroid (``invariants._map_equations``), the
 annihilator and the trace form of a fingerprint, and the powers J^r
-(``power_spans``).  The equations of the first three are linear in the
-constants and the trace form is quadratic, so one scalar lambda != 0
-keeps every rank; lambda (U W) spans U W, so it keeps every power.  Their
-integer rows go to ``linalg._reduce_q`` as they are, which drops repeated
-primitive rows before it eliminates.  A RatFun table goes to
-``linalg._reduce_rf`` unscaled.
+(``power_spans``, rational tables only).  The equations of the first three
+are linear in the constants and the trace form is quadratic, so one scalar
+lambda != 0 keeps every rank; lambda (U W) spans U W, so it keeps every
+power.  Their rows go to ``linalg``'s one Bareiss loop, over Z or Q[s].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .linalg import invert_fraction_matrix, row_reduce_basis
+from .linalg import clear_denominators, invert_field_matrix, row_reduce_basis
 from .ratfun import RatFun
 
 Scalar = Union[Fraction, RatFun]
@@ -85,14 +86,11 @@ class Element:
     odd: Tuple[Scalar, ...]
 
     def is_zero(self) -> bool:
-        return all(_sc_is_zero(c) for c in self.even) and all(
-            _sc_is_zero(c) for c in self.odd
-        )
+        return not (any(self.even) or any(self.odd))
 
     def parity(self) -> int:
         """0 for even, 1 for odd; raises on genuinely mixed elements."""
-        has_even = any(not _sc_is_zero(c) for c in self.even)
-        has_odd = any(not _sc_is_zero(c) for c in self.odd)
+        has_even, has_odd = any(self.even), any(self.odd)
         if has_even and has_odd:
             raise NonHomogeneousArgument(f"mixed-parity element {self}")
         return 1 if has_odd else 0
@@ -113,12 +111,6 @@ class Element:
         )
 
 
-def _sc_is_zero(c: Scalar) -> bool:
-    if isinstance(c, RatFun):
-        return c.is_zero()
-    return c == 0
-
-
 @dataclass(frozen=True)
 class SuperAlgebra:
     m: int
@@ -129,6 +121,14 @@ class SuperAlgebra:
     delta: tuple
     # two algebras with equal constants are equal whatever their names
     name: str = field(default="", compare=False)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.m, self.n, self.alpha, self.beta, self.gamma, self.delta))
+
+    def __hash__(self) -> int:
+        """The hash of the constants, computed once: an algebra is frozen."""
+        return self._hash
 
     # ---- basis bookkeeping -------------------------------------------------
     @property
@@ -159,42 +159,42 @@ class SuperAlgebra:
         ev = [Fraction(0)] * m
         od = [Fraction(0)] * n
         for i, xi in enumerate(x.even):
-            if _sc_is_zero(xi):
+            if not xi:
                 continue
             for j, yj in enumerate(y.even):
-                if _sc_is_zero(yj):
+                if not yj:
                     continue
                 row = self.alpha[i][j]
                 c = xi * yj
                 for k in range(m):
-                    if not _sc_is_zero(row[k]):
+                    if row[k]:
                         ev[k] = ev[k] + c * row[k]
             for p, yp in enumerate(y.odd):
-                if _sc_is_zero(yp):
+                if not yp:
                     continue
                 row = self.beta[i][p]
                 c = xi * yp
                 for q in range(n):
-                    if not _sc_is_zero(row[q]):
+                    if row[q]:
                         od[q] = od[q] + c * row[q]
         for p, xp in enumerate(x.odd):
-            if _sc_is_zero(xp):
+            if not xp:
                 continue
             for j, yj in enumerate(y.even):
-                if _sc_is_zero(yj):
+                if not yj:
                     continue
                 row = self.gamma[p][j]
                 c = xp * yj
                 for q in range(n):
-                    if not _sc_is_zero(row[q]):
+                    if row[q]:
                         od[q] = od[q] + c * row[q]
             for q, yq in enumerate(y.odd):
-                if _sc_is_zero(yq):
+                if not yq:
                     continue
                 row = self.delta[p][q]
                 c = xp * yq
                 for k in range(m):
-                    if not _sc_is_zero(row[k]):
+                    if row[k]:
                         ev[k] = ev[k] + c * row[k]
         return Element(tuple(ev), tuple(od))
 
@@ -276,7 +276,7 @@ def add_product(
                 f"but result names {res}"
             )
         value[k] = value.get(k, Fraction(0)) + coeff
-    value = {k: v for k, v in value.items() if not _sc_is_zero(v)}
+    value = {k: v for k, v in value.items() if v}
     if lp == 1 and rp == 1 and a == b and value:
         raise SquareOfOdd(f"nonzero square {left}*{right}")
 
@@ -354,9 +354,9 @@ class IdentityReport:
 def check_super_jordan(J: SuperAlgebra) -> IdentityReport:
     """Supercommutativity plus defect vanishing on all basis quadruples.
 
-    The six terms of the defect are summed exactly, in ints, on the table
-    times lambda (``clear_denominators``): the defect is cubic in the
-    constants, so it vanishes where the unscaled one does.  They are summed
+    The six terms of the defect are summed exactly, in ints or over Q[s],
+    on the table times its scale (``clear_denominators``): the defect is
+    cubic in the constants, so it vanishes where the unscaled one does.  They are summed
     from the pair products e_a e_b and the triple products (e_a e_b) e_c,
     both computed once per call.  The first failing quadruple in label order
     is reported with its ``jordan_defect`` on the unscaled J.
@@ -370,7 +370,7 @@ def check_super_jordan(J: SuperAlgebra) -> IdentityReport:
     # T[a][b] = lambda e_a e_b as sparse (k, c) pairs, indices in label order
     entries = nonzero_constants(table)
     T = [[[] for _ in range(dim)] for _ in range(dim)]
-    for (a, b, k, _c), c in zip(entries, clear_denominators([c for *_, c in entries])):
+    for (a, b, k, _c), c in zip(entries, clear_denominators([c for *_, c in entries])[1]):
         T[a][b].append((k, c))
     unit = [((a, 1),) for a in range(dim)]
     P = [
@@ -430,7 +430,7 @@ def _sparse_product(T, u, v) -> Tuple[Tuple[int, Scalar], ...]:
     """u v as sparse (k, c) pairs, zero coefficients dropped."""
     acc: Dict[int, Scalar] = {}
     _add_product(acc, T, u, v, 1)
-    return tuple((k, c) for k, c in acc.items() if not _sc_is_zero(c))
+    return tuple((k, c) for k, c in acc.items() if c)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +459,7 @@ def flatten(J: SuperAlgebra, basis_order: Optional[Sequence[str]] = None):
             else:
                 parity, row = 0, J.delta[ia][ib]
             for within, val in enumerate(row):
-                if not _sc_is_zero(val):
+                if val:
                     table[a][b][idx.index((parity, within))] = val
     return tuple(tuple(tuple(r) for r in plane) for plane in table)
 
@@ -484,23 +484,12 @@ def unflatten(table, m: int, n: int, name: str = "") -> SuperAlgebra:
     )
 
 
-def clear_denominators(constants: Sequence[Scalar]) -> List[Scalar]:
-    """``constants`` times lambda, the lcm of their denominators, as ints
-    when every constant is rational (int or Fraction); the constants
-    themselves when one is a RatFun.  Scaling every constant of a table by
-    one nonzero lambda gives an isomorphic algebra (x -> x/lambda), and an
-    identity homogeneous in the constants holds on one iff on the other."""
-    if not all(isinstance(c, (int, Fraction)) for c in constants):
-        return list(constants)
-    scale = lcm(*(c.denominator for c in constants))
-    return [c.numerator * (scale // c.denominator) for c in constants]
-
-
 def cleared_table(table):
-    """A flat d x d x d table times lambda (``clear_denominators``): in ints
-    when every constant is rational, the table itself when one is a RatFun."""
+    """A flat d x d x d table times its scale (``clear_denominators``): in
+    ints when every constant is rational, in Q[s] (Poly) when one is a
+    RatFun."""
     d = len(table)
-    flat = clear_denominators([c for plane in table for row in plane for c in row])
+    flat = clear_denominators([c for plane in table for row in plane for c in row])[1]
     return [[flat[(a * d + b) * d : (a * d + b + 1) * d] for b in range(d)] for a in range(d)]
 
 
@@ -581,7 +570,7 @@ def apply_graded_change(
     ]
     table, _par = graded_table(J)
     moved = change_basis(
-        nonzero_constants(table), m + n, P, invert_fraction_matrix(P), Fraction(0)
+        nonzero_constants(table), m + n, P, invert_field_matrix(P), Fraction(0)
     )
     return unflatten(moved, m, n, name=J.name)
 

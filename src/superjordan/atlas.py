@@ -144,17 +144,16 @@ def component_report(mn: Tuple[int, int], cat: Catalog, graph: DegenGraph) -> Co
     for name in families:
         dims.append(graph.orbit[name] + 1)
     computed_dim = max(dims) if dims else 0
+    reach = {rep: graph.reachable_from(rep) for rep in reps}
     # no representative may be reachable from another via verified witnesses
-    violations = []
-    for rep in reps:
-        for other in reps:
-            if rep != other and other in graph.reachable_from(rep):
-                violations.append(f"{other} reachable from {rep}")
+    violations = [
+        f"{other} reachable from {rep}"
+        for rep in reps
+        for other in reps
+        if rep != other and other in reach[rep]
+    ]
     # coverage: every non-representative node should be reachable from a rep
-    covered = set()
-    for rep in reps:
-        covered |= graph.reachable_from(rep)
-    unreachable = tuple(sorted(set(graph.nodes) - covered))
+    unreachable = tuple(sorted(set(graph.nodes).difference(*reach.values())))
     return ComponentReport(
         mn,
         comp["dimension"],

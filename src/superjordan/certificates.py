@@ -59,12 +59,11 @@ from .algebra import (
     SuperAlgebra,
     change_basis,
     change_basis_row,
-    clear_denominators,
     flatten,
     label_parity,
     nonzero_constants,
 )
-from .linalg import int_matrix_det_adjugate
+from .linalg import clear_denominators, int_matrix_det_adjugate
 from .tablefmt import ParseError, excerpt, read_arithmetic, read_lines, unknown_line
 
 
@@ -409,7 +408,7 @@ def _int_constants(table) -> List[Tuple[int, int, int, int]]:
     """The nonzero constants of the table with denominators cleared (a
     global scale, harmless for homogeneous conditions)."""
     entries = nonzero_constants(table)
-    scaled = clear_denominators([x for *_abk, x in entries])
+    scaled = clear_denominators([x for *_abk, x in entries])[1]
     return [(a, b, k, x) for (a, b, k, _x), x in zip(entries, scaled)]
 
 

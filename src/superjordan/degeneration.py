@@ -8,12 +8,13 @@ are removed up front by the global ramification substitution t = s^N
 (N = lcm of the exponent denominators, refused at load above MAX_EXPONENT),
 after which everything lives in the ordinary rational-function field over s.
 
-The replay itself runs over the polynomials Q[s].  Each row of the basis
-matrix P is cleared of its denominators by their lcm D_a, giving R, and the
-source constants by theirs, D_T.  One basis change with the adjugate of R
-then gives every moved constant as a polynomial over the one denominator
-D_a D_b det(R) D_T of its product, and a rational function is reduced only
-where a caller asks for one.
+The replay itself runs over the polynomials Q[s].  ``linalg.clear_denominators``
+clears each row of the basis matrix P by the lcm D_a of its denominators,
+giving R, and the source constants by theirs, D_T (an int lambda for a
+rational source).  det(R) and adj(R) come from the Bareiss loop of
+``linalg``, and one basis change with Q = adj(R) diag(D) gives every moved
+constant as a polynomial over the one denominator D_a D_b det(R) D_T of its
+product.  A rational function is reduced only where a caller asks for one.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .algebra import (
     label_parity,
     nonzero_constants,
 )
-from .linalg import SingularMatrix, int_matrix_det_adjugate
-from .ratfun import RF_ZERO, Poly, RatFun, as_ratfun, poly_lcm
+from .linalg import SingularMatrix, clear_denominators, int_matrix_det_adjugate
+from .ratfun import RF_ZERO, Poly, RatFun
 from .tablefmt import (
     MAX_EXPONENT,
     ParseError,
@@ -223,33 +224,18 @@ class Verdict:
         return self.status == "Verified"
 
 
-def _common_denominator(values) -> Poly:
-    """The lcm of the denominators of some rational functions."""
-    D = Poly.const(1)
-    for x in values:
-        D = poly_lcm(D, x.den)
-    return D
-
-
-def _clear(x: RatFun, D: Poly) -> Poly:
-    """D * x, for a multiple D of the denominator of x."""
-    return x.num * (D if x.den.degree() == 0 else D.divmod(x.den)[0])
-
-
 def _constants_in_basis(source: SuperAlgebra, P, order: List[str]):
     """Structure constants of ``source`` in the basis given by the rows of P,
     as polynomials N over one denominator per product: the constant (a, b, l)
     is N[a][b][l] / den[a][b].  Raises SingularMatrix."""
-    D = [_common_denominator(row) for row in P]
-    R = [[_clear(x, D_a) for x in row] for row, D_a in zip(P, D)]
-    det, adj = int_matrix_det_adjugate(R)
+    D, R = zip(*map(clear_denominators, P))
+    det, adj = int_matrix_det_adjugate(list(R))
     if not det:
         raise SingularMatrix("witness basis is singular")
-    table = [
-        [[as_ratfun(x) for x in row] for row in plane] for plane in flatten(source, order)
-    ]
-    D_T = _common_denominator(x for plane in table for row in plane for x in row)
-    T = [[[_clear(x, D_T) for x in row] for row in plane] for plane in table]
+    table = flatten(source, order)
+    D_T, flat = clear_denominators([x for plane in table for row in plane for x in row])
+    d = len(table)
+    T = [[flat[(a * d + b) * d : (a * d + b + 1) * d] for b in range(d)] for a in range(d)]
     # P^-1 = adj(R) diag(D) / det(R), so with Q = adj(R) diag(D) each constant
     # is N[a][b][l] / (D_a D_b det(R) D_T)
     Q = [[x * D_l for x, D_l in zip(row, D)] for row in adj]

@@ -9,11 +9,11 @@ generators are enough because the identity has degree four.  This check
 never looks at the graded-identity evaluator, so it independently
 validates the sign transcription there.
 
-The products are read from the four blocks once and multiplied in ints:
-every constant is scaled by lambda, the lcm of their denominators
-(``algebra.clear_denominators``).  Both sides of (x^2 y)x = x^2 (yx) are
-cubic in the constants, so each pair holds after the scaling iff it held
-before, and the first failing pair and ``pairs_checked`` stay the same.
+The products are read from the four blocks once and multiplied in ints,
+or over Q[s] for a table over RatFun (``linalg.clear_denominators``).
+Both sides of (x^2 y)x = x^2 (yx) are cubic in the constants, so each pair
+holds after the scaling iff it held before, and the first failing pair and
+``pairs_checked`` stay the same.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import SuperAlgebra, clear_denominators
+from .algebra import SuperAlgebra
+from .linalg import clear_denominators
 
 # a G(A) element maps (grassmann_mask, parity, index) -> int coefficient
-# (a RatFun for a table over RatFun, which is not scaled)
+# (a Poly for a table over RatFun, cleared to Q[s])
 GElement = Dict[Tuple[int, int, int], object]
 
 # Largest number of Grassmann generators: the random trials list all 2**k
@@ -76,7 +77,7 @@ class _Envelope:
             for kk, val in enumerate(row)
             if val
         ]
-        scaled = clear_denominators([val for *_, val in entries])
+        scaled = clear_denominators([val for *_, val in entries])[1]
         # (parity, index) x (parity, index) -> nonzero (parity, index, lambda c)
         self.products: Dict[Tuple[int, int, int, int], list] = {}
         for (key, pr, kk, _val), val in zip(entries, scaled):

@@ -7,10 +7,11 @@ D(xy) = left D(x)y + right (-1)^{|D||x|} x D(y): (1, 1) gives the
 superderivations (and so the orbit dimension), and (1, 0) with (0, 1) the
 centroid of a fingerprint.
 
-The screen is one stream of violations, ``_screen_violations``, in a fixed
+The screen is one stream of violations, ``screen_violations``, in a fixed
 cheapest-first order: power dimensions, even part, orbit dimension,
 associativity, the associated algebras, Burde invariants.  A full screen
-reads the whole stream and a quick one its first violation.
+reads the whole stream and a quick one its first violation; a lemma row
+reads it up to its published reason.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def _map_equations(table, par: Sequence[int], d_par: int, left: int, right: int)
 
 def _derivation_dim(table, par: Sequence[int], d_par: int) -> int:
     """Dimension of the parity-``d_par`` superderivations of a flat table
-    (``cleared_table``, so that the rows are ints); with every parity 0, of
-    the derivations of the ungraded table."""
+    (``cleared_table``, so that the rows are over Z or Q[s]); with every
+    parity 0, of the derivations of the ungraded table."""
     rows, width = _map_equations(table, par, d_par, 1, 1)
     return width - linalg.rank(rows)
 
@@ -143,8 +144,9 @@ def is_associative(J: SuperAlgebra) -> bool:
 
 
 def table_is_associative(table) -> bool:
-    """(ab)c = a(bc) on every basis triple, in ints on the table times lambda
-    (``cleared_table``): both sides are quadratic in the constants."""
+    """(ab)c = a(bc) on every basis triple, in ints or over Q[s] on the
+    cleared table (``cleared_table``): both sides are quadratic in the
+    constants."""
     d = len(table)
     T = cleared_table(table)
     for a in range(d):
@@ -352,17 +354,19 @@ def identify_algebra(
 class InvariantMemo:
     """Fingerprints, orbit dimensions and power filtrations, each computed
     at most once per table: entries are keyed by the algebra, whose equality
-    ignores its name, so repeated blocks, shared even parts and fresh family
-    instances share one.  Filled on use only."""
+    ignores its name and whose hash is computed once, so repeated blocks,
+    shared even parts and fresh family instances share one.  Filled on use
+    only."""
 
     def __init__(self):
         self._values: Dict[tuple, object] = {}
 
     def _get(self, kind: str, J: SuperAlgebra, compute: Callable[[], object]):
         key = (kind, J)
-        if key not in self._values:
-            self._values[key] = compute()
-        return self._values[key]
+        value = self._values.get(key, self)  # the memo itself marks a miss
+        if value is self:
+            value = self._values[key] = compute()
+        return value
 
     def fingerprint(self, J: SuperAlgebra) -> tuple:
         return self._get("fingerprint", J, lambda: algebra_fingerprint(J))
@@ -430,7 +434,7 @@ def _associativity_violations(A: SuperAlgebra, B: SuperAlgebra) -> Iterator[Scre
         yield ScreenViolation("associativity", "source associative, target not")
 
 
-def _screen_violations(
+def screen_violations(
     A: SuperAlgebra,
     B: SuperAlgebra,
     even_label_a: Optional[str],
@@ -441,7 +445,9 @@ def _screen_violations(
     """Every violated necessary condition for A -> B, cheapest first: power
     dimensions, even part, orbit dimension, associativity, the associated
     algebras, Burde invariants.  Each condition is computed only when the
-    stream reaches it."""
+    stream reaches it.  Cross-type pairs are rejected outright."""
+    if (A.m, A.n) != (B.m, B.n):
+        raise TypeMismatch(f"cannot screen type ({A.m},{A.n}) against type ({B.m},{B.n})")
     yield from _power_dim_violations(A, B, memo)
     if even_label_a and even_label_b and even_reachable is not None:
         if not even_reachable(even_label_a, even_label_b):
@@ -472,15 +478,12 @@ def nondegeneration_screen(
     quick: bool = False,
 ) -> ScreenReport:
     """Collect every violated necessary condition for A -> B, or with
-    ``quick`` only the first one, in the order of ``_screen_violations``.
+    ``quick`` only the first one, in the order of ``screen_violations``.
 
     An empty report means "no obstruction found", never "degeneration
-    exists".  Cross-type pairs are rejected outright.  Power filtrations and
-    orbit dimensions are read from ``memo``.
+    exists".  Power filtrations and orbit dimensions are read from ``memo``.
     """
-    if (A.m, A.n) != (B.m, B.n):
-        raise TypeMismatch(f"cannot screen type ({A.m},{A.n}) against type ({B.m},{B.n})")
     memo = InvariantMemo() if memo is None else memo
-    stream = _screen_violations(A, B, even_label_a, even_label_b, even_reachable, memo)
+    stream = screen_violations(A, B, even_label_a, even_label_b, even_reachable, memo)
     violations = tuple(islice(stream, 1) if quick else stream)
     return ScreenReport(A.name or "A", B.name or "B", violations)

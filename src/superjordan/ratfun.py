@@ -1,9 +1,12 @@
 """Exact univariate polynomials and rational functions over the rationals.
 
 Scalars are ``fractions.Fraction`` (arbitrary-precision, always reduced).
-``Poly`` is a dense univariate polynomial in one formal variable ``s``;
+``Poly`` is a dense univariate polynomial in one formal variable ``s``, an
+element of the ring Q[s]: ``+``, ``-`` and ``*`` take a number on either
+side, and ``//`` is exact division, which raises on a remainder.
 ``RatFun`` is a reduced fraction of two polynomials with a monic
-denominator, so equality is structural equality.  The witness replay
+denominator, so equality is structural equality.  The kernels run on tables
+cleared to Q[s] (``linalg.clear_denominators``), and the witness replay
 takes its t -> 0 limits from the orders of ``Poly`` numerators and
 denominators (``Poly.ord``), not from ``RatFun``.
 """
@@ -22,6 +25,11 @@ def _normalize(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
+
+
+def _coerce(x: Union["Poly", Scalar]) -> "Poly":
+    """x as a Poly: a number as a constant."""
+    return x if isinstance(x, Poly) else Poly((x,))
 
 
 class Poly:
@@ -86,8 +94,13 @@ class Poly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def __add__(self, other: Union["Poly", Scalar]) -> "Poly":
+        other = _coerce(other)
         a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -95,16 +108,24 @@ class Poly:
             out[i] += c
         return Poly(out)
 
+    __radd__ = __add__
+
     def __neg__(self) -> "Poly":
         return Poly([-c for c in self.coeffs])
 
-    def __sub__(self, other: "Poly") -> "Poly":
+    def __sub__(self, other: Union["Poly", Scalar]) -> "Poly":
         return self + (-other)
 
-    def __mul__(self, other: "Poly") -> "Poly":
+    def __rsub__(self, other: Scalar) -> "Poly":
+        return -self + other
+
+    def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
+        other = _coerce(other)
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
+        if not a:
+            return self
+        if not b:
+            return other
         if b == (1,):
             return self
         if a == (1,):
@@ -117,6 +138,21 @@ class Poly:
                 if cb != 0:
                     out[i + j] += ca * cb
         return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other: Union["Poly", Scalar]) -> "Poly":
+        """self / other; raises ArithmeticError when other does not divide self."""
+        other = _coerce(other)
+        if not self.coeffs and other.coeffs:
+            return self
+        if other.degree() == 0:  # a nonzero constant divides every polynomial
+            c = other.coeffs[0]
+            return self if c == 1 else Poly([x / c for x in self.coeffs])
+        quot, rem = self.divmod(other)
+        if rem:
+            raise ArithmeticError(f"{other!r} does not divide {self!r}")
+        return quot
 
     def scale(self, c: Scalar) -> "Poly":
         c = Fraction(c)
@@ -365,11 +401,6 @@ class RatFun:
 
 RF_ZERO = RatFun(_ZERO, _ONE, _reduced=True)
 RF_ONE = RatFun(_ONE, _ONE, _reduced=True)
-
-
-def as_ratfun(x: Union[Scalar, RatFun]) -> RatFun:
-    """x as an element of Q(s): a RatFun as it is, a number as a constant."""
-    return x if isinstance(x, RatFun) else RatFun.const(x)
 
 
 def poly_compose(p: Poly, g: RatFun) -> RatFun:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .algebra import (
@@ -33,7 +34,13 @@ from .certificates import (
 )
 from .degeneration import Verdict, Witness, eval_t_expression, verify_degeneration
 from .envelope import envelope_jordan_check
-from .invariants import derivation_dims, even_part, identify_algebra, nondegeneration_screen
+from .invariants import (
+    derivation_dims,
+    even_part,
+    identify_algebra,
+    nondegeneration_screen,
+    screen_violations,
+)
 
 # expected (component count, variety dimension) per type
 COMPONENTS = {(1, 3): (11, 12), (2, 2): (25, 13), (3, 1): (21, 15)}
@@ -310,30 +317,36 @@ def verify_certificates(cat: Catalog, trials: int = 1000, seed: int = 0) -> List
 
 
 def verify_lemma_screens(cat: Catalog) -> List[CheckRow]:
-    """One row per lemma pair, passed on the first violation its quick screen
-    finds."""
+    """One row per lemma pair, passed when its screen finds the published
+    reason; the stream is read up to that violation, and the detail is the
+    first violation."""
     rows = []
     for grp in cat.lemma_pairs:
         for tgt in grp.targets:
-            rep = screen_pair(cat, grp.source, tgt, quick=True)
-            detail = rep.violations[0].item if rep.violations else "no obstruction"
-            rows.append(CheckRow(f"screen:{grp.source}-x->{tgt}", bool(rep), False, detail))
+            stream = screen_violations(**_screen_inputs(cat, grp.source, tgt))
+            first = next(stream, None)
+            found = first is not None and any(v.item == grp.reason for v in chain([first], stream))
+            detail = first.item if first else "no obstruction"
+            rows.append(CheckRow(f"screen:{grp.source}-x->{tgt}", found, False, detail))
     return rows
 
 
-def screen_pair(cat: Catalog, a: str, b: str, quick: bool = False):
-    ea, eb = cat.entry(a), cat.entry(b)
+def _screen_inputs(cat: Catalog, a: str, b: str) -> dict:
+    """The arguments of the screen of a against b."""
     A, B = cat.instances(a)[0], cat.instances(b)[0]
     graph = cat.even_graph_for(A.m) if A.m == B.m else None
-    return nondegeneration_screen(
-        A,
-        B,
-        even_label_a=ea.even_part_label,
-        even_label_b=eb.even_part_label,
+    return dict(
+        A=A,
+        B=B,
+        even_label_a=cat.entry(a).even_part_label,
+        even_label_b=cat.entry(b).even_part_label,
         even_reachable=graph.reachable if graph else None,
         memo=cat.invariants,
-        quick=quick,
     )
+
+
+def screen_pair(cat: Catalog, a: str, b: str, quick: bool = False):
+    return nondegeneration_screen(quick=quick, **_screen_inputs(cat, a, b))
 
 
 def screen_rows(cat: Catalog, a: str, b: str) -> List[CheckRow]:

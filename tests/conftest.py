@@ -137,3 +137,64 @@ def divided_by_pivots(basis):
         assert pivot > 0 and gcd(*row) == 1, row
         out.append([Fraction(x, pivot) for x in row])
     return out
+
+
+# Reference elimination over the rings of ``linalg``, without Bareiss: the
+# oracles of its one fraction-free loop.
+
+
+def cofactor_det(m):
+    """det(m) by cofactor expansion along the first row, over any ring whose
+    zero is falsy (int, Poly)."""
+    n = len(m)
+    if n == 0:
+        return 1
+    if n == 1:
+        return m[0][0]
+    total = m[0][0] - m[0][0]  # the zero of the entries' ring
+    for j in range(n):
+        if not m[0][j]:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        term = m[0][j] * cofactor_det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def cofactor_det_adjugate(m):
+    """det(m) and adj(m), every entry of adj(m) a signed minor."""
+    n = len(m)
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            c = cofactor_det([row[:i] + row[i + 1 :] for k, row in enumerate(m) if k != j])
+            adj[i][j] = c if (i + j) % 2 == 0 else -c
+    return cofactor_det(m), adj
+
+
+def reduce_over_ratfun(m):
+    """Gauss–Jordan over Q(s) with a reduced RatFun at every step, the first
+    entry of least degree (numerator plus denominator) as pivot: the rows,
+    pivot rows first and scaled to pivot 1, and the pivot columns."""
+    from superjordan.ratfun import RatFun
+
+    rows = [[RatFun.const(0) + x for x in row] for row in m]
+    n = len(rows)
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == n:
+            break
+        live = [i for i in range(r, n) if rows[i][c]]
+        if not live:
+            continue
+        piv = min(live, key=lambda i: rows[i][c].num.degree() + rows[i][c].den.degree())
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots

@@ -1,6 +1,10 @@
+import dataclasses
+
 import pytest
 
 from superjordan.atlas import (
+    DegenEdge,
+    DegenGraph,
     UnverifiedWitness,
     build_graph,
     component_report,
@@ -66,6 +70,41 @@ def test_component_row_fails_when_an_algebra_lies_in_no_component(catalog, verif
         "FAIL components:type13 11 components (11 rigid + 0 family), dimension 12;"
         " unreachable ('J1',)"
     )
+
+
+def _report_by_pairs(mn, catalog, g):
+    """The rigidity violations and unreachable nodes of ``component_report``,
+    one search per ordered pair of representatives: its oracle."""
+    comp = catalog.components[{(1, 3): "type13", (2, 2): "type22", (3, 1): "type31"}[mn]]
+    reps = comp["rigid"] + comp["families"]
+    violations = [
+        f"{other} reachable from {rep}"
+        for rep in reps
+        for other in reps
+        if rep != other and other in g.reachable_from(rep)
+    ]
+    covered = set()
+    for rep in reps:
+        covered |= g.reachable_from(rep)
+    return tuple(sorted(violations)), tuple(sorted(set(g.nodes) - covered)), len(reps)
+
+
+def test_component_report_searches_once_per_representative(catalog, graphs, monkeypatch):
+    rep_13 = catalog.components["type13"]["rigid"]
+    # an edge between two representatives is a rigidity violation
+    g = graphs[(1, 3)]
+    joined = dataclasses.replace(g, edges=g.edges + [DegenEdge(rep_13[0], rep_13[1], "test", False)])
+    cases = [(mn, graphs[mn]) for mn in COMPONENTS] + [((1, 3), joined)]
+    for mn, graph in cases:
+        violations, unreachable, n_reps = _report_by_pairs(mn, catalog, graph)
+        searches = []
+        reach = DegenGraph.reachable_from
+        monkeypatch.setattr(DegenGraph, "reachable_from", lambda self, s: searches.append(s) or reach(self, s))
+        rep = component_report(mn, catalog, graph)
+        monkeypatch.undo()
+        assert (rep.rigidity_violations, rep.unreachable) == (violations, unreachable)
+        assert len(searches) == n_reps
+    assert _report_by_pairs((1, 3), catalog, joined)[0] == (f"{rep_13[1]} reachable from {rep_13[0]}",)
 
 
 def test_type22_split_counts(catalog, graphs):

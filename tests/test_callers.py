@@ -10,7 +10,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "superjordan"
 # Kept for the benchmark, which calls or traces each by this name
 PINNED = {
     "apply_graded_change",
-    "invert_field_matrix",
     "nullspace_dim",
     "specialize_witness",
     "transform_int_table",

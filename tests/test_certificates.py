@@ -409,7 +409,7 @@ def test_integer_path_is_det_times_field_path(catalog):
             for kind in ("stability", "separation"):
                 for g, adj in certificates._changes(kind, _key(kind, cs), 5, 0):
                     det = linalg.int_matrix_det_adjugate(g)[0]
-                    inverse = linalg.invert_fraction_matrix([list(row) for row in g])
+                    inverse = linalg.invert_field_matrix([list(row) for row in g])
                     field = change_basis(entries, cs.dim, g, inverse, Fraction(0))
                     scaled = [[[det * x for x in row] for row in plane] for plane in field]
                     assert transform_int_table(table_int, g) == scaled, cs.label

@@ -19,7 +19,7 @@ from superjordan.degeneration import (
     verify_degeneration,
     witness_matrix,
 )
-from superjordan.ratfun import RatFun, as_ratfun
+from superjordan.ratfun import RatFun
 from superjordan.tablefmt import split_combination
 from superjordan.verify import resolve_witness_algebras, verify_witnesses
 
@@ -282,7 +282,7 @@ def _field_constants(wit, src):
     P and its inverse from Gauss-Jordan over the field."""
     P, order = witness_matrix(wit, src)
     table = tuple(
-        tuple(tuple(as_ratfun(x) for x in row) for row in plane) for plane in flatten(src, order)
+        tuple(tuple(RatFun.const(0) + x for x in row) for row in plane) for plane in flatten(src, order)
     )
     return apply_basis_change_table(table, P, linalg.invert_field_matrix(P))
 

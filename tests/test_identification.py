@@ -2,6 +2,7 @@
 packaged catalog, the per-call identification loop as their oracle, and the
 catalog's invariant memo."""
 
+import dataclasses
 import functools
 from collections import Counter
 
@@ -140,3 +141,27 @@ def test_no_fingerprint_without_a_candidate_of_the_type(catalog, monkeypatch):
     assert J.m + J.n == 4 and all(A.m + A.n < 4 for A in catalog.lowdim.values())
     assert identify_algebra(J, catalog.lowdim.items(), invariants.InvariantMemo()) is None
     assert calls == []
+
+
+def test_memo_hashes_each_algebra_once(catalog, monkeypatch):
+    from superjordan.algebra import SuperAlgebra
+
+    hashed = []
+
+    def constants_hash(J):
+        hashed.append(J.name)
+        return hash((J.m, J.n, J.alpha, J.beta, J.gamma, J.delta))
+
+    prop = functools.cached_property(constants_hash)
+    prop.__set_name__(SuperAlgebra, "_hash")
+    monkeypatch.setattr(SuperAlgebra, "_hash", prop)
+    J = catalog.lookup("Jc9")
+    A, B = (dataclasses.replace(J, name=name) for name in "AB")
+    memo = invariants.InvariantMemo()
+    fp = memo.fingerprint(A)
+    assert memo.fingerprint(A) is fp and memo.power_filtration(A) == memo.power_filtration(A)
+    # equality ignores the name, so B shares A's entries
+    assert B == A and memo.fingerprint(B) is fp
+    assert memo.orbit_dimension(B) == invariants.orbit_dimension(J)
+    assert fp == algebra_fingerprint(J)
+    assert hashed == ["A", "B"]

@@ -1,12 +1,13 @@
-"""The identity and rank kernels run in ints on each table times the lcm of
-its denominators.  Their results must equal those of the same loops run in
-Fraction on the unscaled table, kept here as oracles."""
+"""The identity and rank kernels run on each table times the lcm of its
+denominators: in ints for a rational table, over Q[s] for a table over
+Q(s).  Their results must equal those of the same loops run in Fraction (or
+RatFun) on the unscaled table, kept here as oracles."""
 
 import random
 from fractions import Fraction
 from itertools import product as iproduct
 
-from superjordan import linalg
+from superjordan import linalg, ratfun
 from superjordan.algebra import (
     IdentityReport,
     _supercommutativity_violations,
@@ -20,6 +21,7 @@ from superjordan.algebra import (
     load,
     power_filtration,
     power_spans,
+    unflatten,
 )
 from superjordan.envelope import EnvelopeReport, _support_plan, envelope_jordan_check, grassmann_sign
 from superjordan.invariants import (
@@ -29,8 +31,9 @@ from superjordan.invariants import (
     table_is_associative,
 )
 from superjordan.linalg import int_matrix_det_adjugate
+from superjordan.ratfun import Poly, RatFun
 
-from conftest import divided_by_pivots, perturb_entry, row_reduce_by_fractions
+from conftest import divided_by_pivots, perturb_entry, reduce_over_ratfun, row_reduce_by_fractions
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -306,24 +309,82 @@ def _non_unimodular_change(J, rng):
 
 
 def test_clear_denominators_scales_by_the_lcm():
-    assert clear_denominators([HALF, THIRD, Fraction(0), Fraction(-5, 4)]) == [6, 4, 0, -15]
-    assert clear_denominators([1, Fraction(2), Fraction(0)]) == [1, 2, 0]
-    assert all(type(c) is int for c in clear_denominators([HALF, THIRD]))
-    assert clear_denominators([]) == []
+    assert clear_denominators([HALF, THIRD, Fraction(0), Fraction(-5, 4)]) == (12, [6, 4, 0, -15])
+    assert clear_denominators([1, Fraction(2), Fraction(0)]) == (1, [1, 2, 0])
+    assert all(type(c) is int for c in clear_denominators([HALF, THIRD])[1])
+    assert clear_denominators([]) == (1, [])
 
 
-def test_ratfun_table_is_not_scaled(catalog):
-    from superjordan.ratfun import RatFun
+def test_clear_denominators_clears_rational_functions_to_polynomials():
+    s = RatFun.var()
+    one = RatFun.const(1)
+    values = [s, HALF, Fraction(0), one / (s + 1), s / (s * s + s), 3 * one / (s * s)]
+    D, cleared = clear_denominators(values)
+    # the monic lcm of s + 1, s + 1 and s^2
+    assert D == Poly([0, 0, 1, 1])
+    assert all(type(c) is Poly for c in cleared)
+    assert [RatFun(c, D) for c in cleared] == [RatFun.const(0) + x for x in values]
+    # denominators 1 give a Poly table over the scale 1
+    assert clear_denominators([s, 2 * s, Fraction(0)]) == (Poly.const(1), [Poly.var(), Poly([0, 2]), Poly()])
 
-    mixed = [RatFun.var(), HALF, Fraction(0)]
-    assert clear_denominators(mixed) == mixed
-    # the symbolic family runs the same loops over RatFun, unscaled
+
+def _jc16_rank_oracles(J):
+    """The superderivation and centroid dimensions of a table over Q(s), by
+    Gauss–Jordan over the field on the unscaled table."""
+    table, par = graded_table(J)
+
+    def rank(rows):
+        return len(reduce_over_ratfun(rows)[1])
+
+    ders = []
+    for d_par in (0, 1):
+        rows, width = _map_equations(table, par, d_par, 1, 1)
+        ders.append(width - rank(rows))
+    flat = flatten(J)
+    left, width = _map_equations(flat, [0] * len(flat), 0, 1, 0)
+    right, _ = _map_equations(flat, [0] * len(flat), 0, 0, 1)
+    return tuple(ders), width - rank(left + right)
+
+
+def test_ratfun_table_is_cleared_to_polynomials(catalog):
     Jc16 = catalog.entry("Jc16").algebra
-    assert any(isinstance(c, RatFun) for plane in flatten(Jc16) for row in plane for c in row)
+    table = flatten(Jc16)
+    assert any(isinstance(c, RatFun) for plane in table for row in plane for c in row)
+    cleared = cleared_table(table)
+    assert all(type(c) is Poly for plane in cleared for row in plane for c in row)
+    # the kernels over Q[s] agree with the same loops over Q(s), unscaled
     report = check_super_jordan(Jc16)
     assert report.ok and report == fraction_check_super_jordan(Jc16)
-    table = flatten(Jc16)
+    assert envelope_jordan_check(Jc16) == fraction_envelope_check(Jc16)
     assert table_is_associative(table) == fraction_table_is_associative(table)
+    ders = derivation_dims(Jc16)
+    assert ((ders.even_dim, ders.odd_dim), centroid_dim(table)) == _jc16_rank_oracles(Jc16)
+    # a perturbed symbolic table fails at the same quadruple
+    broken = perturb_entry(catalog, "Jc16", 3)
+    broken = unflatten(
+        [[[c * RatFun.var() for c in row] for row in plane] for plane in graded_table(broken)[0]],
+        broken.m,
+        broken.n,
+    )
+    assert check_super_jordan(broken) == fraction_check_super_jordan(broken)
+    assert not check_super_jordan(broken).ok
+
+
+def test_symbolic_kernels_need_no_gcd(catalog, monkeypatch):
+    calls = []
+    gcd = ratfun.poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(ratfun, "poly_gcd", counted)
+    Jc16 = catalog.entry("Jc16").algebra
+    assert check_super_jordan(Jc16).ok
+    derivation_dims(Jc16)
+    centroid_dim(flatten(Jc16))
+    envelope_jordan_check(Jc16)
+    assert calls == []
 
 
 def test_kernels_match_fraction_loops_on_catalog(catalog):
@@ -373,38 +434,33 @@ def test_kernels_match_fraction_loops_on_mixed_denominators(catalog):
 def test_cleared_table_scales_every_plane(catalog):
     rescaled = apply_graded_change(catalog.lookup("Jc9"), [[1, 0], [0, THIRD]], [[1, 0], [0, HALF]])
     table = flatten(rescaled)
-    scale = clear_denominators([c for plane in table for row in plane for c in row])
+    scale = clear_denominators([c for plane in table for row in plane for c in row])[1]
     cleared = cleared_table(table)
     assert [c for plane in cleared for row in plane for c in row] == scale
     assert all(type(c) is int for plane in cleared for row in plane for c in row)
 
 
-def test_rank_kernels_pass_int_rows_to_the_rational_elimination(catalog, monkeypatch):
-    seen, symbolic = [], []
-    reduce_q, reduce_rf = linalg._reduce_q, linalg._reduce_rf
+def test_rank_kernels_pass_int_rows_to_the_shared_elimination(catalog, monkeypatch):
+    kinds = []
+    bareiss = linalg._bareiss
 
-    def spy_q(m):
-        m = [list(row) for row in m]
-        seen.append(all(type(x) is int for row in m for x in row))
-        return reduce_q(m)
-
-    def spy_rf(m):
-        symbolic.append(len(m))
-        return reduce_rf(m)
+    def spy(rows):
+        kinds.append({type(x) for row in rows for x in row})
+        return bareiss(rows)
 
     rng = random.Random(19)
     tables = [_non_unimodular_change(catalog.lookup(name), rng) for name in ("J5", "Jc42", "Jf53")]
     tables.append(apply_graded_change(catalog.lookup("Jc9"), [[1, 0], [0, THIRD]], [[1, 0], [0, 1]]))
     tables += _instances(catalog)[:20]
-    monkeypatch.setattr(linalg, "_reduce_q", spy_q)
-    monkeypatch.setattr(linalg, "_reduce_rf", spy_rf)
+    monkeypatch.setattr(linalg, "_bareiss", spy)
     for J in tables:
         derivation_dims(J)
         centroid_dim(flatten(J))
         power_filtration(J)
-    assert seen and all(seen) and not symbolic
-    # the symbolic family is eliminated over Q(s), unscaled
+    assert kinds and all(k <= {int} for k in kinds)
+    # the symbolic family reaches the same loop over Q[s]
+    del kinds[:]
     Jc16 = catalog.entry("Jc16").algebra
     derivation_dims(Jc16)
     centroid_dim(flatten(Jc16))
-    assert symbolic
+    assert len(kinds) == 3 and all(k == {Poly} for k in kinds)

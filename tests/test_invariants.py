@@ -1,5 +1,7 @@
 import random
+import shutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,6 @@ from superjordan.invariants import (
     BurdeValue,
     TypeMismatch,
     _burde_values,
-    _screen_violations,
     associated_algebra,
     centroid_dim,
     derivation_dims,
@@ -18,14 +19,16 @@ from superjordan.invariants import (
     is_associative,
     nondegeneration_screen,
     orbit_dimension,
+    screen_violations,
     ungraded_derivation_dim,
     ungraded_power_dims,
 )
 from superjordan.linalg import rank
-from superjordan.verify import _interaction_blocks, _sub_algebra, screen_pair
+from superjordan.verify import _interaction_blocks, _sub_algebra, screen_pair, verify_lemma_screens
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+DATA = Path(__file__).resolve().parent.parent / "src" / "superjordan" / "data"
 
 
 def burde_invariant(J, i=1, j=1, trials=16, seed=0):
@@ -306,7 +309,7 @@ def test_lemma_pairs_violate_their_published_reason(catalog):
     for grp in catalog.lemma_pairs:
         for tgt in grp.targets:
             A, B = catalog.instances(grp.source)[0], catalog.instances(tgt)[0]
-            stream = _screen_violations(
+            stream = screen_violations(
                 A,
                 B,
                 catalog.entry(grp.source).even_part_label,
@@ -317,3 +320,42 @@ def test_lemma_pairs_violate_their_published_reason(catalog):
             assert any(v.item == grp.reason for v in stream), (grp.source, tgt, grp.reason)
             items.add(grp.reason)
     assert items == {"even-part"}
+
+
+def test_lemma_rows_read_the_screen_up_to_their_reason(catalog, monkeypatch):
+    import superjordan.invariants as invariants
+    from superjordan.catalog import Catalog
+
+    rows = verify_lemma_screens(catalog)
+    assert len(rows) == 280 and all(row.ok for row in rows)
+    # the detail is the first violation of the screen
+    for row in rows[:40]:
+        source, target = row.check_id[len("screen:") :].split("-x->")
+        assert row.detail == screen_pair(catalog, source, target, quick=True).violations[0].item
+    # every published reason is even-part, which comes before the orbit
+    # dimensions in the stream
+    orbits = []
+    monkeypatch.setattr(invariants, "orbit_dimension", lambda J: orbits.append(J) or 0)
+    assert [row.display for row in verify_lemma_screens(Catalog())] == [row.display for row in rows]
+    assert orbits == []
+
+
+def test_lemma_row_fails_when_its_published_reason_is_not_found(tmp_path):
+    from superjordan.catalog import Catalog
+
+    root = tmp_path / "data"
+    shutil.copytree(DATA, root)
+    path = root / "catalog" / "screens" / "lemma_pairs.txt"
+    group = "J5 -/-> J7 J8 J9 J11 J15 J16 J17 J19 ; reason = even-part"
+    text = path.read_text()
+    assert group in text
+    path.write_text(
+        text.replace(
+            group,
+            "J5 -/-> J7 ; reason = associativity\n"
+            "J5 -/-> J8 J9 J11 J15 J16 J17 J19 ; reason = even-part",
+        )
+    )
+    rows = verify_lemma_screens(Catalog(root))
+    assert len(rows) == 280
+    assert [row.display for row in rows if not row.ok] == ["FAIL screen:J5-x->J7 even-part"]

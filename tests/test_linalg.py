@@ -9,14 +9,19 @@ from superjordan.linalg import (
     SingularMatrix,
     int_matrix_det_adjugate,
     invert_field_matrix,
-    invert_fraction_matrix,
     nullspace_dim,
     rank,
     row_reduce_basis,
 )
-from superjordan.ratfun import RatFun
+from superjordan.ratfun import Poly, RatFun
 
-from conftest import divided_by_pivots, row_reduce_by_fractions
+from conftest import (
+    cofactor_det,
+    cofactor_det_adjugate,
+    divided_by_pivots,
+    reduce_over_ratfun,
+    row_reduce_by_fractions,
+)
 
 
 def rank_by_minors(rows):
@@ -28,29 +33,9 @@ def rank_by_minors(rows):
     for k in range(min(n, w), 0, -1):
         for ri in combinations(range(n), k):
             for ci in combinations(range(w), k):
-                sub = [[m[i][j] for j in ci] for i in ri]
-                if _det_expansion(sub) != 0:
+                if cofactor_det([[m[i][j] for j in ci] for i in ri]):
                     return k
     return 0
-
-
-def _det_expansion(m):
-    n = len(m)
-    if n == 1:
-        return Fraction(m[0][0]) if not isinstance(m[0][0], RatFun) else m[0][0]
-    total = None
-    for j in range(n):
-        if not isinstance(m[0][j], RatFun) and Fraction(m[0][j]) == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * _det_expansion(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        z = m[0][0]
-        return z - z  # typed zero
-    return total
 
 
 _fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -110,9 +95,9 @@ def test_duplicate_and_proportional_rows(rows):
         m = [[Fraction(x) for x in row] for row in rows[:n]]
         if rank_by_minors(m) < n:
             with pytest.raises(SingularMatrix):
-                invert_fraction_matrix(m)
+                invert_field_matrix(m)
         else:
-            inv = invert_fraction_matrix(m)
+            inv = invert_field_matrix(m)
             assert all(
                 sum(inv[i][k] * m[k][j] for k in range(n)) == (i == j)
                 for i in range(n)
@@ -191,14 +176,14 @@ def test_invert_field_matrix_prefers_nonvanishing_pivots():
 
 def test_invert_fraction_matrix():
     m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    inv = invert_fraction_matrix(m)
+    inv = invert_field_matrix(m)
     assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
 
 
 def test_invert_fraction_matrix_rejects_singular():
     for m in ([[0]], [[1, 2], [2, 4]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]], [[0, 0], [0, 1]]):
         with pytest.raises(SingularMatrix):
-            invert_fraction_matrix([[Fraction(x) for x in row] for row in m])
+            invert_field_matrix([[Fraction(x) for x in row] for row in m])
 
 
 @given(st.integers(min_value=1, max_value=4), st.data())
@@ -207,9 +192,9 @@ def test_invert_fraction_matrix_is_inverse(n, data):
     m = data.draw(st.lists(st.lists(_fractions, min_size=n, max_size=n), min_size=n, max_size=n))
     if rank_by_minors(m) < n:
         with pytest.raises(SingularMatrix):
-            invert_fraction_matrix(m)
+            invert_field_matrix(m)
         return
-    inv = invert_fraction_matrix(m)
+    inv = invert_field_matrix(m)
     for i in range(n):
         for j in range(n):
             assert sum(m[i][k] * inv[k][j] for k in range(n)) == (i == j)
@@ -258,8 +243,63 @@ def test_det_adjugate_identity(data):
         )
     )
     det, adj = int_matrix_det_adjugate(g)
+    if not det:
+        assert adj is None
+        return
     # g . adj = det * I
     for i in range(n):
         for j in range(n):
             acc = sum(g[i][k] * adj[k][j] for k in range(n))
             assert acc == (det if i == j else 0)
+
+
+_small_polys = st.lists(st.integers(min_value=-2, max_value=2), max_size=3).map(Poly)
+
+
+@st.composite
+def square_matrices(draw, entries):
+    """n x n matrices for n <= 5, often singular: a drawn row is sometimes
+    a multiple of another."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(entries)
+        m[i] = [c * x for x in m[j]]
+    return m
+
+
+def _assert_det_adjugate_match_cofactors(m):
+    det, adj = int_matrix_det_adjugate(m)
+    want_det, want_adj = cofactor_det_adjugate(m)
+    zero = m[0][0] * 0  # written in the ring of m: the oracle gives the int 1 for n = 1
+    assert det == zero + want_det
+    if not want_det:
+        assert adj is None
+        return
+    assert adj == [[zero + x for x in row] for row in want_adj]
+
+
+@given(square_matrices(st.integers(min_value=-3, max_value=3)))
+@settings(max_examples=150, deadline=None)
+def test_det_adjugate_match_cofactors_over_the_integers(m):
+    _assert_det_adjugate_match_cofactors(m)
+
+
+@given(square_matrices(_small_polys))
+@settings(max_examples=60, deadline=None)
+def test_det_adjugate_match_cofactors_over_polynomials(m):
+    _assert_det_adjugate_match_cofactors(m)
+
+
+@given(
+    st.one_of(
+        polynomial_matrices(),
+        square_matrices(_small_polys),
+        square_matrices(_small_polys.map(lambda p: RatFun(p, Poly([1, 1])))),
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_rank_over_ratfun_matches_gauss_jordan_over_the_field(m):
+    as_ratfun = [[RatFun(x) if isinstance(x, Poly) else x for x in row] for row in m]
+    assert rank(m) == len(reduce_over_ratfun(as_ratfun)[1])

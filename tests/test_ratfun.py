@@ -107,3 +107,36 @@ def test_evaluate():
     assert f.evaluate(2) == 7
     with pytest.raises(ZeroDivisionError):
         f.evaluate(1)
+
+
+@given(polys, nonzero_polys)
+@settings(max_examples=150, deadline=None)
+def test_exact_division_undoes_multiplication(a, b):
+    assert (a * b) // b == a
+    assert (b * a) // b == a
+
+
+def test_exact_division_raises_on_a_remainder():
+    s = Poly.var()
+    with pytest.raises(ArithmeticError):
+        (s * s + Poly.const(1)) // (s + Poly.const(1))
+    with pytest.raises(ArithmeticError):
+        Poly.const(1) // s
+    with pytest.raises(ZeroDivisionError):
+        s // Poly()
+    with pytest.raises(ZeroDivisionError):
+        s // 0
+    # a constant divides every polynomial
+    assert Poly([2, 4]) // 2 == Poly([1, 2]) == Poly([2, 4]) // Poly.const(2)
+    assert Poly([1, 3]) // Fraction(1, 3) == Poly([3, 9])
+
+
+@given(polys, coeffs)
+@settings(max_examples=60, deadline=None)
+def test_numbers_act_on_either_side(p, c):
+    const = Poly.const(c)
+    assert p + c == c + p == p + const
+    assert p - c == p - const
+    assert c - p == const - p
+    assert p * c == c * p == p * const
+    assert 0 + p == p == 1 * p == p * 1 and 0 * p == Poly()
