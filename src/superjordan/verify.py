@@ -345,8 +345,8 @@ def _screen_inputs(cat: Catalog, a: str, b: str) -> dict:
     )
 
 
-def screen_pair(cat: Catalog, a: str, b: str, quick: bool = False):
-    return nondegeneration_screen(quick=quick, **_screen_inputs(cat, a, b))
+def screen_pair(cat: Catalog, a: str, b: str):
+    return nondegeneration_screen(**_screen_inputs(cat, a, b))
 
 
 def screen_rows(cat: Catalog, a: str, b: str) -> List[CheckRow]:

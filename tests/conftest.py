@@ -198,3 +198,29 @@ def reduce_over_ratfun(m):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
     return rows, pivots
+
+
+def _with_identity(m):
+    n = len(m)
+    return [list(row) + [int(k == i) for k in range(n)] for i, row in enumerate(m)]
+
+
+def fraction_inverse(m):
+    """m^-1 over Q, the right block of ``row_reduce_by_fractions`` on
+    [m | I]: an inverse that shares no code with ``linalg``."""
+    n = len(m)
+    rows = row_reduce_by_fractions(_with_identity(m))
+    assert len(rows) == n and all(rows[i][i] == 1 for i in range(n)), "singular matrix"
+    return [row[n:] for row in rows]
+
+
+def ratfun_inverse(m):
+    """m^-1 over Q(s), the right block of ``reduce_over_ratfun`` on [m | I];
+    raises ``linalg.SingularMatrix`` when m is singular."""
+    from superjordan.linalg import SingularMatrix
+
+    n = len(m)
+    rows, pivots = reduce_over_ratfun(_with_identity(m))
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrix("matrix is singular")
+    return [row[n:] for row in rows[:n]]

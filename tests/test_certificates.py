@@ -29,6 +29,8 @@ from superjordan.certificates import (
 )
 from superjordan.verify import certificate_rows, verify_certificates
 
+from conftest import cofactor_det, fraction_inverse
+
 J12_CS = """
 [closedset]
 source = J12
@@ -399,8 +401,9 @@ def test_trials_compute_only_the_rows_they_read(catalog, monkeypatch):
 
 def test_integer_path_is_det_times_field_path(catalog):
     # the adjugate-scaled integer loop equals det(g) times the basis change
-    # over the field (Q = g^-1), for the first changes of both seed-0 draws,
-    # on every certificate source table
+    # over the field, both taken without the adjugate (det by cofactors,
+    # Q = g^-1 by Fraction elimination), for the first changes of both seed-0 draws, on every
+    # certificate source table
     checked = 0
     for cs in catalog.closed_sets():
         for J in catalog.instances(cs.source):
@@ -408,8 +411,8 @@ def test_integer_path_is_det_times_field_path(catalog):
             entries = nonzero_constants(table_int)
             for kind in ("stability", "separation"):
                 for g, adj in certificates._changes(kind, _key(kind, cs), 5, 0):
-                    det = linalg.int_matrix_det_adjugate(g)[0]
-                    inverse = linalg.invert_field_matrix([list(row) for row in g])
+                    det = cofactor_det(g)
+                    inverse = fraction_inverse(g)
                     field = change_basis(entries, cs.dim, g, inverse, Fraction(0))
                     scaled = [[[det * x for x in row] for row in plane] for plane in field]
                     assert transform_int_table(table_int, g) == scaled, cs.label

@@ -23,7 +23,7 @@ from superjordan.ratfun import RatFun
 from superjordan.tablefmt import split_combination
 from superjordan.verify import resolve_witness_algebras, verify_witnesses
 
-from conftest import limit_at_zero, try_limit_at_zero, valuation
+from conftest import limit_at_zero, ratfun_inverse, try_limit_at_zero, valuation
 
 ONE = Fraction(1)
 
@@ -284,7 +284,7 @@ def _field_constants(wit, src):
     table = tuple(
         tuple(tuple(RatFun.const(0) + x for x in row) for row in plane) for plane in flatten(src, order)
     )
-    return apply_basis_change_table(table, P, linalg.invert_field_matrix(P))
+    return apply_basis_change_table(table, P, ratfun_inverse(P))
 
 
 def _field_verdict(wit, src, tgt):
