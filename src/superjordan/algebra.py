@@ -29,7 +29,7 @@ denominators by ``linalg.clear_denominators``: when every constant is
 rational, they are all multiplied by lambda, the lcm of their
 denominators, and the loops run in Python ints; when one is a RatFun (the
 symbolic family), they are multiplied by D, the lcm of the denominator
-polynomials, and the loops run over Q[s] (Poly), whose sums and products
+polynomials, and the loops run over Z[s] (Poly), whose sums and products
 need no gcd.  This is
 exact: x -> x/lambda is an isomorphism from (A, mu) to (A, lambda mu), and
 each identity is homogeneous in the constants (the Jordan defect is cubic,
@@ -39,10 +39,10 @@ stays where it was.
 The rank kernels run on the same scaled table, ``cleared_table``: the
 superderivations and the centroid (``invariants._map_equations``), the
 annihilator and the trace form of a fingerprint, and the powers J^r
-(``power_spans``, rational tables only).  The equations of the first three
+(``power_spans``).  The equations of the first three
 are linear in the constants and the trace form is quadratic, so one scalar
 lambda != 0 keeps every rank; lambda (U W) spans U W, so it keeps every
-power.  Their rows go to ``linalg``'s one Bareiss loop, over Z or Q[s].
+power.  Their rows go to ``linalg``'s one Bareiss loop, over Z or Z[s].
 """
 
 from __future__ import annotations
@@ -354,7 +354,7 @@ class IdentityReport:
 def check_super_jordan(J: SuperAlgebra) -> IdentityReport:
     """Supercommutativity plus defect vanishing on all basis quadruples.
 
-    The six terms of the defect are summed exactly, in ints or over Q[s],
+    The six terms of the defect are summed exactly, in ints or over Z[s],
     on the table times its scale (``clear_denominators``): the defect is
     cubic in the constants, so it vanishes where the unscaled one does.  They are summed
     from the pair products e_a e_b and the triple products (e_a e_b) e_c,
@@ -486,7 +486,7 @@ def unflatten(table, m: int, n: int, name: str = "") -> SuperAlgebra:
 
 def cleared_table(table):
     """A flat d x d x d table times its scale (``clear_denominators``): in
-    ints when every constant is rational, in Q[s] (Poly) when one is a
+    ints when every constant is rational, in Z[s] (Poly) when one is a
     RatFun."""
     d = len(table)
     flat = clear_denominators([c for plane in table for row in plane for c in row])[1]
@@ -547,7 +547,7 @@ def change_basis_row(entries, d: int, pa, pb, Q, zero) -> List[Scalar]:
 def change_basis(entries, d: int, P, Q, zero) -> List[List[List[Scalar]]]:
     """Constants of a product in the basis y_a = sum_c P[a][c] x_c, scaled by
     s where P Q = s I: Q = P^-1 gives the constants themselves, Q = adj(P)
-    gives them times det(P) without a division (over Z, or Q[s]).
+    gives them times det(P) without a division (over Z, or Z[s]).
 
     ``entries`` are the nonzero constants of the d-dimensional table
     (``nonzero_constants``) and ``zero`` is the zero of the scalars (0,
@@ -575,12 +575,12 @@ def apply_graded_change(
     return unflatten(moved, m, n, name=J.name)
 
 
-def power_spans(table, r_max: int) -> List[List[List[int]]]:
-    """Bases of the powers T^1, ..., T^r_max of a flat rational table, where
-    T^1 is the whole space and T^r = sum_{i<r} T^i T^(r-i): each basis is
-    the canonical integer one of ``row_reduce_basis``.  The products are
-    taken in ints on the table times lambda (``cleared_table``), whose
-    powers are those of the table: lambda (U W) spans U W."""
+def power_spans(table, r_max: int) -> List[List[List]]:
+    """Bases of the powers T^1, ..., T^r_max of a flat table, where T^1 is
+    the whole space and T^r = sum_{i<r} T^i T^(r-i): each basis is the one
+    of ``row_reduce_basis``.  The products are taken in ints, or over Z[s],
+    on the table times lambda (``cleared_table``), whose powers are those
+    of the table: lambda (U W) spans U W."""
     table = cleared_table(table)
     d = len(table)
 

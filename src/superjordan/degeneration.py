@@ -8,7 +8,7 @@ are removed up front by the global ramification substitution t = s^N
 (N = lcm of the exponent denominators, refused at load above MAX_EXPONENT),
 after which everything lives in the ordinary rational-function field over s.
 
-The replay itself runs over the polynomials Q[s].  ``linalg.clear_denominators``
+The replay itself runs over the polynomials Z[s].  ``linalg.clear_denominators``
 clears each row of the basis matrix P by the lcm D_a of its denominators,
 giving R, and the source constants by theirs, D_T (an int lambda for a
 rational source).  det(R) and adj(R) come from the Bareiss loop of
@@ -172,7 +172,7 @@ def parse_witness_file(path) -> Witness:
 def apply_basis_change_table(table, P, Q, zero=RF_ZERO):
     """Constants of the same product in the basis y_a = sum_c P[a][c] x_c,
     times s where P Q = s I: Q = P^-1 over Q(s) gives the constants, and
-    Q = adj(P) over Q[s] (``zero`` the zero Poly) gives them times det(P)."""
+    Q = adj(P) over Z[s] (``zero`` the zero Poly) gives them times det(P)."""
     return _freeze(change_basis(nonzero_constants(table), len(table), P, Q, zero))
 
 
@@ -279,7 +279,7 @@ def verify_degeneration(wit: Witness, source: SuperAlgebra, target: SuperAlgebra
                         "LimitDiverges", f"entry c[{a+1},{b+1}]^{k+1} diverges: valuation {i - j}"
                     )
                 if i == j:
-                    limit[a][b][k] = x[i] / q[j]
+                    limit[a][b][k] = Fraction(x[i], q[j])
     limit_t = _freeze(limit)
     target_table = flatten(target, default_basis_order(target.m, target.n))
     if limit_t != target_table:

@@ -10,7 +10,7 @@ never looks at the graded-identity evaluator, so it independently
 validates the sign transcription there.
 
 The products are read from the four blocks once and multiplied in ints,
-or over Q[s] for a table over RatFun (``linalg.clear_denominators``).
+or over Z[s] for a table over RatFun (``linalg.clear_denominators``).
 Both sides of (x^2 y)x = x^2 (yx) are cubic in the constants, so each pair
 holds after the scaling iff it held before, and the first failing pair and
 ``pairs_checked`` stay the same.
@@ -27,7 +27,7 @@ from .algebra import SuperAlgebra
 from .linalg import clear_denominators
 
 # a G(A) element maps (grassmann_mask, parity, index) -> int coefficient
-# (a Poly for a table over RatFun, cleared to Q[s])
+# (a Poly for a table over RatFun, cleared to Z[s])
 GElement = Dict[Tuple[int, int, int], object]
 
 # Largest number of Grassmann generators: the random trials list all 2**k

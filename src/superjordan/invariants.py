@@ -95,7 +95,7 @@ def _map_equations(table, par: Sequence[int], d_par: int, left: int, right: int)
 
 def _derivation_dim(table, par: Sequence[int], d_par: int) -> int:
     """Dimension of the parity-``d_par`` superderivations of a flat table
-    (``cleared_table``, so that the rows are over Z or Q[s]); with every
+    (``cleared_table``, so that the rows are over Z or Z[s]); with every
     parity 0, of the derivations of the ungraded table."""
     rows, width = _map_equations(table, par, d_par, 1, 1)
     return width - linalg.rank(rows)
@@ -144,7 +144,7 @@ def is_associative(J: SuperAlgebra) -> bool:
 
 
 def table_is_associative(table) -> bool:
-    """(ab)c = a(bc) on every basis triple, in ints or over Q[s] on the
+    """(ab)c = a(bc) on every basis triple, in ints or over Z[s] on the
     cleared table (``cleared_table``): both sides are quadratic in the
     constants."""
     d = len(table)

@@ -1,56 +1,59 @@
-"""Exact univariate polynomials and rational functions over the rationals.
+"""Exact univariate polynomials over the integers, and rational functions.
 
-Scalars are ``fractions.Fraction`` (arbitrary-precision, always reduced).
-``Poly`` is a dense univariate polynomial in one formal variable ``s``, an
-element of the ring Q[s]: ``+``, ``-`` and ``*`` take a number on either
-side, and ``//`` is exact division, which raises on a remainder.
-``RatFun`` is a reduced fraction of two polynomials with a monic
-denominator, so equality is structural equality.  The kernels run on tables
-cleared to Q[s] (``linalg.clear_denominators``), and the witness replay
-takes its t -> 0 limits from the orders of ``Poly`` numerators and
-denominators (``Poly.ord``), not from ``RatFun``.
+``Poly`` is a dense univariate polynomial with int coefficients in one
+formal variable ``s``, an element of the ring Z[s]: ``+``, ``-`` and ``*``
+take an int on either side, and ``//`` is exact division in Z[s], which
+raises on any remainder, one left by the integer content included.  A
+coefficient that is not an int (a Fraction, a float) raises TypeError.
+``RatFun`` is an element of Q(s): a pair of coprime polynomials of Z[s]
+whose denominator has a positive leading coefficient, so equality is
+structural equality.  The kernels run on tables cleared to Z[s]
+(``linalg.clear_denominators``), and the witness replay takes its t -> 0
+limits from the orders of ``Poly`` numerators and denominators
+(``Poly.ord``), not from ``RatFun``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd, inf
+from math import gcd, inf
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
 
-def _normalize(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
+def _poly(cs: list) -> "Poly":
+    """The Poly of the int list ``cs``, which loses its trailing zeros."""
+    while cs and not cs[-1]:
         cs.pop()
-    return tuple(cs)
+    p = object.__new__(Poly)
+    object.__setattr__(p, "coeffs", tuple(cs))
+    return p
 
 
-def _coerce(x: Union["Poly", Scalar]) -> "Poly":
-    """x as a Poly: a number as a constant."""
+def _coerce(x: Union["Poly", int]) -> "Poly":
+    """x as a Poly: an int as a constant."""
     return x if isinstance(x, Poly) else Poly((x,))
 
 
 class Poly:
-    """Univariate polynomial with Fraction coefficients, lowest degree first."""
+    """Univariate polynomial with int coefficients, lowest degree first."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        object.__setattr__(self, "coeffs", _normalize(coeffs))
-
-    # construction helpers
-    @staticmethod
-    def const(c: Scalar) -> "Poly":
-        return Poly([c])
+    def __init__(self, coeffs: Iterable[int] = ()):
+        cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                raise TypeError(f"Poly coefficients are ints, got {c!r}")
+        object.__setattr__(self, "coeffs", _poly(cs).coeffs)
 
     @staticmethod
     def var() -> "Poly":
-        return Poly([0, 1])
+        return _poly([0, 1])
 
     @staticmethod
-    def monomial(exp: int, c: Scalar = 1) -> "Poly":
+    def monomial(exp: int, c: int = 1) -> "Poly":
         if exp < 0:
             raise ValueError("monomial exponent must be >= 0")
         return Poly([0] * exp + [c])
@@ -74,19 +77,14 @@ class Poly:
         if not self.coeffs:
             return inf
         for i, c in enumerate(self.coeffs):
-            if c != 0:
+            if c:
                 return i
         raise AssertionError("unnormalized polynomial")
 
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
-
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int) -> int:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -94,7 +92,7 @@ class Poly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other: Union["Poly", Scalar]) -> "Poly":
+    def __add__(self, other: Union["Poly", int]) -> "Poly":
         other = _coerce(other)
         a, b = self.coeffs, other.coeffs
         if not b:
@@ -106,20 +104,20 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _poly([-c for c in self.coeffs])
 
-    def __sub__(self, other: Union["Poly", Scalar]) -> "Poly":
+    def __sub__(self, other: Union["Poly", int]) -> "Poly":
         return self + (-other)
 
-    def __rsub__(self, other: Scalar) -> "Poly":
+    def __rsub__(self, other: int) -> "Poly":
         return -self + other
 
-    def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
+    def __mul__(self, other: Union["Poly", int]) -> "Poly":
         other = _coerce(other)
         a, b = self.coeffs, other.coeffs
         if not a:
@@ -130,60 +128,37 @@ class Poly:
             return self
         if a == (1,):
             return other
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb != 0:
+            if ca:
+                for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return Poly(out)
+        return _poly(out)
 
     __rmul__ = __mul__
 
-    def __floordiv__(self, other: Union["Poly", Scalar]) -> "Poly":
-        """self / other; raises ArithmeticError when other does not divide self."""
-        other = _coerce(other)
-        if not self.coeffs and other.coeffs:
-            return self
-        if other.degree() == 0:  # a nonzero constant divides every polynomial
-            c = other.coeffs[0]
-            return self if c == 1 else Poly([x / c for x in self.coeffs])
-        quot, rem = self.divmod(other)
-        if rem:
-            raise ArithmeticError(f"{other!r} does not divide {self!r}")
-        return quot
-
-    def scale(self, c: Scalar) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
-            return Poly()
-        return Poly([c * x for x in self.coeffs])
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        if lead == 1:
-            return self
-        return self.scale(1 / lead)
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
+    def __floordiv__(self, other: Union["Poly", int]) -> "Poly":
+        """self / other in Z[s]; raises ArithmeticError when other does not
+        divide self there (2s // 4 raises, as 1/2 is not an int)."""
+        b = _coerce(other).coeffs
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
+        if b == (1,) or not self.coeffs:
+            return self
         rem = list(self.coeffs)
-        dn, dd = len(rem) - 1, other.degree()
-        if dn < dd:
-            return Poly(), self
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * (dn - dd + 1)
-        for k in range(dn - dd, -1, -1):
-            c = rem[dd + k] / lead
-            quot[k] = c
-            if c != 0:
-                for j, oc in enumerate(other.coeffs):
-                    rem[j + k] -= c * oc
-        return Poly(quot), Poly(rem)
+        db, lead = len(b) - 1, b[-1]
+        quot = [0] * max(len(rem) - db, 0)
+        for k in range(len(quot) - 1, -1, -1):
+            q, r = divmod(rem[db + k], lead)
+            if r:
+                raise ArithmeticError(f"{other!r} does not divide {self!r}")
+            quot[k] = q
+            if q:
+                for j, c in enumerate(b):
+                    rem[j + k] -= q * c
+        if any(rem):
+            raise ArithmeticError(f"{other!r} does not divide {self!r}")
+        return _poly(quot)
 
     def evaluate(self, x: Scalar) -> Fraction:
         x = Fraction(x)
@@ -191,20 +166,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    # integer content / primitive part, used to keep gcd chains canonical
-    def content_and_primitive(self) -> tuple[Fraction, "Poly"]:
-        if self.is_zero():
-            return Fraction(0), self
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.coeffs:
-            num_gcd = int_gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-        content = Fraction(num_gcd, den_lcm)
-        if self.leading() < 0:
-            content = -content
-        return content, self.scale(1 / content)
 
     def __repr__(self):
         if self.is_zero():
@@ -222,30 +183,55 @@ class Poly:
         return "Poly(" + " + ".join(parts) + ")"
 
 
+def _positive(p: Poly) -> Poly:
+    """p or -p, whichever has a positive leading coefficient."""
+    return -p if p.coeffs and p.coeffs[-1] < 0 else p
+
+
+def _primitive_prem(a: Poly, b: Poly) -> Poly:
+    """The primitive part of the pseudo-remainder of a by b (deg a >= deg b):
+    each step scales the remainder by the leading coefficient of b before it
+    subtracts a multiple of b, so every quotient stays in Z."""
+    rem = list(a.coeffs)
+    bc = b.coeffs
+    db, lead = len(bc) - 1, bc[-1]
+    for k in range(len(rem) - 1 - db, -1, -1):
+        top = rem[db + k]
+        rem = [x * lead for x in rem]
+        for j, c in enumerate(bc):
+            rem[j + k] -= top * c
+    r = _poly(rem)
+    return r // gcd(*r.coeffs) if r.coeffs else r
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via a content/primitive-part Euclidean chain."""
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    _, a = a.content_and_primitive()
-    _, b = b.content_and_primitive()
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        if not r.is_zero():
-            _, r = r.content_and_primitive()
-        a, b = b, r
-    return a.monic()
+    """The gcd in Z[s], with a positive leading coefficient: the gcd of the
+    integer contents times that of the primitive parts, from a primitive
+    pseudo-remainder sequence."""
+    if not a.coeffs or not b.coeffs:
+        return _positive(a + b)
+    ca, cb = gcd(*a.coeffs), gcd(*b.coeffs)
+    if len(a.coeffs) == 1 or len(b.coeffs) == 1:  # a constant: the contents alone
+        return _poly([gcd(ca, cb)])
+    a, b = a // ca, b // cb
+    if len(a.coeffs) < len(b.coeffs):
+        a, b = b, a
+    while b.coeffs:
+        a, b = b, _primitive_prem(a, b)
+    return _positive(a) * gcd(ca, cb)
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
-    """Monic lcm of two nonzero polynomials; a gcd only when neither divides
-    the other trivially (equal, or one of them constant)."""
-    if b.degree() == 0 or a == b:
-        return a.monic()
-    if a.degree() == 0:
-        return b.monic()
-    return (a * b.divmod(poly_gcd(a, b))[0]).monic()
+    """The lcm in Z[s] of two nonzero polynomials, with a positive leading
+    coefficient; a gcd only when neither is constant and they differ."""
+    if a == b:
+        return _positive(a)
+    if len(b.coeffs) == 1:
+        a, b = b, a
+    if len(a.coeffs) == 1:  # a constant c: lcm(c, b) = b c / gcd(c, content(b))
+        c = abs(a.coeffs[0])
+        return _positive(b) * (c // gcd(c, *b.coeffs))
+    return _positive(a * (b // poly_gcd(a, b)))
 
 
 _ZERO = Poly()
@@ -253,7 +239,8 @@ _ONE = Poly([1])
 
 
 class RatFun:
-    """Reduced quotient of polynomials; denominator monic and coprime to numerator."""
+    """num / den with num and den coprime in Z[s], and the leading
+    coefficient of den positive."""
 
     __slots__ = ("num", "den")
 
@@ -263,15 +250,12 @@ class RatFun:
         if not _reduced:
             if num.is_zero():
                 den = _ONE
-            else:
+            elif den != _ONE:
                 g = poly_gcd(num, den)
-                if g.degree() > 0:
-                    num, _ = num.divmod(g)
-                    den, _ = den.divmod(g)
-                lead = den.leading()
-                if lead != 1:
-                    num = num.scale(1 / lead)
-                    den = den.scale(1 / lead)
+                if g != _ONE:
+                    num, den = num // g, den // g
+                if den.coeffs[-1] < 0:
+                    num, den = -num, -den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -280,7 +264,7 @@ class RatFun:
 
     @staticmethod
     def const(c: Scalar) -> "RatFun":
-        return RatFun(Poly.const(c), _ONE, _reduced=True)
+        return RatFun(_poly([c.numerator]), _poly([c.denominator]), _reduced=True)
 
     @staticmethod
     def var() -> "RatFun":
@@ -289,9 +273,11 @@ class RatFun:
     @staticmethod
     def monomial(exp: int, c: Scalar = 1) -> "RatFun":
         """c * s**exp, exp may be negative."""
-        if exp >= 0:
-            return RatFun(Poly.monomial(exp, c), _ONE, _reduced=True)
-        return RatFun(Poly.const(c), Poly.monomial(-exp))
+        c = Fraction(c)
+        if not c:
+            return RF_ZERO
+        num = Poly.monomial(max(exp, 0), c.numerator)
+        return RatFun(num, Poly.monomial(max(-exp, 0), c.denominator), _reduced=True)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -307,9 +293,7 @@ class RatFun:
     def as_constant(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self!r} is not constant")
-        if self.num.is_zero():
-            return Fraction(0)
-        return self.num.coeffs[0] / self.den.coeffs[0]
+        return Fraction(self.num[0], self.den[0])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -351,27 +335,20 @@ class RatFun:
             other = RatFun.const(other)
         if self.is_zero() or other.is_zero():
             return RF_ZERO
-        # cross-reduce first to keep intermediate degrees small
+        # cross-reduce: the quotients stay coprime, and their products too
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)
-        n1 = self.num if g1.degree() <= 0 else self.num.divmod(g1)[0]
-        d2 = other.den if g1.degree() <= 0 else other.den.divmod(g1)[0]
-        n2 = other.num if g2.degree() <= 0 else other.num.divmod(g2)[0]
-        d1 = self.den if g2.degree() <= 0 else self.den.divmod(g2)[0]
-        num = n1 * n2
-        den = d1 * d2
-        lead = den.leading()
-        if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
-        return RatFun(num, den, _reduced=True)
+        num = (self.num // g1) * (other.num // g2)
+        return RatFun(num, (self.den // g2) * (other.den // g1), _reduced=True)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RatFun":
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero function")
-        return RatFun(self.den, self.num)
+        if self.num.coeffs[-1] < 0:
+            return RatFun(-self.den, -self.num, _reduced=True)
+        return RatFun(self.den, self.num, _reduced=True)
 
     def __pow__(self, k: int) -> "RatFun":
         out = RF_ONE

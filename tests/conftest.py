@@ -64,7 +64,7 @@ def supercommutativity_violations(J):
     return _supercommutativity_violations(table, par, J.labels())
 
 
-# The t -> 0 limit of a RatFun: the oracle of the replay over Q[s], which
+# The t -> 0 limit of a RatFun: the oracle of the replay over Z[s], which
 # reads its limits from Poly orders instead.
 
 
@@ -86,7 +86,7 @@ def limit_at_zero(f) -> Fraction:
         return Fraction(0)
     if v < 0:
         raise LimitUndefined(f"valuation {v} < 0: {f!r}")
-    return f.num[f.num.ord()] / f.den[f.den.ord()]
+    return Fraction(f.num[f.num.ord()], f.den[f.den.ord()])
 
 
 def try_limit_at_zero(f):

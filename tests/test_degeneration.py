@@ -171,7 +171,7 @@ def test_basis_change_composition():
     table = flatten(j)
     rf = [[[RatFun.const(x) for x in row] for row in plane] for plane in table]
     rf = tuple(tuple(tuple(r) for r in p) for p in rf)
-    from superjordan.linalg import int_matrix_det_adjugate, invert_field_matrix
+    from superjordan.linalg import int_matrix_det_adjugate
 
     def rand_mat():
         while True:
@@ -187,7 +187,7 @@ def test_basis_change_composition():
     ]
 
     def change(table, M):
-        return apply_basis_change_table(table, M, invert_field_matrix(M))
+        return apply_basis_change_table(table, M, ratfun_inverse(M))
 
     assert change(rf, PQ) == change(change(rf, Q), P)
 
@@ -273,7 +273,7 @@ def test_signs_in_a_row_multiply():
 
 
 # ---------------------------------------------------------------------------
-# The replay over Q[s] against the replay over Q(s)
+# The replay over Z[s] against the replay over Q(s)
 # ---------------------------------------------------------------------------
 
 
@@ -402,3 +402,23 @@ def test_witness_replay_stays_over_polynomials(catalog, monkeypatch):
     assert 0 < counts["poly_gcd"] <= 1000
     # a sum with a zero RatFun, as each slot of witness_matrix starts, runs no gcd
     assert counts["poly_gcd"] <= 109
+
+
+def test_limit_and_fiber_constants_stay_exact(catalog, verified_witnesses):
+    # Z[s] coefficients are ints: a quotient of two of them taken with ``/``
+    # is a float, which equals a Fraction target whenever it is dyadic
+    assert len(verified_witnesses) == 93
+    limits = fibers = 0
+    for wit, verdict, _row in verified_witnesses:
+        if verdict.verified:
+            limits += 1
+            assert {type(c) for plane in verdict.limit_table for row in plane for c in row} <= {int, Fraction}
+        src, _tgt = resolve_witness_algebras(catalog, wit)
+        for t0 in (7, Fraction(-5, 3), 11):
+            try:
+                fiber, _ram = specialize_witness(wit, src, t0)
+            except ZeroDivisionError:
+                continue
+            fibers += 1
+            assert {type(c) for plane in fiber for row in plane for c in row} <= {int, Fraction}, wit.label
+    assert limits == 92 and fibers >= 93

@@ -1,5 +1,5 @@
 """The identity and rank kernels run on each table times the lcm of its
-denominators: in ints for a rational table, over Q[s] for a table over
+denominators: in ints for a rational table, over Z[s] for a table over
 Q(s).  Their results must equal those of the same loops run in Fraction (or
 RatFun) on the unscaled table, kept here as oracles."""
 
@@ -26,6 +26,7 @@ from superjordan.algebra import (
 from superjordan.envelope import EnvelopeReport, _support_plan, envelope_jordan_check, grassmann_sign
 from superjordan.invariants import (
     _map_equations,
+    algebra_fingerprint,
     centroid_dim,
     derivation_dims,
     table_is_associative,
@@ -320,12 +321,12 @@ def test_clear_denominators_clears_rational_functions_to_polynomials():
     one = RatFun.const(1)
     values = [s, HALF, Fraction(0), one / (s + 1), s / (s * s + s), 3 * one / (s * s)]
     D, cleared = clear_denominators(values)
-    # the monic lcm of s + 1, s + 1 and s^2
-    assert D == Poly([0, 0, 1, 1])
+    # the lcm in Z[s] of s + 1, 2, s + 1 and s^2
+    assert D == Poly([0, 0, 2, 2])
     assert all(type(c) is Poly for c in cleared)
     assert [RatFun(c, D) for c in cleared] == [RatFun.const(0) + x for x in values]
     # denominators 1 give a Poly table over the scale 1
-    assert clear_denominators([s, 2 * s, Fraction(0)]) == (Poly.const(1), [Poly.var(), Poly([0, 2]), Poly()])
+    assert clear_denominators([s, 2 * s, Fraction(0)]) == (Poly([1]), [Poly.var(), Poly([0, 2]), Poly()])
 
 
 def _jc16_rank_oracles(J):
@@ -352,7 +353,7 @@ def test_ratfun_table_is_cleared_to_polynomials(catalog):
     assert any(isinstance(c, RatFun) for plane in table for row in plane for c in row)
     cleared = cleared_table(table)
     assert all(type(c) is Poly for plane in cleared for row in plane for c in row)
-    # the kernels over Q[s] agree with the same loops over Q(s), unscaled
+    # the kernels over Z[s] agree with the same loops over Q(s), unscaled
     report = check_super_jordan(Jc16)
     assert report.ok and report == fraction_check_super_jordan(Jc16)
     assert envelope_jordan_check(Jc16) == fraction_envelope_check(Jc16)
@@ -368,6 +369,19 @@ def test_ratfun_table_is_cleared_to_polynomials(catalog):
     )
     assert check_super_jordan(broken) == fraction_check_super_jordan(broken)
     assert not check_super_jordan(broken).ok
+
+
+def test_power_filtration_and_fingerprint_of_the_symbolic_family(catalog):
+    # the powers of Jc16 over Q(t) are eliminated over Z[s], like those of a
+    # rational table, and agree with the sampled members
+    Jc16 = catalog.entry("Jc16").algebra
+    filtration = power_filtration(Jc16)
+    fingerprint = algebra_fingerprint(Jc16)
+    assert filtration == [(2, 2)] * 4
+    assert fingerprint == (((2, 2), (2, 2), (2, 2), (2, 2)), (3, 2), False, 0, 2, 1)
+    for t in (2, 3, 5):
+        member = catalog.lookup("Jc16", t)
+        assert (power_filtration(member), algebra_fingerprint(member)) == (filtration, fingerprint)
 
 
 def test_symbolic_kernels_need_no_gcd(catalog, monkeypatch):
@@ -458,7 +472,7 @@ def test_rank_kernels_pass_int_rows_to_the_shared_elimination(catalog, monkeypat
         centroid_dim(flatten(J))
         power_filtration(J)
     assert kinds and all(k <= {int} for k in kinds)
-    # the symbolic family reaches the same loop over Q[s]
+    # the symbolic family reaches the same loop over Z[s]
     del kinds[:]
     Jc16 = catalog.entry("Jc16").algebra
     derivation_dims(Jc16)

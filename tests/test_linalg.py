@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -157,23 +158,6 @@ def test_rank_over_ratfun():
     assert rank(m2) == 2
 
 
-def test_invert_field_matrix_prefers_nonvanishing_pivots():
-    s = RatFun.var()
-    one = RatFun.const(1)
-    zero = RatFun.const(0)
-    m = [[s, one], [one, zero]]
-    inv = invert_field_matrix(m)
-    # m * inv == identity
-    for i in range(2):
-        for j in range(2):
-            acc = RatFun.const(0)
-            for k in range(2):
-                acc = acc + m[i][k] * inv[k][j]
-            assert acc == RatFun.const(1 if i == j else 0)
-    with pytest.raises(SingularMatrix):
-        invert_field_matrix([[s, s], [s, s]])
-
-
 def test_invert_fraction_matrix():
     m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
     inv = invert_field_matrix(m)
@@ -303,3 +287,16 @@ def test_det_adjugate_match_cofactors_over_polynomials(m):
 def test_rank_over_ratfun_matches_gauss_jordan_over_the_field(m):
     as_ratfun = [[RatFun(x) if isinstance(x, Poly) else x for x in row] for row in m]
     assert rank(m) == len(reduce_over_ratfun(as_ratfun)[1])
+
+
+@given(st.one_of(polynomial_matrices(), square_matrices(_small_polys)))
+@settings(max_examples=60, deadline=None)
+def test_row_reduce_basis_over_polynomials(m):
+    # each row is primitive in Z[s] with a positive leading coefficient, and
+    # divided by its pivot it is the reduced row-echelon row over Q(s)
+    basis = row_reduce_basis(m)
+    for row in basis:
+        coeffs = [c for x in row for c in x.coeffs]
+        assert gcd(*coeffs) == 1 and next(filter(None, row)).coeffs[-1] > 0
+    rows, pivots = reduce_over_ratfun([[RatFun(x) if isinstance(x, Poly) else x for x in row] for row in m])
+    assert [[RatFun(x) / RatFun(row[p]) for x in row] for row, p in zip(basis, pivots)] == rows[: len(pivots)]
