@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
 from .catalog import Catalog, _name_sort_key
-from .degeneration import Witness, eval_t_expression
+from .degeneration import Witness
 
 
 class UnverifiedWitness(ValueError):
@@ -53,13 +53,6 @@ class DegenGraph:
         return seen
 
 
-def _is_family_swept(wit: Witness) -> bool:
-    if wit.source_param is None:
-        return False
-    value = eval_t_expression(wit.source_param, wit.ramification())
-    return not value.is_constant()
-
-
 def build_graph(
     mn: Tuple[int, int],
     cat: Catalog,
@@ -86,7 +79,7 @@ def build_graph(
         if key in seen:
             continue
         seen.add(key)
-        edges.append(DegenEdge(wit.source, wit.target, wit.label, _is_family_swept(wit)))
+        edges.append(DegenEdge(wit.source, wit.target, wit.label, wit.family_swept))
     return DegenGraph(mn, names, edges, orbit, rigid, family_nodes)
 
 

@@ -3,6 +3,12 @@ the low-dimensional Jordan algebra/superalgebra tables, reference
 degeneration graphs, component lists, witnesses, certificates, and the
 errata ledger.  Everything is stored as reviewable data files; this module
 only loads and cross-checks them.
+
+Each file is read once.  The record ``tablefmt.parse_algebra`` returns for
+a 4-dimensional table, with its built algebra, is that table's catalog
+entry (``entry``); a low-dimensional table is kept as its algebra
+(``lowdim``).  A witness keeps its ramification and its source parameter
+as ``degeneration.parse_witness`` read them.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from .certificates import ClosedSet, parse_closed_set_file
 from .degeneration import Witness, parse_witness_file
 from .invariants import InvariantMemo
 from .ratfun import RatFun, ratfun_compose
-from .tablefmt import ParseError, parse_algebra_file, read_count, read_lines, unknown_line
+from .tablefmt import AlgebraFile, ParseError, parse_algebra_file, read_count, read_lines, unknown_line
 
 DATA_ENV = "SUPERJORDAN_DATA"
 
@@ -47,21 +53,6 @@ def default_data_root() -> Path:
 
 
 TYPE_DIRS = {"type13": (1, 3), "type22": (2, 2), "type31": (3, 1)}
-
-
-@dataclass
-class CatalogEntry:
-    name: str
-    mn: Tuple[int, int]
-    algebra: SuperAlgebra  # family entries hold RatFun constants
-    orbit: Optional[int]
-    decomposition: Optional[str]
-    even_part_label: Optional[str]
-    family: Optional[str]
-
-    @property
-    def is_family(self) -> bool:
-        return self.family is not None
 
 
 @dataclass(frozen=True)
@@ -108,7 +99,7 @@ class Catalog:
         self.root = Path(root) if root else default_data_root()
         if not self.root.is_dir():
             raise FileNotFoundError(f"catalog root {self.root} does not exist")
-        self.entries: Dict[str, CatalogEntry] = {}
+        self.entries: Dict[str, AlgebraFile] = {}
         self.by_type: Dict[Tuple[int, int], List[str]] = {}
         self.lowdim: Dict[str, SuperAlgebra] = {}
         self.graphs: Dict[str, ReferenceGraph] = {}
@@ -131,24 +122,15 @@ class Catalog:
                 af = parse_algebra_file(path)
                 if af.mn != mn:
                     raise ParseError(f"{path}: type {af.mn} does not match {dirname}")
-                entry = CatalogEntry(
-                    name=af.name,
-                    mn=af.mn,
-                    algebra=af.build(),
-                    orbit=af.orbit,
-                    decomposition=af.decomposition,
-                    even_part_label=af.even_part,
-                    family=af.family,
-                )
                 if af.name in self.entries:
                     raise ParseError(f"duplicate catalog name {af.name}")
-                self.entries[af.name] = entry
+                self.entries[af.name] = af
                 names.append(af.name)
             self.by_type[mn] = sorted(names, key=_name_sort_key)
         lowdir = self.root / "catalog" / "lowdim"
         for path in sorted(lowdir.glob("*.alg")):
             af = parse_algebra_file(path)
-            self.lowdim[af.name] = af.build()
+            self.lowdim[af.name] = af.algebra
         for path in sorted((self.root / "catalog" / "graphs").glob("*.edges")):
             self.graphs[path.stem] = _parse_edges(path)
         compdir = self.root / "catalog" / "components"
@@ -167,7 +149,7 @@ class Catalog:
             return sorted(self.entries, key=_name_sort_key)
         return list(self.by_type.get(mn, []))
 
-    def entry(self, name: str) -> CatalogEntry:
+    def entry(self, name: str) -> AlgebraFile:
         if name not in self.entries:
             raise UnknownName(name)
         return self.entries[name]

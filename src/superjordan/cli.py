@@ -94,8 +94,8 @@ def cmd_verify_catalog(args, rep: Reporter) -> int:
 
 def cmd_check(args, rep: Reporter) -> int:
     af = parse_algebra_file(args.file)
-    J = af.build()
-    if af.family:
+    J = af.algebra
+    if af.is_family:
         J = instantiate(J, V.FAMILY_SAMPLES[0])
     rep.row(V.identity_row(af.name or args.file, J))
     return rep.status

@@ -7,6 +7,8 @@ parameter t, possibly with fractional powers t^(p/q).  Fractional powers
 are removed up front by the global ramification substitution t = s^N
 (N = lcm of the exponent denominators, refused at load above MAX_EXPONENT),
 after which everything lives in the ordinary rational-function field over s.
+``parse_witness`` keeps N as ``Witness.ram`` and reads the source parameter
+of a family source once, with t = s^N, as ``Witness.param``.
 
 The replay itself runs over the polynomials Z[s].  ``linalg.clear_denominators``
 clears each row of the basis matrix P by the lcm D_a of its denominators,
@@ -36,7 +38,7 @@ from .algebra import (
     nonzero_constants,
 )
 from .linalg import SingularMatrix, clear_denominators, int_matrix_det_adjugate
-from .ratfun import RF_ZERO, Poly, RatFun
+from .ratfun import RF_ZERO, Poly, RatFun, ratfun_compose
 from .tablefmt import (
     MAX_EXPONENT,
     ParseError,
@@ -99,14 +101,14 @@ class Witness:
     note: str = ""
     label: str = ""
     status: str = "published"  # one of STATUSES
+    ram: int = 1  # N, the lcm of the exponent denominators: t = s^N clears them
+    param: Optional[RatFun] = None  # source_param with t = s^ram
 
-    def ramification(self) -> int:
-        """The least N for which t = s^N clears every exponent of t."""
-        dens: List[int] = []
-        texts = [coeff for _, terms in self.basis for coeff, _ in terms]
-        for text in texts + ([self.source_param] if self.source_param else []):
-            check_arithmetic(text, lambda _node, exp: dens.append(exp.denominator), WitnessError)
-        return lcm(*dens)
+    @property
+    def family_swept(self) -> bool:
+        """True iff the source moves through its family with t: a source
+        parameter that is not constant."""
+        return self.param is not None and not self.param.is_constant()
 
 
 def _checked(expr: str, ram: int) -> int:
@@ -128,23 +130,25 @@ def _checked(expr: str, ram: int) -> int:
 
 def parse_witness(text: str, source_name: str = "<string>") -> Witness:
     wit = Witness(source=None, target=None, basis=[])
-    ram = 1  # the ramification of the lines read so far
+    param_ram = 1  # the ramification the source parameter was read with
 
     def handle(key: str, val: str) -> None:
-        nonlocal ram
+        nonlocal param_ram
         if key == "basis:":
             slot, eq, rhs = val.partition("=")
             if not eq:
                 raise WitnessError(f"a basis line is 'slot = combination', got {excerpt(val)}")
             terms = split_combination(rhs)
             for coeff, _label in terms:
-                ram = _checked(coeff, ram)
+                wit.ram = _checked(coeff, wit.ram)
             wit.basis.append((slot.strip(), terms))
         elif key == "source":
             wit.source, caret, param = (part.strip() for part in val.partition("^"))
+            wit.source_param, wit.param = None, None
             if caret:
-                ram = _checked(param, ram)
-            wit.source_param = param if caret else None
+                # read at its line, so that an error (a division by zero) names it
+                wit.ram = param_ram = _checked(param, wit.ram)
+                wit.source_param, wit.param = param, eval_t_expression(param, param_ram)
         elif key in ("target", "note", "label"):
             setattr(wit, key, val)
         else:
@@ -153,6 +157,8 @@ def parse_witness(text: str, source_name: str = "<string>") -> Witness:
     wit.status = read_lines(text, source_name, handle, "degeneration", STATUSES)
     if wit.source is None or wit.target is None:
         raise WitnessError(f"{source_name}: source and target are required")
+    if wit.param is not None and wit.ram != param_ram:  # a later line raised N
+        wit.param = ratfun_compose(wit.param, RatFun.monomial(wit.ram // param_ram))
     return wit
 
 
@@ -176,11 +182,10 @@ def apply_basis_change_table(table, P, Q, zero=RF_ZERO):
     return _freeze(change_basis(nonzero_constants(table), len(table), P, Q, zero))
 
 
-def witness_matrix(wit: Witness, J: SuperAlgebra, ram: Optional[int] = None):
-    """The parametric basis matrix over RatFun in s (rows = new basis slots,
-    columns = source basis vectors in the canonical flatten order)."""
-    if ram is None:
-        ram = wit.ramification()
+def witness_matrix(wit: Witness, J: SuperAlgebra):
+    """The parametric basis matrix over RatFun in s, t = s^wit.ram (rows =
+    new basis slots, columns = source basis vectors in the canonical
+    flatten order)."""
     order = default_basis_order(J.m, J.n)
     labels, position = basis_labels(J.m, J.n)
     # the index in ``order`` of every label, aliases included
@@ -196,7 +201,7 @@ def witness_matrix(wit: Witness, J: SuperAlgebra, ram: Optional[int] = None):
         for coeff, lab in terms:
             if lab not in where:
                 raise WitnessError(f"unknown source basis vector {lab!r}")
-            P[row][where[lab]] = P[row][where[lab]] + eval_t_expression(coeff, ram)
+            P[row][where[lab]] = P[row][where[lab]] + eval_t_expression(coeff, wit.ram)
     if sorted(rows) != list(range(d)):
         raise WitnessError(f"witness must define every slot of {order} exactly once")
     return P, order
@@ -309,8 +314,7 @@ def specialize_witness(wit: Witness, source: SuperAlgebra, t0: Fraction):
     whose common denominator vanishes at s0 is reduced first, and raises
     ZeroDivisionError only if its reduced denominator vanishes there too.
     """
-    ram = wit.ramification()
-    P, order = witness_matrix(wit, source, ram)
+    P, order = witness_matrix(wit, source)
     N, den = _constants_in_basis(source, P, order)
 
     def value(x: Poly, q: Poly) -> Fraction:
@@ -318,4 +322,4 @@ def specialize_witness(wit: Witness, source: SuperAlgebra, t0: Fraction):
         return x.evaluate(t0) / qv if qv else RatFun(x, q).evaluate(t0)
 
     d = len(order)
-    return _freeze([[[value(x, den[a][b]) for x in N[a][b]] for b in range(d)] for a in range(d)]), ram
+    return _freeze([[[value(x, den[a][b]) for x in N[a][b]] for b in range(d)] for a in range(d)]), wit.ram

@@ -58,12 +58,18 @@ def clear_denominators(values: Sequence[Entry]) -> Tuple[Union[int, Poly], List[
     if all(isinstance(x, (int, Fraction)) for x in values):
         scale = lcm(*(x.denominator for x in values))
         return scale, [x.numerator * (scale // x.denominator) for x in values]
-    fracs = [
-        x if isinstance(x, RatFun) else RatFun(x) if isinstance(x, Poly) else RatFun.const(x)
-        for x in values
-    ]
-    D = reduce(poly_lcm, (f.den for f in fracs))
-    return D, [f.num * (D // f.den) for f in fracs]
+    scale = lcm(*(x.denominator for x in values if isinstance(x, Fraction)))
+    D = reduce(poly_lcm, (x.den for x in values if isinstance(x, RatFun)), Poly([scale]))
+    zero = Poly()
+
+    def cleared(x: Entry) -> Poly:
+        if isinstance(x, RatFun):
+            return x.num * (D // x.den)
+        if isinstance(x, Poly):
+            return x * D
+        return D * x.numerator // x.denominator if x else zero
+
+    return D, [cleared(x) for x in values]
 
 
 def _bareiss(rows: List[List]) -> Tuple[List[int], int]:

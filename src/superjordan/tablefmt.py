@@ -13,9 +13,9 @@ A line may use only what the lines above it declare: a product its type
 and family symbol, a certificate condition its basis.  Unknown keys are
 errors, and so is a second ``name``, ``type``, ``orbit``,
 ``decomposition``, ``even_part`` or ``family`` line in a table.  Each
-product is entered into the table as it is read, so an error about the
-table (a conflicting, misgraded or odd-square product, an unknown label)
-names the line of the product that causes it.
+product is entered as it is read, so an error about the table (a
+conflicting, misgraded or odd-square product, an unknown label) names the
+line of the product that causes it.
 
 Algebra tables (``.alg``, read by ``parse_algebra``)::
 
@@ -32,14 +32,18 @@ Algebra tables (``.alg``, read by ``parse_algebra``)::
     product: f1*f2 = 1/2 e + t e2   # a zero product is "= 0" or not listed
 
 The constants are stored and read in label order (even vectors first), so
-a file names no basis order; a ``basis_order`` key is a parse error.
+a file names no basis order; a ``basis_order`` key is a parse error.  The
+file is read once, into an ``AlgebraFile``: the table, built after the last
+line, and the metadata above, which the catalog keeps as its entry.
 
 Witnesses (``.wit``, ``[degeneration]``, read by
 ``degeneration.parse_witness``) name ``source = NAME`` or
 ``source = NAME^(expr in t)``, ``target``, an optional ``label``, ``note``
 and ``status``, and one ``basis: slot = combination`` line per new basis
 vector.  Their ``status`` is ``published`` (the default),
-``published-rationalized``, ``published-graded`` or ``corrected``.
+``published-rationalized``, ``published-graded`` or ``corrected``.  A
+witness keeps the ramification N of its exponents (t = s^N), and the value
+of its source expression with t = s^N, read at the source line.
 
 Certificates (``.cs``, ``[closedset]``, read by
 ``certificates.parse_closed_set``) name ``source``, ``targets``, ``basis``,
@@ -303,16 +307,20 @@ def split_combination(rhs: str) -> List[Tuple[str, str]]:
 
 @dataclass
 class AlgebraFile:
+    """One ``.alg`` file, read once: its built table and the metadata it
+    declares.  The catalog keeps this record as the entry of the file."""
+
     name: str
-    mn: Optional[Tuple[int, int]]
-    products: Products  # the nonzero constants, as ``algebra.add_product`` enters them
+    mn: Tuple[int, int]
+    algebra: SuperAlgebra  # a family's constants are RatFun in its symbol
     orbit: Optional[int] = None
     decomposition: Optional[str] = None
-    even_part: Optional[str] = None
+    even_part_label: Optional[str] = None
     family: Optional[str] = None
 
-    def build(self) -> SuperAlgebra:
-        return table_algebra(self.products, self.mn, name=self.name)
+    @property
+    def is_family(self) -> bool:
+        return self.family is not None
 
 
 def read_count(text: str) -> int:
@@ -345,49 +353,49 @@ def _product(spec: str, family: Optional[str]):
     ]
 
 
+# the AlgebraFile field of each key that a table may give once
+_FIELDS = {
+    "name": "name", "type": "mn", "orbit": "orbit", "decomposition": "decomposition",
+    "even_part": "even_part_label", "family": "family",
+}
+
+
 def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
-    af = AlgebraFile(name="", mn=None, products={})
-    seen = set()
+    """The record of an ``.alg`` text; the table is built once, after its
+    last line."""
+    fields = {}
+    products: Products = {}  # the nonzero constants, as ``add_product`` enters them
 
     def handle(key: str, val: str) -> None:
-        if key == "family_param":
-            key = "family"
-        if key == "type" and af.products:
+        if key == "type" and products:
             raise ParseError("the type line must come before every product")
-        if key in ("name", "type", "orbit", "decomposition", "even_part", "family"):
-            if key in seen:
+        if key in _FIELDS:
+            if _FIELDS[key] in fields:
                 raise ParseError(f"duplicate key {key!r}")
-            seen.add(key)
-        if key == "product:":
-            if af.mn is None:
+            if key == "type":
+                parts = val.split(",")
+                if len(parts) != 2:
+                    raise ParseError(f"bad type {val!r}")
+                val = (read_count(parts[0]), read_count(parts[1]))
+            elif key == "orbit":
+                val = read_count(val)
+            fields[_FIELDS[key]] = val
+        elif key == "product:":
+            if "mn" not in fields:
                 raise ParseError("a product needs the type line above it")
-            left, right, terms = _product(val, af.family)
+            left, right, terms = _product(val, fields.get("family"))
             try:
-                add_product(af.products, af.mn, left, right, terms)
+                add_product(products, fields["mn"], left, right, terms)
             except (KeyError, ValueError) as exc:
                 raise ParseError(exc.args[0]) from None
-        elif key == "name":
-            af.name = val
-        elif key == "type":
-            parts = val.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"bad type {val!r}")
-            af.mn = (read_count(parts[0]), read_count(parts[1]))
-        elif key == "orbit":
-            af.orbit = read_count(val)
-        elif key == "decomposition":
-            af.decomposition = val
-        elif key == "even_part":
-            af.even_part = val
-        elif key == "family":
-            af.family = val
         elif key not in ("even", "odd"):  # informative only; counts come from `type`
             raise unknown_line(key, val)
 
     read_lines(text, source, handle, "algebra")
-    if af.mn is None:
+    if "mn" not in fields:
         raise ParseError(f"{source}: missing type")
-    return af
+    name = fields.setdefault("name", "")
+    return AlgebraFile(algebra=table_algebra(products, fields["mn"], name=name), **fields)
 
 
 def parse_algebra_file(path) -> AlgebraFile:

@@ -32,7 +32,7 @@ from .certificates import (
     separation_test,
     stability_test,
 )
-from .degeneration import Verdict, Witness, eval_t_expression, verify_degeneration
+from .degeneration import Verdict, Witness, verify_degeneration
 from .envelope import envelope_jordan_check
 from .invariants import (
     derivation_dims,
@@ -209,12 +209,13 @@ def verify_decompositions(cat: Catalog) -> List[CheckRow]:
 
 def verify_even_parts(cat: Catalog) -> List[CheckRow]:
     rows = []
+    cands = {}  # the reference algebras of each even dimension m, built once
     for name in cat.names():
         entry = cat.entry(name)
         J = cat.instances(name)[0]
-        graph = cat.even_graph_for(J.m)
-        cands = [(label, cat.node_algebra(label)) for label in graph.nodes]
-        got = identify_algebra(even_part(J), cands, cat.invariants)
+        if J.m not in cands:
+            cands[J.m] = [(label, cat.node_algebra(label)) for label in cat.even_graph_for(J.m).nodes]
+        got = identify_algebra(even_part(J), cands[J.m], cat.invariants)
         ok = got == entry.even_part_label
         rows.append(
             CheckRow(
@@ -233,16 +234,10 @@ def verify_even_parts(cat: Catalog) -> List[CheckRow]:
 
 
 def resolve_witness_algebras(cat: Catalog, wit) -> Tuple[SuperAlgebra, SuperAlgebra]:
-    if wit.source_param is not None:
-        param = eval_t_expression(wit.source_param, wit.ramification())
-        if param.is_constant():
-            src = cat.lookup(wit.source, param.as_constant())
-        else:
-            src = cat.lookup(wit.source, param)
-    else:
-        src = cat.lookup(wit.source)
-    tgt = cat.lookup(wit.target)
-    return src, tgt
+    param = wit.param
+    if param is not None and param.is_constant():
+        param = param.as_constant()
+    return cat.lookup(wit.source, param), cat.lookup(wit.target)
 
 
 def witness_row(cat: Catalog, wit: Witness) -> Tuple[Verdict, CheckRow]:

@@ -31,6 +31,21 @@ def test_decomposition_and_even_part_sweeps(catalog, label_rows):
     assert logged == ledger
 
 
+def test_even_part_sweep_builds_each_reference_node_once(catalog, monkeypatch):
+    # one candidate list per even dimension m, not one per entry
+    built = Counter()
+    node_algebra = Catalog.node_algebra
+
+    def counted(self, label):
+        built[label] += 1
+        return node_algebra(self, label)
+
+    monkeypatch.setattr(Catalog, "node_algebra", counted)
+    assert len(V.verify_even_parts(catalog)) == 149
+    nodes = [label for m in (1, 2, 3) for label in catalog.even_graph_for(m).nodes]
+    assert sorted(built.elements()) == sorted(nodes)
+
+
 def test_wrong_labels_fail(catalog, label_rows, monkeypatch):
     # J15 is indecomposable and Jc36 has even part B1; neither key is logged
     monkeypatch.setattr(catalog.entry("J15"), "decomposition", "S1_1+S2_3")

@@ -401,6 +401,26 @@ def test_symbolic_kernels_need_no_gcd(catalog, monkeypatch):
     assert calls == []
 
 
+def test_symbolic_centroid_builds_no_rational_function(catalog, monkeypatch):
+    # the rows of Jc16's centroid system mix Poly entries with int zeros,
+    # and are cleared to Z[s] as they are, not through one RatFun per entry
+    table = flatten(catalog.entry("Jc16").algebra)
+    expected = _jc16_rank_oracles(catalog.entry("Jc16").algebra)[1]
+    built = []
+    init = RatFun.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RatFun, "__init__", counted)
+    assert clear_denominators([Poly.var(), 3, 0, HALF]) == (
+        Poly([2]), [Poly([0, 2]), Poly([6]), Poly(), Poly([1])]
+    )
+    assert centroid_dim(table) == expected
+    assert built == []
+
+
 def test_kernels_match_fraction_loops_on_catalog(catalog):
     instances = _instances(catalog)
     assert len(instances) == 149

@@ -174,6 +174,13 @@ def test_witness_key_error_names_file_and_line(tmp_path, capsys, line, message):
             "[algebra]\nname = b\ntype = 1,1\nfamily = t\nfamily = s\n",
             "5: duplicate key 'family'",
         ),
+        # the family symbol has one key, as the README lists
+        (
+            "check",
+            ".alg",
+            "[algebra]\nname = b\ntype = 1,1\nfamily_param = t\nproduct: e*e = t e\n",
+            "4: unknown key 'family_param'",
+        ),
         (
             "degenerate",
             ".wit",
@@ -229,6 +236,14 @@ def test_witness_key_error_names_file_and_line(tmp_path, capsys, line, message):
             "[degeneration]\nsource = Jc16^(t^(1/5))\ntarget = Jc30\nbasis: e1 = t^(1/13)*e1\n"
             "basis: e2 = e2\nbasis: f1 = f1\nbasis: f2 = f2\n",
             "4: ramification 65 is above 64",
+        ),
+        # the source parameter is read at its line
+        (
+            "degenerate",
+            ".wit",
+            "[degeneration]\nsource = Jc16^(1/(t-t))\ntarget = Jc30\nbasis: e1 = e1\n"
+            "basis: e2 = e2\nbasis: f1 = f1\nbasis: f2 = f2\n",
+            "2: division by zero in '(1/(t-t))'",
         ),
     ],
 )

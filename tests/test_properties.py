@@ -10,7 +10,7 @@ from superjordan.invariants import (
     ungraded_derivation_dim,
 )
 from superjordan.verify import resolve_witness_algebras
-from superjordan.degeneration import eval_t_expression, specialize_witness
+from superjordan.degeneration import specialize_witness
 
 ONE = Fraction(1)
 
@@ -55,10 +55,8 @@ def test_screen_soundness_on_verified_witnesses(catalog, verified_witnesses):
     for wit, verdict, _ in verified_witnesses:
         if not verdict.verified:
             continue
-        if wit.source_param is not None:
-            val = eval_t_expression(wit.source_param, wit.ramification())
-            if not val.is_constant():
-                continue
+        if wit.family_swept:
+            continue
         src, tgt = resolve_witness_algebras(catalog, wit)
         se, te = catalog.entry(wit.source), catalog.entry(wit.target)
         graph = catalog.even_graph_for(src.m)
@@ -78,10 +76,8 @@ def test_generic_fiber_for_every_witness(catalog, verified_witnesses):
     for wit, verdict, _ in verified_witnesses:
         if not verdict.verified:
             continue
-        if wit.source_param is not None:
-            val = eval_t_expression(wit.source_param, wit.ramification())
-            if not val.is_constant():
-                continue
+        if wit.family_swept:
+            continue
         src, _ = resolve_witness_algebras(catalog, wit)
         try:
             fiber, _ram = specialize_witness(wit, src, Fraction(7))
