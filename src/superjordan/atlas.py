@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
-from .catalog import Catalog, _name_sort_key
+from .catalog import Catalog, _name_sort_key, reachable_nodes
 from .degeneration import Witness
 
 
@@ -38,19 +38,8 @@ class DegenGraph:
     rigid: Set[str]
     family_nodes: Set[str]
 
-    def successors(self, name: str) -> List[str]:
-        return sorted({e.target for e in self.edges if e.source == name})
-
     def reachable_from(self, start: str) -> Set[str]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nxt in self.successors(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
+        return reachable_nodes(((e.source, e.target) for e in self.edges), start)
 
 
 def build_graph(

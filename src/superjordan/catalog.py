@@ -14,10 +14,11 @@ as ``degeneration.parse_witness`` read them.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .algebra import SuperAlgebra, direct_sum, graded_table, load, unflatten
 from .certificates import ClosedSet, parse_closed_set_file
@@ -37,8 +38,8 @@ class UnknownName(KeyError):
         return f"unknown catalog name {self.args[0]!r}"
 
 
-class MissingParameter(ValueError):
-    pass
+class ParameterError(ValueError):
+    """A family named without its parameter, or another entry with one."""
 
 
 class UnknownNode(KeyError):
@@ -64,19 +65,22 @@ class ReferenceGraph:
     def reachable(self, a: str, b: str) -> bool:
         if a not in self.nodes or b not in self.nodes:
             raise UnknownNode(f"{a!r} or {b!r} not in graph {self.name}")
-        if a == b:
-            return True
-        seen = {a}
-        stack = [a]
-        while stack:
-            cur = stack.pop()
-            for src, dst in self.edges:
-                if src == cur and dst not in seen:
-                    if dst == b:
-                        return True
-                    seen.add(dst)
-                    stack.append(dst)
-        return False
+        return b in reachable_nodes(self.edges, a)
+
+
+def reachable_nodes(edges: Iterable[Tuple[str, str]], start: str) -> Set[str]:
+    """``start`` and every node reached from it along the directed
+    ``edges``, given as (source, target) pairs."""
+    successors = defaultdict(list)
+    for src, dst in edges:
+        successors[src].append(dst)
+    seen, stack = {start}, [start]
+    while stack:
+        for nxt in successors[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -161,10 +165,10 @@ class Catalog:
         entry = self.entry(name)
         if not entry.is_family:
             if param is not None:
-                raise ValueError(f"{name} is not a family; no parameter expected")
+                raise ParameterError(f"{name} is not a family; no parameter expected")
             return entry.algebra
         if param is None:
-            raise MissingParameter(f"{name} is a one-parameter family")
+            raise ParameterError(f"{name} is a one-parameter family")
         return instantiate(entry.algebra, param, name=_family_instance_name(name, param))
 
     def instances(self, name: str) -> List[SuperAlgebra]:
@@ -298,8 +302,8 @@ def parse_errata(path: Path) -> List[Erratum]:
             records.append({})
         elif not records:
             raise ParseError("expected [erratum]")
-        elif key == "detail" and key in records[-1]:
-            records[-1][key] += " " + val
+        elif key == "detail:":  # a detail continues over "detail:" lines
+            records[-1]["detail"] = (records[-1].get("detail", "") + " " + val).lstrip()
         elif key in ("id", "kind", "key", "detail"):
             records[-1][key] = val
         else:

@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import verify as V
 from .atlas import export_dot
-from .catalog import Catalog, MissingParameter, instantiate
+from .catalog import Catalog, ParameterError, instantiate
 from .certificates import parse_closed_set_file
 from .degeneration import parse_witness_file
 from .envelope import MAX_K
@@ -260,7 +260,7 @@ def main(argv=None) -> int:
         if args.output:
             out = open(args.output, "w", encoding="utf-8")
         code = args.func(args, Reporter(args.format, out))
-    except (KeyError, MissingParameter, ParseError, TypeMismatch, OSError, UnicodeDecodeError) as exc:
+    except (KeyError, ParameterError, ParseError, TypeMismatch, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

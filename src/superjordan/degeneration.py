@@ -144,7 +144,6 @@ def parse_witness(text: str, source_name: str = "<string>") -> Witness:
             wit.basis.append((slot.strip(), terms))
         elif key == "source":
             wit.source, caret, param = (part.strip() for part in val.partition("^"))
-            wit.source_param, wit.param = None, None
             if caret:
                 # read at its line, so that an error (a division by zero) names it
                 wit.ram = param_ram = _checked(param, wit.ram)

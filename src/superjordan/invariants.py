@@ -27,7 +27,6 @@ from . import linalg
 from .algebra import (
     SuperAlgebra,
     cleared_table,
-    flatten,
     graded_table,
     nonzero_constants,
     power_filtration,
@@ -140,7 +139,7 @@ def associated_algebra(J: SuperAlgebra) -> SuperAlgebra:
 
 
 def is_associative(J: SuperAlgebra) -> bool:
-    return table_is_associative(flatten(J))
+    return table_is_associative(graded_table(J)[0])
 
 
 def table_is_associative(table) -> bool:
@@ -234,7 +233,7 @@ def _burde_values(J: SuperAlgebra, pairs, trials: int = 16, seed: int = 0) -> Li
         raise ValueError("exponents must be >= 1")
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    table = flatten(J)
+    table, _par = graded_table(J)
     d = len(table)
     entries = nonzero_constants(table)
     rng = random.Random(seed)
@@ -307,7 +306,7 @@ def algebra_fingerprint(J: SuperAlgebra) -> tuple:
     so a scalar lambda != 0 keeps both ranks."""
     dims = power_filtration(J, max(J.m + J.n, 4))
     ders = derivation_dims(J)
-    table = cleared_table(flatten(J))
+    table = cleared_table(graded_table(J)[0])
     d = len(table)
     # annihilator = nullspace of x -> (x * e_b)_k as a map on coordinates
     ann_matrix = [
@@ -453,7 +452,7 @@ def screen_violations(
         if not even_reachable(even_label_a, even_label_b):
             yield ScreenViolation("even-part", f"{even_label_a} does not reach {even_label_b}")
     oa, ob = memo.orbit_dimension(A), memo.orbit_dimension(B)
-    if oa <= ob and flatten(A) != flatten(B):
+    if oa <= ob and A != B:
         yield ScreenViolation("orbit-dimension", f"{oa} <= {ob} with distinct tables")
     yield from _associativity_violations(A, B)
     # associated algebras must themselves satisfy items (1), (4), (5)

@@ -6,16 +6,18 @@ Every data file is read line by line by ``read_lines``:
 * a table, witness or certificate begins with its ``[header]`` line;
 * ``key = value`` and ``key: value`` lines, ``key`` a word, are split at
   the first ``=`` or ``:``, and every other line is read whole;
+* the separator says whether a key may repeat: a ``key = value`` line may
+  appear once per record, and a second one is an error (``duplicate key``),
+  while ``key: value`` lines (``product:``, ``basis:``, ``condition:``,
+  ``detail:``) may repeat; a bare ``[word]`` line starts a new record;
 * ``status``, in a file that has one, is checked against its values;
 * every error is one line that begins ``FILE:LINE:``.
 
 A line may use only what the lines above it declare: a product its type
 and family symbol, a certificate condition its basis.  Unknown keys are
-errors, and so is a second ``name``, ``type``, ``orbit``,
-``decomposition``, ``even_part`` or ``family`` line in a table.  Each
-product is entered as it is read, so an error about the table (a
-conflicting, misgraded or odd-square product, an unknown label) names the
-line of the product that causes it.
+errors.  Each product is entered as it is read, so an error about the
+table (a conflicting, misgraded or odd-square product, an unknown label)
+names the line of the product that causes it.
 
 Algebra tables (``.alg``, read by ``parse_algebra``)::
 
@@ -52,10 +54,10 @@ one ``condition:`` line per condition.  Only a ``published`` witness or
 certificate can be logged by an erratum.
 
 The catalog's other files (read in ``catalog``): the errata ledger is a
-list of ``[erratum]`` records of ``id``, ``kind``, ``key`` and ``detail``
-lines, the detail lines joined; a graph (``.edges``) has one ``A -> B``
-line per edge; a component list has ``dimension``, ``rigid`` and
-``families``; and the lemma pairs have one
+list of ``[erratum]`` records of one ``id``, ``kind``, ``key`` and
+``detail`` line each, the detail continued by any ``detail:`` lines; a
+graph (``.edges``) has one ``A -> B`` line per edge; a component list has
+``dimension``, ``rigid`` and ``families``; and the lemma pairs have one
 ``SOURCE -/-> TARGET ... ; reason = R`` line per group.
 
 A linear combination (a product's right side, a witness basis vector) is
@@ -207,6 +209,7 @@ def check_arithmetic(text: str, leaf: Callable, error: type) -> None:
 # ---------------------------------------------------------------------------
 
 _KEY = re.compile(r"(\w+)\s*([:=])\s*(.*)")
+_RECORD = re.compile(r"\[\w+\]")
 
 
 def read_lines(
@@ -218,13 +221,16 @@ def read_lines(
 ) -> Optional[str]:
     """Hand each line of a data file to ``handle(key, value)``: ``key =
     value`` gives the key, ``key: value`` the key and its colon, and any
-    other line the key ``""`` and the whole line.  Given a ``header``, the
-    first line must be ``[header]``, and is not handed on.  Given
-    ``statuses``, the ``status`` key is checked here, and its value, by
-    default the first, is returned.  A ParseError raised while a line is
-    read gets the prefix ``source:line:``."""
+    other line the key ``""`` and the whole line.  A ``key =`` line may
+    appear once per record, a ``key:`` line any number of times; a
+    ``[word]`` line starts a new record.  Given a ``header``, the first line
+    must be ``[header]``, and is not handed on.  Given ``statuses``, the
+    ``status`` key is checked here, and its value, by default the first, is
+    returned.  A ParseError raised while a line is read gets the prefix
+    ``source:line:``."""
     status = statuses[0] if statuses else None
     started = header is None
+    seen = set()  # the keys of the current record
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -237,15 +243,22 @@ def read_lines(
                 continue
             match = _KEY.fullmatch(line)
             if not match:
+                if _RECORD.fullmatch(line):
+                    seen.clear()
                 handle("", line)
                 continue
             key, sep, value = match.groups()
+            if sep == ":":
+                key += ":"
+            elif key in seen:
+                raise ParseError(f"duplicate key {key!r}")
+            seen.add(key)
             if key == "status" and statuses:
                 if value not in statuses:
                     raise ParseError(f"bad status {value!r} (expected one of {', '.join(statuses)})")
                 status = value
             else:
-                handle(key + ":" if sep == ":" else key, value)
+                handle(key, value)
         except ParseError as exc:
             raise type(exc)(f"{source}:{lineno}: {exc}") from None
     if not started:
@@ -353,7 +366,7 @@ def _product(spec: str, family: Optional[str]):
     ]
 
 
-# the AlgebraFile field of each key that a table may give once
+# the AlgebraFile field of each key of a table
 _FIELDS = {
     "name": "name", "type": "mn", "orbit": "orbit", "decomposition": "decomposition",
     "even_part": "even_part_label", "family": "family",
@@ -367,11 +380,7 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
     products: Products = {}  # the nonzero constants, as ``add_product`` enters them
 
     def handle(key: str, val: str) -> None:
-        if key == "type" and products:
-            raise ParseError("the type line must come before every product")
         if key in _FIELDS:
-            if _FIELDS[key] in fields:
-                raise ParseError(f"duplicate key {key!r}")
             if key == "type":
                 parts = val.split(",")
                 if len(parts) != 2:

@@ -1,7 +1,7 @@
 import pytest
 
 from superjordan.algebra import check_super_jordan, flatten
-from superjordan.catalog import MissingParameter, UnknownName, UnknownNode
+from superjordan.catalog import ParameterError, UnknownName, UnknownNode
 from superjordan.ratfun import RatFun
 
 from conftest import supercommutativity_violations
@@ -26,9 +26,9 @@ def test_lookup_examples(catalog):
 
     with pytest.raises(UnknownName):
         catalog.lookup("nope")
-    with pytest.raises(MissingParameter):
+    with pytest.raises(ParameterError):
         catalog.lookup("Jc16")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         catalog.lookup("J5", 3)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from superjordan.algebra import apply_graded_change, check_super_jordan, flatten, load, power_filtration
+from superjordan.algebra import apply_graded_change, check_super_jordan, flatten, graded_table, load, power_filtration
 from superjordan.invariants import (
     BURDE_PAIRS,
     BurdeValue,
@@ -94,8 +94,9 @@ def test_burde_invariant_under_conjugation(catalog):
 
 
 def _reference_burde(J, i, j, trials=16, seed=0):
-    """The per-pair Burde loop: its own draw of x, y and dense sums."""
-    table = flatten(J)
+    """The per-pair Burde loop: its own draw of x, y and dense sums, in
+    coordinates of the label-order table, as ``_burde_values`` draws them."""
+    table, _par = graded_table(J)
     d = len(table)
 
     def left_mult(x):

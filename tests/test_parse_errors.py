@@ -1,6 +1,7 @@
 """Malformed input: every parser raises ParseError, and the command line
 turns it into one ``error:`` line on stderr with exit status 2."""
 
+import re
 import shutil
 from pathlib import Path
 
@@ -84,6 +85,13 @@ def test_parsers_raise_only_parse_error(tmp_path, kind):
             "basis: f2 = f2\nbasis: f3 = f3\nbasis: e = e\n",
         ),
         ("closedset", ".cs", "[closedset]\nsource = J7\n"),
+        # a parameter on an entry that is not a family
+        (
+            "degenerate",
+            ".wit",
+            "[degeneration]\nsource = J11^(2)\ntarget = J10\nbasis: f1 = f1\nbasis: f2 = f2\n"
+            "basis: f3 = t*f3\nbasis: e = e\n",
+        ),
         ("closedset", ".cs", "[closedset]\nsource = J7\nbasis = x1 x2 x3 x4\ncondition: c[a,1,1] = 0\n"),
         ("closedset", ".cs", "[closedset]\nlabel = short\nsource = J7\nbasis = e f1 f2\ncondition: c[1,1,1] = 0\n"),
         # nested too deeply for a recursive reader
@@ -158,7 +166,7 @@ def test_witness_key_error_names_file_and_line(tmp_path, capsys, line, message):
             "check",
             ".alg",
             "[algebra]\nname = b\ntype = 1,1\nproduct: e*e = e\ntype = 2,0\n",
-            "5: the type line must come before every product",
+            "5: duplicate key 'type'",
         ),
         # a repeated key is refused, not read as its last value
         (
@@ -173,6 +181,27 @@ def test_witness_key_error_names_file_and_line(tmp_path, capsys, line, message):
             ".alg",
             "[algebra]\nname = b\ntype = 1,1\nfamily = t\nfamily = s\n",
             "5: duplicate key 'family'",
+        ),
+        # a second "key =" line is refused in every format, not read as its
+        # last value: here J7 and J15 would go unchecked
+        (
+            "closedset",
+            ".cs",
+            "[closedset]\nlabel = geo1_J11\nsource = J11\ntargets = J7 J15 J16\ntargets = J16\n"
+            "basis = f1 f2 f3 e\ncondition: c[*,*,1] = 0\ncondition: 2*c[3,4,3] = c[4,4,4]\n",
+            "5: duplicate key 'targets'",
+        ),
+        (
+            "degenerate",
+            ".wit",
+            "[degeneration]\nsource = J11\ntarget = J10\ntarget = J13\nbasis: f1 = f1\n",
+            "4: duplicate key 'target'",
+        ),
+        (
+            "degenerate",
+            ".wit",
+            "[degeneration]\nsource = J11\nstatus = corrected\ntarget = J10\nstatus = published\n",
+            "5: duplicate key 'status'",
         ),
         # the family symbol has one key, as the README lists
         (
@@ -254,6 +283,51 @@ def test_key_error_names_file_and_line(tmp_path, capsys, command, suffix, text, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}:{message}") and captured.err.count("\n") == 1
+
+
+_ALG = "[algebra]\nname = b\ntype = 1,1\n"
+_WIT = "[degeneration]\nsource = J11\ntarget = J10\n"
+_CS = "[closedset]\nsource = J11\nbasis = f1 f2 f3 e\n"
+_ERRATUM = "[erratum]\nid = E1\nkind = orbit\nkey = orbit:J2\ndetail = one\n"
+
+
+@pytest.mark.parametrize(
+    "kind, text, error",
+    [
+        ("algebra", _ALG + "product: e*e = e\nname = c\n", "5: duplicate key 'name'"),
+        ("algebra", _ALG + "product: e*e = e\nproduct: e*f = f\n", None),
+        ("witness", _WIT + "source = J12\n", "4: duplicate key 'source'"),
+        ("witness", _WIT + "basis: e = e\ntarget = J13\n", "5: duplicate key 'target'"),
+        ("witness", _WIT + "status = corrected\nstatus = corrected\n", "5: duplicate key 'status'"),
+        ("witness", _WIT + "basis: f1 = f1\nbasis: f2 = f2\n", None),
+        ("closedset", _CS + "targets = J7\ntargets = J15\n", "5: duplicate key 'targets'"),
+        ("closedset", _CS + "basis = f1 f2 f3 e\n", "4: duplicate key 'basis'"),
+        ("closedset", _CS + "condition: c[1,1,1] = 0\ncondition: c[2,2,2] = 0\n", None),
+        ("components", "dimension = 12\nrigid = J5\nfamilies =\nrigid = J7\n", "4: duplicate key 'rigid'"),
+        ("errata", _ERRATUM + "key = orbit:J3\n", "6: duplicate key 'key'"),
+        # detail: lines continue a record, and the next [erratum] starts afresh
+        ("errata", _ERRATUM + "detail: two\ndetail: three\n" + _ERRATUM, None),
+    ],
+)
+def test_equals_key_once_per_record(tmp_path, kind, text, error):
+    parse = PARSERS[kind][0]
+    source, arg = "<string>", text
+    if kind in ("components", "errata"):  # the catalog's own files are read from a path
+        source = arg = tmp_path / "data.txt"
+        arg.write_text(text, encoding="utf-8")
+    if error is None:
+        parse(arg)
+    else:
+        with pytest.raises(ParseError, match="^" + re.escape(f"{source}:{error}") + "$"):
+            parse(arg)
+
+
+def test_errata_detail_lines_are_joined(tmp_path):
+    path = tmp_path / "errata.txt"
+    path.write_text(_ERRATUM + "detail: two\ndetail: three\n" + _ERRATUM, encoding="utf-8")
+    first, second = parse_errata(path)
+    assert (first.id, first.key, first.detail) == ("E1", "orbit:J2", "one two three")
+    assert (second.id, second.key, second.detail) == ("E1", "orbit:J2", "one")
 
 
 @pytest.mark.parametrize("power", ["1000000000", "(-1000000000)", "(1/1000000000)", "(1000000000/2)"])
