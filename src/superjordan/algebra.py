@@ -19,30 +19,26 @@ work on the flat table.
 
 Two block readers stay on purpose, as references independent of the flat
 table: ``SuperAlgebra.multiply``, behind ``jordan_defect``, which the
-identity check prints for a failing quadruple and the tests use as its
-oracle; and ``envelope._Envelope``, the Grassmann-envelope cross-check,
-which reads the blocks once when it is built.
+identity check keeps on ``IdentityReport.defect`` for a failing quadruple
+(its row prints only ``J(a,b,c,d) != 0``) and the tests use as its oracle;
+and ``envelope._Envelope``, the Grassmann-envelope cross-check, which reads
+the blocks once when it is built and clears them itself.
 
-The identity kernels (``check_super_jordan``, the envelope cross-check and
-``invariants.table_is_associative``) run on the table cleared of its
-denominators by ``linalg.clear_denominators``: when every constant is
-rational, they are all multiplied by lambda, the lcm of their
-denominators, and the loops run in Python ints; when one is a RatFun (the
-symbolic family), they are multiplied by D, the lcm of the denominator
-polynomials, and the loops run over Z[s] (Poly), whose sums and products
-need no gcd.  This is
-exact: x -> x/lambda is an isomorphism from (A, mu) to (A, lambda mu), and
-each identity is homogeneous in the constants (the Jordan defect is cubic,
-associativity quadratic), so every zero and every first failing quadruple
-stays where it was.
-
-The rank kernels run on the same scaled table, ``cleared_table``: the
-superderivations and the centroid (``invariants._map_equations``), the
-annihilator and the trace form of a fingerprint, and the powers J^r
-(``power_spans``).  The equations of the first three
-are linear in the constants and the trace form is quadratic, so one scalar
-lambda != 0 keeps every rank; lambda (U W) spans U W, so it keeps every
-power.  Their rows go to ``linalg``'s one Bareiss loop, over Z or Z[s].
+Every other numeric kernel reads the table as ``cleared_table`` returns it,
+with its scale (chosen by ``linalg.clear_denominators``): lambda, the lcm of
+the denominators, and Python ints when every constant is rational; D, the
+lcm of the denominator polynomials, and Z[s] (Poly), whose sums and
+products need no gcd, when one is a RatFun.  This is exact: x -> x/lambda
+is an isomorphism from (A, mu) to (A, lambda mu).  The identities are
+homogeneous (the Jordan defect of ``check_super_jordan`` is cubic, and
+``invariants.table_is_associative`` quadratic), so every zero and every
+first failing quadruple stays.  The
+rank systems (superderivations and centroid, ``invariants._map_equations``;
+the annihilator) are linear and the trace form is quadratic, so lambda != 0
+keeps every rank; lambda (U W) spans U W, so the powers J^r
+(``power_spans``) stay.  A Burde ratio has degree 0, so lambda cancels.
+The certificate conditions are homogeneous, and the witness replay divides
+by the scale.
 """
 
 from __future__ import annotations
@@ -53,7 +49,7 @@ from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .linalg import clear_denominators, invert_field_matrix, row_reduce_basis
-from .ratfun import RatFun
+from .ratfun import Poly, RatFun
 
 Scalar = Union[Fraction, RatFun]
 
@@ -355,8 +351,8 @@ def check_super_jordan(J: SuperAlgebra) -> IdentityReport:
     """Supercommutativity plus defect vanishing on all basis quadruples.
 
     The six terms of the defect are summed exactly, in ints or over Z[s],
-    on the table times its scale (``clear_denominators``): the defect is
-    cubic in the constants, so it vanishes where the unscaled one does.  They are summed
+    on the table times its scale (``cleared_table``): the defect is cubic
+    in the constants, so it vanishes where the unscaled one does.  They are summed
     from the pair products e_a e_b and the triple products (e_a e_b) e_c,
     both computed once per call.  The first failing quadruple in label order
     is reported with its ``jordan_defect`` on the unscaled J.
@@ -368,10 +364,7 @@ def check_super_jordan(J: SuperAlgebra) -> IdentityReport:
     if sviol:
         return IdentityReport(False, False, detail="; ".join(sviol[:3]))
     # T[a][b] = lambda e_a e_b as sparse (k, c) pairs, indices in label order
-    entries = nonzero_constants(table)
-    T = [[[] for _ in range(dim)] for _ in range(dim)]
-    for (a, b, k, _c), c in zip(entries, clear_denominators([c for *_, c in entries])[1]):
-        T[a][b].append((k, c))
+    T = [[[(k, c) for k, c in enumerate(row) if c] for row in plane] for plane in cleared_table(table)[1]]
     unit = [((a, 1),) for a in range(dim)]
     P = [
         [[_sparse_product(T, T[a][b], unit[c]) for c in range(dim)] for b in range(dim)]
@@ -484,13 +477,13 @@ def unflatten(table, m: int, n: int, name: str = "") -> SuperAlgebra:
     )
 
 
-def cleared_table(table):
-    """A flat d x d x d table times its scale (``clear_denominators``): in
-    ints when every constant is rational, in Z[s] (Poly) when one is a
-    RatFun."""
+def cleared_table(table) -> Tuple[Union[int, Poly], List[List[List]]]:
+    """(scale, a flat d x d x d table times its scale), the scale chosen by
+    ``clear_denominators``: lambda and ints when every constant is rational,
+    D and Z[s] values (Poly) when one is a RatFun."""
     d = len(table)
-    flat = clear_denominators([c for plane in table for row in plane for c in row])[1]
-    return [[flat[(a * d + b) * d : (a * d + b + 1) * d] for b in range(d)] for a in range(d)]
+    scale, flat = clear_denominators([c for plane in table for row in plane for c in row])
+    return scale, [[flat[(a * d + b) * d : (a * d + b + 1) * d] for b in range(d)] for a in range(d)]
 
 
 def nonzero_constants(table) -> List[Tuple[int, int, int, Scalar]]:
@@ -581,7 +574,7 @@ def power_spans(table, r_max: int) -> List[List[List]]:
     of ``row_reduce_basis``.  The products are taken in ints, or over Z[s],
     on the table times lambda (``cleared_table``), whose powers are those
     of the table: lambda (U W) spans U W."""
-    table = cleared_table(table)
+    table = cleared_table(table)[1]
     d = len(table)
 
     def product_span(U, W):

@@ -15,8 +15,9 @@ Each condition is parsed once into the polynomials in the constants that
 must vanish: lhs - rhs for every assignment of the ``*`` indices, and one
 atom c[a,b,k] for each product x_a x_b whose k-th coordinate a containment
 bans.  Every polynomial must be homogeneous, which is checked at parse: the
-trials below clear denominators and scale by det(g), and a homogeneous
-polynomial vanishes on a scaled table iff it vanishes on the table.
+trials below run on the table cleared to ints (``algebra.cleared_table``)
+and scaled by det(g), and a homogeneous polynomial vanishes on a scaled
+table iff it vanishes on the table.
 
 The published claim pattern: the source satisfies the conditions, the set
 is stable under the triangular subgroup (so it traps the whole orbit
@@ -59,11 +60,12 @@ from .algebra import (
     SuperAlgebra,
     change_basis,
     change_basis_row,
+    cleared_table,
     flatten,
     label_parity,
     nonzero_constants,
 )
-from .linalg import clear_denominators, int_matrix_det_adjugate
+from .linalg import int_matrix_det_adjugate
 from .tablefmt import ParseError, excerpt, read_arithmetic, read_lines, unknown_line
 
 
@@ -105,6 +107,7 @@ class ClosedSet:
     conditions: List[Condition]
     label: str = ""
     status: str = "published"  # one of STATUSES
+    path: str = "<string>"  # the file it was read from, named by errors after the parse
 
     @property
     def dim(self) -> int:
@@ -308,7 +311,7 @@ def parse_condition(text: str, d: int) -> Condition:
 
 
 def parse_closed_set(text: str, source_name: str = "<string>") -> ClosedSet:
-    cs = ClosedSet(source=None, targets=[], basis=[], conditions=[])
+    cs = ClosedSet(source=None, targets=[], basis=[], conditions=[], path=source_name)
 
     def handle(key: str, val: str) -> None:
         if key in ("condition:", ""):  # a bare line is a condition under "conditions:"
@@ -404,14 +407,6 @@ def _changes(kind: str, key, trials: int, seed: int):
     return tuple(out)
 
 
-def _int_constants(table) -> List[Tuple[int, int, int, int]]:
-    """The nonzero constants of the table with denominators cleared (a
-    global scale, harmless for homogeneous conditions)."""
-    entries = nonzero_constants(table)
-    scaled = clear_denominators([x for *_abk, x in entries])[1]
-    return [(a, b, k, x) for (a, b, k, _x), x in zip(entries, scaled)]
-
-
 class _MovedPlane(dict):
     """Plane a of a table moved by g: row b is computed by
     ``change_basis_row`` the first time it is read, and kept."""
@@ -428,10 +423,10 @@ class _MovedPlane(dict):
 
 
 def _moved_tables(kind: str, cs: ClosedSet, table, trials: int, seed: int):
-    """Yield (g, the integer table moved by g) for each basis change.  The
-    moved table is a list of d lazy planes, so only the product rows that
-    the conditions read are ever computed."""
-    entries, d = _int_constants(table), len(table)
+    """Yield (g, the table cleared to ints and moved by g) for each basis
+    change.  The moved table is a list of d lazy planes, so only the product
+    rows that the conditions read are ever computed."""
+    entries, d = nonzero_constants(cleared_table(table)[1]), len(table)
     key = cs.dim if kind == "stability" else tuple(map(label_parity, cs.basis))
     for g, adj in _changes(kind, key, trials, seed):
         yield g, [_MovedPlane(entries, d, g, adj, a) for a in range(d)]

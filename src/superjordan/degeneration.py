@@ -7,16 +7,18 @@ parameter t, possibly with fractional powers t^(p/q).  Fractional powers
 are removed up front by the global ramification substitution t = s^N
 (N = lcm of the exponent denominators, refused at load above MAX_EXPONENT),
 after which everything lives in the ordinary rational-function field over s.
-``parse_witness`` keeps N as ``Witness.ram`` and reads the source parameter
-of a family source once, with t = s^N, as ``Witness.param``.
+``parse_witness`` keeps N as ``Witness.ram`` and reads each coefficient,
+and the source parameter of a family source, once, at its line, with
+t = s^N: ``Witness.basis`` and ``Witness.param`` hold RatFun values.
 
 The replay itself runs over the polynomials Z[s].  ``linalg.clear_denominators``
 clears each row of the basis matrix P by the lcm D_a of its denominators,
-giving R, and the source constants by theirs, D_T (an int lambda for a
-rational source).  det(R) and adj(R) come from the Bareiss loop of
-``linalg``, and one basis change with Q = adj(R) diag(D) gives every moved
-constant as a polynomial over the one denominator D_a D_b det(R) D_T of its
-product.  A rational function is reduced only where a caller asks for one.
+giving R, and ``algebra.cleared_table`` clears the source table by the lcm
+of its own, D_T (an int lambda for a rational source).  det(R) and adj(R)
+come from the Bareiss loop of ``linalg``, and one basis change with
+Q = adj(R) diag(D) gives every moved constant as a polynomial over the one
+denominator D_a D_b det(R) D_T of its product.  A rational function is
+reduced only where a caller asks for one.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .algebra import (
     _freeze,
     basis_labels,
     change_basis,
+    cleared_table,
     default_basis_order,
     flatten,
     label_parity,
@@ -97,12 +100,13 @@ class Witness:
     source: str
     target: str
     source_param: Optional[str] = None  # family parameter expression in t
-    basis: List[Tuple[str, List[Tuple[str, str]]]] = None  # (slot, [(coeff_expr, src_label)])
+    basis: List[Tuple[str, List[Tuple[RatFun, str]]]] = None  # (slot, [(coeff, src_label)])
     note: str = ""
     label: str = ""
     status: str = "published"  # one of STATUSES
     ram: int = 1  # N, the lcm of the exponent denominators: t = s^N clears them
     param: Optional[RatFun] = None  # source_param with t = s^ram
+    path: str = "<string>"  # the file it was read from, named by errors after the parse
 
     @property
     def family_swept(self) -> bool:
@@ -111,43 +115,43 @@ class Witness:
         return self.param is not None and not self.param.is_constant()
 
 
-def _checked(expr: str, ram: int) -> int:
-    """The lcm N of ``ram`` and the exponent denominators of ``expr``, once
-    ``expr`` reads as a t-expression: t = s^N clears both.  An N above
-    MAX_EXPONENT is refused, as the replay builds powers of s up to it."""
-    dens = [ram]
+def _ramification(expr: str) -> int:
+    """The lcm N of the exponent denominators of ``expr``, once ``expr``
+    reads as a t-expression: t = s^N clears them."""
+    dens = [1]
 
     def leaf(node, exp):
         dens.append(exp.denominator)
         return _s_exponent(node, exp, exp.denominator)
 
     check_arithmetic(expr, leaf, WitnessError)
-    ram = lcm(*dens)
-    if ram > MAX_EXPONENT:
-        raise WitnessError(f"ramification {ram} is above {MAX_EXPONENT}")
-    return ram
+    return lcm(*dens)
 
 
 def parse_witness(text: str, source_name: str = "<string>") -> Witness:
-    wit = Witness(source=None, target=None, basis=[])
-    param_ram = 1  # the ramification the source parameter was read with
+    wit = Witness(source=None, target=None, basis=[], path=source_name)
+    param = None
+
+    def read(expr: str) -> Tuple[RatFun, int]:
+        """(``expr`` with t = s^N, N) for the N of the lines so far, read at
+        its line so that an error (a division by zero) names it.  An N above
+        MAX_EXPONENT is refused, as the replay builds powers of s up to it."""
+        wit.ram = lcm(wit.ram, _ramification(expr))
+        if wit.ram > MAX_EXPONENT:
+            raise WitnessError(f"ramification {wit.ram} is above {MAX_EXPONENT}")
+        return eval_t_expression(expr, wit.ram), wit.ram
 
     def handle(key: str, val: str) -> None:
-        nonlocal param_ram
+        nonlocal param
         if key == "basis:":
             slot, eq, rhs = val.partition("=")
             if not eq:
                 raise WitnessError(f"a basis line is 'slot = combination', got {excerpt(val)}")
-            terms = split_combination(rhs)
-            for coeff, _label in terms:
-                wit.ram = _checked(coeff, wit.ram)
-            wit.basis.append((slot.strip(), terms))
+            wit.basis.append((slot.strip(), [(read(c), label) for c, label in split_combination(rhs)]))
         elif key == "source":
-            wit.source, caret, param = (part.strip() for part in val.partition("^"))
+            wit.source, caret, expr = (part.strip() for part in val.partition("^"))
             if caret:
-                # read at its line, so that an error (a division by zero) names it
-                wit.ram = param_ram = _checked(param, wit.ram)
-                wit.source_param, wit.param = param, eval_t_expression(param, param_ram)
+                wit.source_param, param = expr, read(expr)
         elif key in ("target", "note", "label"):
             setattr(wit, key, val)
         else:
@@ -156,8 +160,13 @@ def parse_witness(text: str, source_name: str = "<string>") -> Witness:
     wit.status = read_lines(text, source_name, handle, "degeneration", STATUSES)
     if wit.source is None or wit.target is None:
         raise WitnessError(f"{source_name}: source and target are required")
-    if wit.param is not None and wit.ram != param_ram:  # a later line raised N
-        wit.param = ratfun_compose(wit.param, RatFun.monomial(wit.ram // param_ram))
+
+    def lifted(value: Tuple[RatFun, int]) -> RatFun:  # from t = s^N' to t = s^wit.ram
+        x, ram = value
+        return x if ram == wit.ram else ratfun_compose(x, RatFun.monomial(wit.ram // ram))
+
+    wit.basis = [(slot, [(lifted(v), label) for v, label in terms]) for slot, terms in wit.basis]
+    wit.param = None if param is None else lifted(param)
     return wit
 
 
@@ -200,7 +209,7 @@ def witness_matrix(wit: Witness, J: SuperAlgebra):
         for coeff, lab in terms:
             if lab not in where:
                 raise WitnessError(f"unknown source basis vector {lab!r}")
-            P[row][where[lab]] = P[row][where[lab]] + eval_t_expression(coeff, wit.ram)
+            P[row][where[lab]] = P[row][where[lab]] + coeff
     if sorted(rows) != list(range(d)):
         raise WitnessError(f"witness must define every slot of {order} exactly once")
     return P, order
@@ -236,10 +245,7 @@ def _constants_in_basis(source: SuperAlgebra, P, order: List[str]):
     det, adj = int_matrix_det_adjugate(list(R))
     if not det:
         raise SingularMatrix("witness basis is singular")
-    table = flatten(source, order)
-    D_T, flat = clear_denominators([x for plane in table for row in plane for x in row])
-    d = len(table)
-    T = [[flat[(a * d + b) * d : (a * d + b + 1) * d] for b in range(d)] for a in range(d)]
+    D_T, T = cleared_table(flatten(source, order))
     # P^-1 = adj(R) diag(D) / det(R), so with Q = adj(R) diag(D) each constant
     # is N[a][b][l] / (D_a D_b det(R) D_T)
     Q = [[x * D_l for x, D_l in zip(row, D)] for row in adj]

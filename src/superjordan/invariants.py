@@ -103,7 +103,7 @@ def _derivation_dim(table, par: Sequence[int], d_par: int) -> int:
 def derivation_dims(J: SuperAlgebra) -> DerivationSpace:
     """Dimensions of the even and odd superderivation spaces."""
     table, par = graded_table(J)
-    table = cleared_table(table)
+    table = cleared_table(table)[1]
     return DerivationSpace(_derivation_dim(table, par, 0), _derivation_dim(table, par, 1))
 
 
@@ -120,7 +120,7 @@ def orbit_dimension(J: SuperAlgebra) -> int:
 
 def ungraded_derivation_dim(table) -> int:
     """Derivation dimension of a flattened (ungraded) multiplication table."""
-    return _derivation_dim(cleared_table(table), [0] * len(table), 0)
+    return _derivation_dim(cleared_table(table)[1], [0] * len(table), 0)
 
 
 def ungraded_power_dims(table) -> List[int]:
@@ -147,7 +147,7 @@ def table_is_associative(table) -> bool:
     cleared table (``cleared_table``): both sides are quadratic in the
     constants."""
     d = len(table)
-    T = cleared_table(table)
+    T = cleared_table(table)[1]
     for a in range(d):
         for b in range(d):
             for c in range(d):
@@ -177,9 +177,9 @@ class BurdeValue:
         return self.status == "defined"
 
 
-def _left_mult(entries, d: int, x: Sequence[Fraction]):
+def _left_mult(entries, d: int, x: Sequence[int]):
     """L(x)[k][b] = sum_a x[a] c[a,b,k], from the nonzero constants."""
-    out = [[Fraction(0)] * d for _ in range(d)]
+    out = [[0] * d for _ in range(d)]
     for a, b, k, c in entries:
         if x[a]:
             out[k][b] += x[a] * c
@@ -188,7 +188,7 @@ def _left_mult(entries, d: int, x: Sequence[Fraction]):
 
 def _mat_mul(A, B):
     d = len(A)
-    out = [[Fraction(0)] * d for _ in range(d)]
+    out = [[0] * d for _ in range(d)]
     for i in range(d):
         row = out[i]
         for k, aik in enumerate(A[i]):
@@ -199,14 +199,14 @@ def _mat_mul(A, B):
     return out
 
 
-def _trace(A) -> Fraction:
-    return sum((A[i][i] for i in range(len(A))), Fraction(0))
+def _trace(A) -> int:
+    return sum(A[i][i] for i in range(len(A)))
 
 
-def _trace_of_product(A, B) -> Fraction:
+def _trace_of_product(A, B) -> int:
     """tr(AB), without forming AB."""
     d = len(A)
-    return sum((A[i][k] * B[k][i] for i in range(d) for k in range(d) if A[i][k]), Fraction(0))
+    return sum(A[i][k] * B[k][i] for i in range(d) for k in range(d) if A[i][k])
 
 
 def _powers(A, top: int) -> list:
@@ -219,7 +219,7 @@ def _powers(A, top: int) -> list:
 
 def _burde_values(J: SuperAlgebra, pairs, trials: int = 16, seed: int = 0) -> List[BurdeValue]:
     """Sampled values of tr(L(x)^i) tr(L(y)^j) / tr(L(x)^i L(y)^j), one for
-    each (i, j) in ``pairs``.
+    each (i, j) in ``pairs``, of a rational table.
 
     Exact agreement across all surviving samples is required; the invariant
     is a ratio of polynomials in the structure constants, so agreement on
@@ -227,13 +227,17 @@ def _burde_values(J: SuperAlgebra, pairs, trials: int = 16, seed: int = 0) -> Li
     non-constancy.  All pairs read the same seeded samples x, y, so each
     sample is drawn once and L(x), L(y) and their powers are built once for
     all pairs.  A pair stops at its first disagreement, as it would alone;
-    sampling stops when every pair has stopped.
+    sampling stops when every pair has stopped.  x and y are ints, and so
+    are the traces, on the table times lambda (``cleared_table``): L(x) is
+    linear in the constants, so the numerator and the denominator both
+    scale by lambda^(i+j), which cancels, and lambda != 0 keeps every zero
+    test.
     """
     if any(i < 1 or j < 1 for i, j in pairs):
         raise ValueError("exponents must be >= 1")
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    table, _par = graded_table(J)
+    table = cleared_table(graded_table(J)[0])[1]
     d = len(table)
     entries = nonzero_constants(table)
     rng = random.Random(seed)
@@ -243,8 +247,8 @@ def _burde_values(J: SuperAlgebra, pairs, trials: int = 16, seed: int = 0) -> Li
     for _ in range(trials):
         if len(done) == len(pairs):
             break
-        x = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
-        y = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
+        x = [rng.randint(-3, 3) for _ in range(d)]
+        y = [rng.randint(-3, 3) for _ in range(d)]
         live = [p for p in range(len(pairs)) if p not in done]
         lx = _powers(_left_mult(entries, d, x), max(pairs[p][0] for p in live))
         ly = _powers(_left_mult(entries, d, y), max(pairs[p][1] for p in live))
@@ -255,7 +259,7 @@ def _burde_values(J: SuperAlgebra, pairs, trials: int = 16, seed: int = 0) -> Li
             if num == 0 or den == 0:
                 continue
             used[p] += 1
-            v = num / den
+            v = Fraction(num, den)
             if values[p] is None:
                 values[p] = v
             elif values[p] != v:
@@ -290,7 +294,7 @@ def centroid_dim(table) -> int:
 
     Counts block multiplicity, so it separates direct sums from
     indecomposable algebras with otherwise equal invariants."""
-    table = cleared_table(table)
+    table = cleared_table(table)[1]
     ungraded = [0] * len(table)
     left, width = _map_equations(table, ungraded, 0, 1, 0)
     right, _ = _map_equations(table, ungraded, 0, 0, 1)
@@ -306,7 +310,7 @@ def algebra_fingerprint(J: SuperAlgebra) -> tuple:
     so a scalar lambda != 0 keeps both ranks."""
     dims = power_filtration(J, max(J.m + J.n, 4))
     ders = derivation_dims(J)
-    table = cleared_table(graded_table(J)[0])
+    table = cleared_table(graded_table(J)[0])[1]
     d = len(table)
     # annihilator = nullspace of x -> (x * e_b)_k as a map on coordinates
     ann_matrix = [

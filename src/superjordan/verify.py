@@ -11,6 +11,7 @@ exceptions rather than silent passes or hard failures.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
@@ -23,7 +24,7 @@ from .algebra import (
     unflatten,
 )
 from .atlas import DegenGraph, build_graph, component_report, edge_monotonicity_violations
-from .catalog import FAMILY_SAMPLES, Catalog
+from .catalog import FAMILY_SAMPLES, Catalog, ParameterError, UnknownName
 from .certificates import (
     ClosedSet,
     certificate_table,
@@ -41,6 +42,7 @@ from .invariants import (
     nondegeneration_screen,
     screen_violations,
 )
+from .tablefmt import ParseError
 
 # expected (component count, variety dimension) per type
 COMPONENTS = {(1, 3): (11, 12), (2, 2): (25, 13), (3, 1): (21, 15)}
@@ -233,11 +235,21 @@ def verify_even_parts(cat: Catalog) -> List[CheckRow]:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _names_in(path: str):
+    """A catalog name that does not resolve is an error of its file."""
+    try:
+        yield
+    except (UnknownName, ParameterError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def resolve_witness_algebras(cat: Catalog, wit) -> Tuple[SuperAlgebra, SuperAlgebra]:
     param = wit.param
     if param is not None and param.is_constant():
         param = param.as_constant()
-    return cat.lookup(wit.source, param), cat.lookup(wit.target)
+    with _names_in(wit.path):
+        return cat.lookup(wit.source, param), cat.lookup(wit.target)
 
 
 def witness_row(cat: Catalog, wit: Witness) -> Tuple[Verdict, CheckRow]:
@@ -279,8 +291,11 @@ def certificate_rows(cat: Catalog, cs: ClosedSet, trials: int = 1000, seed: int 
     logs a failure of the printed certificate only: a ``corrected`` one
     fails outright."""
     logged = cat.errata_keys() if cs.status == "published" else set()
+    with _names_in(cs.path):
+        sources = cat.instances(cs.source)
+        targets = [(tname, cat.instances(tname)) for tname in cs.targets]
     rows = []
-    for J in cat.instances(cs.source):
+    for J in sources:
         table = certificate_table(cs, J)
         sat = closed_set_eval(table, cs)
         key = f"certificate:{cs.label}:source"
@@ -293,8 +308,8 @@ def certificate_rows(cat: Catalog, cs: ClosedSet, trials: int = 1000, seed: int 
         ok = st.hits == trials
         rows.append(CheckRow(key, ok, (not ok) and key in logged, f"{st.hits}/{trials}"))
     need = int(trials * SEPARATION_THRESHOLD)
-    for tname in cs.targets:
-        for T in cat.instances(tname):
+    for tname, instances in targets:
+        for T in instances:
             sep = separation_test(cs, certificate_table(cs, T), trials=trials, seed=seed)
             key = f"certificate:{cs.label}:separation:{tname}"
             ok = sep.hits >= need

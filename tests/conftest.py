@@ -6,6 +6,7 @@ import pytest
 
 from superjordan.algebra import _supercommutativity_violations, graded_table, load, nonzero_constants
 from superjordan.catalog import Catalog
+from superjordan.invariants import BurdeValue
 
 
 @pytest.fixture(scope="session")
@@ -55,6 +56,54 @@ def perturb_entry(catalog, name, seed):
             )
         except Exception:
             continue
+
+
+def reference_burde(J, i, j, trials=16, seed=0):
+    """The per-pair Burde loop, the oracle of ``invariants._burde_values``:
+    its own draw of x, y and dense Fraction sums on the unscaled table, in
+    coordinates of the label-order table, as ``_burde_values`` draws them."""
+    table, _par = graded_table(J)
+    d = len(table)
+
+    def dot(pairs):
+        """The sum of u v over the pairs (u, v); a zero factor is skipped,
+        which keeps the catalog-wide comparison quick."""
+        return sum((u * v for u, v in pairs if u and v), Fraction(0))
+
+    def left_mult(x):
+        return [[dot((x[a], table[a][b][k]) for a in range(d)) for b in range(d)] for k in range(d)]
+
+    def mat_mul(A, B):
+        return [[dot((A[r][k], B[k][c]) for k in range(d)) for c in range(d)] for r in range(d)]
+
+    def mat_pow(A, e):
+        out = A
+        for _ in range(e - 1):
+            out = mat_mul(out, A)
+        return out
+
+    def trace(A):
+        return sum((A[r][r] for r in range(d)), Fraction(0))
+
+    rng = random.Random(seed)
+    value, used = None, 0
+    for _ in range(trials):
+        x = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
+        y = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
+        lx, ly = mat_pow(left_mult(x), i), mat_pow(left_mult(y), j)
+        num = trace(lx) * trace(ly)
+        den = trace(mat_mul(lx, ly))
+        if num == 0 or den == 0:
+            continue
+        used += 1
+        v = num / den
+        if value is None:
+            value = v
+        elif value != v:
+            return BurdeValue(i, j, "not_constant", samples_used=used)
+    if value is None:
+        return BurdeValue(i, j, "not_defined", samples_used=0)
+    return BurdeValue(i, j, "defined", value=value, samples_used=used)
 
 
 def supercommutativity_violations(J):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superjordan import algebra, certificates, linalg
-from superjordan.algebra import change_basis, flatten, label_parity, nonzero_constants
+from superjordan.algebra import change_basis, cleared_table, flatten, label_parity, nonzero_constants
 from superjordan.certificates import (
     BasisMismatch,
     CertificateParseError,
@@ -206,7 +206,7 @@ def test_stability_and_separation_spec_example(catalog):
 
 def _int_table(table):
     """The dense integer table: denominators cleared by their lcm, the
-    oracle of ``certificates._int_constants``."""
+    oracle of the table the trials read (``algebra.cleared_table``)."""
     lcm = 1
     for plane in table:
         for row in plane:
@@ -362,7 +362,7 @@ def test_lazy_moved_table_matches_dense(catalog, seed):
             for J in catalog.instances(name):
                 table = certificate_table(cs, J)
                 entries = nonzero_constants(_int_table(table))
-                assert certificates._int_constants(table) == entries
+                assert nonzero_constants(cleared_table(table)[1]) == entries
                 for kind in ("stability", "separation"):
                     draws = certificates._changes(kind, _key(kind, cs), 5, seed)
                     moved_tables = list(certificates._moved_tables(kind, cs, table, 5, seed))

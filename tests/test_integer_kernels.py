@@ -25,6 +25,8 @@ from superjordan.algebra import (
 )
 from superjordan.envelope import EnvelopeReport, _support_plan, envelope_jordan_check, grassmann_sign
 from superjordan.invariants import (
+    BURDE_PAIRS,
+    _burde_values,
     _map_equations,
     algebra_fingerprint,
     centroid_dim,
@@ -34,7 +36,13 @@ from superjordan.invariants import (
 from superjordan.linalg import int_matrix_det_adjugate
 from superjordan.ratfun import Poly, RatFun
 
-from conftest import divided_by_pivots, perturb_entry, reduce_over_ratfun, row_reduce_by_fractions
+from conftest import (
+    divided_by_pivots,
+    perturb_entry,
+    reduce_over_ratfun,
+    reference_burde,
+    row_reduce_by_fractions,
+)
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -275,6 +283,8 @@ def _assert_kernels_match(J):
     table = flatten(J)
     assert table_is_associative(table) == fraction_table_is_associative(table), J.name
     _assert_rank_kernels_match(J)
+    want = [reference_burde(J, i, j) for i, j in BURDE_PAIRS]
+    assert _burde_values(J, BURDE_PAIRS) == want, J.name
 
 
 # ---- inputs ----------------------------------------------------------------
@@ -351,7 +361,10 @@ def test_ratfun_table_is_cleared_to_polynomials(catalog):
     Jc16 = catalog.entry("Jc16").algebra
     table = flatten(Jc16)
     assert any(isinstance(c, RatFun) for plane in table for row in plane for c in row)
-    cleared = cleared_table(table)
+    scale, cleared = cleared_table(table)
+    values = clear_denominators([c for plane in table for row in plane for c in row])
+    assert (scale, [c for plane in cleared for row in plane for c in row]) == values
+    assert scale == Poly([2])
     assert all(type(c) is Poly for plane in cleared for row in plane for c in row)
     # the kernels over Z[s] agree with the same loops over Q(s), unscaled
     report = check_super_jordan(Jc16)
@@ -462,15 +475,17 @@ def test_kernels_match_fraction_loops_on_mixed_denominators(catalog):
     assert check_super_jordan(rescaled).ok and envelope_jordan_check(rescaled).ok
     for J in (peirce, rescaled):
         assert {HALF, THIRD} <= {c for plane in flatten(J) for row in plane for c in row}
+        assert cleared_table(flatten(J))[0] == 6
         _assert_kernels_match(J)
 
 
 def test_cleared_table_scales_every_plane(catalog):
     rescaled = apply_graded_change(catalog.lookup("Jc9"), [[1, 0], [0, THIRD]], [[1, 0], [0, HALF]])
     table = flatten(rescaled)
-    scale = clear_denominators([c for plane in table for row in plane for c in row])[1]
-    cleared = cleared_table(table)
-    assert [c for plane in cleared for row in plane for c in row] == scale
+    values = clear_denominators([c for plane in table for row in plane for c in row])
+    scale, cleared = cleared_table(table)
+    assert (scale, [c for plane in cleared for row in plane for c in row]) == values
+    assert scale == 6
     assert all(type(c) is int for plane in cleared for row in plane for c in row)
 
 

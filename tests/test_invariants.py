@@ -5,10 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from superjordan.algebra import apply_graded_change, check_super_jordan, flatten, graded_table, load, power_filtration
+from superjordan.algebra import apply_graded_change, check_super_jordan, flatten, load, power_filtration
 from superjordan.invariants import (
     BURDE_PAIRS,
-    BurdeValue,
     TypeMismatch,
     _burde_values,
     associated_algebra,
@@ -25,6 +24,8 @@ from superjordan.invariants import (
 )
 from superjordan.linalg import rank
 from superjordan.verify import _interaction_blocks, _screen_inputs, _sub_algebra, screen_pair, verify_lemma_screens
+
+from conftest import reference_burde
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -93,54 +94,6 @@ def test_burde_invariant_under_conjugation(catalog):
         assert got.defined and got.value == base.value
 
 
-def _reference_burde(J, i, j, trials=16, seed=0):
-    """The per-pair Burde loop: its own draw of x, y and dense sums, in
-    coordinates of the label-order table, as ``_burde_values`` draws them."""
-    table, _par = graded_table(J)
-    d = len(table)
-
-    def left_mult(x):
-        return [
-            [sum((x[a] * table[a][b][k] for a in range(d)), Fraction(0)) for b in range(d)]
-            for k in range(d)
-        ]
-
-    def mat_mul(A, B):
-        return [
-            [sum((A[r][k] * B[k][c] for k in range(d)), Fraction(0)) for c in range(d)]
-            for r in range(d)
-        ]
-
-    def mat_pow(A, e):
-        out = A
-        for _ in range(e - 1):
-            out = mat_mul(out, A)
-        return out
-
-    def trace(A):
-        return sum((A[r][r] for r in range(d)), Fraction(0))
-
-    rng = random.Random(seed)
-    value, used = None, 0
-    for _ in range(trials):
-        x = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
-        y = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
-        lx, ly = mat_pow(left_mult(x), i), mat_pow(left_mult(y), j)
-        num = trace(lx) * trace(ly)
-        den = trace(mat_mul(lx, ly))
-        if num == 0 or den == 0:
-            continue
-        used += 1
-        v = num / den
-        if value is None:
-            value = v
-        elif value != v:
-            return BurdeValue(i, j, "not_constant", samples_used=used)
-    if value is None:
-        return BurdeValue(i, j, "not_defined", samples_used=0)
-    return BurdeValue(i, j, "defined", value=value, samples_used=used)
-
-
 def test_shared_burde_samples_match_per_pair_loop(catalog):
     algebras = list(catalog.lowdim.values()) + [
         catalog.lookup(name) for name in ("J15", "Jc42", "Jf53")
@@ -150,7 +103,7 @@ def test_shared_burde_samples_match_per_pair_loop(catalog):
     statuses = set()
     for J in algebras:
         for seed in (0, 5):
-            want = [_reference_burde(J, i, j, seed=seed) for i, j in pairs]
+            want = [reference_burde(J, i, j, seed=seed) for i, j in pairs]
             assert _burde_values(J, pairs, 16, seed) == want, J.name
             assert [burde_invariant(J, i, j, seed=seed) for i, j in pairs] == want, J.name
             statuses.update(v.status for v in want)

@@ -274,6 +274,14 @@ def test_witness_key_error_names_file_and_line(tmp_path, capsys, line, message):
             "basis: e2 = e2\nbasis: f1 = f1\nbasis: f2 = f2\n",
             "2: division by zero in '(1/(t-t))'",
         ),
+        # and so is each basis coefficient, not first at the replay
+        (
+            "degenerate",
+            ".wit",
+            "[degeneration]\nsource = J11\ntarget = J10\nbasis: f1 = f1\nbasis: f2 = f2\n"
+            "basis: f3 = 1/(t-t)*f3\nbasis: e = e\n",
+            "6: division by zero in '1/(t-t)'",
+        ),
     ],
 )
 def test_key_error_names_file_and_line(tmp_path, capsys, command, suffix, text, message):
@@ -283,6 +291,35 @@ def test_key_error_names_file_and_line(tmp_path, capsys, command, suffix, text, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}:{message}") and captured.err.count("\n") == 1
+
+
+_J11_J10 = (DATA / "witnesses" / "geo1_J11_J10.wit").read_text()
+_J11_CS = (DATA / "closedsets" / "geo1_J11.cs").read_text()
+
+
+@pytest.mark.parametrize(
+    "command, suffix, text, message",
+    [
+        (
+            "degenerate --all",
+            ".wit",
+            _J11_J10.replace("= J11", "= J11^(2)"),
+            "J11 is not a family; no parameter expected",
+        ),
+        ("degenerate --all", ".wit", _J11_J10.replace("= J11", "= Jxx"), "unknown catalog name 'Jxx'"),
+        ("closedset", ".cs", _J11_CS.replace("J7 J15 J16", "J7 Jxx"), "unknown catalog name 'Jxx'"),
+    ],
+    ids=["parameter-of-a-rigid-source", "unknown-source", "unknown-target"],
+)
+def test_unresolved_name_names_its_file(tmp_path, capsys, command, suffix, text, message):
+    # the names are resolved after the parse, from the record, which keeps its path
+    assert text != (_J11_CS if suffix == ".cs" else _J11_J10)
+    path = tmp_path / f"bad{suffix}"
+    path.write_text(text)
+    assert main([*command.split(), str(tmp_path if "--all" in command else path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
 
 
 _ALG = "[algebra]\nname = b\ntype = 1,1\n"
