@@ -605,12 +605,14 @@ def power_spans(table, r_max: int) -> List[List[List]]:
     return powers
 
 
-def power_filtration(J: SuperAlgebra, r_max: Optional[int] = None) -> List[Tuple[int, int]]:
+@lru_cache(maxsize=None)
+def power_filtration(J: SuperAlgebra, r_max: Optional[int] = None) -> Tuple[Tuple[int, int], ...]:
     """Graded dimensions of J^r for r = 1..r_max (default r_max = m + n).
 
     J^r is a graded subspace, so its basis in the flat table's coordinates
     (a multiple of the reduced row-echelon one, row by row) is homogeneous:
-    each basis vector has the parity of its pivot coordinate."""
+    each basis vector has the parity of its pivot coordinate.  Cached by
+    table and r_max, as the fingerprint and the orbit dimension are."""
     if r_max is None:
         r_max = J.m + J.n
     if r_max < 1:
@@ -620,4 +622,4 @@ def power_filtration(J: SuperAlgebra, r_max: Optional[int] = None) -> List[Tuple
     for basis in power_spans(table, r_max):
         odd = sum(par[next(j for j, x in enumerate(v) if x)] for v in basis)
         dims.append((len(basis) - odd, odd))
-    return dims
+    return tuple(dims)

@@ -15,6 +15,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from .catalog import Catalog, _name_sort_key, reachable_nodes
 from .degeneration import Witness
+from .invariants import orbit_dimension
 
 
 class UnverifiedWitness(ValueError):
@@ -53,7 +54,7 @@ def build_graph(
     unverified witness in the input is an error (filter first if that is
     intended)."""
     names = cat.names(mn)
-    orbit = {name: cat.invariants.orbit_dimension(cat.instances(name)[0]) for name in names}
+    orbit = {name: orbit_dimension(cat.instances(name)[0]) for name in names}
     family_nodes = {name for name in names if cat.entry(name).is_family}
     comp = cat.components.get(_type_dirname(mn), {})
     rigid = set(comp.get("rigid", [])) | set(comp.get("families", []))

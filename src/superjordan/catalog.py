@@ -2,13 +2,15 @@
 the low-dimensional Jordan algebra/superalgebra tables, reference
 degeneration graphs, component lists, witnesses, certificates, and the
 errata ledger.  Everything is stored as reviewable data files; this module
-only loads and cross-checks them.
+only loads and cross-checks them, and a ``Catalog`` holds only their data.
 
 Each file is read once.  The record ``tablefmt.parse_algebra`` returns for
 a 4-dimensional table, with its built algebra, is that table's catalog
 entry (``entry``); a low-dimensional table is kept as its algebra
 (``lowdim``).  A witness keeps its ramification and its source parameter
-as ``degeneration.parse_witness`` read them.
+as ``degeneration.parse_witness`` read them.  The tables are read first,
+so a name in a component list or a lemma pair is checked against them at
+its line.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 from .algebra import SuperAlgebra, direct_sum, graded_table, load, unflatten
 from .certificates import ClosedSet, parse_closed_set_file
 from .degeneration import Witness, parse_witness_file
-from .invariants import InvariantMemo
 from .ratfun import RatFun, ratfun_compose
 from .tablefmt import AlgebraFile, ParseError, parse_algebra_file, read_count, read_lines, unknown_line
 
@@ -110,8 +111,6 @@ class Catalog:
         self.components: Dict[str, dict] = {}
         self.errata: List[Erratum] = []
         self.lemma_pairs: List[LemmaPairGroup] = []
-        # fingerprints, orbit dimensions and power filtrations, filled on use
-        self.invariants = InvariantMemo()
         self._load()
 
     # ---- loading -----------------------------------------------------------
@@ -139,13 +138,13 @@ class Catalog:
             self.graphs[path.stem] = _parse_edges(path)
         compdir = self.root / "catalog" / "components"
         for path in sorted(compdir.glob("*.txt")):
-            self.components[path.stem] = _parse_components(path)
+            self.components[path.stem] = _parse_components(path, self.entries)
         errata_path = self.root / "errata.txt"
         if errata_path.exists():
             self.errata = parse_errata(errata_path)
         screens = self.root / "catalog" / "screens" / "lemma_pairs.txt"
         if screens.exists():
-            self.lemma_pairs = _parse_lemma_pairs(screens)
+            self.lemma_pairs = _parse_lemma_pairs(screens, self.entries)
 
     # ---- queries -----------------------------------------------------------
     def names(self, mn: Optional[Tuple[int, int]] = None) -> List[str]:
@@ -264,7 +263,23 @@ def _parse_edges(path: Path) -> ReferenceGraph:
     return ReferenceGraph(path.stem, tuple(nodes), tuple(edges))
 
 
-def _parse_components(path: Path) -> dict:
+def _check_entry(
+    entries: Optional[Dict[str, AlgebraFile]], name: str, mn: Optional[Tuple[int, int]] = None
+) -> None:
+    """Refuse a name that is not one of ``entries``, or whose type is not
+    ``mn`` when that is given; nothing is checked without ``entries``."""
+    if entries is None:
+        return
+    if name not in entries:
+        raise ParseError(str(UnknownName(name)))
+    m, n = entries[name].mn
+    if mn not in (None, (m, n)):
+        raise ParseError(f"{name} is of type ({m},{n}), not ({mn[0]},{mn[1]})")
+
+
+def _parse_components(path: Path, entries: Optional[Dict[str, AlgebraFile]] = None) -> dict:
+    """A component list; given the catalog's ``entries``, each listed name
+    must be an entry of the file's type (``TYPE_DIRS``)."""
     out = {"dimension": None, "rigid": [], "families": []}
 
     def handle(key: str, val: str) -> None:
@@ -272,6 +287,8 @@ def _parse_components(path: Path) -> dict:
             out["dimension"] = read_count(val)
         elif key in ("rigid", "families"):
             out[key] = val.split()
+            for name in out[key]:
+                _check_entry(entries, name, TYPE_DIRS.get(path.stem))
         else:
             raise unknown_line(key, val)
 
@@ -279,7 +296,11 @@ def _parse_components(path: Path) -> dict:
     return out
 
 
-def _parse_lemma_pairs(path: Path) -> List[LemmaPairGroup]:
+def _parse_lemma_pairs(
+    path: Path, entries: Optional[Dict[str, AlgebraFile]] = None
+) -> List[LemmaPairGroup]:
+    """The lemma pairs; given the catalog's ``entries``, each source must be
+    an entry and each target an entry of its source's type."""
     groups = []
 
     def handle(key: str, line: str) -> None:
@@ -288,7 +309,11 @@ def _parse_lemma_pairs(path: Path) -> List[LemmaPairGroup]:
         name, _, reason = reason.partition("=")
         if key or not (arrow and src.strip() and tgts.split()) or (semi and name.strip() != "reason"):
             raise ParseError("expected 'SOURCE -/-> TARGET ... ; reason = R'")
-        groups.append(LemmaPairGroup(src.strip(), tgts.split(), reason.strip()))
+        group = LemmaPairGroup(src.strip(), tgts.split(), reason.strip())
+        _check_entry(entries, group.source)
+        for tgt in group.targets:
+            _check_entry(entries, tgt, entries[group.source].mn if entries else None)
+        groups.append(group)
 
     read_lines(path.read_text(encoding="utf-8"), str(path), handle)
     return groups

@@ -151,7 +151,7 @@ def certificate_table(cs: ClosedSet, J: SuperAlgebra):
         fits = False
     if not fits:
         raise CertificateParseError(
-            f"{cs.label}: basis {' '.join(cs.basis)} does not fit {J.name} of type ({J.m},{J.n})"
+            f"{cs.path}: basis {' '.join(cs.basis)} does not fit {J.name} of type ({J.m},{J.n})"
         )
     return flatten(J, cs.basis)
 

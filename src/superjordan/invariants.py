@@ -12,6 +12,11 @@ cheapest-first order: power dimensions, even part, orbit dimension,
 associativity, the associated algebras, Burde invariants.  A full screen
 reads the whole stream; a lemma row reads it up to its published reason
 and reports its first violation.
+
+``orbit_dimension``, ``algebra_fingerprint`` and ``algebra.power_filtration``
+are cached by table (``functools.lru_cache``): an algebra is frozen, and its
+equality and hash ignore its name, so repeated blocks, shared even parts and
+fresh family instances share one entry, across catalogs too.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -107,6 +113,7 @@ def derivation_dims(J: SuperAlgebra) -> DerivationSpace:
     return DerivationSpace(_derivation_dim(table, par, 0), _derivation_dim(table, par, 1))
 
 
+@lru_cache(maxsize=None)
 def orbit_dimension(J: SuperAlgebra) -> int:
     """(m+n)^2 minus the total superderivation dimension.
 
@@ -301,6 +308,7 @@ def centroid_dim(table) -> int:
     return width - linalg.rank(left + right)
 
 
+@lru_cache(maxsize=None)
 def algebra_fingerprint(J: SuperAlgebra) -> tuple:
     """Isomorphism-invariant signature used to identify small Jordan algebras:
     power-filtration dims, derivation dims, associativity, annihilator dim,
@@ -324,7 +332,7 @@ def algebra_fingerprint(J: SuperAlgebra) -> tuple:
     ]
     tf_rank = linalg.rank(tform)
     return (
-        tuple(dims),
+        dims,
         (ders.even_dim, ders.odd_dim),
         is_associative(J),
         ann_dim,
@@ -333,11 +341,7 @@ def algebra_fingerprint(J: SuperAlgebra) -> tuple:
     )
 
 
-def identify_algebra(
-    J: SuperAlgebra,
-    candidates: Iterable[Tuple[str, SuperAlgebra]],
-    memo: Optional[InvariantMemo] = None,
-) -> Optional[str]:
+def identify_algebra(J: SuperAlgebra, candidates: Iterable[Tuple[str, SuperAlgebra]]) -> Optional[str]:
     """Fingerprint match against labeled candidates; None when ambiguous.
 
     Only candidates of J's type (m, n) can match, since the first power
@@ -346,40 +350,11 @@ def identify_algebra(
     same_type = [(label, cand) for label, cand in candidates if (cand.m, cand.n) == (J.m, J.n)]
     if not same_type:
         return None
-    memo = InvariantMemo() if memo is None else memo
-    fp = memo.fingerprint(J)
-    hits = [label for label, cand in same_type if memo.fingerprint(cand) == fp]
+    fp = algebra_fingerprint(J)
+    hits = [label for label, cand in same_type if algebra_fingerprint(cand) == fp]
     if len(hits) == 1:
         return hits[0]
     return None
-
-
-class InvariantMemo:
-    """Fingerprints, orbit dimensions and power filtrations, each computed
-    at most once per table: entries are keyed by the algebra, whose equality
-    ignores its name and whose hash is computed once, so repeated blocks,
-    shared even parts and fresh family instances share one.  Filled on use
-    only."""
-
-    def __init__(self):
-        self._values: Dict[tuple, object] = {}
-
-    def _get(self, kind: str, J: SuperAlgebra, compute: Callable[[], object]):
-        key = (kind, J)
-        value = self._values.get(key, self)  # the memo itself marks a miss
-        if value is self:
-            value = self._values[key] = compute()
-        return value
-
-    def fingerprint(self, J: SuperAlgebra) -> tuple:
-        return self._get("fingerprint", J, lambda: algebra_fingerprint(J))
-
-    def orbit_dimension(self, J: SuperAlgebra) -> int:
-        return self._get("orbit", J, lambda: orbit_dimension(J))
-
-    def power_filtration(self, J: SuperAlgebra) -> tuple:
-        """``power_filtration(J)``, of length m + n, as a tuple."""
-        return self._get("powers", J, lambda: tuple(power_filtration(J)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +389,9 @@ class ScreenReport:
 BURDE_PAIRS = ((1, 1), (1, 2), (2, 2))
 
 
-def _power_dim_violations(
-    A: SuperAlgebra, B: SuperAlgebra, memo: InvariantMemo
-) -> Iterator[ScreenViolation]:
+def _power_dim_violations(A: SuperAlgebra, B: SuperAlgebra) -> Iterator[ScreenViolation]:
     """Lemma item (1): dim (J^r) may not grow along a degeneration."""
-    for r, (pa, pb) in enumerate(zip(memo.power_filtration(A), memo.power_filtration(B)), start=1):
+    for r, (pa, pb) in enumerate(zip(power_filtration(A), power_filtration(B)), start=1):
         for idx, part in ((0, "even"), (1, "odd")):
             if pa[idx] < pb[idx]:
                 yield ScreenViolation("power-dims", f"dim (J^{r})_{part} {pa[idx]} < {pb[idx]}")
@@ -443,7 +416,6 @@ def screen_violations(
     even_label_a: Optional[str],
     even_label_b: Optional[str],
     even_reachable: Optional[Callable[[str, str], bool]],
-    memo: InvariantMemo,
 ) -> Iterator[ScreenViolation]:
     """Every violated necessary condition for A -> B, cheapest first: power
     dimensions, even part, orbit dimension, associativity, the associated
@@ -451,18 +423,18 @@ def screen_violations(
     stream reaches it.  Cross-type pairs are rejected outright."""
     if (A.m, A.n) != (B.m, B.n):
         raise TypeMismatch(f"cannot screen type ({A.m},{A.n}) against type ({B.m},{B.n})")
-    yield from _power_dim_violations(A, B, memo)
+    yield from _power_dim_violations(A, B)
     if even_label_a and even_label_b and even_reachable is not None:
         if not even_reachable(even_label_a, even_label_b):
             yield ScreenViolation("even-part", f"{even_label_a} does not reach {even_label_b}")
-    oa, ob = memo.orbit_dimension(A), memo.orbit_dimension(B)
+    oa, ob = orbit_dimension(A), orbit_dimension(B)
     if oa <= ob and A != B:
         yield ScreenViolation("orbit-dimension", f"{oa} <= {ob} with distinct tables")
     yield from _associativity_violations(A, B)
     # associated algebras must themselves satisfy items (1), (4), (5)
     aA, aB = associated_algebra(A), associated_algebra(B)
     for v in chain(
-        _power_dim_violations(aA, aB, memo),
+        _power_dim_violations(aA, aB),
         _burde_violations(aA, aB),
         _associativity_violations(aA, aB),
     ):
@@ -477,14 +449,12 @@ def nondegeneration_screen(
     even_label_a: Optional[str] = None,
     even_label_b: Optional[str] = None,
     even_reachable: Optional[Callable[[str, str], bool]] = None,
-    memo: Optional[InvariantMemo] = None,
 ) -> ScreenReport:
     """Collect every violated necessary condition for A -> B, in the order
     of ``screen_violations``.
 
     An empty report means "no obstruction found", never "degeneration
-    exists".  Power filtrations and orbit dimensions are read from ``memo``.
+    exists".
     """
-    memo = InvariantMemo() if memo is None else memo
-    stream = screen_violations(A, B, even_label_a, even_label_b, even_reachable, memo)
+    stream = screen_violations(A, B, even_label_a, even_label_b, even_reachable)
     return ScreenReport(A.name or "A", B.name or "B", tuple(stream))

@@ -40,6 +40,7 @@ from .invariants import (
     even_part,
     identify_algebra,
     nondegeneration_screen,
+    orbit_dimension,
     screen_violations,
 )
 from .tablefmt import ParseError
@@ -102,7 +103,7 @@ def orbit_rows(cat: Catalog, name: str) -> List[CheckRow]:
     suffixes = [f"@{p}" for p in FAMILY_SAMPLES] if entry.is_family else [""]
     rows = []
     for suffix, J in zip(suffixes, cat.instances(name)):
-        od = cat.invariants.orbit_dimension(J)
+        od = orbit_dimension(J)
         ok = od == entry.orbit
         rows.append(
             CheckRow(
@@ -167,7 +168,7 @@ def computed_decomposition(cat: Catalog, J: SuperAlgebra) -> List[str]:
     out = []
     for block in _interaction_blocks(J):
         sub = _sub_algebra(J, block)
-        label = identify_algebra(sub, cat.lowdim.items(), cat.invariants)
+        label = identify_algebra(sub, cat.lowdim.items())
         out.append(label if label else f"?({sub.m},{sub.n})")
     return sorted(out)
 
@@ -217,7 +218,7 @@ def verify_even_parts(cat: Catalog) -> List[CheckRow]:
         J = cat.instances(name)[0]
         if J.m not in cands:
             cands[J.m] = [(label, cat.node_algebra(label)) for label in cat.even_graph_for(J.m).nodes]
-        got = identify_algebra(even_part(J), cands[J.m], cat.invariants)
+        got = identify_algebra(even_part(J), cands[J.m])
         ok = got == entry.even_part_label
         rows.append(
             CheckRow(
@@ -351,7 +352,6 @@ def _screen_inputs(cat: Catalog, a: str, b: str) -> dict:
         even_label_a=cat.entry(a).even_part_label,
         even_label_b=cat.entry(b).even_part_label,
         even_reachable=graph.reachable if graph else None,
-        memo=cat.invariants,
     )
 
 

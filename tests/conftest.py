@@ -4,9 +4,30 @@ from math import gcd, inf
 
 import pytest
 
-from superjordan.algebra import _supercommutativity_violations, graded_table, load, nonzero_constants
+from superjordan.algebra import (
+    _supercommutativity_violations,
+    graded_table,
+    load,
+    nonzero_constants,
+    power_filtration,
+)
 from superjordan.catalog import Catalog
-from superjordan.invariants import BurdeValue
+from superjordan.invariants import BurdeValue, algebra_fingerprint, orbit_dimension
+
+# the invariants cached by table
+CACHED_INVARIANTS = (algebra_fingerprint, orbit_dimension, power_filtration)
+
+
+def clear_invariant_caches():
+    for cached in CACHED_INVARIANTS:
+        cached.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_invariant_caches():
+    """Every test starts with empty invariant caches, so that what it counts
+    or spies on is computed in it, whatever ran before."""
+    clear_invariant_caches()
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,6 @@
 """Fingerprint identification: the decomposition and even-part sweeps on the
 packaged catalog, the per-call identification loop as their oracle, and the
-catalog's invariant memo."""
+invariants cached by table."""
 
 import dataclasses
 import functools
@@ -8,11 +8,14 @@ from collections import Counter
 
 import pytest
 
-from superjordan import invariants
+from conftest import CACHED_INVARIANTS, clear_invariant_caches
+
+from superjordan import atlas, invariants
 from superjordan import verify as V
+from superjordan.algebra import power_filtration
 from superjordan.atlas import build_graph
 from superjordan.catalog import Catalog
-from superjordan.invariants import algebra_fingerprint, even_part, identify_algebra
+from superjordan.invariants import algebra_fingerprint, even_part, identify_algebra, orbit_dimension
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +63,7 @@ def test_wrong_labels_fail(catalog, label_rows, monkeypatch):
 
 
 def _identify_per_call(J, candidates, fingerprint):
-    """The identification loop without memo or type filter: every candidate
+    """The identification loop without cache or type filter: every candidate
     fingerprinted on every call."""
     fp = fingerprint(J)
     hits = [label for label, cand in candidates if fingerprint(cand) == fp]
@@ -74,9 +77,9 @@ def _table(J):
 
 
 def test_memoized_identification_matches_per_call_loop(catalog):
-    # plain fingerprints, cached per algebra here only to keep the oracle
-    # from taking tens of seconds
-    fingerprint = functools.lru_cache(maxsize=None)(algebra_fingerprint)
+    # uncached fingerprints, cached per algebra here, apart from the
+    # package's cache, only to keep the oracle from taking tens of seconds
+    fingerprint = functools.lru_cache(maxsize=None)(algebra_fingerprint.__wrapped__)
     lowdim = list(catalog.lowdim.items())
     labels = Counter()
     for name in catalog.names():
@@ -86,7 +89,7 @@ def test_memoized_identification_matches_per_call_loop(catalog):
         subs = [(V._sub_algebra(J, block), lowdim) for block in V._interaction_blocks(J)]
         for sub, cands in subs + [(even_part(J), even_cands)]:
             want = _identify_per_call(sub, cands, fingerprint)
-            assert identify_algebra(sub, cands, catalog.invariants) == want, name
+            assert identify_algebra(sub, cands) == want, name
             labels[want is not None, sub.m + sub.n] += 1
     # 416 blocks and even parts; the 64 left unidentified are the whole
     # tables of the 64 indecomposable entries
@@ -95,19 +98,25 @@ def test_memoized_identification_matches_per_call_loop(catalog):
 
 
 def test_each_invariant_computed_once_per_table(monkeypatch, verified_witnesses):
-    calls = Counter()
+    # every call, by its cache key: the table (an algebra's equality ignores
+    # its name) and the other arguments
+    seen = {cached.__name__: set() for cached in CACHED_INVARIANTS}
 
-    def counted(name, fn):
-        def wrapper(J, *args, **kwargs):
-            calls[(name, _table(J))] += 1
-            return fn(J, *args, **kwargs)
+    def recorded(cached):
+        def wrapper(J, *args):
+            seen[cached.__name__].add((_table(J), args))
+            return cached(J, *args)
 
         return wrapper
 
-    for name in ("algebra_fingerprint", "power_filtration", "orbit_dimension"):
-        monkeypatch.setattr(invariants, name, counted(name, getattr(invariants, name)))
+    # in every module that calls it
+    for cached in CACHED_INVARIANTS:
+        wrapper = recorded(cached)
+        for module in (invariants, V, atlas):
+            if vars(module).get(cached.__name__) is cached:
+                monkeypatch.setattr(module, cached.__name__, wrapper)
     cat = Catalog()
-    assert not calls
+    assert seen == {name: set() for name in seen}
     V.verify_orbits(cat)
     V.verify_decompositions(cat)
     V.verify_even_parts(cat)
@@ -116,14 +125,15 @@ def test_each_invariant_computed_once_per_table(monkeypatch, verified_witnesses)
     verified = [(w, v) for w, v, _ in verified_witnesses if v.verified]
     for mn in V.COMPONENTS:
         build_graph(mn, cat, verified)
-    kinds = Counter(name for name, _ in calls)
-    assert set(kinds) == {"algebra_fingerprint", "power_filtration", "orbit_dimension"}
-    assert max(calls.values()) == 1
-    # a second pass computes nothing
-    before = sum(calls.values())
+    assert all(seen.values())
+    # one miss per distinct argument, whatever the name or block
+    misses = {cached.__name__: cached.cache_info().misses for cached in CACHED_INVARIANTS}
+    assert misses == {name: len(keys) for name, keys in seen.items()}
+    # a second pass, on a second catalog too, computes nothing
     V.verify_decompositions(cat)
     V.verify_lemma_screens(cat)
-    assert sum(calls.values()) == before
+    V.verify_orbits(Catalog())
+    assert {cached.__name__: cached.cache_info().misses for cached in CACHED_INVARIANTS} == misses
 
 
 def test_other_types_are_not_fingerprinted(catalog, monkeypatch):
@@ -139,8 +149,10 @@ def test_other_types_are_not_fingerprinted(catalog, monkeypatch):
     assert identify_algebra(J, catalog.lowdim.items()) == "S1_2"
     same_type = [name for name, A in catalog.lowdim.items() if (A.m, A.n) == (J.m, J.n)]
     assert len(same_type) < len(catalog.lowdim)
-    # J itself once, then each candidate of its type; J's entry is reused
-    assert types == [(J.m, J.n)] * len(same_type)
+    # J itself once, then each candidate of its type, J among them
+    assert types == [(J.m, J.n)] * (1 + len(same_type))
+    # J's entry is reused
+    assert algebra_fingerprint.cache_info().misses == len(same_type)
 
 
 def test_no_fingerprint_without_a_candidate_of_the_type(catalog, monkeypatch):
@@ -154,13 +166,16 @@ def test_no_fingerprint_without_a_candidate_of_the_type(catalog, monkeypatch):
     monkeypatch.setattr(invariants, "algebra_fingerprint", recorded)
     J = catalog.lookup("J15")
     assert J.m + J.n == 4 and all(A.m + A.n < 4 for A in catalog.lowdim.values())
-    assert identify_algebra(J, catalog.lowdim.items(), invariants.InvariantMemo()) is None
+    assert identify_algebra(J, catalog.lowdim.items()) is None
     assert calls == []
 
 
 def test_memo_hashes_each_algebra_once(catalog, monkeypatch):
     from superjordan.algebra import SuperAlgebra
 
+    J = catalog.lookup("Jc9")
+    want = algebra_fingerprint(J), orbit_dimension(J)
+    clear_invariant_caches()
     hashed = []
 
     def constants_hash(J):
@@ -170,13 +185,11 @@ def test_memo_hashes_each_algebra_once(catalog, monkeypatch):
     prop = functools.cached_property(constants_hash)
     prop.__set_name__(SuperAlgebra, "_hash")
     monkeypatch.setattr(SuperAlgebra, "_hash", prop)
-    J = catalog.lookup("Jc9")
     A, B = (dataclasses.replace(J, name=name) for name in "AB")
-    memo = invariants.InvariantMemo()
-    fp = memo.fingerprint(A)
-    assert memo.fingerprint(A) is fp and memo.power_filtration(A) == memo.power_filtration(A)
+    fp = algebra_fingerprint(A)
+    assert algebra_fingerprint(A) is fp and power_filtration(A) is power_filtration(A)
     # equality ignores the name, so B shares A's entries
-    assert B == A and memo.fingerprint(B) is fp
-    assert memo.orbit_dimension(B) == invariants.orbit_dimension(J)
-    assert fp == algebra_fingerprint(J)
+    assert B == A and algebra_fingerprint(B) is fp
+    assert algebra_fingerprint.cache_info().misses == 1
+    assert (fp, orbit_dimension(B)) == want
     assert hashed == ["A", "B"]

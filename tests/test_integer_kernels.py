@@ -390,7 +390,7 @@ def test_power_filtration_and_fingerprint_of_the_symbolic_family(catalog):
     Jc16 = catalog.entry("Jc16").algebra
     filtration = power_filtration(Jc16)
     fingerprint = algebra_fingerprint(Jc16)
-    assert filtration == [(2, 2)] * 4
+    assert filtration == ((2, 2),) * 4
     assert fingerprint == (((2, 2), (2, 2), (2, 2), (2, 2)), (3, 2), False, 0, 2, 1)
     for t in (2, 3, 5):
         member = catalog.lookup("Jc16", t)

@@ -273,7 +273,6 @@ def test_lemma_pairs_violate_their_published_reason(catalog):
                 catalog.entry(grp.source).even_part_label,
                 catalog.entry(tgt).even_part_label,
                 catalog.even_graph_for(A.m).reachable,
-                catalog.invariants,
             )
             assert any(v.item == grp.reason for v in stream), (grp.source, tgt, grp.reason)
             items.add(grp.reason)

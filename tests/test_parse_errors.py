@@ -308,8 +308,14 @@ _J11_CS = (DATA / "closedsets" / "geo1_J11.cs").read_text()
         ),
         ("degenerate --all", ".wit", _J11_J10.replace("= J11", "= Jxx"), "unknown catalog name 'Jxx'"),
         ("closedset", ".cs", _J11_CS.replace("J7 J15 J16", "J7 Jxx"), "unknown catalog name 'Jxx'"),
+        (
+            "closedset",
+            ".cs",
+            _J11_CS.replace("basis = f1 f2 f3 e", "basis = e1 e2 f1 f2"),
+            "basis e1 e2 f1 f2 does not fit J11 of type (1,3)",
+        ),
     ],
-    ids=["parameter-of-a-rigid-source", "unknown-source", "unknown-target"],
+    ids=["parameter-of-a-rigid-source", "unknown-source", "unknown-target", "basis-that-does-not-fit"],
 )
 def test_unresolved_name_names_its_file(tmp_path, capsys, command, suffix, text, message):
     # the names are resolved after the parse, from the record, which keeps its path
@@ -382,6 +388,11 @@ def test_huge_exponent_is_refused_at_load(power):
         ("catalog/graphs/dim2.edges", "B3 B2", "1: expected an edge 'A -> B'"),
         ("catalog/screens/lemma_pairs.txt", "J5 -/-> ; reason = even-part", "1: expected 'SOURCE"),
         ("errata.txt", "kind = witness", "1: expected [erratum]"),
+        # a name is checked against the tables, which are read first
+        ("catalog/components/type13.txt", "rigid = Jxx", "1: unknown catalog name 'Jxx'"),
+        ("catalog/components/type22.txt", "families = J5", "1: J5 is of type (1,3), not (2,2)"),
+        ("catalog/screens/lemma_pairs.txt", "J5 -/-> Jyy ; reason = even-part", "1: unknown catalog name 'Jyy'"),
+        ("catalog/screens/lemma_pairs.txt", "J5 -/-> Jc1 ; reason = even-part", "1: Jc1 is of type (2,2), not (1,3)"),
     ],
 )
 def test_catalog_file_error_names_file_and_line(tmp_path, capsys, relative, line, message):
