@@ -263,13 +263,9 @@ def _parse_edges(path: Path) -> ReferenceGraph:
     return ReferenceGraph(path.stem, tuple(nodes), tuple(edges))
 
 
-def _check_entry(
-    entries: Optional[Dict[str, AlgebraFile]], name: str, mn: Optional[Tuple[int, int]] = None
-) -> None:
+def _check_entry(entries: Dict[str, AlgebraFile], name: str, mn: Optional[Tuple[int, int]] = None) -> None:
     """Refuse a name that is not one of ``entries``, or whose type is not
-    ``mn`` when that is given; nothing is checked without ``entries``."""
-    if entries is None:
-        return
+    ``mn`` when that is given."""
     if name not in entries:
         raise ParseError(str(UnknownName(name)))
     m, n = entries[name].mn
@@ -277,9 +273,9 @@ def _check_entry(
         raise ParseError(f"{name} is of type ({m},{n}), not ({mn[0]},{mn[1]})")
 
 
-def _parse_components(path: Path, entries: Optional[Dict[str, AlgebraFile]] = None) -> dict:
-    """A component list; given the catalog's ``entries``, each listed name
-    must be an entry of the file's type (``TYPE_DIRS``)."""
+def _parse_components(path: Path, entries: Dict[str, AlgebraFile]) -> dict:
+    """A component list; each listed name must be one of the catalog's
+    ``entries``, of the file's type (``TYPE_DIRS``)."""
     out = {"dimension": None, "rigid": [], "families": []}
 
     def handle(key: str, val: str) -> None:
@@ -296,11 +292,9 @@ def _parse_components(path: Path, entries: Optional[Dict[str, AlgebraFile]] = No
     return out
 
 
-def _parse_lemma_pairs(
-    path: Path, entries: Optional[Dict[str, AlgebraFile]] = None
-) -> List[LemmaPairGroup]:
-    """The lemma pairs; given the catalog's ``entries``, each source must be
-    an entry and each target an entry of its source's type."""
+def _parse_lemma_pairs(path: Path, entries: Dict[str, AlgebraFile]) -> List[LemmaPairGroup]:
+    """The lemma pairs; each source must be one of the catalog's ``entries``,
+    and each target an entry of its source's type."""
     groups = []
 
     def handle(key: str, line: str) -> None:
@@ -312,7 +306,7 @@ def _parse_lemma_pairs(
         group = LemmaPairGroup(src.strip(), tgts.split(), reason.strip())
         _check_entry(entries, group.source)
         for tgt in group.targets:
-            _check_entry(entries, tgt, entries[group.source].mn if entries else None)
+            _check_entry(entries, tgt, entries[group.source].mn)
         groups.append(group)
 
     read_lines(path.read_text(encoding="utf-8"), str(path), handle)

@@ -31,7 +31,7 @@ from .linalg import clear_denominators
 GElement = Dict[Tuple[int, int, int], object]
 
 # Largest number of Grassmann generators: the random trials list all 2**k
-# masks, so the space they take grows as 2**k.
+# masks, so memory grows as 2**k.
 MAX_K = 16
 
 # Random (x, y) pairs checked after the monomial ones, drawn at seed 0

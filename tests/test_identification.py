@@ -76,10 +76,18 @@ def _table(J):
     return (J.m, J.n, J.alpha, J.beta, J.gamma, J.delta)
 
 
+def _uncached_fingerprint(J):
+    """``algebra_fingerprint`` apart from the package's caches: its own and
+    that of the ``power_filtration`` it calls."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariants, "power_filtration", power_filtration.__wrapped__)
+        return algebra_fingerprint.__wrapped__(J)
+
+
 def test_memoized_identification_matches_per_call_loop(catalog):
     # uncached fingerprints, cached per algebra here, apart from the
     # package's cache, only to keep the oracle from taking tens of seconds
-    fingerprint = functools.lru_cache(maxsize=None)(algebra_fingerprint.__wrapped__)
+    fingerprint = functools.lru_cache(maxsize=None)(_uncached_fingerprint)
     lowdim = list(catalog.lowdim.items())
     labels = Counter()
     for name in catalog.names():

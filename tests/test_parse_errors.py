@@ -3,19 +3,24 @@ turns it into one ``error:`` line on stderr with exit status 2."""
 
 import re
 import shutil
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superjordan.catalog import _parse_components, _parse_edges, _parse_lemma_pairs, parse_errata
+from superjordan.catalog import Catalog, _parse_components, _parse_edges, _parse_lemma_pairs, parse_errata
 from superjordan.certificates import parse_closed_set
 from superjordan.cli import main
 from superjordan.degeneration import parse_witness
 from superjordan.tablefmt import ParseError, parse_algebra
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "superjordan" / "data"
+
+
+# the names a component list or a lemma pair is checked against
+ENTRIES = Catalog().entries
 
 
 def _lines(pattern):
@@ -30,8 +35,8 @@ PARSERS = {
     "closedset": (parse_closed_set, _lines("closedsets/*.cs")),
     # the catalog's own files are read from a path
     "edges": (_parse_edges, _lines("catalog/graphs/*.edges")),
-    "components": (_parse_components, _lines("catalog/components/*.txt")),
-    "lemma_pairs": (_parse_lemma_pairs, _lines("catalog/screens/lemma_pairs.txt")),
+    "components": (partial(_parse_components, entries=ENTRIES), _lines("catalog/components/*.txt")),
+    "lemma_pairs": (partial(_parse_lemma_pairs, entries=ENTRIES), _lines("catalog/screens/lemma_pairs.txt")),
     "errata": (parse_errata, _lines("errata.txt")),
 }
 
