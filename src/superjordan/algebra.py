@@ -32,13 +32,11 @@ products need no gcd, when one is a RatFun.  This is exact: x -> x/lambda
 is an isomorphism from (A, mu) to (A, lambda mu).  The identities are
 homogeneous (the Jordan defect of ``check_super_jordan`` is cubic, and
 ``invariants.table_is_associative`` quadratic), so every zero and every
-first failing quadruple stays.  The
-rank systems (superderivations and centroid, ``invariants._map_equations``;
-the annihilator) are linear and the trace form is quadratic, so lambda != 0
-keeps every rank; lambda (U W) spans U W, so the powers J^r
-(``power_spans``) stay.  A Burde ratio has degree 0, so lambda cancels.
-The certificate conditions are homogeneous, and the witness replay divides
-by the scale.
+first failing quadruple stays.  The superderivation system
+(``invariants._map_equations``) is linear, so lambda != 0 keeps its rank;
+lambda (U W) spans U W, so the powers J^r (``power_spans``) stay.  A Burde
+ratio has degree 0, so lambda cancels.  The certificate conditions are
+homogeneous, and the witness replay divides by the scale.
 """
 
 from __future__ import annotations
@@ -568,12 +566,12 @@ def apply_graded_change(
     return unflatten(moved, m, n, name=J.name)
 
 
-def power_spans(table, r_max: int) -> List[List[List]]:
-    """Bases of the powers T^1, ..., T^r_max of a flat table, where T^1 is
-    the whole space and T^r = sum_{i<r} T^i T^(r-i): each basis is the one
-    of ``row_reduce_basis``.  The products are taken in ints, or over Z[s],
-    on the table times lambda (``cleared_table``), whose powers are those
-    of the table: lambda (U W) spans U W."""
+def power_spans(table) -> List[List[List]]:
+    """Bases of the powers T^1, ..., T^d of a flat d-dimensional table,
+    where T^1 is the whole space and T^r = sum_{i<r} T^i T^(r-i): each basis
+    is the one of ``row_reduce_basis``.  The products are taken in ints, or
+    over Z[s], on the table times lambda (``cleared_table``), whose powers
+    are those of the table: lambda (U W) spans U W."""
     table = cleared_table(table)[1]
     d = len(table)
 
@@ -597,7 +595,7 @@ def power_spans(table, r_max: int) -> List[List[List]]:
         return row_reduce_basis(vecs)
 
     powers = [[[int(i == j) for j in range(d)] for i in range(d)]]
-    for r in range(2, r_max + 1):
+    for r in range(2, d + 1):
         vecs = []
         for i in range(1, r):
             vecs.extend(product_span(powers[i - 1], powers[r - i - 1]))
@@ -606,20 +604,16 @@ def power_spans(table, r_max: int) -> List[List[List]]:
 
 
 @lru_cache(maxsize=None)
-def power_filtration(J: SuperAlgebra, r_max: Optional[int] = None) -> Tuple[Tuple[int, int], ...]:
-    """Graded dimensions of J^r for r = 1..r_max (default r_max = m + n).
+def power_filtration(J: SuperAlgebra) -> Tuple[Tuple[int, int], ...]:
+    """Graded dimensions of J^r for r = 1..m+n.
 
     J^r is a graded subspace, so its basis in the flat table's coordinates
     (a multiple of the reduced row-echelon one, row by row) is homogeneous:
     each basis vector has the parity of its pivot coordinate.  Cached by
-    table and r_max, as the fingerprint and the orbit dimension are."""
-    if r_max is None:
-        r_max = J.m + J.n
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
+    table, as the fingerprint and the orbit dimension are."""
     table, par = graded_table(J)
     dims = []
-    for basis in power_spans(table, r_max):
+    for basis in power_spans(table):
         odd = sum(par[next(j for j, x in enumerate(v) if x)] for v in basis)
         dims.append((len(basis) - odd, odd))
     return tuple(dims)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -129,6 +130,8 @@ class Catalog:
                     raise ParseError(f"duplicate catalog name {af.name}")
                 self.entries[af.name] = af
                 names.append(af.name)
+                with names_in(path):
+                    self.instances(af.name)  # no pole at a sample value
             self.by_type[mn] = sorted(names, key=_name_sort_key)
         lowdir = self.root / "catalog" / "lowdim"
         for path in sorted(lowdir.glob("*.alg")):
@@ -160,7 +163,8 @@ class Catalog:
     def lookup(
         self, name: str, param: Union[None, int, Fraction, RatFun] = None
     ) -> SuperAlgebra:
-        """Instantiated SuperAlgebra; families require a parameter value."""
+        """Instantiated SuperAlgebra; families require a parameter value,
+        which may not be a pole."""
         entry = self.entry(name)
         if not entry.is_family:
             if param is not None:
@@ -168,7 +172,10 @@ class Catalog:
             return entry.algebra
         if param is None:
             raise ParameterError(f"{name} is a one-parameter family")
-        return instantiate(entry.algebra, param, name=_family_instance_name(name, param))
+        try:
+            return instantiate(entry.algebra, param, name=_family_instance_name(name, param))
+        except ZeroDivisionError:
+            raise ParameterError(f"{name} has a pole at {entry.family} = {param}") from None
 
     def instances(self, name: str) -> List[SuperAlgebra]:
         """The algebras checked for an entry: a family at each of
@@ -213,6 +220,16 @@ class Catalog:
 
     def errata_keys(self) -> set:
         return {e.key for e in self.errata}
+
+
+@contextmanager
+def names_in(path):
+    """A catalog name, or a family parameter, that does not resolve is an
+    error of its file."""
+    try:
+        yield
+    except (UnknownName, ParameterError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _name_sort_key(name: str):

@@ -2,10 +2,9 @@
 the associated algebra, the Burde invariant, associativity, even-part
 identification, and the necessary-condition screen for non-degenerations.
 
-One equation builder, ``_map_equations``, sets up the linear maps D with
-D(xy) = left D(x)y + right (-1)^{|D||x|} x D(y): (1, 1) gives the
-superderivations (and so the orbit dimension), and (1, 0) with (0, 1) the
-centroid of a fingerprint.
+One equation builder, ``_map_equations``, sets up the superderivations
+(and so the orbit dimension); ``algebra_fingerprint`` identifies an algebra
+by its table up to a basis permutation that keeps parity.
 
 The screen is one stream of violations, ``screen_violations``, in a fixed
 cheapest-first order: power dimensions, even part, orbit dimension,
@@ -26,7 +25,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, permutations, product
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -56,17 +55,12 @@ class DerivationSpace:
         return self.even_dim + self.odd_dim
 
 
-def _map_equations(table, par: Sequence[int], d_par: int, left: int, right: int):
-    """The linear system of the parity-``d_par`` maps D x_a = sum_c D[a][c] x_c
-    of a flat table whose basis vector x_a has parity par[a] (D[a][c] = 0
-    unless par[c] = par[a] + d_par mod 2) that satisfy, for left and right in
-    {0, 1},
-
-        D(x_a x_b) = left D(x_a) x_b + right (-1)^{d_par par[a]} x_a D(x_b).
-
-    Returns (rows, number of unknowns); the rows are built from the nonzero
-    constants.  (1, 1) gives the superderivations, and (1, 0) and (0, 1)
-    together the centroid."""
+def _map_equations(table, par: Sequence[int], d_par: int):
+    """The rows of D(x_a x_b) = D(x_a) x_b + (-1)^{d_par par[a]} x_a D(x_b),
+    built from the nonzero constants, and the number of unknowns: D is a
+    parity-``d_par`` map D x_a = sum_c D[a][c] x_c of a flat table whose
+    basis vector x_a has parity par[a], so D[a][c] = 0 unless
+    par[c] = par[a] + d_par mod 2."""
     d = len(table)
     # unknowns of row a of D: (c, column) pairs
     unknowns: List[List[Tuple[int, int]]] = [[] for _ in range(d)]
@@ -86,14 +80,12 @@ def _map_equations(table, par: Sequence[int], d_par: int, left: int, right: int)
             for k, t in sparse[a][b]:  # D(x_a x_b)
                 for l, col in unknowns[k]:
                     eqs[l][col] += t
-            if left:
-                for c, col in unknowns[a]:  # - D(x_a) x_b
-                    for l, t in sparse[c][b]:
-                        eqs[l][col] -= t
-            if right:
-                for c, col in unknowns[b]:  # - (-1)^{d_par par[a]} x_a D(x_b)
-                    for l, t in sparse[a][c]:
-                        eqs[l][col] -= sign * t
+            for c, col in unknowns[a]:  # - D(x_a) x_b
+                for l, t in sparse[c][b]:
+                    eqs[l][col] -= t
+            for c, col in unknowns[b]:  # - (-1)^{d_par par[a]} x_a D(x_b)
+                for l, t in sparse[a][c]:
+                    eqs[l][col] -= sign * t
             rows += [row for row in eqs.values() if any(row)]
     return rows, width
 
@@ -102,7 +94,7 @@ def _derivation_dim(table, par: Sequence[int], d_par: int) -> int:
     """Dimension of the parity-``d_par`` superderivations of a flat table
     (``cleared_table``, so that the rows are over Z or Z[s]); with every
     parity 0, of the derivations of the ungraded table."""
-    rows, width = _map_equations(table, par, d_par, 1, 1)
+    rows, width = _map_equations(table, par, d_par)
     return width - linalg.rank(rows)
 
 
@@ -132,7 +124,7 @@ def ungraded_derivation_dim(table) -> int:
 
 def ungraded_power_dims(table) -> List[int]:
     """Dimensions of the powers of a flattened (ungraded) table, r = 1..dim."""
-    return [len(basis) for basis in power_spans(table, len(table))]
+    return [len(basis) for basis in power_spans(table)]
 
 
 def associated_algebra(J: SuperAlgebra) -> SuperAlgebra:
@@ -296,57 +288,26 @@ def even_part(J: SuperAlgebra) -> SuperAlgebra:
     return unflatten(even, m, 0, name=f"({J.name})_0" if J.name else "")
 
 
-def centroid_dim(table) -> int:
-    """Dimension of {phi : phi(xy) = phi(x)y = x phi(y)} on a flattened table.
-
-    Counts block multiplicity, so it separates direct sums from
-    indecomposable algebras with otherwise equal invariants."""
-    table = cleared_table(table)[1]
-    ungraded = [0] * len(table)
-    left, width = _map_equations(table, ungraded, 0, 1, 0)
-    right, _ = _map_equations(table, ungraded, 0, 0, 1)
-    return width - linalg.rank(left + right)
-
-
 @lru_cache(maxsize=None)
 def algebra_fingerprint(J: SuperAlgebra) -> tuple:
-    """Isomorphism-invariant signature used to identify small Jordan algebras:
-    power-filtration dims, derivation dims, associativity, annihilator dim,
-    the rank of the trace form tr(L(x)L(y)), and the centroid dimension.
-    The ranks are taken on the table times lambda (``cleared_table``): the
-    annihilator map is linear and the trace form quadratic in the constants,
-    so a scalar lambda != 0 keeps both ranks."""
-    dims = power_filtration(J, max(J.m + J.n, 4))
-    ders = derivation_dims(J)
-    table = cleared_table(graded_table(J)[0])[1]
-    d = len(table)
-    # annihilator = nullspace of x -> (x * e_b)_k as a map on coordinates
-    ann_matrix = [
-        [table[a][b][k] for a in range(d)] for b in range(d) for k in range(d)
-    ]
-    ann_dim = d - linalg.rank(ann_matrix)
-    # tr(L(e_a) L(e_b)), where L(e_a)[k][c] = table[a][c][k]
-    tform = [
-        [sum(table[a][c][k] * table[b][k][c] for c in range(d) for k in range(d)) for b in range(d)]
-        for a in range(d)
-    ]
-    tf_rank = linalg.rank(tform)
-    return (
-        dims,
-        (ders.even_dim, ders.odd_dim),
-        is_associative(J),
-        ann_dim,
-        tf_rank,
-        centroid_dim(table),
-    )
+    """J's type and the set of its flat label-order tables in every basis
+    order that permutes the even vectors among themselves and the odd ones
+    among themselves: T'[a][b][k] = T[p[a]][p[b]][p[k]].  Two algebras have
+    equal fingerprints iff one is the other's table in such an order, so a
+    match is an isomorphism; no match proves nothing."""
+    table, _par = graded_table(J)
+    m, d = J.m, J.dim
+    orders = [ev + od for ev in permutations(range(m)) for od in permutations(range(m, d))]
+    cells = list(product(range(d), repeat=3))
+    return (m, J.n), frozenset(tuple(table[p[a]][p[b]][p[k]] for a, b, k in cells) for p in orders)
 
 
 def identify_algebra(J: SuperAlgebra, candidates: Iterable[Tuple[str, SuperAlgebra]]) -> Optional[str]:
-    """Fingerprint match against labeled candidates; None when ambiguous.
+    """The label of the one candidate with J's fingerprint, else None.
 
-    Only candidates of J's type (m, n) can match, since the first power
-    dimension of a fingerprint is the type: the others are skipped, and with
-    none left J is not fingerprinted at all."""
+    Only candidates of J's type (m, n) can match, since a fingerprint begins
+    with the type: the others are skipped, and with none left J is not
+    fingerprinted at all."""
     same_type = [(label, cand) for label, cand in candidates if (cand.m, cand.n) == (J.m, J.n)]
     if not same_type:
         return None

@@ -11,7 +11,6 @@ exceptions rather than silent passes or hard failures.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
@@ -24,7 +23,7 @@ from .algebra import (
     unflatten,
 )
 from .atlas import DegenGraph, build_graph, component_report, edge_monotonicity_violations
-from .catalog import FAMILY_SAMPLES, Catalog, ParameterError, UnknownName
+from .catalog import FAMILY_SAMPLES, Catalog, names_in
 from .certificates import (
     ClosedSet,
     certificate_table,
@@ -43,7 +42,6 @@ from .invariants import (
     orbit_dimension,
     screen_violations,
 )
-from .tablefmt import ParseError
 
 # expected (component count, variety dimension) per type
 COMPONENTS = {(1, 3): (11, 12), (2, 2): (25, 13), (3, 1): (21, 15)}
@@ -163,18 +161,14 @@ def _sub_algebra(J: SuperAlgebra, block: Sequence[int]) -> SuperAlgebra:
 
 
 def computed_decomposition(cat: Catalog, J: SuperAlgebra) -> List[str]:
-    """Block structure of the multiplication table, each block identified
-    against the low-dimensional catalog by fingerprint (or typed as (m,n))."""
+    """The blocks of the multiplication table, each named by the one
+    low-dimensional table it permutes to (``identify_algebra``), else ?(m,n)."""
     out = []
     for block in _interaction_blocks(J):
         sub = _sub_algebra(J, block)
         label = identify_algebra(sub, cat.lowdim.items())
         out.append(label if label else f"?({sub.m},{sub.n})")
     return sorted(out)
-
-
-# S10_3 and S9_3 have the same printed table, so either name reads as S9_3
-_SAME_TABLE = {"S10_3": "S9_3"}
 
 
 def verify_decompositions(cat: Catalog) -> List[CheckRow]:
@@ -194,9 +188,7 @@ def verify_decompositions(cat: Catalog) -> List[CheckRow]:
             )
             continue
         declared_parts = [p.strip() for p in declared.split("+")]
-        if sorted(_SAME_TABLE.get(b, b) for b in blocks) == sorted(
-            _SAME_TABLE.get(p, p) for p in declared_parts
-        ):
+        if blocks == sorted(declared_parts):
             rows.append(CheckRow(key, True, False, f"{'+'.join(blocks)}"))
         else:
             rows.append(
@@ -236,20 +228,11 @@ def verify_even_parts(cat: Catalog) -> List[CheckRow]:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _names_in(path: str):
-    """A catalog name that does not resolve is an error of its file."""
-    try:
-        yield
-    except (UnknownName, ParameterError) as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-
 def resolve_witness_algebras(cat: Catalog, wit) -> Tuple[SuperAlgebra, SuperAlgebra]:
     param = wit.param
     if param is not None and param.is_constant():
         param = param.as_constant()
-    with _names_in(wit.path):
+    with names_in(wit.path):
         return cat.lookup(wit.source, param), cat.lookup(wit.target)
 
 
@@ -292,7 +275,7 @@ def certificate_rows(cat: Catalog, cs: ClosedSet, trials: int = 1000, seed: int 
     logs a failure of the printed certificate only: a ``corrected`` one
     fails outright."""
     logged = cat.errata_keys() if cs.status == "published" else set()
-    with _names_in(cs.path):
+    with names_in(cs.path):
         sources = cat.instances(cs.source)
         targets = [(tname, cat.instances(tname)) for tname in cs.targets]
     rows = []

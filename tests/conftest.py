@@ -197,6 +197,40 @@ def row_reduce_by_fractions(vectors):
     return [basis[i] for i in order]
 
 
+def fraction_power_spans(table, r_max):
+    """Reduced row-echelon bases of the powers T^1, ..., T^r_max, products
+    taken in Fraction: the oracle of ``algebra.power_spans``, which stops at
+    r = d, and the powers beyond."""
+    d = len(table)
+
+    def product_span(U, W):
+        vecs = []
+        for u in U:
+            for w in W:
+                out = [Fraction(0)] * d
+                for a in range(d):
+                    if not u[a]:  # a zero factor is skipped
+                        continue
+                    for b in range(d):
+                        if not w[b]:
+                            continue
+                        c = u[a] * w[b]
+                        for k, t in enumerate(table[a][b]):
+                            if t:
+                                out[k] += c * t
+                if any(out):
+                    vecs.append(out)
+        return row_reduce_by_fractions(vecs)
+
+    powers = [[[Fraction(int(i == j)) for j in range(d)] for i in range(d)]]
+    for r in range(2, r_max + 1):
+        vecs = []
+        for i in range(1, r):
+            vecs.extend(product_span(powers[i - 1], powers[r - i - 1]))
+        powers.append(row_reduce_by_fractions(vecs))
+    return powers
+
+
 def divided_by_pivots(basis):
     """A canonical integer basis (``linalg.row_reduce_basis``) with each row
     divided by its pivot, after checking that the row is primitive with a

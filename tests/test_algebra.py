@@ -193,20 +193,20 @@ def test_identity_kernel_matches_reference(catalog):
 
 def test_square_examples(j1, j5):
     # J^2, the span of all products, with its even and odd dimensions
-    assert power_filtration(j1, 2) == ((1, 3), (1, 0))
-    assert power_filtration(load([], (2, 2)), 2) == ((2, 2), (0, 0))
-    assert power_filtration(j5, 2) == ((1, 3), (1, 1))
+    assert power_filtration(j1)[:2] == ((1, 3), (1, 0))
+    assert power_filtration(load([], (2, 2)))[:2] == ((2, 2), (0, 0))
+    assert power_filtration(j5)[:2] == ((1, 3), (1, 1))
 
 
 def test_power_filtration_examples(j1):
-    assert power_filtration(j1, 3) == ((1, 3), (1, 0), (0, 0))
+    assert power_filtration(j1)[:3] == ((1, 3), (1, 0), (0, 0))
     z = load([], (2, 2))
-    assert power_filtration(z, 3) == ((2, 2), (0, 0), (0, 0))
+    assert power_filtration(z)[:3] == ((2, 2), (0, 0), (0, 0))
     j18 = load(
         [("e", "e", [(ONE, "e")])] + [("e", f"f{i}", [(ONE, f"f{i}")]) for i in (1, 2, 3)],
         (1, 3),
     )
-    assert power_filtration(j18, 3) == ((1, 3), (1, 3), (1, 3))
+    assert power_filtration(j18)[:3] == ((1, 3), (1, 3), (1, 3))
 
 
 def test_flatten_examples(j1, j5):

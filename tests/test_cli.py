@@ -172,6 +172,17 @@ def test_check_algebra_file(tmp_path, capsys):
     assert "FAIL identity:probe" in capsys.readouterr().out
 
 
+def test_check_family_file_symbolically(tmp_path, capsys):
+    # Jordan for every t != 2, so no sample value may be substituted
+    path = tmp_path / "family.alg"
+    path.write_text(
+        "[algebra]\nname = pole\ntype = 1,2\nfamily = t\nproduct: e*e = e\n"
+        "product: e*f1 = 1/2 f1\nproduct: e*f2 = 1/2 f2\nproduct: f1*f2 = 1/(t-2) e\n"
+    )
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "PASS identity:pole\n"
+
+
 def test_envelope(capsys):
     assert main(["envelope", "J1", "-k", "4"]) == 0
     assert "PASS envelope:J1:k=4" in capsys.readouterr().out

@@ -1,10 +1,12 @@
 """Fingerprint identification: the decomposition and even-part sweeps on the
-packaged catalog, the per-call identification loop as their oracle, and the
-invariants cached by table."""
+packaged catalog and on a rescaled low-dimensional table, the per-call
+identification loop as their oracle, and the invariants cached by table."""
 
 import dataclasses
 import functools
+import shutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,10 @@ from superjordan import verify as V
 from superjordan.algebra import power_filtration
 from superjordan.atlas import build_graph
 from superjordan.catalog import Catalog
+from superjordan.cli import main
 from superjordan.invariants import algebra_fingerprint, even_part, identify_algebra, orbit_dimension
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "superjordan" / "data"
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +67,26 @@ def test_wrong_labels_fail(catalog, label_rows, monkeypatch):
     }
 
 
+@pytest.mark.parametrize(
+    "product, failing",
+    [
+        # S2_3 rescaled: isomorphic to the printed table, but by no basis
+        # permutation, so its three appearances are no longer named
+        ("f1*f2 = 2 e", ["decomposition:J1", "decomposition:Jc17", "decomposition:Jc22"]),
+        # S2_3 with f1 and f2 swapped: a permutation, so every row still passes
+        ("f1*f2 = -e", []),
+    ],
+)
+def test_a_block_is_named_only_through_a_basis_permutation(tmp_path, capsys, product, failing):
+    root = tmp_path / "data"
+    shutil.copytree(DATA, root)
+    path = root / "catalog" / "lowdim" / "S2_3.alg"
+    path.write_text(path.read_text().replace("f1*f2 = e", product))
+    assert main(["--catalog", str(root), "verify-catalog", "--full"]) == (1 if failing else 0)
+    fails = [line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == failing
+
+
 def _identify_per_call(J, candidates, fingerprint):
     """The identification loop without cache or type filter: every candidate
     fingerprinted on every call."""
@@ -76,18 +101,10 @@ def _table(J):
     return (J.m, J.n, J.alpha, J.beta, J.gamma, J.delta)
 
 
-def _uncached_fingerprint(J):
-    """``algebra_fingerprint`` apart from the package's caches: its own and
-    that of the ``power_filtration`` it calls."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(invariants, "power_filtration", power_filtration.__wrapped__)
-        return algebra_fingerprint.__wrapped__(J)
-
-
 def test_memoized_identification_matches_per_call_loop(catalog):
     # uncached fingerprints, cached per algebra here, apart from the
     # package's cache, only to keep the oracle from taking tens of seconds
-    fingerprint = functools.lru_cache(maxsize=None)(_uncached_fingerprint)
+    fingerprint = functools.lru_cache(maxsize=None)(algebra_fingerprint.__wrapped__)
     lowdim = list(catalog.lowdim.items())
     labels = Counter()
     for name in catalog.names():

@@ -28,8 +28,6 @@ from superjordan.invariants import (
     BURDE_PAIRS,
     _burde_values,
     _map_equations,
-    algebra_fingerprint,
-    centroid_dim,
     derivation_dims,
     table_is_associative,
 )
@@ -38,6 +36,7 @@ from superjordan.ratfun import Poly, RatFun
 
 from conftest import (
     divided_by_pivots,
+    fraction_power_spans,
     perturb_entry,
     reduce_over_ratfun,
     reference_burde,
@@ -226,42 +225,8 @@ def fraction_rank(rows):
 
 def fraction_derivation_dim(table, par, d_par):
     """Superderivation dimension, eliminated in Fraction on the unscaled table."""
-    rows, width = _map_equations(table, par, d_par, 1, 1)
+    rows, width = _map_equations(table, par, d_par)
     return width - fraction_rank(rows)
-
-
-def fraction_centroid_dim(table):
-    ungraded = [0] * len(table)
-    left, width = _map_equations(table, ungraded, 0, 1, 0)
-    right, _ = _map_equations(table, ungraded, 0, 0, 1)
-    return width - fraction_rank(left + right)
-
-
-def fraction_power_spans(table, r_max):
-    """Reduced row-echelon bases of the powers, products taken in Fraction."""
-    d = len(table)
-
-    def product_span(U, W):
-        vecs = []
-        for u in U:
-            for w in W:
-                out = [Fraction(0)] * d
-                for a in range(d):
-                    for b in range(d):
-                        c = u[a] * w[b]
-                        for k, t in enumerate(table[a][b]):
-                            out[k] += c * t
-                if any(out):
-                    vecs.append(out)
-        return row_reduce_by_fractions(vecs)
-
-    powers = [[[Fraction(int(i == j)) for j in range(d)] for i in range(d)]]
-    for r in range(2, r_max + 1):
-        vecs = []
-        for i in range(1, r):
-            vecs.extend(product_span(powers[i - 1], powers[r - i - 1]))
-        powers.append(row_reduce_by_fractions(vecs))
-    return powers
 
 
 def _assert_rank_kernels_match(J):
@@ -270,11 +235,8 @@ def _assert_rank_kernels_match(J):
     assert (ders.even_dim, ders.odd_dim) == tuple(
         fraction_derivation_dim(table, par, d_par) for d_par in (0, 1)
     ), J.name
-    flat = flatten(J)
-    assert centroid_dim(flat) == fraction_centroid_dim(flat), J.name
-    r_max = max(J.dim, 4)
-    got = power_spans(table, r_max)
-    assert [divided_by_pivots(basis) for basis in got] == fraction_power_spans(table, r_max), J.name
+    got = power_spans(table)
+    assert [divided_by_pivots(basis) for basis in got] == fraction_power_spans(table, J.dim), J.name
 
 
 def _assert_kernels_match(J):
@@ -340,8 +302,8 @@ def test_clear_denominators_clears_rational_functions_to_polynomials():
 
 
 def _jc16_rank_oracles(J):
-    """The superderivation and centroid dimensions of a table over Q(s), by
-    Gauss–Jordan over the field on the unscaled table."""
+    """The superderivation dimensions of a table over Q(s), by Gauss–Jordan
+    over the field on the unscaled table."""
     table, par = graded_table(J)
 
     def rank(rows):
@@ -349,12 +311,9 @@ def _jc16_rank_oracles(J):
 
     ders = []
     for d_par in (0, 1):
-        rows, width = _map_equations(table, par, d_par, 1, 1)
+        rows, width = _map_equations(table, par, d_par)
         ders.append(width - rank(rows))
-    flat = flatten(J)
-    left, width = _map_equations(flat, [0] * len(flat), 0, 1, 0)
-    right, _ = _map_equations(flat, [0] * len(flat), 0, 0, 1)
-    return tuple(ders), width - rank(left + right)
+    return tuple(ders)
 
 
 def test_ratfun_table_is_cleared_to_polynomials(catalog):
@@ -372,7 +331,7 @@ def test_ratfun_table_is_cleared_to_polynomials(catalog):
     assert envelope_jordan_check(Jc16) == fraction_envelope_check(Jc16)
     assert table_is_associative(table) == fraction_table_is_associative(table)
     ders = derivation_dims(Jc16)
-    assert ((ders.even_dim, ders.odd_dim), centroid_dim(table)) == _jc16_rank_oracles(Jc16)
+    assert (ders.even_dim, ders.odd_dim) == _jc16_rank_oracles(Jc16)
     # a perturbed symbolic table fails at the same quadruple
     broken = perturb_entry(catalog, "Jc16", 3)
     broken = unflatten(
@@ -384,17 +343,14 @@ def test_ratfun_table_is_cleared_to_polynomials(catalog):
     assert not check_super_jordan(broken).ok
 
 
-def test_power_filtration_and_fingerprint_of_the_symbolic_family(catalog):
+def test_power_filtration_of_the_symbolic_family(catalog):
     # the powers of Jc16 over Q(t) are eliminated over Z[s], like those of a
     # rational table, and agree with the sampled members
     Jc16 = catalog.entry("Jc16").algebra
     filtration = power_filtration(Jc16)
-    fingerprint = algebra_fingerprint(Jc16)
     assert filtration == ((2, 2),) * 4
-    assert fingerprint == (((2, 2), (2, 2), (2, 2), (2, 2)), (3, 2), False, 0, 2, 1)
     for t in (2, 3, 5):
-        member = catalog.lookup("Jc16", t)
-        assert (power_filtration(member), algebra_fingerprint(member)) == (filtration, fingerprint)
+        assert power_filtration(catalog.lookup("Jc16", t)) == filtration
 
 
 def test_symbolic_kernels_need_no_gcd(catalog, monkeypatch):
@@ -409,16 +365,16 @@ def test_symbolic_kernels_need_no_gcd(catalog, monkeypatch):
     Jc16 = catalog.entry("Jc16").algebra
     assert check_super_jordan(Jc16).ok
     derivation_dims(Jc16)
-    centroid_dim(flatten(Jc16))
     envelope_jordan_check(Jc16)
     assert calls == []
 
 
-def test_symbolic_centroid_builds_no_rational_function(catalog, monkeypatch):
-    # the rows of Jc16's centroid system mix Poly entries with int zeros,
-    # and are cleared to Z[s] as they are, not through one RatFun per entry
-    table = flatten(catalog.entry("Jc16").algebra)
-    expected = _jc16_rank_oracles(catalog.entry("Jc16").algebra)[1]
+def test_symbolic_derivations_build_no_rational_function(catalog, monkeypatch):
+    # the rows of Jc16's superderivation systems mix Poly entries with int
+    # zeros, and are cleared to Z[s] as they are, not through one RatFun per
+    # entry
+    Jc16 = catalog.entry("Jc16").algebra
+    expected = _jc16_rank_oracles(Jc16)
     built = []
     init = RatFun.__init__
 
@@ -430,7 +386,8 @@ def test_symbolic_centroid_builds_no_rational_function(catalog, monkeypatch):
     assert clear_denominators([Poly.var(), 3, 0, HALF]) == (
         Poly([2]), [Poly([0, 2]), Poly([6]), Poly(), Poly([1])]
     )
-    assert centroid_dim(table) == expected
+    ders = derivation_dims(Jc16)
+    assert (ders.even_dim, ders.odd_dim) == expected
     assert built == []
 
 
@@ -504,12 +461,10 @@ def test_rank_kernels_pass_int_rows_to_the_shared_elimination(catalog, monkeypat
     monkeypatch.setattr(linalg, "_bareiss", spy)
     for J in tables:
         derivation_dims(J)
-        centroid_dim(flatten(J))
         power_filtration(J)
     assert kinds and all(k <= {int} for k in kinds)
     # the symbolic family reaches the same loop over Z[s]
     del kinds[:]
     Jc16 = catalog.entry("Jc16").algebra
     derivation_dims(Jc16)
-    centroid_dim(flatten(Jc16))
-    assert len(kinds) == 3 and all(k == {Poly} for k in kinds)
+    assert len(kinds) == 2 and all(k == {Poly} for k in kinds)

@@ -11,7 +11,6 @@ from superjordan.invariants import (
     TypeMismatch,
     _burde_values,
     associated_algebra,
-    centroid_dim,
     derivation_dims,
     even_part,
     identify_algebra,
@@ -22,8 +21,7 @@ from superjordan.invariants import (
     ungraded_derivation_dim,
     ungraded_power_dims,
 )
-from superjordan.linalg import rank
-from superjordan.verify import _interaction_blocks, _screen_inputs, _sub_algebra, screen_pair, verify_lemma_screens
+from superjordan.verify import _screen_inputs, screen_pair, verify_lemma_screens
 
 from conftest import reference_burde
 
@@ -181,57 +179,6 @@ def test_graded_kernels_reduce_to_ungraded(catalog):
     for J in list(catalog.lowdim.values()) + instances:
         summed = [e + o for e, o in power_filtration(J)]
         assert summed == ungraded_power_dims(flatten(J)), J.name
-
-
-def _dense_centroid_dim(table):
-    """The centroid {phi : phi(xy) = phi(x)y = x phi(y)} from one dense
-    d^2-wide row per (a, b, l) and side: the oracle of the sparse builder."""
-    d = len(table)
-    rows = []
-    for a in range(d):
-        for b in range(d):
-            for l in range(d):
-                # phi(x_a x_b)_l - (phi(x_a) x_b)_l = 0
-                row = [Fraction(0)] * (d * d)
-                for k in range(d):
-                    if table[a][b][k] != 0:
-                        row[k * d + l] += table[a][b][k]
-                for c in range(d):
-                    if table[c][b][l] != 0:
-                        row[a * d + c] -= table[c][b][l]
-                if any(x != 0 for x in row):
-                    rows.append(row)
-                # phi(x_a x_b)_l - (x_a phi(x_b))_l = 0
-                row = [Fraction(0)] * (d * d)
-                for k in range(d):
-                    if table[a][b][k] != 0:
-                        row[k * d + l] += table[a][b][k]
-                for c in range(d):
-                    if table[a][c][l] != 0:
-                        row[b * d + c] -= table[a][c][l]
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    if not rows:
-        return d * d
-    return d * d - rank(rows)
-
-
-def test_centroid_matches_dense_builder(catalog):
-    tables = []
-    for name in catalog.names():
-        for J in catalog.instances(name):
-            tables += [J, even_part(J), associated_algebra(J)]
-            tables += [_sub_algebra(J, block) for block in _interaction_blocks(J)]
-    tables += list(catalog.lowdim.values())
-    tables += [catalog.node_algebra(label) for m in (1, 2, 3) for label in catalog.even_graph_for(m).nodes]
-    assert len(tables) == 781
-    dims = set()
-    for J in tables:
-        table = flatten(J)
-        got = centroid_dim(table)
-        assert got == _dense_centroid_dim(table), J.name
-        dims.add(got)
-    assert len(dims) > 3  # the tables do not all share one centroid
 
 
 def _same_type_pairs(catalog, count, seed):

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superjordan.catalog import Catalog, _parse_components, _parse_edges, _parse_lemma_pairs, parse_errata
+from superjordan.catalog import (
+    Catalog,
+    ParameterError,
+    _parse_components,
+    _parse_edges,
+    _parse_lemma_pairs,
+    parse_errata,
+)
 from superjordan.certificates import parse_closed_set
 from superjordan.cli import main
 from superjordan.degeneration import parse_witness
@@ -409,3 +416,35 @@ def test_catalog_file_error_names_file_and_line(tmp_path, capsys, relative, line
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}:{message}") and captured.err.count("\n") == 1
+
+
+def _family_with_pole(tmp_path, at):
+    """A copy of the data root whose family Jc16 has a pole at t = ``at``,
+    and the path of Jc16's file."""
+    root = tmp_path / "data"
+    shutil.copytree(DATA, root)
+    path = root / "catalog" / "type22" / "Jc16.alg"
+    path.write_text(path.read_text().replace("f1*f2 = e1+t e2", f"f1*f2 = e1+1/(t-{at}) e2"))
+    return root, path
+
+
+def test_family_pole_at_a_sample_value_is_a_load_error(tmp_path, capsys):
+    # the family is checked at each sample value, so the pole is found at load
+    root, path = _family_with_pole(tmp_path, 3)
+    assert main(["--catalog", str(root), "verify-catalog"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: Jc16 has a pole at t = 3\n"
+
+
+def test_family_pole_at_a_witness_parameter_names_the_witness(tmp_path, capsys):
+    root, _path = _family_with_pole(tmp_path, 7)
+    with pytest.raises(ParameterError, match=r"^Jc16 has a pole at t = 7$"):
+        Catalog(root).lookup("Jc16", 7)
+    witness = tmp_path / "pole.wit"
+    text = (DATA / "witnesses" / "geo2_Jc16_Jc68.wit").read_text()
+    witness.write_text(text.replace("Jc16^(-1)", "Jc16^(7)"))
+    assert main(["--catalog", str(root), "degenerate", str(witness)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {witness}: Jc16 has a pole at t = 7\n"

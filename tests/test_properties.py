@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from superjordan.algebra import check_super_jordan, flatten, load, power_filtration
+from superjordan.algebra import check_super_jordan, flatten, graded_table, load, power_filtration
 from superjordan.invariants import (
     associated_algebra,
     nondegeneration_screen,
@@ -12,12 +12,25 @@ from superjordan.invariants import (
 from superjordan.verify import resolve_witness_algebras
 from superjordan.degeneration import specialize_witness
 
+from conftest import fraction_power_spans
+
 ONE = Fraction(1)
 
 
 def _sample(catalog, name):
     entry = catalog.entry(name)
     return catalog.lookup(name, 2) if entry.is_family else entry.algebra
+
+
+def _graded_power_dims(J, r_max):
+    """(even, odd) dimensions of J^1, ..., J^r_max by the Fraction oracle:
+    each reduced row-echelon basis vector has the parity of its pivot."""
+    table, par = graded_table(J)
+    dims = []
+    for basis in fraction_power_spans(table, r_max):
+        odd = sum(par[next(j for j, x in enumerate(v) if x)] for v in basis)
+        dims.append((len(basis) - odd, odd))
+    return dims
 
 
 def test_power_filtration_monotone_and_stable(catalog):
@@ -29,7 +42,8 @@ def test_power_filtration_monotone_and_stable(catalog):
     for name in catalog.names():
         J = _sample(catalog, name)
         d = J.m + J.n
-        dims = power_filtration(J, d + 3)
+        dims = _graded_power_dims(J, d + 3)
+        assert dims[:d] == list(power_filtration(J)), name
         for (e0, o0), (e1, o1) in zip(dims[1:], dims[2:]):
             assert e1 <= e0 and o1 <= o0, name
         if name in late_stabilizers:
