@@ -513,26 +513,29 @@ def direct_sum(A: SuperAlgebra, B: SuperAlgebra, name: str = "") -> SuperAlgebra
 # ---------------------------------------------------------------------------
 
 
-def change_basis_row(entries, d: int, pa, pb, Q, zero) -> List[Scalar]:
-    """Row (a, b) of ``change_basis``: the coordinates of y_a y_b, where
-    ``pa`` and ``pb`` are the rows P[a] and P[b]."""
+def product_groups(entries) -> Tuple[Tuple[int, int, tuple], ...]:
+    """The nonzero constants (``nonzero_constants``) grouped by product: one
+    (a, b, ((k, c[a,b,k]), ...)) per product x_a x_b that is not zero."""
+    groups: Dict[Tuple[int, int], list] = {}
+    for a, b, k, c in entries:
+        groups.setdefault((a, b), []).append((k, c))
+    return tuple((a, b, tuple(kc)) for (a, b), kc in groups.items())
+
+
+def product_row(groups, d: int, pa, pb, zero) -> List[Scalar]:
+    """The x-coordinates of y_a y_b, where ``pa`` and ``pb`` are the rows
+    P[a] and P[b] and ``groups`` the table's constants (``product_groups``):
+    the product step of every basis change.  Each caller contracts it with
+    Q, over the columns it needs."""
     v = [zero] * d
-    for c, e, k, val in entries:
+    for c, e, kc in groups:
         x = pa[c]
         if x:
             f = x * pb[e]
             if f:
-                v[k] = v[k] + f * val
-    live = [(k, x) for k, x in enumerate(v) if x]
-    row = []
-    for l in range(d):
-        acc = zero
-        for k, x in live:
-            q = Q[k][l]
-            if q:
-                acc = acc + x * q
-        row.append(acc)
-    return row
+                for k, val in kc:
+                    v[k] = v[k] + f * val
+    return v
 
 
 def change_basis(entries, d: int, P, Q, zero) -> List[List[List[Scalar]]]:
@@ -545,9 +548,15 @@ def change_basis(entries, d: int, P, Q, zero) -> List[List[List[Scalar]]]:
     Fraction(0), the zero Poly or the zero RatFun).  The scalars may be int,
     Fraction, Poly or RatFun: zeros are skipped by their truth value.
     """
-    return [
-        [change_basis_row(entries, d, P[a], P[b], Q, zero) for b in range(d)] for a in range(d)
-    ]
+    groups = product_groups(entries)
+    moved = []
+    for pa in P:
+        plane = []
+        for pb in P:
+            live = [(k, x) for k, x in enumerate(product_row(groups, d, pa, pb, zero)) if x]
+            plane.append([sum((x * Q[k][l] for k, x in live if Q[k][l]), zero) for l in range(d)])
+        moved.append(plane)
+    return moved
 
 
 def apply_graded_change(

@@ -40,9 +40,16 @@ is stronger than needed.
 Every test at one (kind, key, trials, seed) replays the same matrices,
 whatever the certificate or table; the key is the dimension for stability
 and the parity pattern for separation.  Each such sequence is drawn, and
-each of its matrices inverted, once per process.  A trial computes row
-(a, b) of the moved table the first time a condition reads it, so a
-separation trial that fails its first condition moves few rows.
+each of its matrices inverted, once per process.  Each certificate's
+conditions are compiled once into a ``TrialPlan``: the moved coordinates
+(a, b, l) they read, in the order they first read them.  A trial walks the
+polynomials in order.  For each it computes in ints the product rows
+y_a y_b (``algebra.product_row``, the product step of every basis change)
+and the coordinates that it reads first, contracting only those columns
+with the adjugate, and the first polynomial that does not vanish ends the
+trial.  Over the packaged certificates, at 20 or 1000 trials, a trial
+computes about 9 % of the coordinates of the moved table (about 23 % of
+its product rows).
 """
 
 from __future__ import annotations
@@ -52,18 +59,19 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import count, product
 from typing import Iterator, List, Optional, Tuple
 
 from .algebra import (
     SuperAlgebra,
     change_basis,
-    change_basis_row,
     cleared_table,
     flatten,
     label_parity,
     nonzero_constants,
+    product_groups,
+    product_row,
 )
 from .linalg import int_matrix_det_adjugate
 from .tablefmt import ParseError, excerpt, read_arithmetic, read_lines, unknown_line
@@ -112,6 +120,11 @@ class ClosedSet:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def plan(self) -> "TrialPlan":
+        """The conditions compiled for the trials, once per certificate."""
+        return _compile_plan(self)
 
 
 def condition_holds(cond: Condition, table) -> bool:
@@ -216,6 +229,11 @@ def _atom(node: ast.expr, exp: Fraction, d: int, slots: Iterator[int]) -> _Poly:
     return _Poly({(tuple(~next(slots) if p is ... else p - 1 for p in parts),): 1})
 
 
+# The most "*" indices of one condition.  It stands for d^slots
+# polynomials, so a longer one is refused at parse, before any is built.
+MAX_WILDCARDS = 4
+
+
 def _expand(poly: dict, d: int, slots: int) -> tuple:
     """One polynomial per assignment of basis positions to the wildcard
     slots; those that vanish identically are dropped."""
@@ -288,7 +306,12 @@ def parse_condition(text: str, d: int) -> Condition:
         # homogeneous polynomial vanishes on the scaled table iff on the table
         if len({len(mono) for mono in poly}) > 1:
             raise CertificateParseError(f"non-homogeneous condition {excerpt(text)}")
-        return Condition(_expand(poly, d, next(slots)), text)
+        wildcards = next(slots)
+        if wildcards > MAX_WILDCARDS:
+            raise CertificateParseError(
+                f"a condition has at most {MAX_WILDCARDS} '*' indices in {excerpt(text)}"
+            )
+        return Condition(_expand(poly, d, wildcards), text)
     mobj = re.fullmatch(
         r"(?:span\(\s*)?([AJ]\d*)\s*\*\s*([AJ]\d*)\s*\)?\s*(<=|=)\s*(.+)", text
     )
@@ -388,7 +411,9 @@ def _random_invertible(rng: random.Random, pattern: Tuple[int, ...]):
             return g, adj
 
 
-@lru_cache(maxsize=4)
+# One sweep's draw keys: the stability dimension, and every parity pattern
+# of a 4-dimensional basis that has both parities (2^4 - 2 of them).
+@lru_cache(maxsize=1 + 2**4 - 2)
 def _changes(kind: str, key, trials: int, seed: int):
     """The ``trials`` seeded basis changes of one randomized test, as
     immutable (g, adjugate) pairs: upper-triangular of dimension ``key`` for
@@ -407,29 +432,78 @@ def _changes(kind: str, key, trials: int, seed: int):
     return tuple(out)
 
 
-class _MovedPlane(dict):
-    """Plane a of a table moved by g: row b is computed by
-    ``change_basis_row`` the first time it is read, and kept."""
+@dataclass(frozen=True)
+class TrialPlan:
+    """A certificate's conditions compiled for the trials: ``coords`` are the
+    distinct moved coordinates (a, b, l) in the order the polynomials first
+    read them, and coordinate s is kept in slot s.  One step per polynomial,
+    in condition order: (the product rows (r, a, b) it reads first, the
+    coordinates (s, r, l) it reads first, in row r, and its terms
+    (coefficient, slots))."""
 
-    __slots__ = ("entries", "d", "pa", "g", "adj")
-
-    def __init__(self, entries, d: int, g, adj, a: int):
-        super().__init__()
-        self.entries, self.d, self.pa, self.g, self.adj = entries, d, g[a], g, adj
-
-    def __missing__(self, b: int):
-        row = self[b] = change_basis_row(self.entries, self.d, self.pa, self.g[b], self.adj, 0)
-        return row
+    steps: tuple
+    rows: int
+    coords: tuple
 
 
-def _moved_tables(kind: str, cs: ClosedSet, table, trials: int, seed: int):
-    """Yield (g, the table cleared to ints and moved by g) for each basis
-    change.  The moved table is a list of d lazy planes, so only the product
-    rows that the conditions read are ever computed."""
-    entries, d = nonzero_constants(cleared_table(table)[1]), len(table)
+def _compile_plan(cs: ClosedSet) -> TrialPlan:
+    """The plan of the conditions, slots and rows numbered by first read."""
+    row_of: dict = {}
+    slot_of: dict = {}
+    steps = []
+    for cond in cs.conditions:
+        for poly in cond.polys:
+            new_rows, new_coords, terms = [], [], []
+            for coef, mono in poly:
+                for a, b, l in mono:
+                    if (a, b) not in row_of:
+                        row_of[a, b] = len(row_of)
+                        new_rows.append((row_of[a, b], a, b))
+                    if (a, b, l) not in slot_of:
+                        slot_of[a, b, l] = len(slot_of)
+                        new_coords.append((slot_of[a, b, l], row_of[a, b], l))
+                terms.append((coef, tuple(slot_of[atom] for atom in mono)))
+            steps.append((tuple(new_rows), tuple(new_coords), tuple(terms)))
+    return TrialPlan(tuple(steps), len(row_of), tuple(slot_of))
+
+
+def _trial_holds(plan: TrialPlan, groups, g, adj, rows: list, slots: list) -> bool:
+    """Whether the conditions hold on the table of constants ``groups``
+    (``product_groups``) moved by g and scaled by det(g), adj the adjugate
+    of g.  Each step computes the product rows and the coordinates its
+    polynomial reads first, into the scratch lists ``rows`` and ``slots``,
+    and the first polynomial that does not vanish ends the trial."""
+    d = len(g)
+    for new_rows, new_coords, terms in plan.steps:
+        for r, a, b in new_rows:
+            rows[r] = product_row(groups, d, g[a], g[b], 0)
+        for s, r, l in new_coords:
+            acc = 0
+            for k, x in enumerate(rows[r]):
+                if x:
+                    acc += x * adj[k][l]
+            slots[s] = acc
+        total = 0
+        for coef, mono in terms:
+            for s in mono:
+                coef *= slots[s]
+            total += coef
+        if total:
+            return False
+    return True
+
+
+def _trials(kind: str, cs: ClosedSet, table, trials: int, seed: int):
+    """Yield (g, whether the table cleared to ints and moved by g satisfies
+    the certificate) for each basis change."""
+    if len(table) != cs.dim:
+        raise BasisMismatch(f"table dim {len(table)} != certificate dim {cs.dim}")
+    plan = cs.plan
+    groups = product_groups(nonzero_constants(cleared_table(table)[1]))
+    rows, slots = [None] * plan.rows, [None] * len(plan.coords)
     key = cs.dim if kind == "stability" else tuple(map(label_parity, cs.basis))
     for g, adj in _changes(kind, key, trials, seed):
-        yield g, [_MovedPlane(entries, d, g, adj, a) for a in range(d)]
+        yield g, _trial_holds(plan, groups, g, adj, rows, slots)
 
 
 def stability_test(cs: ClosedSet, source_table, trials: int = 1000, seed: int = 0) -> RandomizedReport:
@@ -437,10 +511,11 @@ def stability_test(cs: ClosedSet, source_table, trials: int = 1000, seed: int = 
     source still satisfies the certificate (expected: all of them)."""
     hits = 0
     first_fail = ""
-    for g, moved in _moved_tables("stability", cs, source_table, trials, seed):
-        if closed_set_eval(moved, cs):
+    for g, holds in _trials("stability", cs, source_table, trials, seed):
+        if holds:
             hits += 1
         elif not first_fail:
+            moved = transform_int_table(cleared_table(source_table)[1], g)
             bad = failing_condition(moved, cs)
             first_fail = f"fails {bad.text if bad else '?'} at g={[list(row) for row in g]}"
     return RandomizedReport("stability", hits, trials, seed, first_fail)
@@ -450,8 +525,6 @@ def separation_test(cs: ClosedSet, target_table, trials: int = 1000, seed: int =
     """Fraction of random changes in the structure group under which the
     target violates the certificate (expected: all of them)."""
     rejections = sum(
-        1
-        for _, moved in _moved_tables("separation", cs, target_table, trials, seed)
-        if not closed_set_eval(moved, cs)
+        1 for _, holds in _trials("separation", cs, target_table, trials, seed) if not holds
     )
     return RandomizedReport("separation", rejections, trials, seed)

@@ -12,7 +12,6 @@ PINNED = {
     "apply_graded_change",
     "nullspace_dim",
     "specialize_witness",
-    "transform_int_table",
     "ungraded_derivation_dim",
     "ungraded_power_dims",
 }

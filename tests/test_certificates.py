@@ -3,13 +3,13 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superjordan import algebra, certificates, linalg
+from superjordan import certificates, linalg
 from superjordan.algebra import change_basis, cleared_table, flatten, label_parity, nonzero_constants
 from superjordan.certificates import (
     BasisMismatch,
@@ -149,8 +149,13 @@ def test_closed_set_eval_examples(catalog):
 
 def test_basis_mismatch(catalog):
     cs = parse_closed_set(J12_CS)
+    table3 = [[[0] * 3] * 3] * 3
     with pytest.raises(BasisMismatch):
-        closed_set_eval([[[0] * 3] * 3] * 3, cs)
+        closed_set_eval(table3, cs)
+    # the trials check the dimension once, before any basis change
+    for test in (stability_test, separation_test):
+        with pytest.raises(BasisMismatch, match="table dim 3 != certificate dim 4"):
+            test(cs, table3, trials=5, seed=0)
     with pytest.raises(CertificateParseError, match="does not fit"):
         certificate_table(parse_closed_set(J12_CS.replace("f3 e", "f3 f1")), catalog.lookup("J12"))
     assert certificate_table(cs, catalog.lookup("J12")) == flatten(catalog.lookup("J12"), cs.basis)
@@ -315,6 +320,24 @@ def test_one_det_adjugate_per_drawn_matrix(catalog, monkeypatch):
     certificates._changes.cache_clear()
 
 
+def test_one_sweep_draws_each_key_once():
+    # five draw keys (stability in dimension 4 and four parity patterns),
+    # read in turn three times over, as a catalog in file order can
+    zero = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    closed_sets = [
+        parse_closed_set(f"[closedset]\nsource = J7\nbasis = {basis}\ncondition: c[1,1,1] = 0\n")
+        for basis in ("f1 f2 f3 e", "e1 e2 f1 f2", "e1 e2 e3 f", "f e1 e2 e3")
+    ]
+    assert len({_pattern(cs) for cs in closed_sets}) == 4
+    certificates._changes.cache_clear()
+    for _ in range(3):
+        for cs in closed_sets:
+            assert stability_test(cs, zero, trials=5, seed=0).hits == 5
+            assert separation_test(cs, zero, trials=5, seed=0).hits == 0
+    assert certificates._changes.cache_info().misses == 5
+    certificates._changes.cache_clear()
+
+
 def test_separation_draws_graded_stability_draws_triangular(catalog):
     patterns = {_pattern(cs) for cs in catalog.closed_sets()}
     assert patterns == {(0, 0, 0, 1), (0, 0, 1, 1), (1, 1, 1, 0)}
@@ -352,49 +375,101 @@ def test_graded_separation_rejects_every_trial(catalog, labels, seed):
     assert all(r.ok for r in rows)
 
 
+class _Written(list):
+    """A trial's scratch list: unset (None) when the trial starts, so that a
+    coordinate read before this trial computes it fails, and recording the
+    index of every write."""
+
+    def __init__(self, n):
+        super().__init__([None] * n)
+        self.writes = []
+
+    def __setitem__(self, i, x):
+        self.writes.append(i)
+        super().__setitem__(i, x)
+
+
+def _record_trials(monkeypatch):
+    """Give every trial fresh recording scratch lists; the returned list
+    collects (plan, g, adj, rows, slots, verdict) per trial."""
+    seen = []
+    run = certificates._trial_holds
+
+    def recording(plan, groups, g, adj, rows, slots):
+        rows, slots = _Written(len(rows)), _Written(len(slots))
+        holds = run(plan, groups, g, adj, rows, slots)
+        seen.append((plan, g, adj, rows, slots, holds))
+        return holds
+
+    monkeypatch.setattr(certificates, "_trial_holds", recording)
+    return seen
+
+
+def _read_coordinates(cs, table):
+    """The coordinates that the polynomials read, in order, up to and with
+    the first one that does not vanish on the table."""
+    read = set()
+    for cond in cs.conditions:
+        for poly in cond.polys:
+            read.update(atom for _coef, mono in poly for atom in mono)
+            if sum(coef * prod(table[a][b][k] for a, b, k in mono) for coef, mono in poly):
+                return read
+    return read
+
+
 @pytest.mark.parametrize("seed", [0, 3])
-def test_lazy_moved_table_matches_dense(catalog, seed):
-    # every row read from a trial's moved table is the row of the dense
-    # basis change, for every source and target instance of all 42 certificates
+def test_trials_compute_dense_coordinates(catalog, monkeypatch, seed):
+    # every coordinate a trial computes is the coordinate of the dense basis
+    # change, each is computed once, and exactly the coordinates that the
+    # conditions read are computed, for every source and target instance of
+    # all 42 certificates
+    seen = _record_trials(monkeypatch)
     checked = 0
     for cs in catalog.closed_sets():
+        row_of = {r: (a, b) for new_rows, _coords, _terms in cs.plan.steps for r, a, b in new_rows}
         for name in [cs.source, *cs.targets]:
             for J in catalog.instances(name):
                 table = certificate_table(cs, J)
                 entries = nonzero_constants(_int_table(table))
                 assert nonzero_constants(cleared_table(table)[1]) == entries
                 for kind in ("stability", "separation"):
+                    seen.clear()
+                    verdicts = [holds for _g, holds in certificates._trials(kind, cs, table, 5, seed)]
                     draws = certificates._changes(kind, _key(kind, cs), 5, seed)
-                    moved_tables = list(certificates._moved_tables(kind, cs, table, 5, seed))
-                    assert [g for g, _ in moved_tables] == [g for g, _ in draws]
-                    for (g, adj), (_g, moved) in zip(draws, moved_tables):
-                        assert len(moved) == cs.dim and not any(moved)  # nothing computed yet
+                    assert [(g, adj) for _p, g, adj, *_ in seen] == list(draws)
+                    for plan, g, adj, rows, slots, holds in seen:
+                        assert plan is cs.plan
                         dense = change_basis(entries, cs.dim, g, adj, 0)
-                        for a, b in product(range(cs.dim), repeat=2):
-                            assert moved[a][b] == dense[a][b], (cs.label, J.name, kind, a, b)
-                            assert moved[a][b] is moved[a][b]  # computed once, then kept
+                        read = _read_coordinates(cs, dense)
+                        assert len(set(slots.writes)) == len(slots.writes), (cs.label, J.name, kind)
+                        assert {plan.coords[s] for s in slots.writes} == read, (cs.label, J.name, kind)
+                        for s in slots.writes:
+                            a, b, l = plan.coords[s]
+                            assert slots[s] == dense[a][b][l], (cs.label, J.name, kind, a, b, l)
+                        assert len(set(rows.writes)) == len(rows.writes)
+                        assert {row_of[r] for r in rows.writes} == {(a, b) for a, b, _l in read}
+                        assert holds == closed_set_eval(dense, cs)
                         checked += 1
+                    assert verdicts == [holds for *_, holds in seen]
     assert checked == 2 * 5 * sum(
         len(catalog.instances(name)) for cs in catalog.closed_sets() for name in [cs.source, *cs.targets]
     )
 
 
-def test_trials_compute_only_the_rows_they_read(catalog, monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args[2:4])
-        return algebra.change_basis_row(*args)
-
-    monkeypatch.setattr(certificates, "change_basis_row", counted)
+def test_trials_compute_only_the_coordinates_they_read(catalog, monkeypatch):
+    seen = _record_trials(monkeypatch)
     rows = verify_certificates(catalog, trials=20, seed=0)
     dims = {cs.label: cs.dim for cs in catalog.closed_sets()}
     tests = [row for row in rows if not row.check_id.endswith(":source")]
     full = sum(20 * dims[row.check_id.split(":")[1]] ** 2 for row in tests)
-    assert len(tests) == 219 and full == 70_080
-    # the conditions read 15,822 rows (22.6 %); the dense path computed them all
-    assert 0 < len(calls) < 0.3 * full
-    # no pass or failure depends on which rows were computed
+    assert len(tests) == 219 and len(seen) == 20 * 219 and full == 70_080
+    # the conditions read 15,822 of the 70,080 product rows (22.6 %) and
+    # 25,178 of their 280,320 coordinates (9.0 %); the dense path computed
+    # them all
+    assert sum(len(trial[3].writes) for trial in seen) == 15_822
+    assert sum(len(trial[4].writes) for trial in seen) == 25_178
+    assert all(len(set(trial[4].writes)) == len(trial[4].writes) for trial in seen)
+    # no pass or failure depends on which coordinates were computed
     monkeypatch.undo()
     assert rows == verify_certificates(catalog, trials=20, seed=0)
 

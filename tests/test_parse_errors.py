@@ -249,6 +249,14 @@ def test_witness_key_error_names_file_and_line(tmp_path, capsys, line, message):
             "[closedset]\nsource = J7\nbasis = f1 f2 f3 e\ncondition: J*J <= span(x2,x3,x9)\n",
             "4: span member out of range in 'span(x2,x3,x9)'",
         ),
+        # each "*" multiplies the polynomials by d: five are refused
+        # before any is built, where twelve would not finish
+        (
+            "closedset",
+            ".cs",
+            "[closedset]\nsource = J7\nbasis = f1 f2 f3 e\ncondition: c[*,*,*] = c[*,*,1]\n",
+            "4: a condition has at most 4 '*' indices in 'c[*,*,*] = c[*,*,1]'",
+        ),
         # an exponent past the bound is refused at load; 65 would still replay
         # quickly, so a missing bound fails here instead of hanging
         (
