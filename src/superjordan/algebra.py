@@ -37,6 +37,15 @@ first failing quadruple stays.  The superderivation system
 lambda (U W) spans U W, so the powers J^r (``power_spans``) stay.  A Burde
 ratio has degree 0, so lambda cancels.  The certificate conditions are
 homogeneous, and the witness replay divides by the scale.
+
+One product step, ``product_row`` (u v over the constants grouped by
+product, ``product_groups``), serves every kernel that multiplies
+coordinate vectors: ``change_basis`` and the certificate trial plan,
+``power_spans``, ``invariants.table_is_associative`` and the Burde traces.
+``check_super_jordan`` keeps its own sparse products: it computes each
+pair and triple product once and reads it many times in its d^4 loop,
+which through ``product_row`` took about 2.5 times as long (0.17 s
+against 0.07 s over the 149 entries, on a 2-core host).
 """
 
 from __future__ import annotations
@@ -513,47 +522,49 @@ def direct_sum(A: SuperAlgebra, B: SuperAlgebra, name: str = "") -> SuperAlgebra
 # ---------------------------------------------------------------------------
 
 
-def product_groups(entries) -> Tuple[Tuple[int, int, tuple], ...]:
-    """The nonzero constants (``nonzero_constants``) grouped by product: one
-    (a, b, ((k, c[a,b,k]), ...)) per product x_a x_b that is not zero."""
+def product_groups(table) -> Tuple[Tuple[int, int, tuple], ...]:
+    """The nonzero constants of a flat table (``nonzero_constants``) grouped
+    by product: one (a, b, ((k, c[a,b,k]), ...)) per product x_a x_b that is
+    not zero."""
     groups: Dict[Tuple[int, int], list] = {}
-    for a, b, k, c in entries:
+    for a, b, k, c in nonzero_constants(table):
         groups.setdefault((a, b), []).append((k, c))
     return tuple((a, b, tuple(kc)) for (a, b), kc in groups.items())
 
 
-def product_row(groups, d: int, pa, pb, zero) -> List[Scalar]:
-    """The x-coordinates of y_a y_b, where ``pa`` and ``pb`` are the rows
-    P[a] and P[b] and ``groups`` the table's constants (``product_groups``):
-    the product step of every basis change.  Each caller contracts it with
-    Q, over the columns it needs."""
-    v = [zero] * d
-    for c, e, kc in groups:
-        x = pa[c]
+def product_row(groups, u, v, zero) -> List[Scalar]:
+    """The coordinates of u v, for coordinate vectors u and v of the table
+    whose constants are ``groups`` (``product_groups``); ``zero`` is the
+    zero of the scalars.  The one product step of the basis changes (u and
+    v rows of P, y_a y_b in x-coordinates), the powers J^r, associativity
+    and the Burde traces."""
+    w = [zero] * len(u)
+    for a, b, kc in groups:
+        x = u[a]
         if x:
-            f = x * pb[e]
+            f = x * v[b]
             if f:
-                for k, val in kc:
-                    v[k] = v[k] + f * val
-    return v
+                for k, c in kc:
+                    w[k] = w[k] + f * c
+    return w
 
 
-def change_basis(entries, d: int, P, Q, zero) -> List[List[List[Scalar]]]:
-    """Constants of a product in the basis y_a = sum_c P[a][c] x_c, scaled by
-    s where P Q = s I: Q = P^-1 gives the constants themselves, Q = adj(P)
+def change_basis(table, P, Q, zero) -> List[List[List[Scalar]]]:
+    """Constants of a flat table in the basis y_a = sum_c P[a][c] x_c, scaled
+    by s where P Q = s I: Q = P^-1 gives the constants themselves, Q = adj(P)
     gives them times det(P) without a division (over Z, or Z[s]).
 
-    ``entries`` are the nonzero constants of the d-dimensional table
-    (``nonzero_constants``) and ``zero`` is the zero of the scalars (0,
-    Fraction(0), the zero Poly or the zero RatFun).  The scalars may be int,
-    Fraction, Poly or RatFun: zeros are skipped by their truth value.
+    ``zero`` is the zero of the scalars (0, Fraction(0), the zero Poly or the
+    zero RatFun).  The scalars may be int, Fraction, Poly or RatFun: zeros
+    are skipped by their truth value.
     """
-    groups = product_groups(entries)
+    groups = product_groups(table)
+    d = len(table)
     moved = []
     for pa in P:
         plane = []
         for pb in P:
-            live = [(k, x) for k, x in enumerate(product_row(groups, d, pa, pb, zero)) if x]
+            live = [(k, x) for k, x in enumerate(product_row(groups, pa, pb, zero)) if x]
             plane.append([sum((x * Q[k][l] for k, x in live if Q[k][l]), zero) for l in range(d)])
         moved.append(plane)
     return moved
@@ -569,9 +580,7 @@ def apply_graded_change(
         [Fraction(0)] * m + [Fraction(x) for x in row] for row in p_odd
     ]
     table, _par = graded_table(J)
-    moved = change_basis(
-        nonzero_constants(table), m + n, P, invert_field_matrix(P), Fraction(0)
-    )
+    moved = change_basis(table, P, invert_field_matrix(P), Fraction(0))
     return unflatten(moved, m, n, name=J.name)
 
 
@@ -582,32 +591,14 @@ def power_spans(table) -> List[List[List]]:
     over Z[s], on the table times lambda (``cleared_table``), whose powers
     are those of the table: lambda (U W) spans U W."""
     table = cleared_table(table)[1]
+    groups = product_groups(table)
     d = len(table)
-
-    def product_span(U, W):
-        vecs = []
-        for u in U:
-            for w in W:
-                out = [0] * d
-                for a in range(d):
-                    if not u[a]:
-                        continue
-                    for b in range(d):
-                        if not w[b]:
-                            continue
-                        c = u[a] * w[b]
-                        for k, t in enumerate(table[a][b]):
-                            if t:
-                                out[k] += c * t
-                if any(out):
-                    vecs.append(out)
-        return row_reduce_basis(vecs)
-
     powers = [[[int(i == j) for j in range(d)] for i in range(d)]]
     for r in range(2, d + 1):
         vecs = []
         for i in range(1, r):
-            vecs.extend(product_span(powers[i - 1], powers[r - i - 1]))
+            products = (product_row(groups, u, w, 0) for u in powers[i - 1] for w in powers[r - i - 1])
+            vecs.extend(row_reduce_basis([v for v in products if any(v)]))
         powers.append(row_reduce_basis(vecs))
     return powers
 

@@ -15,7 +15,6 @@ its line.
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -28,8 +27,6 @@ from .certificates import ClosedSet, parse_closed_set_file
 from .degeneration import Witness, parse_witness_file
 from .ratfun import RatFun, ratfun_compose
 from .tablefmt import AlgebraFile, ParseError, parse_algebra_file, read_count, read_lines, unknown_line
-
-DATA_ENV = "SUPERJORDAN_DATA"
 
 # parameter values at which the one-parameter family is checked numerically
 FAMILY_SAMPLES = (2, 3, 5)
@@ -46,13 +43,6 @@ class ParameterError(ValueError):
 
 class UnknownNode(KeyError):
     pass
-
-
-def default_data_root() -> Path:
-    env = os.environ.get(DATA_ENV)
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parent / "data"
 
 
 TYPE_DIRS = {"type13": (1, 3), "type22": (2, 2), "type31": (3, 1)}
@@ -102,7 +92,7 @@ class LemmaPairGroup:
 
 class Catalog:
     def __init__(self, root: Optional[Path] = None):
-        self.root = Path(root) if root else default_data_root()
+        self.root = Path(root) if root else Path(__file__).resolve().parent / "data"
         if not self.root.is_dir():
             raise FileNotFoundError(f"catalog root {self.root} does not exist")
         self.entries: Dict[str, AlgebraFile] = {}

@@ -109,8 +109,10 @@ def cmd_orbit(args, rep: Reporter) -> int:
 
 
 def cmd_degenerate(args, rep: Reporter) -> int:
-    cat = _load_catalog(args)
     paths = sorted(Path(args.all).glob("*.wit")) if args.all else [Path(args.file)]
+    if not paths:
+        raise FileNotFoundError(f"{args.all}: missing or empty witness directory (no .wit files)")
+    cat = _load_catalog(args)
     rep.rows(V.witness_row(cat, parse_witness_file(path))[1] for path in paths)
     return rep.status
 
@@ -190,7 +192,7 @@ def main(argv=None) -> int:
         prog="superjordan",
         description="Exact verification of the 4-dimensional Jordan superalgebra classification",
     )
-    parser.add_argument("--catalog", help="data root override (default: packaged data or $SUPERJORDAN_DATA)")
+    parser.add_argument("--catalog", help="data root override (default: the packaged data)")
     parser.add_argument("--format", choices=("text", "tsv"), default="text")
     parser.add_argument("--output", help="write the report to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)

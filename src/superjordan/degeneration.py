@@ -38,7 +38,6 @@ from .algebra import (
     default_basis_order,
     flatten,
     label_parity,
-    nonzero_constants,
 )
 from .linalg import SingularMatrix, clear_denominators, int_matrix_det_adjugate
 from .ratfun import RF_ZERO, Poly, RatFun, ratfun_compose
@@ -187,7 +186,7 @@ def apply_basis_change_table(table, P, Q, zero=RF_ZERO):
     """Constants of the same product in the basis y_a = sum_c P[a][c] x_c,
     times s where P Q = s I: Q = P^-1 over Q(s) gives the constants, and
     Q = adj(P) over Z[s] (``zero`` the zero Poly) gives them times det(P)."""
-    return _freeze(change_basis(nonzero_constants(table), len(table), P, Q, zero))
+    return _freeze(change_basis(table, P, Q, zero))
 
 
 def witness_matrix(wit: Witness, J: SuperAlgebra):

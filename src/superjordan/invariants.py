@@ -33,9 +33,10 @@ from .algebra import (
     SuperAlgebra,
     cleared_table,
     graded_table,
-    nonzero_constants,
     power_filtration,
     power_spans,
+    product_groups,
+    product_row,
     unflatten,
 )
 
@@ -142,20 +143,20 @@ def is_associative(J: SuperAlgebra) -> bool:
 
 
 def table_is_associative(table) -> bool:
-    """(ab)c = a(bc) on every basis triple, in ints or over Z[s] on the
-    cleared table (``cleared_table``): both sides are quadratic in the
-    constants."""
-    d = len(table)
-    T = cleared_table(table)[1]
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                for l in range(d):
-                    lhs = sum(T[a][b][k] * T[k][c][l] for k in range(d))
-                    rhs = sum(T[b][c][k] * T[a][k][l] for k in range(d))
-                    if lhs != rhs:
-                        return False
-    return True
+    """(x_a x_b) x_c = x_a (x_b x_c) on every basis triple, compared as
+    rows (``product_row``) in ints or over Z[s] on the cleared table
+    (``cleared_table``): both sides are quadratic in the constants."""
+    scale, T = cleared_table(table)
+    groups = product_groups(T)
+    zero = 0 * scale  # 0, or the zero Poly, which is not equal to 0
+    d = len(T)
+    unit = [[int(i == j) for j in range(d)] for i in range(d)]
+    return all(
+        product_row(groups, T[a][b], unit[c], zero) == product_row(groups, unit[a], T[b][c], zero)
+        for a in range(d)
+        for b in range(d)
+        for c in range(d)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +175,6 @@ class BurdeValue:
     @property
     def defined(self) -> bool:
         return self.status == "defined"
-
-
-def _left_mult(entries, d: int, x: Sequence[int]):
-    """L(x)[k][b] = sum_a x[a] c[a,b,k], from the nonzero constants."""
-    out = [[0] * d for _ in range(d)]
-    for a, b, k, c in entries:
-        if x[a]:
-            out[k][b] += x[a] * c
-    return out
 
 
 def _mat_mul(A, B):
@@ -230,15 +222,16 @@ def _burde_values(J: SuperAlgebra, pairs, trials: int = 16, seed: int = 0) -> Li
     are the traces, on the table times lambda (``cleared_table``): L(x) is
     linear in the constants, so the numerator and the denominator both
     scale by lambda^(i+j), which cancels, and lambda != 0 keeps every zero
-    test.
+    test.  L(x) is built transposed, as the rows x x_b (``product_row``);
+    no trace changes, since tr((A^T)^i) = tr(A^i) and tr(A^T B^T) = tr(AB).
     """
     if any(i < 1 or j < 1 for i, j in pairs):
         raise ValueError("exponents must be >= 1")
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    table = cleared_table(graded_table(J)[0])[1]
-    d = len(table)
-    entries = nonzero_constants(table)
+    groups = product_groups(cleared_table(graded_table(J)[0])[1])
+    d = J.dim
+    unit = [[int(i == j) for j in range(d)] for i in range(d)]
     rng = random.Random(seed)
     values: List[Optional[Fraction]] = [None] * len(pairs)
     used = [0] * len(pairs)
@@ -249,8 +242,8 @@ def _burde_values(J: SuperAlgebra, pairs, trials: int = 16, seed: int = 0) -> Li
         x = [rng.randint(-3, 3) for _ in range(d)]
         y = [rng.randint(-3, 3) for _ in range(d)]
         live = [p for p in range(len(pairs)) if p not in done]
-        lx = _powers(_left_mult(entries, d, x), max(pairs[p][0] for p in live))
-        ly = _powers(_left_mult(entries, d, y), max(pairs[p][1] for p in live))
+        lx = _powers([product_row(groups, x, e, 0) for e in unit], max(pairs[p][0] for p in live))
+        ly = _powers([product_row(groups, y, e, 0) for e in unit], max(pairs[p][1] for p in live))
         for p in live:
             i, j = pairs[p]
             num = _trace(lx[i - 1]) * _trace(ly[j - 1])

@@ -17,9 +17,12 @@ from superjordan.algebra import (
     default_basis_order,
     direct_sum,
     flatten,
+    graded_table,
     jordan_defect,
     load,
     power_filtration,
+    product_groups,
+    product_row,
     unflatten,
 )
 
@@ -189,6 +192,47 @@ def test_identity_kernel_matches_reference(catalog):
         assert check_super_jordan(J) == _reference_check(J), J.name
     broken = sum(not check_super_jordan(J).ok for J in perturbed)
     assert 2 * broken >= len(perturbed)
+
+
+def _product_step_misses(J, table, seed):
+    """The pairs (u, v) on which ``product_row`` over the constants of
+    ``table`` differs from J.multiply, the block product: every pair of
+    basis vectors and five seeded pairs of int vectors."""
+    d, m = J.dim, J.m
+    rng = random.Random(seed)
+    unit = [[int(i == j) for j in range(d)] for i in range(d)]
+    pairs = [(u, v) for u in unit for v in unit] + [
+        ([rng.randint(-3, 3) for _ in range(d)], [rng.randint(-3, 3) for _ in range(d)]) for _ in range(5)
+    ]
+    groups = product_groups(table)
+    misses = []
+    for u, v in pairs:
+        w = J.multiply(Element(tuple(u[:m]), tuple(u[m:])), Element(tuple(v[:m]), tuple(v[m:])))
+        if product_row(groups, u, v, Fraction(0)) != list(w.even + w.odd):
+            misses.append((u, v))
+    return misses
+
+
+def _rational_tables(catalog):
+    return list(catalog.lowdim.values()) + [J for name in catalog.entries for J in catalog.instances(name)]
+
+
+def test_product_row_is_the_block_product(catalog):
+    # every rational catalog instance and every low-dimensional table
+    tables = _rational_tables(catalog)
+    assert len(tables) > 149
+    for i, J in enumerate(tables):
+        assert _product_step_misses(J, graded_table(J)[0], i) == [], J.name
+
+
+def test_product_row_check_sees_one_perturbed_constant(catalog):
+    # the control: one constant changed in the table product_row reads
+    rng = random.Random(0)
+    for i, J in enumerate(_rational_tables(catalog)):
+        table = [[list(row) for row in plane] for plane in graded_table(J)[0]]
+        a, b, k = (rng.randrange(J.dim) for _ in range(3))
+        table[a][b][k] += 1
+        assert _product_step_misses(J, table, i), J.name
 
 
 def test_square_examples(j1, j5):

@@ -430,8 +430,8 @@ def test_trials_compute_dense_coordinates(catalog, monkeypatch, seed):
         for name in [cs.source, *cs.targets]:
             for J in catalog.instances(name):
                 table = certificate_table(cs, J)
-                entries = nonzero_constants(_int_table(table))
-                assert nonzero_constants(cleared_table(table)[1]) == entries
+                table_int = _int_table(table)
+                assert nonzero_constants(cleared_table(table)[1]) == nonzero_constants(table_int)
                 for kind in ("stability", "separation"):
                     seen.clear()
                     verdicts = [holds for _g, holds in certificates._trials(kind, cs, table, 5, seed)]
@@ -439,7 +439,7 @@ def test_trials_compute_dense_coordinates(catalog, monkeypatch, seed):
                     assert [(g, adj) for _p, g, adj, *_ in seen] == list(draws)
                     for plan, g, adj, rows, slots, holds in seen:
                         assert plan is cs.plan
-                        dense = change_basis(entries, cs.dim, g, adj, 0)
+                        dense = change_basis(table_int, g, adj, 0)
                         read = _read_coordinates(cs, dense)
                         assert len(set(slots.writes)) == len(slots.writes), (cs.label, J.name, kind)
                         assert {plan.coords[s] for s in slots.writes} == read, (cs.label, J.name, kind)
@@ -483,12 +483,11 @@ def test_integer_path_is_det_times_field_path(catalog):
     for cs in catalog.closed_sets():
         for J in catalog.instances(cs.source):
             table_int = _int_table(certificate_table(cs, J))
-            entries = nonzero_constants(table_int)
             for kind in ("stability", "separation"):
                 for g, adj in certificates._changes(kind, _key(kind, cs), 5, 0):
                     det = cofactor_det(g)
                     inverse = fraction_inverse(g)
-                    field = change_basis(entries, cs.dim, g, inverse, Fraction(0))
+                    field = change_basis(table_int, g, inverse, Fraction(0))
                     scaled = [[[det * x for x in row] for row in plane] for plane in field]
                     assert transform_int_table(table_int, g) == scaled, cs.label
                     checked += 1
@@ -650,10 +649,9 @@ def test_compiled_conditions_agree_with_reference(catalog):
         for name in [cs.source, *cs.targets]:
             for J in catalog.instances(name):
                 table_int = _int_table(certificate_table(cs, J))
-                entries = nonzero_constants(table_int)
                 for kind in ("stability", "separation"):
                     for g, adj in certificates._changes(kind, _key(kind, cs), 50, 0):
-                        _agree(cs, change_basis(entries, cs.dim, g, adj, 0), outcomes)
+                        _agree(cs, change_basis(table_int, g, adj, 0), outcomes)
     assert outcomes == {True, False}
 
 

@@ -64,6 +64,13 @@ def test_catalog_root_without_type_directories_is_usage_error(tmp_path, capsys):
     assert "missing or empty" in err and str(tmp_path / "catalog" / "type22") in err
 
 
+def test_degenerate_all_without_witnesses_is_usage_error(tmp_path, capsys):
+    # a directory that is missing or holds no .wit file must not pass vacuously
+    for directory in (tmp_path / "missing", tmp_path):
+        err = _one_error_line(["degenerate", "--all", str(directory)], capsys)
+        assert err == f"error: {directory}: missing or empty witness directory (no .wit files)"
+
+
 def test_derive(capsys):
     assert main(["derive", "J18"]) == 0
     assert capsys.readouterr().out == "PASS derive:J18 even=9 odd=0 total=9\n"

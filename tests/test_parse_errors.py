@@ -203,6 +203,13 @@ def test_witness_key_error_names_file_and_line(tmp_path, capsys, line, message):
             "basis = f1 f2 f3 e\ncondition: c[*,*,1] = 0\ncondition: 2*c[3,4,3] = c[4,4,4]\n",
             "5: duplicate key 'targets'",
         ),
+        # a certificate that names no target separates nothing
+        (
+            "closedset",
+            ".cs",
+            (DATA / "closedsets" / "geo1_J12.cs").read_text().replace("J7 J8 J9 J11 J15 J16 J17 J19", ""),
+            "4: targets names no entry",
+        ),
         (
             "degenerate",
             ".wit",
