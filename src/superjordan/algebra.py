@@ -41,7 +41,8 @@ homogeneous, and the witness replay divides by the scale.
 One product step, ``product_row`` (u v over the constants grouped by
 product, ``product_groups``), serves every kernel that multiplies
 coordinate vectors: ``change_basis`` and the certificate trial plan,
-``power_spans``, ``invariants.table_is_associative`` and the Burde traces.
+``power_spans``, ``invariants.table_is_associative``, and the Burde traces
+and the powers of L(x) under them (``invariants._burde_values``).
 ``check_super_jordan`` keeps its own sparse products: it computes each
 pair and triple product once and reads it many times in its d^4 loop,
 which through ``product_row`` took about 2.5 times as long (0.17 s
@@ -88,8 +89,9 @@ class Element:
     even: Tuple[Scalar, ...]
     odd: Tuple[Scalar, ...]
 
-    def is_zero(self) -> bool:
-        return not (any(self.even) or any(self.odd))
+    def __bool__(self) -> bool:
+        """Nonzero, as for the scalars."""
+        return any(self.even) or any(self.odd)
 
     def parity(self) -> int:
         """0 for even, 1 for odd; raises on genuinely mixed elements."""
@@ -537,7 +539,7 @@ def product_row(groups, u, v, zero) -> List[Scalar]:
     whose constants are ``groups`` (``product_groups``); ``zero`` is the
     zero of the scalars.  The one product step of the basis changes (u and
     v rows of P, y_a y_b in x-coordinates), the powers J^r, associativity
-    and the Burde traces."""
+    and the Burde traces (the rows of L(x) transposed and of its powers)."""
     w = [zero] * len(u)
     for a, b, kc in groups:
         x = u[a]

@@ -20,13 +20,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
 from .algebra import SuperAlgebra, direct_sum, graded_table, load, unflatten
 from .certificates import ClosedSet, parse_closed_set_file
 from .degeneration import Witness, parse_witness_file
+from .invariants import SCREEN_ITEMS
 from .ratfun import RatFun, ratfun_compose
-from .tablefmt import AlgebraFile, ParseError, parse_algebra_file, read_count, read_lines, unknown_line
+from .tablefmt import AlgebraFile, ParseError, excerpt, parse_algebra_file, read_count, read_lines, unknown_line
 
 # parameter values at which the one-parameter family is checked numerically
 FAMILY_SAMPLES = (2, 3, 5)
@@ -60,9 +61,10 @@ class ReferenceGraph:
         return b in reachable_nodes(self.edges, a)
 
 
-def reachable_nodes(edges: Iterable[Tuple[str, str]], start: str) -> Set[str]:
+def reachable_nodes(edges: Iterable[Tuple[Hashable, Hashable]], start: Hashable) -> Set[Hashable]:
     """``start`` and every node reached from it along the directed
-    ``edges``, given as (source, target) pairs."""
+    ``edges``, given as (source, target) pairs: the graph searches, and the
+    blocks of a table (``verify._interaction_blocks``)."""
     successors = defaultdict(list)
     for src, dst in edges:
         successors[src].append(dst)
@@ -301,16 +303,19 @@ def _parse_components(path: Path, entries: Dict[str, AlgebraFile]) -> dict:
 
 def _parse_lemma_pairs(path: Path, entries: Dict[str, AlgebraFile]) -> List[LemmaPairGroup]:
     """The lemma pairs; each source must be one of the catalog's ``entries``,
-    and each target an entry of its source's type."""
+    each target an entry of its source's type, and each reason an item of
+    the screen (``invariants.SCREEN_ITEMS``)."""
     groups = []
 
     def handle(key: str, line: str) -> None:
         head, semi, reason = line.partition(";")
         src, arrow, tgts = head.partition("-/->")
         name, _, reason = reason.partition("=")
-        if key or not (arrow and src.strip() and tgts.split()) or (semi and name.strip() != "reason"):
+        if key or not (arrow and src.strip() and tgts.split() and semi) or name.strip() != "reason":
             raise ParseError("expected 'SOURCE -/-> TARGET ... ; reason = R'")
         group = LemmaPairGroup(src.strip(), tgts.split(), reason.strip())
+        if group.reason not in SCREEN_ITEMS:
+            raise ParseError(f"unknown reason {excerpt(group.reason)} (expected one of {', '.join(SCREEN_ITEMS)})")
         _check_entry(entries, group.source)
         for tgt in group.targets:
             _check_entry(entries, tgt, entries[group.source].mn)

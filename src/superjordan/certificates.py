@@ -145,7 +145,7 @@ def closed_set_eval(table, cs: ClosedSet) -> bool:
     written in the certificate's basis (see ``certificate_table``)."""
     if len(table) != cs.dim:
         raise BasisMismatch(f"table dim {len(table)} != certificate dim {cs.dim}")
-    return all(condition_holds(cond, table) for cond in cs.conditions)
+    return failing_condition(table, cs) is None
 
 
 def failing_condition(table, cs: ClosedSet) -> Optional[Condition]:
@@ -239,16 +239,12 @@ def _expand(poly: dict, d: int, slots: int) -> tuple:
     slots; those that vanish identically are dropped."""
     out = []
     for combo in product(range(d), repeat=slots):
-        inst: dict = {}
-        for mono, coef in poly.items():
-            concrete = tuple(
-                sorted(tuple(i if i >= 0 else combo[~i] for i in atom) for atom in mono)
-            )
-            inst[concrete] = inst.get(concrete, 0) + coef
+        inst = _Poly.of(
+            (tuple(sorted(tuple(i if i >= 0 else combo[~i] for i in atom) for atom in mono)), coef)
+            for mono, coef in poly.items()
+        )
         terms = tuple(
-            (int(coef) if coef.denominator == 1 else coef, mono)
-            for mono, coef in sorted(inst.items())
-            if coef
+            (int(coef) if coef.denominator == 1 else coef, mono) for mono, coef in sorted(inst.items())
         )
         if terms:
             out.append(terms)
@@ -351,8 +347,8 @@ def parse_closed_set(text: str, source_name: str = "<string>") -> ClosedSet:
             raise unknown_line(key, val)
 
     cs.status = read_lines(text, source_name, handle, "closedset", STATUSES)
-    if cs.source is None or not cs.basis:
-        raise CertificateParseError(f"{source_name}: source and basis are required")
+    if cs.source is None or not cs.targets or not cs.basis:
+        raise CertificateParseError(f"{source_name}: source, targets and basis are required")
     return cs
 
 

@@ -219,7 +219,7 @@ def is_graded_matrix(P, order: List[str]) -> bool:
     parities = [label_parity(lab) for lab in order]
     for a in range(len(order)):
         for b in range(len(order)):
-            if parities[a] != parities[b] and not P[a][b].is_zero():
+            if parities[a] != parities[b] and P[a][b]:
                 return False
     return True
 

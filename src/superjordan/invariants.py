@@ -177,19 +177,6 @@ class BurdeValue:
         return self.status == "defined"
 
 
-def _mat_mul(A, B):
-    d = len(A)
-    out = [[0] * d for _ in range(d)]
-    for i in range(d):
-        row = out[i]
-        for k, aik in enumerate(A[i]):
-            if aik:
-                for j, bkj in enumerate(B[k]):
-                    if bkj:
-                        row[j] += aik * bkj
-    return out
-
-
 def _trace(A) -> int:
     return sum(A[i][i] for i in range(len(A)))
 
@@ -198,14 +185,6 @@ def _trace_of_product(A, B) -> int:
     """tr(AB), without forming AB."""
     d = len(A)
     return sum(A[i][k] * B[k][i] for i in range(d) for k in range(d) if A[i][k])
-
-
-def _powers(A, top: int) -> list:
-    """[A, A^2, ..., A^top]."""
-    out = [A]
-    while len(out) < top:
-        out.append(_mat_mul(out[-1], A))
-    return out
 
 
 def _burde_values(J: SuperAlgebra, pairs, trials: int = 16, seed: int = 0) -> List[BurdeValue]:
@@ -222,8 +201,10 @@ def _burde_values(J: SuperAlgebra, pairs, trials: int = 16, seed: int = 0) -> Li
     are the traces, on the table times lambda (``cleared_table``): L(x) is
     linear in the constants, so the numerator and the denominator both
     scale by lambda^(i+j), which cancels, and lambda != 0 keeps every zero
-    test.  L(x) is built transposed, as the rows x x_b (``product_row``);
-    no trace changes, since tr((A^T)^i) = tr(A^i) and tr(A^T B^T) = tr(AB).
+    test.  L(x) is built transposed, as M with rows x x_b; no trace
+    changes, since tr((A^T)^i) = tr(A^i) and tr(A^T B^T) = tr(AB).  Its
+    powers are products too: row b of M^i is x times row b of M^(i-1), so
+    each row of each power is one ``product_row``, starting from M^0 = I.
     """
     if any(i < 1 or j < 1 for i, j in pairs):
         raise ValueError("exponents must be >= 1")
@@ -232,6 +213,14 @@ def _burde_values(J: SuperAlgebra, pairs, trials: int = 16, seed: int = 0) -> Li
     groups = product_groups(cleared_table(graded_table(J)[0])[1])
     d = J.dim
     unit = [[int(i == j) for j in range(d)] for i in range(d)]
+
+    def left_powers(x, top: int) -> list:
+        """[M, M^2, ..., M^top] for M = L(x) transposed."""
+        out = [unit]
+        while len(out) <= top:
+            out.append([product_row(groups, x, row, 0) for row in out[-1]])
+        return out[1:]
+
     rng = random.Random(seed)
     values: List[Optional[Fraction]] = [None] * len(pairs)
     used = [0] * len(pairs)
@@ -242,8 +231,8 @@ def _burde_values(J: SuperAlgebra, pairs, trials: int = 16, seed: int = 0) -> Li
         x = [rng.randint(-3, 3) for _ in range(d)]
         y = [rng.randint(-3, 3) for _ in range(d)]
         live = [p for p in range(len(pairs)) if p not in done]
-        lx = _powers([product_row(groups, x, e, 0) for e in unit], max(pairs[p][0] for p in live))
-        ly = _powers([product_row(groups, y, e, 0) for e in unit], max(pairs[p][1] for p in live))
+        lx = left_powers(x, max(pairs[p][0] for p in live))
+        ly = left_powers(y, max(pairs[p][1] for p in live))
         for p in live:
             i, j = pairs[p]
             num = _trace(lx[i - 1]) * _trace(ly[j - 1])
@@ -272,13 +261,20 @@ def _burde_values(J: SuperAlgebra, pairs, trials: int = 16, seed: int = 0) -> Li
 # ---------------------------------------------------------------------------
 
 
+def subalgebra(J: SuperAlgebra, block: Sequence[int], name: str = "") -> SuperAlgebra:
+    """The products among the basis vectors ``block`` (ascending indices into
+    ``J.labels()``, closed under the product), as an algebra whose even
+    vectors are the even vectors of ``block``."""
+    table, par = graded_table(J)
+    sub = [[[table[a][b][k] for k in block] for b in block] for a in block]
+    m = sum(1 for a in block if par[a] == 0)
+    return unflatten(sub, m, len(block) - m, name=name)
+
+
 def even_part(J: SuperAlgebra) -> SuperAlgebra:
     """The even subalgebra (the products of even vectors), as a type (m, 0)
     algebra."""
-    m = J.m
-    table, _par = graded_table(J)
-    even = [[row[:m] for row in plane[:m]] for plane in table[:m]]
-    return unflatten(even, m, 0, name=f"({J.name})_0" if J.name else "")
+    return subalgebra(J, range(J.m), name=f"({J.name})_0" if J.name else "")
 
 
 @lru_cache(maxsize=None)
@@ -316,9 +312,14 @@ def identify_algebra(J: SuperAlgebra, candidates: Iterable[Tuple[str, SuperAlgeb
 # ---------------------------------------------------------------------------
 
 
+# The items of the screen, in the order ``screen_violations`` yields them; a
+# lemma pair's published reason names one.
+SCREEN_ITEMS = ("power-dims", "even-part", "orbit-dimension", "associativity", "associated-algebra", "burde")
+
+
 @dataclass(frozen=True)
 class ScreenViolation:
-    item: str  # power-dims | even-part | associated-algebra | burde | associativity | orbit-dimension
+    item: str  # one of SCREEN_ITEMS
     detail: str
 
 

@@ -61,9 +61,6 @@ class Poly:
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         """Nonzero, as for RatFun, so a zero polynomial can be skipped."""
         return bool(self.coeffs)
@@ -168,7 +165,7 @@ class Poly:
         return acc
 
     def __repr__(self):
-        if self.is_zero():
+        if not self.coeffs:
             return "Poly(0)"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -245,10 +242,10 @@ class RatFun:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly = _ONE, _reduced: bool = False):
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not _reduced:
-            if num.is_zero():
+            if not num:
                 den = _ONE
             elif den != _ONE:
                 g = poly_gcd(num, den)
@@ -279,13 +276,10 @@ class RatFun:
         num = Poly.monomial(max(exp, 0), c.numerator)
         return RatFun(num, Poly.monomial(max(-exp, 0), c.denominator), _reduced=True)
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __bool__(self) -> bool:
         """Nonzero, as for int and Fraction, so one truthiness test skips
         zeros whatever the scalars."""
-        return not self.num.is_zero()
+        return bool(self.num)
 
     def is_constant(self) -> bool:
         return self.num.degree() <= 0 and self.den.degree() == 0
@@ -333,7 +327,7 @@ class RatFun:
     def __mul__(self, other: "RatFun") -> "RatFun":
         if isinstance(other, (int, Fraction)):
             other = RatFun.const(other)
-        if self.is_zero() or other.is_zero():
+        if not (self.num and other.num):
             return RF_ZERO
         # cross-reduce: the quotients stay coprime, and their products too
         g1 = poly_gcd(self.num, other.den)
@@ -344,7 +338,7 @@ class RatFun:
     __rmul__ = __mul__
 
     def inverse(self) -> "RatFun":
-        if self.is_zero():
+        if not self.num:
             raise ZeroDivisionError("inverse of the zero function")
         if self.num.coeffs[-1] < 0:
             return RatFun(-self.den, -self.num, _reduced=True)

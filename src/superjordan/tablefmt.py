@@ -58,7 +58,8 @@ list of ``[erratum]`` records of one ``id``, ``kind``, ``key`` and
 ``detail`` line each, the detail continued by any ``detail:`` lines; a
 graph (``.edges``) has one ``A -> B`` line per edge; a component list has
 ``dimension``, ``rigid`` and ``families``; and the lemma pairs have one
-``SOURCE -/-> TARGET ... ; reason = R`` line per group.
+``SOURCE -/-> TARGET ... ; reason = R`` line per group, R an item of the
+screen (``invariants.SCREEN_ITEMS``).
 
 A linear combination (a product's right side, a witness basis vector) is
 split by ``split_combination`` into terms ``coefficient label``, the ``*``

@@ -5,7 +5,9 @@ envelope checks, degeneration graphs and component accounting.
 This module is the one place that builds report rows: every sweep is a loop
 over a per-item row builder, and the command line filters the same builders.
 Failures that correspond to recorded errata are reported as logged
-exceptions rather than silent passes or hard failures.
+exceptions rather than silent passes or hard failures; ``_checked`` holds
+that rule, and builds the orbit, decomposition, witness and certificate
+rows.
 """
 
 from __future__ import annotations
@@ -13,17 +15,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from .algebra import (
-    SuperAlgebra,
-    check_super_jordan,
-    graded_table,
-    nonzero_constants,
-    unflatten,
-)
+from .algebra import SuperAlgebra, check_super_jordan, graded_table, nonzero_constants
 from .atlas import DegenGraph, build_graph, component_report, edge_monotonicity_violations
-from .catalog import FAMILY_SAMPLES, Catalog, names_in
+from .catalog import FAMILY_SAMPLES, Catalog, names_in, reachable_nodes
 from .certificates import (
     ClosedSet,
     certificate_table,
@@ -41,6 +37,7 @@ from .invariants import (
     nondegeneration_screen,
     orbit_dimension,
     screen_violations,
+    subalgebra,
 )
 
 # expected (component count, variety dimension) per type
@@ -73,6 +70,15 @@ class CheckRow:
         return self.ok or self.logged or self.info
 
 
+def _checked(cat: Catalog, key: str, ok: bool, detail: str, published: bool = True) -> CheckRow:
+    """The row ``key``.  A failure is logged when the errata ledger names
+    its key (for a family row ``orbit:N@p``, the key ``orbit:N``) and the
+    row checks published data: a row of a correction (``published`` false)
+    is never logged, since the correction is the erratum."""
+    logged = not ok and published and key.split("@")[0] in cat.errata_keys()
+    return CheckRow(key, ok, logged, detail)
+
+
 # ---------------------------------------------------------------------------
 # identity and orbit sweeps
 # ---------------------------------------------------------------------------
@@ -97,20 +103,12 @@ def orbit_rows(cat: Catalog, name: str) -> List[CheckRow]:
     """Computed against declared orbit dimension; a family gets one row per
     sample parameter, ``orbit:NAME@p``."""
     entry = cat.entry(name)
-    logged = f"orbit:{name}" in cat.errata_keys()
     suffixes = [f"@{p}" for p in FAMILY_SAMPLES] if entry.is_family else [""]
     rows = []
     for suffix, J in zip(suffixes, cat.instances(name)):
         od = orbit_dimension(J)
-        ok = od == entry.orbit
-        rows.append(
-            CheckRow(
-                f"orbit:{name}{suffix}",
-                ok,
-                (not ok) and logged,
-                f"computed {od}, declared {entry.orbit}",
-            )
-        )
+        detail = f"computed {od}, declared {entry.orbit}"
+        rows.append(_checked(cat, f"orbit:{name}{suffix}", od == entry.orbit, detail))
     return rows
 
 
@@ -131,33 +129,17 @@ def derive_row(cat: Catalog, name: str) -> CheckRow:
 
 def _interaction_blocks(J: SuperAlgebra) -> List[List[int]]:
     """Connected components of the basis-interaction graph, as ascending
-    indices into ``J.labels()``: x_a, x_b and x_k are linked when c[a,b,k] != 0."""
+    indices into ``J.labels()``, largest first: x_a, x_b and x_k are linked
+    when c[a,b,k] != 0.  Each block is the set ``reachable_nodes`` finds
+    from its least vertex over the links a-b and a-k, taken both ways."""
     table, _par = graded_table(J)
-    parent = list(range(len(table)))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b, k, _c in nonzero_constants(table):
-        for w in (b, k):
-            parent[find(a)] = find(w)
-
-    groups: Dict[int, List[int]] = {}
+    links = [(a, w) for a, b, k, _c in nonzero_constants(table) for w in (b, k)]
+    links += [(w, a) for a, w in links]
+    blocks: List[List[int]] = []
     for v in range(len(table)):
-        groups.setdefault(find(v), []).append(v)
-    return sorted(groups.values(), key=lambda g: (-len(g), g))
-
-
-def _sub_algebra(J: SuperAlgebra, block: Sequence[int]) -> SuperAlgebra:
-    """The products among the basis vectors ``block`` (ascending indices into
-    ``J.labels()``, closed under the product)."""
-    table, par = graded_table(J)
-    sub = [[[table[a][b][k] for k in block] for b in block] for a in block]
-    m = sum(1 for a in block if par[a] == 0)
-    return unflatten(sub, m, len(block) - m)
+        if not any(v in block for block in blocks):
+            blocks.append(sorted(reachable_nodes(links, v)))
+    return sorted(blocks, key=lambda g: (-len(g), g))
 
 
 def computed_decomposition(cat: Catalog, J: SuperAlgebra) -> List[str]:
@@ -165,7 +147,7 @@ def computed_decomposition(cat: Catalog, J: SuperAlgebra) -> List[str]:
     low-dimensional table it permutes to (``identify_algebra``), else ?(m,n)."""
     out = []
     for block in _interaction_blocks(J):
-        sub = _sub_algebra(J, block)
+        sub = subalgebra(J, block)
         label = identify_algebra(sub, cat.lowdim.items())
         out.append(label if label else f"?({sub.m},{sub.n})")
     return sorted(out)
@@ -174,31 +156,17 @@ def computed_decomposition(cat: Catalog, J: SuperAlgebra) -> List[str]:
 def verify_decompositions(cat: Catalog) -> List[CheckRow]:
     """Declared direct-sum labels must match the computed block structure;
     entries declared Indecomposable must not split."""
-    logged = cat.errata_keys()
     rows = []
     for name in cat.names():
         entry = cat.entry(name)
         blocks = computed_decomposition(cat, cat.instances(name)[0])
         declared = entry.decomposition or ""
-        key = f"decomposition:{name}"
         if declared.strip().lower() == "indecomposable":
-            ok = len(blocks) == 1
-            rows.append(
-                CheckRow(key, ok, (not ok) and key in logged, f"blocks {blocks}")
-            )
-            continue
-        declared_parts = [p.strip() for p in declared.split("+")]
-        if blocks == sorted(declared_parts):
-            rows.append(CheckRow(key, True, False, f"{'+'.join(blocks)}"))
+            ok, detail = len(blocks) == 1, f"blocks {blocks}"
         else:
-            rows.append(
-                CheckRow(
-                    key,
-                    False,
-                    key in logged,
-                    f"computed {'+'.join(blocks)}, declared {declared}",
-                )
-            )
+            ok = blocks == sorted(p.strip() for p in declared.split("+"))
+            detail = "+".join(blocks) if ok else f"computed {'+'.join(blocks)}, declared {declared}"
+        rows.append(_checked(cat, f"decomposition:{name}", ok, detail))
     return rows
 
 
@@ -251,8 +219,7 @@ def witness_row(cat: Catalog, wit: Witness) -> Tuple[Verdict, CheckRow]:
     )
     # an erratum logs the printed basis failing; a basis stored with any
     # other status is already the correction, so its failure is a FAIL
-    logged = (not ok) and wit.status == "published" and key in cat.errata_keys()
-    return verdict, CheckRow(key, ok, logged, detail)
+    return verdict, _checked(cat, key, ok, detail, published=wit.status == "published")
 
 
 def verify_witnesses(cat: Catalog) -> List[Tuple[Witness, Verdict, CheckRow]]:
@@ -274,7 +241,7 @@ def certificate_rows(cat: Catalog, cs: ClosedSet, trials: int = 1000, seed: int 
     instance of its source and of each target.  As for witnesses, an erratum
     logs a failure of the printed certificate only: a ``corrected`` one
     fails outright."""
-    logged = cat.errata_keys() if cs.status == "published" else set()
+    published = cs.status == "published"
     with names_in(cs.path):
         sources = cat.instances(cs.source)
         targets = [(tname, cat.instances(tname)) for tname in cs.targets]
@@ -284,20 +251,18 @@ def certificate_rows(cat: Catalog, cs: ClosedSet, trials: int = 1000, seed: int 
         sat = closed_set_eval(table, cs)
         key = f"certificate:{cs.label}:source"
         detail = "" if sat else f"{J.name} fails {failing_condition(table, cs).text}"
-        rows.append(CheckRow(key, sat, (not sat) and key in logged, detail))
+        rows.append(_checked(cat, key, sat, detail, published))
         if not sat:
             continue
         st = stability_test(cs, table, trials=trials, seed=seed)
         key = f"certificate:{cs.label}:stability"
-        ok = st.hits == trials
-        rows.append(CheckRow(key, ok, (not ok) and key in logged, f"{st.hits}/{trials}"))
+        rows.append(_checked(cat, key, st.hits == trials, f"{st.hits}/{trials}", published))
     need = int(trials * SEPARATION_THRESHOLD)
     for tname, instances in targets:
         for T in instances:
             sep = separation_test(cs, certificate_table(cs, T), trials=trials, seed=seed)
             key = f"certificate:{cs.label}:separation:{tname}"
-            ok = sep.hits >= need
-            rows.append(CheckRow(key, ok, (not ok) and key in logged, f"{sep.hits}/{trials}"))
+            rows.append(_checked(cat, key, sep.hits >= need, f"{sep.hits}/{trials}", published))
     return rows
 
 

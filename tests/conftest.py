@@ -144,7 +144,7 @@ class LimitUndefined(ArithmeticError):
 
 def valuation(f):
     """The order of a RatFun at s = 0; +inf for the zero function."""
-    if f.is_zero():
+    if not f:
         return inf
     return f.num.ord() - f.den.ord()
 
@@ -161,7 +161,7 @@ def limit_at_zero(f) -> Fraction:
 
 def try_limit_at_zero(f):
     """``limit_at_zero``, or None where it diverges."""
-    if not f.is_zero() and valuation(f) < 0:
+    if f and valuation(f) < 0:
         return None
     return limit_at_zero(f)
 

@@ -1,6 +1,8 @@
+from itertools import combinations
+
 import pytest
 
-from superjordan.algebra import check_super_jordan, flatten
+from superjordan.algebra import check_super_jordan, flatten, graded_table, nonzero_constants, unflatten
 from superjordan.catalog import ParameterError, UnknownName, UnknownNode
 from superjordan.ratfun import RatFun
 
@@ -146,6 +148,69 @@ def test_component_lists(catalog):
     assert len(c22["rigid"]) == 24 and c22["families"] == ["Jc16"]
     c31 = catalog.components["type31"]
     assert len(c31["rigid"]) == 21 and not c31["families"]
+
+
+def _block_violations(J, blocks):
+    """What makes ``blocks`` not the connected components of J's
+    basis-interaction graph, checked from the definition: they must
+    partition the basis, no nonzero c[a,b,k] may touch two of them, and
+    every proper part S of a block must meet a constant that touches both
+    S and the rest of the block."""
+    table, _par = graded_table(J)
+    touched = [{a, b, k} for a, b, k, _c in nonzero_constants(table)]
+    out = []
+    if sorted(v for block in blocks for v in block) != list(range(len(table))):
+        out.append(f"{blocks} is not a partition")
+    out += [f"{sorted(t)} links two blocks" for t in touched if not any(t <= set(b) for b in blocks)]
+    for block in blocks:
+        for r in range(1, len(block)):
+            for part in map(set, combinations(block, r)):
+                if not any(t & part and t - part for t in touched):
+                    out.append(f"{sorted(part)} splits off {block}")
+    return out
+
+
+def test_interaction_blocks_match_their_definition(catalog):
+    from superjordan.verify import _interaction_blocks
+
+    # every catalog instance (Jc16 at its three samples), the low-dimensional
+    # tables and the reference-graph nodes, whose direct sums have several blocks
+    cases = [J for name in catalog.names() for J in catalog.instances(name)]
+    cases += list(catalog.lowdim.values())
+    cases += [catalog.node_algebra(node) for graph in catalog.graphs.values() for node in graph.nodes]
+    assert len(cases) == 151 + 31 + 28
+    several = 0
+    for J in cases:
+        blocks = _interaction_blocks(J)
+        assert not _block_violations(J, blocks), J.name
+        several += len(blocks) > 1
+    assert several == 98
+
+
+def test_a_constant_linking_two_summands_merges_their_blocks(catalog):
+    from superjordan.verify import _interaction_blocks
+
+    merged = 0
+    for graph in catalog.graphs.values():
+        for node in graph.nodes:
+            J = catalog.node_algebra(node)
+            blocks = _interaction_blocks(J)
+            if len(blocks) < 2:
+                continue
+            # the even tables of the graphs: x_a x_b = x_a keeps the grading
+            a, b = blocks[0][0], blocks[1][0]
+            table = [[list(row) for row in plane] for plane in graded_table(J)[0]]
+            table[a][b][a] += 1
+            linked = unflatten(table, J.m, J.n)
+            assert _block_violations(linked, blocks)  # the oracle sees the link
+            # and sees two unlinked summands taken for one block
+            assert _block_violations(J, [sorted(blocks[0] + blocks[1])] + blocks[2:])
+            relinked = _interaction_blocks(linked)
+            assert not _block_violations(linked, relinked), node
+            assert sorted(blocks[0] + blocks[1]) in relinked, node
+            assert len(relinked) == len(blocks) - 1, node
+            merged += 1
+    assert merged == 13
 
 
 def test_decomposition_labels_split(catalog):

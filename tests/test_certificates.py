@@ -325,7 +325,7 @@ def test_one_sweep_draws_each_key_once():
     # read in turn three times over, as a catalog in file order can
     zero = [[[0] * 4 for _ in range(4)] for _ in range(4)]
     closed_sets = [
-        parse_closed_set(f"[closedset]\nsource = J7\nbasis = {basis}\ncondition: c[1,1,1] = 0\n")
+        parse_closed_set(f"[closedset]\nsource = J7\ntargets = J15\nbasis = {basis}\ncondition: c[1,1,1] = 0\n")
         for basis in ("f1 f2 f3 e", "e1 e2 f1 f2", "e1 e2 e3 f", "f e1 e2 e3")
     ]
     assert len({_pattern(cs) for cs in closed_sets}) == 4

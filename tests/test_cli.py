@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import superjordan
 from superjordan import verify as V
 from superjordan.cli import main
 
@@ -257,23 +259,25 @@ def test_reports_are_deterministic(capsys):
     assert first == second
 
 
-def test_entry_point_installed():
-    result = subprocess.run(
-        [sys.executable, "-m", "superjordan.cli", "orbit", "Jf49"],
-        capture_output=True,
-        text=True,
+def _run_module(*argv):
+    """``python -m`` in a child that imports the package the tests import,
+    installed or not (pytest's ``pythonpath`` reaches only this process)."""
+    parent = str(Path(superjordan.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [parent, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", *argv], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
     )
+
+
+def test_entry_point_installed():
+    result = _run_module("superjordan.cli", "orbit", "Jf49")
     assert result.returncode == 0
     assert "computed 4" in result.stdout
 
 
 def test_package_runs_as_a_module():
     # python -m superjordan, without an installed console script
-    result = subprocess.run(
-        [sys.executable, "-m", "superjordan", "verify-all", "--trials", "10", "--seed", "0"],
-        capture_output=True,
-        text=True,
-    )
+    result = _run_module("superjordan", "verify-all", "--trials", "10", "--seed", "0")
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert lines[-1].endswith("hard failures: 0")

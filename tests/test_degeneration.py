@@ -119,7 +119,7 @@ def test_parametric_constants_example(catalog):
         for a in range(4)
         for b in range(4)
         for k in range(4)
-        if not nc[a][b][k].is_zero()
+        if nc[a][b][k]
     ]
     assert len(nonzero) == 4  # ef1, f1e, f2f3, f3f2
 

@@ -18,7 +18,13 @@ from superjordan.algebra import power_filtration
 from superjordan.atlas import build_graph
 from superjordan.catalog import Catalog
 from superjordan.cli import main
-from superjordan.invariants import algebra_fingerprint, even_part, identify_algebra, orbit_dimension
+from superjordan.invariants import (
+    algebra_fingerprint,
+    even_part,
+    identify_algebra,
+    orbit_dimension,
+    subalgebra,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "superjordan" / "data"
 
@@ -111,7 +117,7 @@ def test_memoized_identification_matches_per_call_loop(catalog):
         J = catalog.instances(name)[0]
         graph = catalog.even_graph_for(J.m)
         even_cands = [(label, catalog.node_algebra(label)) for label in graph.nodes]
-        subs = [(V._sub_algebra(J, block), lowdim) for block in V._interaction_blocks(J)]
+        subs = [(subalgebra(J, block), lowdim) for block in V._interaction_blocks(J)]
         for sub, cands in subs + [(even_part(J), even_cands)]:
             want = _identify_per_call(sub, cands, fingerprint)
             assert identify_algebra(sub, cands) == want, name

@@ -320,6 +320,19 @@ def test_key_error_names_file_and_line(tmp_path, capsys, command, suffix, text, 
     assert captured.err.startswith(f"error: {path}:{message}") and captured.err.count("\n") == 1
 
 
+def test_certificate_without_targets_is_one_error_line(tmp_path, capsys):
+    # a certificate that names no target separates nothing, so the line is required
+    text = (DATA / "closedsets" / "geo1_J12.cs").read_text()
+    lines = [line for line in text.splitlines(keepends=True) if not line.startswith("targets")]
+    assert len(lines) == len(text.splitlines()) - 1
+    path = tmp_path / "no_targets.cs"
+    path.write_text("".join(lines))
+    assert main(["closedset", str(path), "--trials", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: source, targets and basis are required\n"
+
+
 _J11_J10 = (DATA / "witnesses" / "geo1_J11_J10.wit").read_text()
 _J11_CS = (DATA / "closedsets" / "geo1_J11.cs").read_text()
 
@@ -372,7 +385,7 @@ _ERRATUM = "[erratum]\nid = E1\nkind = orbit\nkey = orbit:J2\ndetail = one\n"
         ("witness", _WIT + "basis: f1 = f1\nbasis: f2 = f2\n", None),
         ("closedset", _CS + "targets = J7\ntargets = J15\n", "5: duplicate key 'targets'"),
         ("closedset", _CS + "basis = f1 f2 f3 e\n", "4: duplicate key 'basis'"),
-        ("closedset", _CS + "condition: c[1,1,1] = 0\ncondition: c[2,2,2] = 0\n", None),
+        ("closedset", _CS + "targets = J7\ncondition: c[1,1,1] = 0\ncondition: c[2,2,2] = 0\n", None),
         ("components", "dimension = 12\nrigid = J5\nfamilies =\nrigid = J7\n", "4: duplicate key 'rigid'"),
         ("errata", _ERRATUM + "key = orbit:J3\n", "6: duplicate key 'key'"),
         # detail: lines continue a record, and the next [erratum] starts afresh
@@ -420,6 +433,14 @@ def test_huge_exponent_is_refused_at_load(power):
         ("catalog/components/type22.txt", "families = J5", "1: J5 is of type (1,3), not (2,2)"),
         ("catalog/screens/lemma_pairs.txt", "J5 -/-> Jyy ; reason = even-part", "1: unknown catalog name 'Jyy'"),
         ("catalog/screens/lemma_pairs.txt", "J5 -/-> Jc1 ; reason = even-part", "1: Jc1 is of type (2,2), not (1,3)"),
+        # a reason is an item of the screen, or each of the group's rows would FAIL
+        (
+            "catalog/screens/lemma_pairs.txt",
+            "J5 -/-> J7 J8 ; reason = even_part",
+            "1: unknown reason 'even_part' (expected one of power-dims, even-part,",
+        ),
+        ("catalog/screens/lemma_pairs.txt", "J5 -/-> J7 J8", "1: expected 'SOURCE -/-> TARGET ... ; reason = R'"),
+        ("catalog/screens/lemma_pairs.txt", "J5 -/-> J7 J8 ;", "1: expected 'SOURCE -/-> TARGET ... ; reason = R'"),
     ],
 )
 def test_catalog_file_error_names_file_and_line(tmp_path, capsys, relative, line, message):

@@ -11,7 +11,7 @@ from conftest import LimitUndefined, limit_at_zero, try_limit_at_zero, valuation
 
 coeffs = st.integers(min_value=-4, max_value=4)
 polys = st.lists(coeffs, min_size=0, max_size=4).map(Poly)
-nonzero_polys = polys.filter(lambda p: not p.is_zero())
+nonzero_polys = polys.filter(bool)
 
 
 @st.composite
@@ -21,7 +21,7 @@ def ratfuns(draw):
     return RatFun(num, den)
 
 
-nonzero_ratfuns = ratfuns().filter(lambda f: not f.is_zero())
+nonzero_ratfuns = ratfuns().filter(bool)
 
 
 def test_valuation_examples():
