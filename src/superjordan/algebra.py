@@ -17,12 +17,14 @@ supercommutativity check and the kernels (the identity check, basis
 changes, superderivations, the power filtration, block decomposition) all
 work on the flat table.
 
-Two block readers stay on purpose, as references independent of the flat
-table: ``SuperAlgebra.multiply``, behind ``jordan_defect``, which the
-identity check keeps on ``IdentityReport.defect`` for a failing quadruple
-(its row prints only ``J(a,b,c,d) != 0``) and the tests use as its oracle;
-and ``envelope._Envelope``, the Grassmann-envelope cross-check, which reads
-the blocks once when it is built and clears them itself.
+A vector is its tuple of coordinates in label order, as ``product_row``
+takes it.  Two block readers stay on purpose, as references independent
+of the flat table: ``SuperAlgebra.multiply``, behind ``jordan_defect``,
+which the identity check keeps on ``IdentityReport.defect`` for a failing
+quadruple (its row prints only ``J(a,b,c,d) != 0``) and the tests use as
+its oracle; and ``envelope._Envelope``, the Grassmann-envelope
+cross-check, which reads the blocks once when it is built and clears them
+itself.
 
 Every other numeric kernel reads the table as ``cleared_table`` returns it,
 with its scale (chosen by ``linalg.clear_denominators``): lambda, the lcm of
@@ -60,6 +62,7 @@ from .linalg import clear_denominators, invert_field_matrix, row_reduce_basis
 from .ratfun import Poly, RatFun
 
 Scalar = Union[Fraction, RatFun]
+Vector = Tuple[Scalar, ...]  # coordinates in label order, even vectors first
 
 
 class GradingViolation(ValueError):
@@ -80,40 +83,6 @@ class NonHomogeneousArgument(ValueError):
 
 def _freeze(t) -> tuple:
     return tuple(tuple(tuple(r) for r in plane) for plane in t)
-
-
-@dataclass(frozen=True)
-class Element:
-    """A vector with even coordinates (length m) and odd coordinates (length n)."""
-
-    even: Tuple[Scalar, ...]
-    odd: Tuple[Scalar, ...]
-
-    def __bool__(self) -> bool:
-        """Nonzero, as for the scalars."""
-        return any(self.even) or any(self.odd)
-
-    def parity(self) -> int:
-        """0 for even, 1 for odd; raises on genuinely mixed elements."""
-        has_even, has_odd = any(self.even), any(self.odd)
-        if has_even and has_odd:
-            raise NonHomogeneousArgument(f"mixed-parity element {self}")
-        return 1 if has_odd else 0
-
-    def scaled(self, c: Scalar) -> "Element":
-        return Element(tuple(c * x for x in self.even), tuple(c * x for x in self.odd))
-
-    def __add__(self, other: "Element") -> "Element":
-        return Element(
-            tuple(a + b for a, b in zip(self.even, other.even)),
-            tuple(a + b for a, b in zip(self.odd, other.odd)),
-        )
-
-    def __sub__(self, other: "Element") -> "Element":
-        return Element(
-            tuple(a - b for a, b in zip(self.even, other.even)),
-            tuple(a - b for a, b in zip(self.odd, other.odd)),
-        )
 
 
 @dataclass(frozen=True)
@@ -148,60 +117,33 @@ class SuperAlgebra:
         pos = label_position(label, self.m, self.n)
         return (0, pos) if pos < self.m else (1, pos - self.m)
 
-    def basis_element(self, label: str) -> Element:
-        parity, idx = self.label_index(label)
-        ev = [Fraction(0)] * self.m
-        od = [Fraction(0)] * self.n
-        if parity == 0:
-            ev[idx] = Fraction(1)
-        else:
-            od[idx] = Fraction(1)
-        return Element(tuple(ev), tuple(od))
+    def basis_element(self, label: str) -> Vector:
+        """The coordinate vector of a basis label, in label order."""
+        pos = label_position(label, self.m, self.n)
+        return tuple(Fraction(int(k == pos)) for k in range(self.dim))
 
     # ---- multiplication ----------------------------------------------------
-    def multiply(self, x: Element, y: Element) -> Element:
-        m, n = self.m, self.n
-        ev = [Fraction(0)] * m
-        od = [Fraction(0)] * n
-        for i, xi in enumerate(x.even):
-            if not xi:
+    def multiply(self, x: Vector, y: Vector) -> Vector:
+        """x y for coordinate vectors in label order, read from the four
+        blocks: the parities of the positions a and b pick the block of
+        x_a y_b and the positions its row lands on."""
+        m = self.m
+        w = [Fraction(0)] * self.dim
+        for a, xa in enumerate(x):
+            if not xa:
                 continue
-            for j, yj in enumerate(y.even):
-                if not yj:
+            for b, yb in enumerate(y):
+                if not yb:
                     continue
-                row = self.alpha[i][j]
-                c = xi * yj
-                for k in range(m):
-                    if row[k]:
-                        ev[k] = ev[k] + c * row[k]
-            for p, yp in enumerate(y.odd):
-                if not yp:
-                    continue
-                row = self.beta[i][p]
-                c = xi * yp
-                for q in range(n):
-                    if row[q]:
-                        od[q] = od[q] + c * row[q]
-        for p, xp in enumerate(x.odd):
-            if not xp:
-                continue
-            for j, yj in enumerate(y.even):
-                if not yj:
-                    continue
-                row = self.gamma[p][j]
-                c = xp * yj
-                for q in range(n):
-                    if row[q]:
-                        od[q] = od[q] + c * row[q]
-            for q, yq in enumerate(y.odd):
-                if not yq:
-                    continue
-                row = self.delta[p][q]
-                c = xp * yq
-                for k in range(m):
-                    if row[k]:
-                        ev[k] = ev[k] + c * row[k]
-        return Element(tuple(ev), tuple(od))
+                if a < m:
+                    row, shift = (self.alpha[a][b], 0) if b < m else (self.beta[a][b - m], m)
+                else:
+                    row, shift = (self.gamma[a - m][b], m) if b < m else (self.delta[a - m][b - m], 0)
+                c = xa * yb
+                for k, r in enumerate(row):
+                    if r:
+                        w[shift + k] = w[shift + k] + c * r
+        return tuple(w)
 
 
 def label_parity(label: str) -> int:
@@ -324,24 +266,31 @@ def _sign(exp: int) -> int:
     return -1 if exp % 2 else 1
 
 
-def jordan_defect(J: SuperAlgebra, x: Element, y: Element, z: Element, t: Element) -> Element:
-    """Defect of the four-variable graded identity on homogeneous elements.
+def _parity(J: SuperAlgebra, v: Vector) -> int:
+    """0 for an even vector, 1 for an odd one; raises on a mixed one."""
+    has_even, has_odd = any(v[: J.m]), any(v[J.m :])
+    if has_even and has_odd:
+        raise NonHomogeneousArgument(f"mixed-parity vector {v}")
+    return int(has_odd)
+
+
+def jordan_defect(J: SuperAlgebra, x: Vector, y: Vector, z: Vector, t: Vector) -> Vector:
+    """Defect of the four-variable graded identity on homogeneous vectors.
 
     Vanishing on every basis quadruple is equivalent (by multilinearity over
     homogeneous arguments) to the graded Jordan identity.
     """
-    px, py, pz, pt = x.parity(), y.parity(), z.parity(), t.parity()
+    px, py, pz, pt = (_parity(J, v) for v in (x, y, z, t))
     mul = J.multiply
-    one = Fraction(1)
-    term1 = mul(mul(mul(x, y), z), t)
-    term2 = mul(mul(mul(x, t), z), y).scaled(one * _sign(py * pz + py * pt + pz * pt))
-    term3 = mul(mul(mul(y, t), z), x).scaled(
-        one * _sign(px * py + px * pz + px * pt + pz * pt)
+    terms = (
+        (1, mul(mul(mul(x, y), z), t)),
+        (_sign(py * pz + py * pt + pz * pt), mul(mul(mul(x, t), z), y)),
+        (_sign(px * py + px * pz + px * pt + pz * pt), mul(mul(mul(y, t), z), x)),
+        (-1, mul(mul(x, y), mul(z, t))),
+        (-_sign(pt * (py + pz)), mul(mul(x, t), mul(y, z))),
+        (-_sign(py * pz), mul(mul(x, z), mul(y, t))),
     )
-    term4 = mul(mul(x, y), mul(z, t))
-    term5 = mul(mul(x, t), mul(y, z)).scaled(one * _sign(pt * (py + pz)))
-    term6 = mul(mul(x, z), mul(y, t)).scaled(one * _sign(py * pz))
-    return term1 + term2 + term3 - term4 - term5 - term6
+    return tuple(sum((sign * w[k] for sign, w in terms), Fraction(0)) for k in range(J.dim))
 
 
 @dataclass(frozen=True)
@@ -349,7 +298,7 @@ class IdentityReport:
     ok: bool
     supercommutative: bool
     violation: Optional[Tuple[str, str, str, str]] = None
-    defect: Optional[Element] = None
+    defect: Optional[Vector] = None
     detail: str = ""
 
     def __bool__(self):

@@ -14,10 +14,11 @@ c[a,b,k] of a flattened table in a declared basis x_1..x_d, written as
 Each condition is parsed once into the polynomials in the constants that
 must vanish: lhs - rhs for every assignment of the ``*`` indices, and one
 atom c[a,b,k] for each product x_a x_b whose k-th coordinate a containment
-bans.  Every polynomial must be homogeneous, which is checked at parse: the
-trials below run on the table cleared to ints (``algebra.cleared_table``)
-and scaled by det(g), and a homogeneous polynomial vanishes on a scaled
-table iff it vanishes on the table.
+bans.  A condition with no polynomial would hold on every table, so it is
+refused at parse.  Every polynomial must be homogeneous, which is checked
+at parse: the trials below run on the table cleared to ints
+(``algebra.cleared_table``) and scaled by det(g), and a homogeneous
+polynomial vanishes on a scaled table iff it vanishes on the table.
 
 The published claim pattern: the source satisfies the conditions, the set
 is stable under the triangular subgroup (so it traps the whole orbit
@@ -307,7 +308,7 @@ def parse_condition(text: str, d: int) -> Condition:
             raise CertificateParseError(
                 f"a condition has at most {MAX_WILDCARDS} '*' indices in {excerpt(text)}"
             )
-        return Condition(_expand(poly, d, wildcards), text)
+        return _condition(_expand(poly, d, wildcards), text)
     mobj = re.fullmatch(
         r"(?:span\(\s*)?([AJ]\d*)\s*\*\s*([AJ]\d*)\s*\)?\s*(<=|=)\s*(.+)", text
     )
@@ -325,8 +326,16 @@ def parse_condition(text: str, d: int) -> Condition:
         polys = tuple(
             ((1, ((a - 1, b - 1, k - 1),)),) for a in left for b in right for k in banned
         )
-        return Condition(polys, text)
+        return _condition(polys, text)
     raise CertificateParseError(f"cannot parse condition {excerpt(text)}")
+
+
+def _condition(polys: tuple, text: str) -> Condition:
+    """The condition of these polynomials; with none, it would hold on every
+    table and check nothing, so it is refused."""
+    if not polys:
+        raise CertificateParseError(f"condition holds on every table: {excerpt(text)}")
+    return Condition(polys, text)
 
 
 def parse_closed_set(text: str, source_name: str = "<string>") -> ClosedSet:

@@ -4,12 +4,15 @@ and t -> 0 limits.
 A witness gives the new basis as linear combinations of the source basis
 with coefficients that are rational functions of the deformation
 parameter t, possibly with fractional powers t^(p/q).  Fractional powers
-are removed up front by the global ramification substitution t = s^N
-(N = lcm of the exponent denominators, refused at load above MAX_EXPONENT),
-after which everything lives in the ordinary rational-function field over s.
-``parse_witness`` keeps N as ``Witness.ram`` and reads each coefficient,
-and the source parameter of a family source, once, at its line, with
-t = s^N: ``Witness.basis`` and ``Witness.param`` hold RatFun values.
+are removed by the global ramification substitution t = s^N (N = lcm of
+the exponent denominators, refused at load above MAX_EXPONENT), after which
+everything lives in the ordinary rational-function field over s.
+``parse_witness`` keeps N as ``Witness.ram``.  It reads each coefficient,
+and the source parameter of a family source, at its line, in one walk with
+t = s^N for the N of the lines so far; an exponent that N does not clear
+raises N to the lcm and reads that text again.  The values read before are
+then lifted to the final N: ``Witness.basis`` and ``Witness.param`` hold
+RatFun values with t = s^N.
 
 The replay itself runs over the polynomials Z[s].  ``linalg.clear_denominators``
 clears each row of the basis matrix P by the lcm D_a of its denominators,
@@ -44,7 +47,6 @@ from .ratfun import RF_ZERO, Poly, RatFun, ratfun_compose
 from .tablefmt import (
     MAX_EXPONENT,
     ParseError,
-    check_arithmetic,
     excerpt,
     read_arithmetic,
     read_lines,
@@ -57,6 +59,14 @@ class WitnessError(ParseError):
     pass
 
 
+class _Uncleared(WitnessError):
+    """An exponent p/q that the ramification does not clear; ``den`` is q."""
+
+    def __init__(self, message: str, den: int):
+        super().__init__(message)
+        self.den = den
+
+
 # ---------------------------------------------------------------------------
 # Coefficient expressions in t
 # ---------------------------------------------------------------------------
@@ -67,7 +77,7 @@ def _s_exponent(node: ast.expr, exp: Fraction, ram: int) -> int:
     if not (isinstance(node, ast.Name) and node.id == "t"):
         raise WitnessError(f"unknown name {excerpt(ast.unparse(node))}; coefficients are written in t")
     if (ram * exp.numerator) % exp.denominator:
-        raise WitnessError(f"ramification {ram} does not clear exponent {exp}")
+        raise _Uncleared(f"ramification {ram} does not clear exponent {exp}", exp.denominator)
     return ram * exp.numerator // exp.denominator
 
 
@@ -114,31 +124,23 @@ class Witness:
         return self.param is not None and not self.param.is_constant()
 
 
-def _ramification(expr: str) -> int:
-    """The lcm N of the exponent denominators of ``expr``, once ``expr``
-    reads as a t-expression: t = s^N clears them."""
-    dens = [1]
-
-    def leaf(node, exp):
-        dens.append(exp.denominator)
-        return _s_exponent(node, exp, exp.denominator)
-
-    check_arithmetic(expr, leaf, WitnessError)
-    return lcm(*dens)
-
-
 def parse_witness(text: str, source_name: str = "<string>") -> Witness:
     wit = Witness(source=None, target=None, basis=[], path=source_name)
     param = None
 
     def read(expr: str) -> Tuple[RatFun, int]:
         """(``expr`` with t = s^N, N) for the N of the lines so far, read at
-        its line so that an error (a division by zero) names it.  An N above
-        MAX_EXPONENT is refused, as the replay builds powers of s up to it."""
-        wit.ram = lcm(wit.ram, _ramification(expr))
-        if wit.ram > MAX_EXPONENT:
-            raise WitnessError(f"ramification {wit.ram} is above {MAX_EXPONENT}")
-        return eval_t_expression(expr, wit.ram), wit.ram
+        its line so that an error (a division by zero) names it.  An
+        exponent p/q that N does not clear raises N to lcm(N, q), and
+        ``expr`` is read again.  An N above MAX_EXPONENT is refused, as the
+        replay builds powers of s up to it."""
+        while True:
+            try:
+                return eval_t_expression(expr, wit.ram), wit.ram
+            except _Uncleared as exc:
+                wit.ram = lcm(wit.ram, exc.den)
+                if wit.ram > MAX_EXPONENT:
+                    raise WitnessError(f"ramification {wit.ram} is above {MAX_EXPONENT}") from None
 
     def handle(key: str, val: str) -> None:
         nonlocal param

@@ -182,29 +182,6 @@ def read_arithmetic(text: str, leaf: Callable, const: Callable, error: type):
         raise error(f"{excerpt(text)} is nested too deeply") from None
 
 
-class _Unread:
-    """Every value while a text is only checked: each operation gives it back."""
-
-    def _same(self, *_):
-        return self
-
-    __add__ = __sub__ = __mul__ = __truediv__ = __pow__ = __neg__ = _same
-
-
-_UNREAD = _Unread()
-
-
-def check_arithmetic(text: str, leaf: Callable, error: type) -> None:
-    """Read ``text`` as ``read_arithmetic`` does and let ``leaf`` check each
-    name and subscript, but compute nothing."""
-
-    def checked(node: ast.expr, exp: Fraction) -> _Unread:
-        leaf(node, exp)
-        return _UNREAD
-
-    read_arithmetic(text, checked, lambda _k: _UNREAD, error)
-
-
 # ---------------------------------------------------------------------------
 # Lines and linear combinations
 # ---------------------------------------------------------------------------

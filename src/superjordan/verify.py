@@ -39,6 +39,7 @@ from .invariants import (
     screen_violations,
     subalgebra,
 )
+from .tablefmt import ParseError
 
 # expected (component count, variety dimension) per type
 COMPONENTS = {(1, 3): (11, 12), (2, 2): (25, 13), (3, 1): (21, 15)}
@@ -99,13 +100,20 @@ def verify_identities(cat: Catalog) -> Tuple[List[CheckRow], float]:
     return rows, time.perf_counter() - t0
 
 
+def _tagged_instances(cat: Catalog, name: str) -> List[Tuple[str, SuperAlgebra]]:
+    """(suffix, instance) for each instance of an entry (``Catalog.instances``):
+    the suffix of a family at the sample p is ``@p``, of any other entry
+    empty.  A row of one instance ends its id with the suffix."""
+    suffixes = [f"@{p}" for p in FAMILY_SAMPLES] if cat.entry(name).is_family else [""]
+    return list(zip(suffixes, cat.instances(name)))
+
+
 def orbit_rows(cat: Catalog, name: str) -> List[CheckRow]:
     """Computed against declared orbit dimension; a family gets one row per
     sample parameter, ``orbit:NAME@p``."""
     entry = cat.entry(name)
-    suffixes = [f"@{p}" for p in FAMILY_SAMPLES] if entry.is_family else [""]
     rows = []
-    for suffix, J in zip(suffixes, cat.instances(name)):
+    for suffix, J in _tagged_instances(cat, name):
         od = orbit_dimension(J)
         detail = f"computed {od}, declared {entry.orbit}"
         rows.append(_checked(cat, f"orbit:{name}{suffix}", od == entry.orbit, detail))
@@ -197,11 +205,18 @@ def verify_even_parts(cat: Catalog) -> List[CheckRow]:
 
 
 def resolve_witness_algebras(cat: Catalog, wit) -> Tuple[SuperAlgebra, SuperAlgebra]:
+    """The source and target of a witness; a name that does not resolve, or
+    a source and target of two types, is an error of its file."""
     param = wit.param
     if param is not None and param.is_constant():
         param = param.as_constant()
     with names_in(wit.path):
-        return cat.lookup(wit.source, param), cat.lookup(wit.target)
+        src, tgt = cat.lookup(wit.source, param), cat.lookup(wit.target)
+    if (src.m, src.n) != (tgt.m, tgt.n):
+        raise ParseError(
+            f"{wit.path}: {wit.source} is of type ({src.m},{src.n}), {wit.target} of type ({tgt.m},{tgt.n})"
+        )
+    return src, tgt
 
 
 def witness_row(cat: Catalog, wit: Witness) -> Tuple[Verdict, CheckRow]:
@@ -238,30 +253,31 @@ def witness_summary(rows) -> Tuple[int, int, int]:
 
 def certificate_rows(cat: Catalog, cs: ClosedSet, trials: int = 1000, seed: int = 0) -> List[CheckRow]:
     """Source, stability and separation rows of one certificate, for every
-    instance of its source and of each target.  As for witnesses, an erratum
-    logs a failure of the printed certificate only: a ``corrected`` one
-    fails outright."""
+    instance of its source and of each target; the id of a family
+    instance's row ends in ``@p``, as an orbit row's does.  As for
+    witnesses, an erratum logs a failure of the printed certificate only: a
+    ``corrected`` one fails outright."""
     published = cs.status == "published"
     with names_in(cs.path):
-        sources = cat.instances(cs.source)
-        targets = [(tname, cat.instances(tname)) for tname in cs.targets]
+        sources = _tagged_instances(cat, cs.source)
+        targets = [(tname, _tagged_instances(cat, tname)) for tname in cs.targets]
     rows = []
-    for J in sources:
+    for suffix, J in sources:
         table = certificate_table(cs, J)
         sat = closed_set_eval(table, cs)
-        key = f"certificate:{cs.label}:source"
+        key = f"certificate:{cs.label}:source{suffix}"
         detail = "" if sat else f"{J.name} fails {failing_condition(table, cs).text}"
         rows.append(_checked(cat, key, sat, detail, published))
         if not sat:
             continue
         st = stability_test(cs, table, trials=trials, seed=seed)
-        key = f"certificate:{cs.label}:stability"
+        key = f"certificate:{cs.label}:stability{suffix}"
         rows.append(_checked(cat, key, st.hits == trials, f"{st.hits}/{trials}", published))
     need = int(trials * SEPARATION_THRESHOLD)
     for tname, instances in targets:
-        for T in instances:
+        for suffix, T in instances:
             sep = separation_test(cs, certificate_table(cs, T), trials=trials, seed=seed)
-            key = f"certificate:{cs.label}:separation:{tname}"
+            key = f"certificate:{cs.label}:separation:{tname}{suffix}"
             rows.append(_checked(cat, key, sep.hits >= need, f"{sep.hits}/{trials}", published))
     return rows
 

@@ -322,9 +322,21 @@ def test_verify_catalog_full_report_shape(capsys):
 GOLDEN = Path(__file__).resolve().parent / "data" / "verify_all_trials20_seed0.txt"
 
 
-def test_verify_all_matches_golden_report(capsys):
-    # every sweep at 20 certificate trials; the "#" lines carry times
-    assert main(["verify-all", "--trials", "20", "--seed", "0"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    rows = [line for line in lines if not line.startswith("#")]
-    assert rows == GOLDEN.read_text(encoding="utf-8").splitlines()
+@pytest.fixture(scope="module")
+def verify_all_rows(tmp_path_factory):
+    """The rows of verify-all at 20 certificate trials: every line but the
+    "#" lines, which carry times."""
+    report = tmp_path_factory.mktemp("verify_all") / "report.txt"
+    assert main(["--output", str(report), "verify-all", "--trials", "20", "--seed", "0"]) == 0
+    return [line for line in report.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
+
+
+def test_verify_all_matches_golden_report(verify_all_rows):
+    assert verify_all_rows == GOLDEN.read_text(encoding="utf-8").splitlines()
+
+
+def test_verify_all_row_ids_are_unique(verify_all_rows):
+    # a family instance's row ends its id in @p, so a failing instance is named
+    ids = Counter(line.split()[1] for line in verify_all_rows)
+    assert len(ids) > 1000
+    assert [check_id for check_id, n in ids.items() if n > 1] == []

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from superjordan import linalg, ratfun
+from superjordan import degeneration, linalg, ratfun, tablefmt
 from superjordan.algebra import _freeze, default_basis_order, flatten, load
 from superjordan.degeneration import (
     Verdict,
@@ -94,6 +94,27 @@ def test_witness_ramification():
     assert [terms[0][0] for _slot, terms in w.basis] == [
         RatFun.monomial(4), RatFun.monomial(3), RatFun.const(1), RatFun.const(1)
     ]
+
+
+def test_each_coefficient_is_walked_once_per_ramification(monkeypatch):
+    # N grows to 3 on the first line and to 6 on the second: each of those
+    # coefficients is walked again after its raise, every other one once,
+    # and a coefficient read before a raise is lifted, not walked again
+    walks = []
+    original = tablefmt.read_arithmetic
+
+    def spy(text, *args):
+        walks.append(text.strip())
+        return original(text, *args)
+
+    # spied in both modules, so that a walk made from either is counted
+    monkeypatch.setattr(degeneration, "read_arithmetic", spy)
+    monkeypatch.setattr(tablefmt, "read_arithmetic", spy)
+    w = parse_witness(wit_text("A", "B", ["f1 = t^(2/3)*f1", "f2 = t^(1/2)*f2", "f3 = f3", "e = e"]))
+    assert w.ram == 6
+    coefficients = [c for b in ("t^(2/3)*f1", "t^(1/2)*f2", "f3", "e") for c, _label in split_combination(b)]
+    assert len(coefficients) == 4
+    assert Counter(walks) == Counter(coefficients) + Counter(["t^(2/3)", "t^(1/2)"])
 
 
 def test_source_parameter_is_read_with_the_final_ramification():

@@ -256,6 +256,19 @@ def test_witness_key_error_names_file_and_line(tmp_path, capsys, line, message):
             "[closedset]\nsource = J7\nbasis = f1 f2 f3 e\ncondition: J*J <= span(x2,x3,x9)\n",
             "4: span member out of range in 'span(x2,x3,x9)'",
         ),
+        # a condition that parses into no polynomial checks nothing
+        (
+            "closedset",
+            ".cs",
+            "[closedset]\nsource = J12\ntargets = J7\nbasis = f1 f2 f3 e\ncondition: c[1,1,1] = c[1,1,1]\n",
+            "5: condition holds on every table: 'c[1,1,1] = c[1,1,1]'",
+        ),
+        (
+            "closedset",
+            ".cs",
+            "[closedset]\nsource = J12\ntargets = J7\nbasis = f1 f2 f3 e\ncondition: A1*A2 <= A1\n",
+            "5: condition holds on every table: 'A1*A2 <= A1'",
+        ),
         # each "*" multiplies the polynomials by d: five are refused
         # before any is built, where twelve would not finish
         (
@@ -354,8 +367,21 @@ _J11_CS = (DATA / "closedsets" / "geo1_J11.cs").read_text()
             _J11_CS.replace("basis = f1 f2 f3 e", "basis = e1 e2 f1 f2"),
             "basis e1 e2 f1 f2 does not fit J11 of type (1,3)",
         ),
+        (
+            "degenerate",
+            ".wit",
+            "[degeneration]\nsource = Jc16^(1/t)\ntarget = J7\nbasis: e1 = e1\nbasis: e2 = e2\n"
+            "basis: f1 = f1\nbasis: f2 = f2\n",
+            "Jc16 is of type (2,2), J7 of type (1,3)",
+        ),
     ],
-    ids=["parameter-of-a-rigid-source", "unknown-source", "unknown-target", "basis-that-does-not-fit"],
+    ids=[
+        "parameter-of-a-rigid-source",
+        "unknown-source",
+        "unknown-target",
+        "basis-that-does-not-fit",
+        "source-and-target-of-two-types",
+    ],
 )
 def test_unresolved_name_names_its_file(tmp_path, capsys, command, suffix, text, message):
     # the names are resolved after the parse, from the record, which keeps its path
