@@ -46,9 +46,12 @@ coordinate vectors: ``change_basis`` and the certificate trial plan,
 ``power_spans``, ``invariants.table_is_associative``, and the Burde traces
 and the powers of L(x) under them (``invariants._burde_values``).
 ``check_super_jordan`` keeps its own sparse products: it computes each
-pair and triple product once and reads it many times in its d^4 loop,
-which through ``product_row`` took about 2.5 times as long (0.17 s
-against 0.07 s over the 149 entries, on a 2-core host).
+pair and triple product once and reads it many times in its loop, which
+evaluates the defect once per symmetry orbit of basis quadruples (80 of
+the 256 at d = 4; its docstring gives the proof).  The 149 entries take
+about 0.04 s, against 0.08 s for the full d^4 loop on the same sparse
+products and about 2.5 times that through ``product_row`` (best of 5, on
+a 2-core host).
 """
 
 from __future__ import annotations
@@ -278,7 +281,16 @@ def jordan_defect(J: SuperAlgebra, x: Vector, y: Vector, z: Vector, t: Vector) -
     """Defect of the four-variable graded identity on homogeneous vectors.
 
     Vanishing on every basis quadruple is equivalent (by multilinearity over
-    homogeneous arguments) to the graded Jordan identity.
+    homogeneous arguments) to the graded Jordan identity.  On a
+    supercommutative J the defect is supersymmetric in x, y and t:
+
+        J(y, x, z, t) = (-1)^{|x||y|} J(x, y, z, t)
+        J(x, t, z, y) = (-1)^{|y||t| + |y||z| + |z||t|} J(x, y, z, t)
+
+    Each swap maps the six terms onto the six terms, once the products are
+    reordered by supercommutativity.  ``check_super_jordan`` relies on both
+    rules; this function evaluates any quadruple as given, so it stays the
+    independent reference.
     """
     px, py, pz, pt = (_parity(J, v) for v in (x, y, z, t))
     mul = J.multiply
@@ -314,6 +326,17 @@ def check_super_jordan(J: SuperAlgebra) -> IdentityReport:
     from the pair products e_a e_b and the triple products (e_a e_b) e_c,
     both computed once per call.  The first failing quadruple in label order
     is reported with its ``jordan_defect`` on the unscaled J.
+
+    Only the quadruples (a, b, c, d) with a <= b <= d are evaluated, in label
+    order: d * C(d+2, 3) of the d^4, 80 of 256 at d = 4.  This is exact.  The
+    loop runs only on a supercommutative table, where the two sign rules of
+    ``jordan_defect`` hold: swapping x with y, or y with t, multiplies the
+    defect by a sign.  The two swaps generate every permutation of the
+    positions of x, y and t, so the defect vanishes on all of an orbit or on
+    none of it.  Sorting the x, y, t positions of a failing quadruple q gives
+    a failing q' <= q in label order, so the first failing quadruple is
+    sorted and the reduced loop meets it first: the report is the one the
+    full loop gives.
     """
     labels = J.labels()
     dim = len(labels)
@@ -324,14 +347,15 @@ def check_super_jordan(J: SuperAlgebra) -> IdentityReport:
     # T[a][b] = lambda e_a e_b as sparse (k, c) pairs, indices in label order
     T = [[[(k, c) for k, c in enumerate(row) if c] for row in plane] for plane in cleared_table(table)[1]]
     unit = [((a, 1),) for a in range(dim)]
+    # P[a][b][c] = (e_a e_b) e_c, read only with a <= b
     P = [
-        [[_sparse_product(T, T[a][b], unit[c]) for c in range(dim)] for b in range(dim)]
+        [[_sparse_product(T, T[a][b], unit[c]) for c in range(dim)] if a <= b else None for b in range(dim)]
         for a in range(dim)
     ]
     for a in range(dim):
-        for b in range(dim):
+        for b in range(a, dim):
             for c in range(dim):
-                for d in range(dim):
+                for d in range(b, dim):
                     px, py, pz, pt = par[a], par[b], par[c], par[d]
                     s2 = _sign(py * pz + py * pt + pz * pt)
                     s3 = _sign(px * py + px * pz + px * pt + pz * pt)

@@ -252,8 +252,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_components)
 
     args = parser.parse_args(argv)
-    if args.command == "degenerate" and not args.file and not args.all:
-        parser.error("degenerate needs a file or --all DIR")
+    if args.command == "degenerate" and bool(args.file) == bool(args.all):
+        parser.error("degenerate needs a file or --all DIR, not both")
     out = None
     try:
         if args.output:

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,6 +26,8 @@ from superjordan.algebra import (
     product_row,
     unflatten,
 )
+
+from superjordan import algebra
 
 from conftest import perturb_entry, ratfun_inverse, supercommutativity_violations
 
@@ -190,6 +194,91 @@ def test_identity_kernel_matches_reference(catalog):
         assert check_super_jordan(J) == _reference_check(J), J.name
     broken = sum(not check_super_jordan(J).ok for J in perturbed)
     assert 2 * broken >= len(perturbed)
+
+
+def _six_terms(J, x, y, z, t, flipped):
+    """The six-term defect of ``jordan_defect`` written out again on basis
+    vectors, with the sign of term number ``flipped`` (if any) negated."""
+    px, py, pz, pt = (int(any(v[J.m :])) for v in (x, y, z, t))
+    mul = J.multiply
+    terms = [
+        (1, mul(mul(mul(x, y), z), t)),
+        ((-1) ** (py * pz + py * pt + pz * pt), mul(mul(mul(x, t), z), y)),
+        ((-1) ** (px * py + px * pz + px * pt + pz * pt), mul(mul(mul(y, t), z), x)),
+        (-1, mul(mul(x, y), mul(z, t))),
+        (-((-1) ** (pt * (py + pz))), mul(mul(x, t), mul(y, z))),
+        (-((-1) ** (py * pz)), mul(mul(x, z), mul(y, t))),
+    ]
+    if flipped is not None:
+        terms[flipped] = (-terms[flipped][0], terms[flipped][1])
+    return tuple(sum((sign * w[k] for sign, w in terms), Fraction(0)) for k in range(J.dim))
+
+
+def _sign_rule_breaks(J, defect):
+    """The basis quadruples (a, b, c, d), as positions, on which ``defect``
+    breaks J(y,x,z,t) = (-1)^{|x||y|} J(x,y,z,t) or
+    J(x,t,z,y) = (-1)^{|y||t|+|y||z|+|z||t|} J(x,y,z,t)."""
+    basis = [J.basis_element(lab) for lab in J.labels()]
+    par = [int(k >= J.m) for k in range(J.dim)]
+    quads = list(itertools.product(range(J.dim), repeat=4))
+    D = {q: defect(J, *(basis[k] for k in q)) for q in quads}
+    breaks = []
+    for a, b, c, d in quads:
+        px, py, pz, pt = par[a], par[b], par[c], par[d]
+        here = D[a, b, c, d]
+        swap_xy = tuple((-1) ** (px * py) * v for v in here)
+        swap_yt = tuple((-1) ** (py * pt + py * pz + pz * pt) * v for v in here)
+        if D[b, a, c, d] != swap_xy or D[a, d, c, b] != swap_yt:
+            breaks.append((a, b, c, d))
+    return breaks
+
+
+def test_defect_is_supersymmetric_in_x_y_t(catalog):
+    # the premise of the orbit loop in check_super_jordan, on every basis
+    # quadruple of supercommutative tables that pass and that fail
+    names = _oracle_entries(catalog)
+    lowdim = [J for J in catalog.lowdim.values() if J.m and J.n]
+    perturbed = [perturb_entry(catalog, n, seed) for n in names for seed in (0, 1, 2)]
+    tables = lowdim + [catalog.entry(n).algebra for n in names] + perturbed
+    assert "Jc16" in names and catalog.entry("Jc16").is_family  # over Q(t)
+    for J in tables:
+        assert _sign_rule_breaks(J, jordan_defect) == [], J.name
+    # the first failing quadruple is sorted at the positions of x, y and t
+    failing = [check_super_jordan(J) for J in perturbed]
+    failing = [(J, rep) for J, rep in zip(perturbed, failing) if not rep.ok]
+    assert 2 * len(failing) >= len(perturbed)
+    for J, rep in failing:
+        a, b, _, d = (J.labels().index(lab) for lab in rep.violation)
+        assert a <= b <= d, (J.name, rep.violation)
+    # the control: the copy of the six terms is the defect, and with one
+    # sign flipped it breaks a rule
+    bad = failing[0][0]
+    for q in itertools.product([bad.basis_element(lab) for lab in bad.labels()], repeat=4):
+        assert _six_terms(bad, *q, flipped=None) == jordan_defect(bad, *q)
+    assert any(_sign_rule_breaks(J, functools.partial(_six_terms, flipped=4)) for J in tables)
+
+
+def test_identity_loop_runs_once_per_orbit(catalog, monkeypatch):
+    # d * C(d+2, 3) quadruples of six products each: 80 of the 256 at d = 4
+    counts = {"add": 0, "sparse": 0}
+    add, sparse = algebra._add_product, algebra._sparse_product
+
+    def count_add(*args):
+        counts["add"] += 1
+        return add(*args)
+
+    def count_sparse(*args):
+        counts["sparse"] += 1
+        return sparse(*args)
+
+    monkeypatch.setattr(algebra, "_add_product", count_add)
+    monkeypatch.setattr(algebra, "_sparse_product", count_sparse)
+    cases = ((catalog.entry("J15").algebra, 80), (catalog.lowdim["S1_3"], 30), (catalog.lowdim["S1_2"], 8))
+    for J, quads in cases:
+        counts.update(add=0, sparse=0)
+        assert check_super_jordan(J).ok, J.name
+        # each sparse triple product (e_a e_b) e_c is one _add_product call
+        assert counts["add"] - counts["sparse"] == 6 * quads, J.name
 
 
 def _product_step_misses(J, table, seed):

@@ -215,6 +215,13 @@ def test_envelope_negative_k_is_usage_error(capsys):
     assert "PASS envelope:J1:k=0" in capsys.readouterr().out
 
 
+def test_degenerate_needs_exactly_one_of_file_and_all(capsys):
+    # a FILE given with --all DIR would be dropped silently: refuse the pair
+    wit = str(DATA / "witnesses" / "geo1_J5_J2.wit")
+    for argv in ([], [wit, "--all", str(DATA / "witnesses")]):
+        assert "degenerate needs a file or --all DIR, not both" in _usage_error(["degenerate"] + argv, capsys)
+
+
 def test_closedset_trials_below_one_is_usage_error(capsys):
     cs = str(DATA / "closedsets" / "geo1_J11.cs")
     for trials in ("0", "-3"):
