@@ -17,6 +17,19 @@ supercommutativity check and the kernels (the identity check, basis
 changes, superderivations, the power filtration, block decomposition) all
 work on the flat table.
 
+An algebra keeps its flat table of each basis order it is read in
+(``SuperAlgebra.table``) as a ``Table``: nested tuples, built on first use
+and stored in the algebra's ``__dict__``, as its hash is.  The blocks are
+read once, in label order; any other order (a certificate's basis, the
+replay's ``default_basis_order``) permutes that table.  A Table keeps its
+cleared form and its constants grouped by product too, each built once
+when a kernel first reads it, so every sweep that reads one table of one
+algebra shares them.  A kernel given a raw table (``power_spans``,
+``invariants.table_is_associative``, the ``ungraded_*`` invariants, the
+certificate tests) reads it through ``as_table``, which builds those forms
+once per call.  A Table lives and dies with its algebra; an algebra built
+from it (a basis change, a perturbation, a renamed copy) reads its own.
+
 A vector is its tuple of coordinates in label order, as ``product_row``
 takes it.  Two block readers stay on purpose, as references independent
 of the flat table: ``SuperAlgebra.multiply``, behind ``jordan_defect``,
@@ -26,11 +39,12 @@ its oracle; and ``envelope._Envelope``, the Grassmann-envelope
 cross-check, which reads the blocks once when it is built and clears them
 itself.
 
-Every other numeric kernel reads the table as ``cleared_table`` returns it,
-with its scale (chosen by ``linalg.clear_denominators``): lambda, the lcm of
-the denominators, and Python ints when every constant is rational; D, the
-lcm of the denominator polynomials, and Z[s] (Poly), whose sums and
-products need no gcd, when one is a RatFun.  This is exact: x -> x/lambda
+Every other numeric kernel reads the table as ``cleared_table``, the one
+clearing site, returns it (kept as ``Table.cleared``), with its scale
+(chosen by ``linalg.clear_denominators``): lambda, the lcm of the
+denominators, and Python ints when every constant is rational; D, the lcm
+of the denominator polynomials, and Z[s] (Poly), whose sums and products
+need no gcd, when one is a RatFun.  This is exact: x -> x/lambda
 is an isomorphism from (A, mu) to (A, lambda mu).  The identities are
 homogeneous (the Jordan defect of ``check_super_jordan`` is cubic, and
 ``invariants.table_is_associative`` quadratic), so every zero and every
@@ -41,10 +55,11 @@ ratio has degree 0, so lambda cancels.  The certificate conditions are
 homogeneous, and the witness replay divides by the scale.
 
 One product step, ``product_row`` (u v over the constants grouped by
-product, ``product_groups``), serves every kernel that multiplies
-coordinate vectors: ``change_basis`` and the certificate trial plan,
-``power_spans``, ``invariants.table_is_associative``, and the Burde traces
-and the powers of L(x) under them (``invariants._burde_values``).
+product, ``product_groups``, kept as ``Table.groups``), serves every
+kernel that multiplies coordinate vectors: ``change_basis`` and the
+certificate trial plan, ``power_spans``, ``invariants.table_is_associative``,
+and the Burde traces and the powers of L(x) under them
+(``invariants._burde_values``).
 ``check_super_jordan`` keeps its own sparse products: it computes each
 pair and triple product once and reads it many times in its loop, which
 evaluates the defect once per symmetry orbit of basis quadruples (80 of
@@ -106,6 +121,27 @@ class SuperAlgebra:
     def __hash__(self) -> int:
         """The hash of the constants, computed once: an algebra is frozen."""
         return self._hash
+
+    @cached_property
+    def _tables(self) -> Dict[Tuple[int, ...], "Table"]:
+        """The Table of each basis order read so far, keyed by the label
+        positions of the order."""
+        return {}
+
+    def table(self, basis_order: Optional[Sequence[str]] = None) -> "Table":
+        """The flat table in a basis order (label order by default), built
+        on first use and kept with the algebra, with its cleared form and
+        groups once a kernel reads them.  Only the label-order table is read
+        from the blocks (``flatten``); any other order permutes it."""
+        pos = tuple(range(self.dim)) if basis_order is None else _positions(self, basis_order)
+        table = self._tables.get(pos)
+        if table is None:
+            if pos == tuple(range(self.dim)):
+                table = flatten(self, self.labels())
+            else:
+                table = _permuted(self.table(), pos)
+            self._tables[pos] = table
+        return table
 
     # ---- basis bookkeeping -------------------------------------------------
     @property
@@ -345,7 +381,7 @@ def check_super_jordan(J: SuperAlgebra) -> IdentityReport:
     if sviol:
         return IdentityReport(False, False, detail="; ".join(sviol[:3]))
     # T[a][b] = lambda e_a e_b as sparse (k, c) pairs, indices in label order
-    T = [[[(k, c) for k, c in enumerate(row) if c] for row in plane] for plane in cleared_table(table)[1]]
+    T = [[[(k, c) for k, c in enumerate(row) if c] for row in plane] for plane in table.cleared[1]]
     unit = [((a, 1),) for a in range(dim)]
     # P[a][b][c] = (e_a e_b) e_c, read only with a <= b
     P = [
@@ -413,36 +449,68 @@ def _sparse_product(T, u, v) -> Tuple[Tuple[int, Scalar], ...]:
 # ---------------------------------------------------------------------------
 
 
-def flatten(J: SuperAlgebra, basis_order: Optional[Sequence[str]] = None):
+class Table(tuple):
+    """A flat d x d x d table of structure constants as nested tuples, with
+    the forms the kernels read, each built on first use and kept with it:
+    ``cleared`` is ``cleared_table`` of it, ``groups`` its
+    ``product_groups``.  The kernels read ``cleared`` and the groups of the
+    cleared table; a basis change over Fraction (``apply_graded_change``)
+    reads the groups of the table itself."""
+
+    @cached_property
+    def cleared(self) -> Tuple[Union[int, Poly], "Table"]:
+        return cleared_table(self)
+
+    @cached_property
+    def groups(self) -> Tuple[Tuple[int, int, tuple], ...]:
+        return product_groups(self)
+
+
+def as_table(table) -> Table:
+    """``table`` itself if it is a Table, else a new Table of its constants:
+    a kernel given a raw table builds the forms it reads once per call."""
+    return table if isinstance(table, Table) else Table(_freeze(table))
+
+
+def _positions(J: SuperAlgebra, basis_order: Sequence[str]) -> Tuple[int, ...]:
+    """The label positions of a basis order, which must list each basis
+    vector of J once."""
+    pos = tuple(label_position(lab, J.m, J.n) for lab in basis_order)
+    if sorted(pos) != list(range(J.dim)):
+        raise ValueError(f"basis order {list(basis_order)} is not a basis of type ({J.m},{J.n})")
+    return pos
+
+
+def _permuted(table, pos: Sequence[int]) -> Table:
+    """The table in the basis x_pos[0], x_pos[1], ...:
+    T'[a][b][k] = T[pos[a]][pos[b]][pos[k]]."""
+    return Table(tuple(tuple(tuple(table[a][b][k] for k in pos) for b in pos) for a in pos))
+
+
+def flatten(J: SuperAlgebra, basis_order: Optional[Sequence[str]] = None) -> Table:
     """Full (m+n)^3 structure tensor in the given basis ordering (default
-    ``default_basis_order``)."""
-    order = list(basis_order) if basis_order else default_basis_order(J.m, J.n)
+    ``default_basis_order``), read from the blocks into a new Table; the
+    kernels read the one ``SuperAlgebra.table`` keeps per order."""
+    pos = _positions(J, basis_order or default_basis_order(J.m, J.n))
+    m, zero = J.m, Fraction(0)
+    pad_even, pad_odd = (zero,) * m, (zero,) * J.n
+
+    def row(a: int, b: int) -> tuple:
+        """x_a x_b in label order: its block row, padded with zeros."""
+        if a < m:
+            return (*J.alpha[a][b], *pad_odd) if b < m else (*pad_even, *J.beta[a][b - m])
+        return (*pad_even, *J.gamma[a - m][b]) if b < m else (*J.delta[a - m][b - m], *pad_odd)
+
     d = J.dim
-    if len(order) != d:
-        raise ValueError(f"basis order {order} has wrong length for dim {d}")
-    idx = [J.label_index(lab) for lab in order]
-    zero = Fraction(0)
-    table = [[[zero] * d for _ in range(d)] for _ in range(d)]
-    for a, (pa, ia) in enumerate(idx):
-        for b, (pb, ib) in enumerate(idx):
-            if pa == 0 and pb == 0:
-                parity, row = 0, J.alpha[ia][ib]
-            elif pa == 0:
-                parity, row = 1, J.beta[ia][ib]
-            elif pb == 0:
-                parity, row = 1, J.gamma[ia][ib]
-            else:
-                parity, row = 0, J.delta[ia][ib]
-            for within, val in enumerate(row):
-                if val:
-                    table[a][b][idx.index((parity, within))] = val
-    return tuple(tuple(tuple(r) for r in plane) for plane in table)
+    table = Table(tuple(tuple(c or zero for c in row(a, b)) for b in range(d)) for a in range(d))
+    return table if pos == tuple(range(d)) else _permuted(table, pos)
 
 
-def graded_table(J: SuperAlgebra) -> Tuple[tuple, List[int]]:
-    """The flat table in label order (even vectors first) and the parity of
-    each of its basis vectors: the one input of the kernels."""
-    return flatten(J, J.labels()), [0] * J.m + [1] * J.n
+def graded_table(J: SuperAlgebra) -> Tuple[Table, List[int]]:
+    """The flat table in label order (even vectors first), as J keeps it
+    (``SuperAlgebra.table``), and the parity of each of its basis vectors:
+    the one input of the kernels."""
+    return J.table(), [0] * J.m + [1] * J.n
 
 
 def unflatten(table, m: int, n: int, name: str = "") -> SuperAlgebra:
@@ -459,13 +527,14 @@ def unflatten(table, m: int, n: int, name: str = "") -> SuperAlgebra:
     )
 
 
-def cleared_table(table) -> Tuple[Union[int, Poly], List[List[List]]]:
+def cleared_table(table) -> Tuple[Union[int, Poly], Table]:
     """(scale, a flat d x d x d table times its scale), the scale chosen by
     ``clear_denominators``: lambda and ints when every constant is rational,
     D and Z[s] values (Poly) when one is a RatFun."""
     d = len(table)
     scale, flat = clear_denominators([c for plane in table for row in plane for c in row])
-    return scale, [[flat[(a * d + b) * d : (a * d + b + 1) * d] for b in range(d)] for a in range(d)]
+    rows = [tuple(flat[i : i + d]) for i in range(0, d * d * d, d)]
+    return scale, Table(tuple(rows[a * d : (a + 1) * d]) for a in range(d))
 
 
 def nonzero_constants(table) -> List[Tuple[int, int, int, Scalar]]:
@@ -533,7 +602,7 @@ def change_basis(table, P, Q, zero) -> List[List[List[Scalar]]]:
     zero RatFun).  The scalars may be int, Fraction, Poly or RatFun: zeros
     are skipped by their truth value.
     """
-    groups = product_groups(table)
+    groups = as_table(table).groups
     d = len(table)
     moved = []
     for pa in P:
@@ -565,8 +634,8 @@ def power_spans(table) -> List[List[List]]:
     is the one of ``row_reduce_basis``.  The products are taken in ints, or
     over Z[s], on the table times lambda (``cleared_table``), whose powers
     are those of the table: lambda (U W) spans U W."""
-    table = cleared_table(table)[1]
-    groups = product_groups(table)
+    table = as_table(table).cleared[1]
+    groups = table.groups
     d = len(table)
     powers = [[[int(i == j) for j in range(d)] for i in range(d)]]
     for r in range(2, d + 1):

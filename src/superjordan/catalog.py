@@ -104,6 +104,7 @@ class Catalog:
         self.components: Dict[str, dict] = {}
         self.errata: List[Erratum] = []
         self.lemma_pairs: List[LemmaPairGroup] = []
+        self._samples: Dict[str, List[SuperAlgebra]] = {}  # a family at FAMILY_SAMPLES
         self._load()
 
     # ---- loading -----------------------------------------------------------
@@ -122,8 +123,9 @@ class Catalog:
                     raise ParseError(f"duplicate catalog name {af.name}")
                 self.entries[af.name] = af
                 names.append(af.name)
-                with names_in(path):
-                    self.instances(af.name)  # no pole at a sample value
+                if af.is_family:
+                    with names_in(path):  # no pole at a sample value
+                        self._samples[af.name] = [self.lookup(af.name, p) for p in FAMILY_SAMPLES]
             self.by_type[mn] = sorted(names, key=_name_sort_key)
         lowdir = self.root / "catalog" / "lowdim"
         for path in sorted(lowdir.glob("*.alg")):
@@ -171,10 +173,12 @@ class Catalog:
 
     def instances(self, name: str) -> List[SuperAlgebra]:
         """The algebras checked for an entry: a family at each of
-        ``FAMILY_SAMPLES``, any other entry as itself."""
+        ``FAMILY_SAMPLES``, any other entry as itself.  They are built when
+        the catalog loads, and every call returns the same objects, so the
+        tables each keeps (``SuperAlgebra.table``) serve every sweep."""
         entry = self.entry(name)
         if entry.is_family:
-            return [self.lookup(name, p) for p in FAMILY_SAMPLES]
+            return list(self._samples[name])
         return [entry.algebra]
 
     def even_graph_for(self, m: int) -> ReferenceGraph:

@@ -65,15 +65,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import count, product
 from typing import Iterator, List, Optional, Tuple
 
-from .algebra import (
-    SuperAlgebra,
-    change_basis,
-    cleared_table,
-    flatten,
-    label_parity,
-    product_groups,
-    product_row,
-)
+from .algebra import SuperAlgebra, as_table, change_basis, label_parity, product_row
 from .linalg import int_matrix_det_adjugate
 from .tablefmt import ParseError, excerpt, read_arithmetic, read_lines, unknown_line
 
@@ -157,17 +149,16 @@ def failing_condition(table, cs: ClosedSet) -> Optional[Condition]:
 
 
 def certificate_table(cs: ClosedSet, J: SuperAlgebra):
-    """``J`` flattened in the certificate's basis, which must list each basis
-    vector of ``J`` exactly once."""
+    """``J``'s table in the certificate's basis, which must list each basis
+    vector of ``J`` exactly once: the Table ``J`` keeps for that order
+    (``SuperAlgebra.table``), so its source, stability and separation tests
+    share one cleared table and one grouping of it."""
     try:
-        fits = sorted(map(J.label_index, cs.basis)) == sorted(map(J.label_index, J.labels()))
-    except KeyError:
-        fits = False
-    if not fits:
+        return J.table(cs.basis)
+    except (KeyError, ValueError):
         raise CertificateParseError(
             f"{cs.path}: basis {' '.join(cs.basis)} does not fit {J.name} of type ({J.m},{J.n})"
-        )
-    return flatten(J, cs.basis)
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +496,7 @@ def _trials(kind: str, cs: ClosedSet, table, trials: int, seed: int):
     if len(table) != cs.dim:
         raise BasisMismatch(f"table dim {len(table)} != certificate dim {cs.dim}")
     plan = cs.plan
-    groups = product_groups(cleared_table(table)[1])
+    groups = as_table(table).cleared[1].groups
     rows, slots = [None] * plan.rows, [None] * len(plan.coords)
     key = cs.dim if kind == "stability" else tuple(map(label_parity, cs.basis))
     for g, adj in _changes(kind, key, trials, seed):
@@ -521,7 +512,7 @@ def stability_test(cs: ClosedSet, source_table, trials: int = 1000, seed: int = 
         if holds:
             hits += 1
         elif not first_fail:
-            moved = transform_int_table(cleared_table(source_table)[1], g)
+            moved = transform_int_table(as_table(source_table).cleared[1], g)
             bad = failing_condition(moved, cs)
             first_fail = f"fails {bad.text if bad else '?'} at g={[list(row) for row in g]}"
     return RandomizedReport("stability", hits, trials, seed, first_fail)

@@ -37,9 +37,7 @@ from .algebra import (
     _freeze,
     basis_labels,
     change_basis,
-    cleared_table,
     default_basis_order,
-    flatten,
     label_parity,
 )
 from .linalg import SingularMatrix, clear_denominators, int_matrix_det_adjugate
@@ -246,7 +244,7 @@ def _constants_in_basis(source: SuperAlgebra, P, order: List[str]):
     det, adj = int_matrix_det_adjugate(list(R))
     if not det:
         raise SingularMatrix("witness basis is singular")
-    D_T, T = cleared_table(flatten(source, order))
+    D_T, T = source.table(order).cleared
     # P^-1 = adj(R) diag(D) / det(R), so with Q = adj(R) diag(D) each constant
     # is N[a][b][l] / (D_a D_b det(R) D_T)
     Q = [[x * D_l for x, D_l in zip(row, D)] for row in adj]
@@ -292,7 +290,7 @@ def verify_degeneration(wit: Witness, source: SuperAlgebra, target: SuperAlgebra
                 if i == j:
                     limit[a][b][k] = Fraction(x[i], q[j])
     limit_t = _freeze(limit)
-    target_table = flatten(target, default_basis_order(target.m, target.n))
+    target_table = target.table(default_basis_order(target.m, target.n))
     if limit_t != target_table:
         diff = tuple(
             (a + 1, b + 1, k + 1)

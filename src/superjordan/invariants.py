@@ -13,9 +13,14 @@ reads the whole stream; a lemma row reads it up to its published reason
 and reports its first violation.
 
 ``orbit_dimension``, ``algebra_fingerprint`` and ``algebra.power_filtration``
-are cached by table (``functools.lru_cache``): an algebra is frozen, and its
-equality and hash ignore its name, so repeated blocks, shared even parts and
-fresh family instances share one entry, across catalogs too.
+are cached by the value of the table (``functools.lru_cache``): an algebra
+is frozen, and its equality and hash ignore its name, so repeated blocks,
+shared even parts and fresh family instances share one entry, across
+catalogs too.  The other kernels here (the superderivations,
+associativity, the Burde traces) are not cached: each call reads the table
+its algebra keeps (``algebra.SuperAlgebra.table``), cleared and grouped once
+per algebra object, so only their own loops run again.  A new object with
+equal constants builds its own table.
 """
 
 from __future__ import annotations
@@ -31,11 +36,10 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from . import linalg
 from .algebra import (
     SuperAlgebra,
-    cleared_table,
+    as_table,
     graded_table,
     power_filtration,
     power_spans,
-    product_groups,
     product_row,
     unflatten,
 )
@@ -102,7 +106,7 @@ def _derivation_dim(table, par: Sequence[int], d_par: int) -> int:
 def derivation_dims(J: SuperAlgebra) -> DerivationSpace:
     """Dimensions of the even and odd superderivation spaces."""
     table, par = graded_table(J)
-    table = cleared_table(table)[1]
+    table = table.cleared[1]
     return DerivationSpace(_derivation_dim(table, par, 0), _derivation_dim(table, par, 1))
 
 
@@ -120,7 +124,7 @@ def orbit_dimension(J: SuperAlgebra) -> int:
 
 def ungraded_derivation_dim(table) -> int:
     """Derivation dimension of a flattened (ungraded) multiplication table."""
-    return _derivation_dim(cleared_table(table)[1], [0] * len(table), 0)
+    return _derivation_dim(as_table(table).cleared[1], [0] * len(table), 0)
 
 
 def ungraded_power_dims(table) -> List[int]:
@@ -146,8 +150,8 @@ def table_is_associative(table) -> bool:
     """(x_a x_b) x_c = x_a (x_b x_c) on every basis triple, compared as
     rows (``product_row``) in ints or over Z[s] on the cleared table
     (``cleared_table``): both sides are quadratic in the constants."""
-    scale, T = cleared_table(table)
-    groups = product_groups(T)
+    scale, T = as_table(table).cleared
+    groups = T.groups
     zero = 0 * scale  # 0, or the zero Poly, which is not equal to 0
     d = len(T)
     unit = [[int(i == j) for j in range(d)] for i in range(d)]
@@ -210,7 +214,7 @@ def _burde_values(J: SuperAlgebra, pairs, trials: int = 16, seed: int = 0) -> Li
         raise ValueError("exponents must be >= 1")
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    groups = product_groups(cleared_table(graded_table(J)[0])[1])
+    groups = J.table().cleared[1].groups
     d = J.dim
     unit = [[int(i == j) for j in range(d)] for i in range(d)]
 
