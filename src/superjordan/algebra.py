@@ -151,11 +151,6 @@ class SuperAlgebra:
     def labels(self) -> List[str]:
         return list(basis_labels(self.m, self.n)[0])
 
-    def label_index(self, label: str) -> Tuple[int, int]:
-        """(parity, index-within-parity) for a basis label."""
-        pos = label_position(label, self.m, self.n)
-        return (0, pos) if pos < self.m else (1, pos - self.m)
-
     def basis_element(self, label: str) -> Vector:
         """The coordinate vector of a basis label, in label order."""
         pos = label_position(label, self.m, self.n)

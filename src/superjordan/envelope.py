@@ -14,16 +14,25 @@ or over Z[s] for a table over RatFun (``linalg.clear_denominators``).
 Both sides of (x^2 y)x = x^2 (yx) are cubic in the constants, so each pair
 holds after the scaling iff it held before, and the first failing pair and
 ``pairs_checked`` stay the same.
+
+The pairs depend only on the type (m, n) and k, as the labels do, so
+``_pair_schedule`` builds them once per type and k, at the first check.  It
+keeps each distinct monomial x once: (a, f) and (f, a) build the same x, and
+at k = 4 the 84 combos of a type give 56-66 distinct x.  A repeated x has the
+same used mask, hence the same free generators, y's and pairs; it fails only
+if its first occurrence failed, where the check has already returned.  So
+skipping it changes neither ``ok``, ``pairs_checked`` nor the detail.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import SuperAlgebra
+from .algebra import SuperAlgebra, basis_labels
 from .linalg import clear_denominators
 
 # a G(A) element maps (grassmann_mask, parity, index) -> int coefficient
@@ -142,72 +151,72 @@ def _support_plan(parities: List[int], k: int) -> Optional[List[int]]:
     return masks
 
 
+@lru_cache(maxsize=None)
+def _pair_schedule(m: int, n: int, k: int) -> Tuple[list, int, list]:
+    """(xs, monomial pairs, random pairs) for type (m, n) and k.  xs holds
+    each distinct x in first-occurrence order as (x, its first combo's text,
+    [(pair number, y, y label)]), numbered as the loop over all combos does."""
+    labels = basis_labels(m, n)[0]
+    indices = {lab: (0, i) if i < m else (1, i - m) for i, lab in enumerate(labels)}
+
+    def element(parts) -> GElement:
+        out: GElement = {}
+        for mask, lab, coeff in parts:
+            key = (mask, *indices[lab])
+            out[key] = out.get(key, 0) + coeff
+        return {kk: v for kk, v in out.items() if v}
+
+    xs: Dict[frozenset, tuple] = {}
+    pairs = 0
+    for r in (1, 2, 3):
+        for combo in iproduct(labels, repeat=r):
+            plan = _support_plan([indices[lab][0] for lab in combo], k)
+            if plan is None:
+                continue
+            used = sum(plan)  # the nonzero masks are disjoint
+            x = element((msk, lab, 1) for msk, lab in zip(plan, combo))
+            free = [g for g in range(k) if not (used >> g) & 1]
+            ys = []
+            for ylab in labels:
+                odd = indices[ylab][0]
+                if odd and not free:
+                    continue
+                pairs += 1
+                ys.append((pairs, element([(1 << free[0] if odd else 0, ylab, 1)]), ylab))
+            xs.setdefault(frozenset(x.items()), (x, f"fails at x={combo} supports={plan}", ys))
+
+    rng = random.Random(0)
+    pools = [[msk for msk in range(1 << k) if bin(msk).count("1") % 2 == p] for p in (0, 1)]
+
+    def random_element() -> GElement:
+        parts = []
+        for lab in labels:
+            pool = pools[indices[lab][0]]
+            if pool:
+                mask = rng.choice(pool)
+                parts.append((mask, lab, rng.randint(-2, 2)))
+        return element(parts)
+
+    randoms = [(random_element(), random_element()) for _ in range(RANDOM_PAIRS)]
+    return list(xs.values()), pairs, randoms
+
+
 def envelope_jordan_check(J: SuperAlgebra, k: int = 4) -> EnvelopeReport:
     """Check (x^2 y)x = x^2 (yx) in the truncated envelope.
 
     x runs over sums of up to three Grassmann-monomial tensors with disjoint
     supports, y over monomials; ``RANDOM_PAIRS`` random pairs, drawn at seed
-    0, are added on top.
+    0, are added on top.  x^2 is formed once per distinct x.
     """
     env = _Envelope(J, k)
-    labels = J.labels()
-    parities = {lab: J.label_index(lab)[0] for lab in labels}
-    indices = {lab: J.label_index(lab) for lab in labels}
-    pairs = 0
-
-    def monomial(mask: int, lab: str, coeff: int = 1) -> GElement:
-        p, i = indices[lab]
-        return {(mask, p, i): coeff}
-
-    def merge(parts: List[GElement]) -> GElement:
-        out: GElement = {}
-        for part in parts:
-            for kk, v in part.items():
-                out[kk] = out.get(kk, 0) + v
-        return {kk: v for kk, v in out.items() if v}
-
-    for r in (1, 2, 3):
-        for combo in iproduct(labels, repeat=r):
-            plan = _support_plan([parities[lab] for lab in combo], k)
-            if plan is None:
-                continue
-            used = 0
-            for msk in plan:
-                used |= msk
-            x = merge([monomial(msk, lab) for msk, lab in zip(plan, combo)])
-            free = [g for g in range(k) if not (used >> g) & 1]
-            for ylab in labels:
-                if parities[ylab] == 1:
-                    if not free:
-                        continue
-                    ymask = 1 << free[0]
-                else:
-                    ymask = 0
-                y = monomial(ymask, ylab)
-                pairs += 1
-                if not env.jordan_holds(x, y):
-                    return EnvelopeReport(
-                        False, pairs, detail=f"fails at x={combo} supports={plan}, y={ylab}"
-                    )
-
-    rng = random.Random(0)
-    even_masks = [msk for msk in range(1 << k) if bin(msk).count("1") % 2 == 0]
-    odd_masks = [msk for msk in range(1 << k) if bin(msk).count("1") % 2 == 1]
-
-    def random_element() -> GElement:
-        parts = []
-        for lab in labels:
-            pool = even_masks if parities[lab] == 0 else odd_masks
-            if not pool:
-                continue
-            mask = rng.choice(pool)
-            coeff = rng.randint(-2, 2)
-            if coeff:
-                parts.append(monomial(mask, lab, coeff))
-        return merge(parts)
-
-    for _ in range(RANDOM_PAIRS):
-        x, y = random_element(), random_element()
+    xs, pairs, random_pairs = _pair_schedule(J.m, J.n, k)
+    mul = env.mul
+    for x, where, ys in xs:
+        xx = mul(x, x)
+        for number, y, ylab in ys:
+            if mul(mul(xx, y), x) != mul(xx, mul(y, x)):
+                return EnvelopeReport(False, number, detail=f"{where}, y={ylab}")
+    for x, y in random_pairs:
         pairs += 1
         if not env.jordan_holds(x, y):
             return EnvelopeReport(False, pairs, detail="fails at a random envelope pair")

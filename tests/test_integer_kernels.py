@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 from itertools import product as iproduct
 
-from superjordan import linalg, ratfun
+from superjordan import envelope, linalg, ratfun
 from superjordan.algebra import (
     IdentityReport,
     _supercommutativity_violations,
@@ -23,7 +23,13 @@ from superjordan.algebra import (
     power_spans,
     unflatten,
 )
-from superjordan.envelope import EnvelopeReport, _support_plan, envelope_jordan_check, grassmann_sign
+from superjordan.envelope import (
+    EnvelopeReport,
+    _pair_schedule,
+    _support_plan,
+    envelope_jordan_check,
+    grassmann_sign,
+)
 from superjordan.invariants import (
     BURDE_PAIRS,
     _burde_values,
@@ -147,7 +153,8 @@ def fraction_envelope_check(J, k=4, random_trials=20, seed=0):
     """``envelope_jordan_check`` with Fraction coefficients on the blocks."""
     env = _FractionEnvelope(J)
     labels = J.labels()
-    indices = {lab: J.label_index(lab) for lab in labels}
+    # (parity, index within the parity) of each label, in label order
+    indices = {lab: (0, i) if i < J.m else (1, i - J.m) for i, lab in enumerate(labels)}
     parities = {lab: indices[lab][0] for lab in labels}
     pairs = 0
 
@@ -404,6 +411,51 @@ def test_kernels_match_fraction_loops_on_perturbations(catalog):
     assert sum(not check_super_jordan(J).ok for J in variants) * 2 >= len(variants)
     for J in variants:
         _assert_kernels_match(J)
+
+
+def test_envelope_matches_the_full_loop_on_failing_tables(catalog):
+    # the oracle runs every combo, repeated x included; the check skips the
+    # repeats, so a failure after a skipped pair pins its number and detail
+    names = ["J6", "J15", "Jc1", "Jc16", "Jc42", "Jc71", "Jf30", "Jf59"]
+    variants = [perturb_entry(catalog, name, seed) for name in names for seed in (8, 9)]
+    after_a_skip = set()
+    for J in variants:
+        for k in range(6):
+            got = envelope_jordan_check(J, k)
+            assert got == fraction_envelope_check(J, k), (J.name, k)
+            xs, monomial_pairs, _ = _pair_schedule(J.m, J.n, k)
+            kept = {number for _, _, ys in xs for number, _, _ in ys}
+            first_skip = min(set(range(1, monomial_pairs + 1)) - kept, default=monomial_pairs)
+            if not got.ok and first_skip < got.pairs_checked <= monomial_pairs:
+                after_a_skip.add((J.m, J.n))
+    assert after_a_skip == {(1, 3), (2, 2), (3, 1)}
+
+
+def test_envelope_does_each_product_once(catalog, monkeypatch):
+    calls = {"mul": 0, "plan": 0}
+    mul, plan = envelope._Envelope.mul, envelope._support_plan
+
+    def counted_mul(self, x, y):
+        calls["mul"] += 1
+        return mul(self, x, y)
+
+    def counted_plan(parities, k):
+        calls["plan"] += 1
+        return plan(parities, k)
+
+    monkeypatch.setattr(envelope._Envelope, "mul", counted_mul)
+    monkeypatch.setattr(envelope, "_support_plan", counted_plan)
+    _pair_schedule.cache_clear()
+    Jc1 = catalog.lookup("Jc1")
+    xs, monomial_pairs, random_pairs = _pair_schedule(Jc1.m, Jc1.n, 4)
+    assert (len(xs), sum(len(ys) for _, _, ys in xs)) == (56, 208)
+    assert (monomial_pairs, len(random_pairs)) == (320, 20)
+    # the schedule is built once per type and k
+    assert calls["plan"] == 84
+    calls["plan"] = 0
+    # one square per distinct x, four products per pair, five per random pair
+    assert envelope_jordan_check(Jc1) == EnvelopeReport(True, 340)
+    assert calls == {"mul": 56 + 4 * 208 + 5 * 20, "plan": 0}
 
 
 def test_kernels_match_fraction_loops_after_non_unimodular_changes(catalog):

@@ -58,7 +58,7 @@ def deficient_matrices(draw):
 
 
 @given(deficient_matrices())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, derandomize=True)
 def test_row_reduce_basis_matches_fraction_oracle(rows):
     basis = row_reduce_basis(rows)
     assert all(type(x) is int for row in basis for x in row)
@@ -86,7 +86,7 @@ def repeated_rows(draw):
 
 
 @given(repeated_rows())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, derandomize=True)
 def test_duplicate_and_proportional_rows(rows):
     assert rank(rows) == rank_by_minors(rows)
     assert divided_by_pivots(row_reduce_basis(rows)) == row_reduce_by_fractions(rows)
